@@ -1,45 +1,18 @@
-"""Hot sampling kernels, in numba and pure-numpy flavors.
+"""Hot sampling kernels: batched numpy transforms of the random draws.
 
-The random draws themselves always come from a numpy Generator so the two
-backends consume the same stream; the kernels are the deterministic
-transforms that dominate the per-sample cost.  Select with WW_BACKEND=numba
-or WW_BACKEND=numpy; default is numba when importable.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The random draws themselves come from a numpy Generator; the kernels are the
+deterministic transforms that dominate the per-sample cost.  They are
+vectorized over the leading sample axis and contain no randomness, so a fixed
+``(seed, stream)`` reproduces every result bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def backend() -> str:
-    """Active kernel backend: 'numba' or 'numpy', honoring WW_BACKEND."""
-    env = os.environ.get("WW_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("WW_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env:
-        raise ValueError(f"unknown WW_BACKEND={env!r} (use 'numba' or 'numpy')")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def _bartlett_gram_np(chol2: np.ndarray, chis: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def bartlett_gram(chol2: np.ndarray, chis: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Gram matrices of lower-triangular Bartlett factors against chol(sigma/2)."""
     m, d = chis.shape
     A = np.zeros((m, d, d))
     idx = np.arange(d)
@@ -50,106 +23,22 @@ def _bartlett_gram_np(chol2: np.ndarray, chis: np.ndarray, normals: np.ndarray) 
     return np.einsum("mik,mjk->mij", M, M)
 
 
-def _vectors_gram_np(chol2: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def vectors_gram(chol2: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Sum of outer products of the columns of chol(sigma/2) @ Z per sample."""
     X = np.einsum("ij,mjp->mip", chol2, Z)
     return np.einsum("mip,mjp->mij", X, X)
 
 
-def _inv_cond_sym_np(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def inverse_and_cond(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched inverses plus eigenvalue-ratio condition numbers."""
     eig = np.abs(np.linalg.eigvalsh(W))
     cond = eig[:, -1] / np.maximum(eig[:, 0], np.finfo(float).tiny)
     return np.linalg.inv(W), cond
 
 
-def _haar_qr_np(G: np.ndarray) -> np.ndarray:
+def haar_orthogonalize(G: np.ndarray) -> np.ndarray:
+    """Batched QR with the R-diagonal sign fix; Haar when G is iid Gaussian."""
     Q, R = np.linalg.qr(G)
     sign = np.sign(np.einsum("mii->mi", R))
     sign[sign == 0] = 1.0
     return Q * sign[:, None, :]
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bartlett_gram_nb(chol2, chis, normals):  # pragma: no cover - numba
-        m, d = chis.shape
-        W = np.empty((m, d, d))
-        A = np.zeros((d, d))
-        for s in range(m):
-            t = 0
-            for i in range(d):
-                A[i, i] = np.sqrt(chis[s, i])
-                for j in range(i):
-                    A[i, j] = normals[s, t]
-                    t += 1
-            M = chol2 @ A
-            W[s] = M @ M.T
-        return W
-
-    @njit(cache=True)
-    def _vectors_gram_nb(chol2, Z):  # pragma: no cover - numba
-        m = Z.shape[0]
-        d = Z.shape[1]
-        W = np.empty((m, d, d))
-        for s in range(m):
-            X = chol2 @ Z[s]
-            W[s] = X @ X.T
-        return W
-
-    @njit(cache=True)
-    def _inv_cond_sym_nb(W):  # pragma: no cover - numba
-        m, d = W.shape[0], W.shape[1]
-        inv = np.empty_like(W)
-        cond = np.empty(m)
-        tiny = 2.2250738585072014e-308
-        for s in range(m):
-            eig = np.abs(np.linalg.eigvalsh(W[s]))
-            lo = eig[0] if eig[0] > tiny else tiny
-            cond[s] = eig[d - 1] / lo
-            inv[s] = np.linalg.inv(W[s])
-        return inv, cond
-
-    @njit(cache=True)
-    def _haar_qr_nb(G):  # pragma: no cover - numba
-        m, n = G.shape[0], G.shape[1]
-        out = np.empty_like(G)
-        for s in range(m):
-            Q, R = np.linalg.qr(G[s])
-            for j in range(n):
-                sgn = 1.0 if R[j, j] >= 0 else -1.0
-                for i in range(n):
-                    out[s, i, j] = Q[i, j] * sgn
-        return out
-
-
-# ------------------------------------------------------------- dispatchers
-
-
-def bartlett_gram(chol2: np.ndarray, chis: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Gram matrices of lower-triangular Bartlett factors against chol(sigma/2)."""
-    if backend() == "numba":
-        return _bartlett_gram_nb(chol2, chis, normals)
-    return _bartlett_gram_np(chol2, chis, normals)
-
-
-def vectors_gram(chol2: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Sum of outer products of the columns of chol(sigma/2) @ Z per sample."""
-    if backend() == "numba":
-        return _vectors_gram_nb(chol2, Z)
-    return _vectors_gram_np(chol2, Z)
-
-
-def inverse_and_cond(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched inverses plus eigenvalue-ratio condition numbers."""
-    if backend() == "numba":
-        return _inv_cond_sym_nb(W)
-    return _inv_cond_sym_np(W)
-
-
-def haar_orthogonalize(G: np.ndarray) -> np.ndarray:
-    """Batched QR with the R-diagonal sign fix; Haar when G is iid Gaussian."""
-    if backend() == "numba":
-        return _haar_qr_nb(G)
-    return _haar_qr_np(G)

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -290,9 +290,40 @@ def _pairwise_merge(per_stream: list[list[_Acc]]) -> list[_Acc]:
     return work[0]
 
 
-def _split_counts(total: int, streams: int) -> list[int]:
-    base, extra = divmod(total, streams)
-    return [base + (1 if i < extra else 0) for i in range(streams)]
+def _run_streams(
+    draw_chunk: Callable[[np.random.Generator, int, list[_Acc]], None], targets: list[float],
+    labels: list[str], sample_count: int, rng: RngSpec, chunk: int, streams: int, threads: int,
+) -> list[SampleStats]:
+    """Split ``sample_count`` draws over RngSpec(seed, stream + i), i < streams,
+    calling ``draw_chunk(gen, m, accs)`` with at most ``chunk`` draws at a time;
+    merge the streams pairwise in order, so the thread count never changes
+    results.
+    """
+    if sample_count < 1000:
+        raise ValueError("sample_count must be at least 1000")
+    if streams < 1:
+        raise ValueError(f"streams must be at least 1, got {streams}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    base, extra = divmod(sample_count, streams)
+
+    def run_stream(i: int) -> list[_Acc]:
+        gen = RngSpec(rng.seed, rng.stream + i).generator()
+        accs = [_Acc() for _ in targets]
+        left = base + (1 if i < extra else 0)
+        while left > 0:
+            m = min(chunk, left)
+            left -= m
+            draw_chunk(gen, m, accs)
+        return accs
+
+    if threads > 1 and streams > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_stream = list(pool.map(run_stream, range(streams)))
+    else:
+        per_stream = [run_stream(i) for i in range(streams)]
+    merged = _pairwise_merge(per_stream)
+    return [_finalize(acc, t, lab) for acc, t, lab in zip(merged, targets, labels)]
 
 
 def estimate(
@@ -311,8 +342,6 @@ def estimate(
     beyond the existence threshold, so the empirical variance is usable;
     near-singular draws (condition above 1e12) are rejected and counted.
     """
-    if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
     descriptors = list(descriptors)
     need_inverse = any(getattr(d, "inverse", False) for d in descriptors)
     if need_inverse:
@@ -324,37 +353,23 @@ def estimate(
             )
     targets = [float(d.target(params)) for d in descriptors]
 
-    def run_stream(spec: RngSpec, count: int) -> list[_Acc]:
-        gen = spec.generator()
-        accs = [_Acc() for _ in descriptors]
-        left = count
-        while left > 0:
-            m = min(chunk, left)
-            left -= m
-            W = sample_wishart_batch(params, m, gen, method)
-            Winv = None
-            rejected = 0
-            if need_inverse:
-                inv, cond = _kernels.inverse_and_cond(W)
-                mask = cond < COND_LIMIT
-                rejected = int(m - mask.sum())
-                Winv = inv[mask] if rejected else inv
-            for desc, acc in zip(descriptors, accs):
-                if getattr(desc, "inverse", False):
-                    acc.add_chunk(desc.values(Winv), rejected=rejected)
-                else:
-                    acc.add_chunk(desc.values(W))
-        return accs
+    def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
+        W = sample_wishart_batch(params, m, gen, method)
+        Winv = None
+        rejected = 0
+        if need_inverse:
+            inv, cond = _kernels.inverse_and_cond(W)
+            mask = cond < COND_LIMIT
+            rejected = int(m - mask.sum())
+            Winv = inv[mask] if rejected else inv
+        for desc, acc in zip(descriptors, accs):
+            if getattr(desc, "inverse", False):
+                acc.add_chunk(desc.values(Winv), rejected=rejected)
+            else:
+                acc.add_chunk(desc.values(W))
 
-    counts = _split_counts(sample_count, streams)
-    specs = [RngSpec(rng.seed, rng.stream + i) for i in range(streams)]
-    if threads > 1 and streams > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_stream = list(pool.map(run_stream, specs, counts))
-    else:
-        per_stream = [run_stream(s, c) for s, c in zip(specs, counts)]
-    merged = _pairwise_merge(per_stream)
-    return [_finalize(acc, t, d.label) for acc, t, d in zip(merged, targets, descriptors)]
+    labels = [d.label for d in descriptors]
+    return _run_streams(draw_chunk, targets, labels, sample_count, rng, chunk, streams, threads)
 
 
 def estimate_haar(
@@ -368,33 +383,16 @@ def estimate_haar(
 ) -> list[SampleStats]:
     """Estimate E[prod O[i_k, j_k]] for each (i, j) pair list against the
     exact Weingarten-sum value."""
-    if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
     pairs = [(tuple(i), tuple(j)) for i, j in index_pairs]
     targets = [float(wishart.haar_moment(i, j, N)) for i, j in pairs]
     labels = [f"prod O[{i},{j}]" for i, j in pairs]
 
-    def run_stream(spec: RngSpec, count: int) -> list[_Acc]:
-        gen = spec.generator()
-        accs = [_Acc() for _ in pairs]
-        left = count
-        while left > 0:
-            m = min(chunk, left)
-            left -= m
-            Q = sample_haar_batch(N, m, gen)
-            for (i_idx, j_idx), acc in zip(pairs, accs):
-                vals = np.ones(m)
-                for a, b in zip(i_idx, j_idx):
-                    vals *= Q[:, a - 1, b - 1]
-                acc.add_chunk(vals)
-        return accs
+    def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
+        Q = sample_haar_batch(N, m, gen)
+        for (i_idx, j_idx), acc in zip(pairs, accs):
+            vals = np.ones(m)
+            for a, b in zip(i_idx, j_idx):
+                vals *= Q[:, a - 1, b - 1]
+            acc.add_chunk(vals)
 
-    counts = _split_counts(sample_count, streams)
-    specs = [RngSpec(rng.seed, rng.stream + i) for i in range(streams)]
-    if threads > 1 and streams > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_stream = list(pool.map(run_stream, specs, counts))
-    else:
-        per_stream = [run_stream(s, c) for s, c in zip(specs, counts)]
-    merged = _pairwise_merge(per_stream)
-    return [_finalize(acc, t, lab) for acc, t, lab in zip(merged, targets, labels)]
+    return _run_streams(draw_chunk, targets, labels, sample_count, rng, chunk, streams, threads)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
-from math import factorial
+from math import factorial, lgamma, log
 from typing import Sequence
 
 import numpy as np
-from scipy.special import multigammaln
 
 from .matchgroup import (
     coset_type,
@@ -59,10 +58,6 @@ class DomainError(ValueError):
 
 def to_fraction(x) -> Fraction:
     """Exact rational from int/str/Fraction/float (floats read as their binary value)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -430,6 +425,11 @@ def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> 
     return sum(float(c) * _p_value(rho, psums) for rho, c in coeffs.items())
 
 
+def _log_multigamma(a: float, d: int) -> float:
+    """log Gamma_d(a) = d(d-1)/4 log(pi) + sum_{j<d} log Gamma(a - j/2)."""
+    return d * (d - 1) / 4 * log(np.pi) + sum(lgamma(a - j / 2) for j in range(d))
+
+
 def log_density(params: WishartParams, w: np.ndarray) -> float:
     """Log density at a positive definite w; needs beta > (d-1)/2."""
     d = params.d
@@ -444,7 +444,7 @@ def log_density(params: WishartParams, w: np.ndarray) -> float:
     _, logdet_sigma = np.linalg.slogdet(params.sigma)
     _, logdet_w = np.linalg.slogdet(w)
     return (
-        -multigammaln(beta, d)
+        -_log_multigamma(beta, d)
         - beta * logdet_sigma
         + (beta - (d + 1) / 2) * logdet_w
         - float(np.sum(params.sigma_inv * w))

@@ -2,8 +2,8 @@
 
 Nothing here may call the code paths it is used to check: linear systems are
 solved by textbook Gaussian elimination over Fractions, determinants by
-cofactor expansion, matching counts by the defining recursion, and moment
-assemblies by expanding traces into entrywise index sums.
+cofactor expansion, matching counts by the defining recursion, and trace
+contractions by their defining index sums.
 """
 
 from __future__ import annotations
@@ -79,24 +79,6 @@ def partitions_bruteforce(n: int) -> set[tuple[int, ...]]:
 def forward_differences(values):
     """One pass of finite differences on a list of exact values."""
     return [b - a for a, b in zip(values, values[1:])]
-
-
-def entrywise_power_trace(params, mu, inverse=False):
-    """E[prod tr((W^{+-1})^mu_i)] assembled from entrywise moments only."""
-    from wishmom.wishart import MomentSpec, inverse_moment, moment
-
-    d = params.d
-    ranges = [list(product(range(1, d + 1), repeat=part)) for part in mu]
-    total = 0.0
-    for combo in product(*ranges):
-        idx = []
-        for cyc in combo:
-            r = len(cyc)
-            for t in range(r):
-                idx.extend((cyc[t], cyc[(t + 1) % r]))
-        spec = MomentSpec(tuple(idx), inverse=inverse)
-        total += inverse_moment(params, spec) if inverse else moment(params, spec)
-    return total
 
 
 def t_contraction_bruteforce(g, x, ms):

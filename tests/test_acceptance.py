@@ -28,6 +28,7 @@ from wishmom.symcomb import (
     hook_dim_doubled,
     partitions_of,
 )
+from wishmom.validate import entrywise_power_trace
 from wishmom.weingarten import (
     biinvariant_convolve,
     hecke_unit,
@@ -47,7 +48,7 @@ from wishmom.wishart import (
     trace_power_moment,
 )
 
-from oracles import det_exact, entrywise_power_trace
+from oracles import det_exact
 
 
 @contextmanager

@@ -1,15 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wishmom
 from wishmom.cli import main
 from wishmom.wishart import MomentSpec, WishartParams, inverse_moment, moment, trace_power_moment
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend(monkeypatch):
-    monkeypatch.setenv("WW_BACKEND", "numpy")
 
 
 @pytest.fixture
@@ -17,6 +17,15 @@ def sigma_csv(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("2.0,0.3\n0.3,1.5\n")
     return str(path)
+
+
+def test_cli_import_skips_heavy_modules():
+    # scipy is a test-only dependency and numba is not used at all
+    code = "import sys, wishmom.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+    src = str(Path(wishmom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_wg_table_values(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wishmom import _kernels
+from wishmom import montecarlo
 from wishmom.montecarlo import (
     EntryProduct,
     PowerTrace,
@@ -17,12 +17,6 @@ from wishmom.montecarlo import (
     sample_wishart_batch,
 )
 from wishmom.wishart import DomainError, WishartParams
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend(monkeypatch):
-    # unit tests run the pure-numpy path; the numba path has its own tests below
-    monkeypatch.setenv("WW_BACKEND", "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +39,37 @@ def test_rngspec_reproducibility(params):
 def test_estimate_requires_minimum_samples(params):
     with pytest.raises(ValueError):
         estimate([EntryProduct((1, 1))], params, 10, RngSpec(0))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    # a size check that fails must fail before the first draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples before checking sizes")
+
+    monkeypatch.setattr(montecarlo, "sample_wishart_batch", refuse)
+    monkeypatch.setattr(montecarlo, "sample_haar_batch", refuse)
+
+
+def test_zero_streams_rejected(params, no_draws):
+    with pytest.raises(ValueError, match="streams"):
+        estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), streams=0)
+    with pytest.raises(ValueError, match="streams"):
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=0)
+
+
+def test_negative_streams_rejected(params, no_draws):
+    with pytest.raises(ValueError, match="streams"):
+        estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), streams=-1)
+    with pytest.raises(ValueError, match="streams"):
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=-1)
+
+
+def test_zero_chunk_rejected(params, no_draws):
+    with pytest.raises(ValueError, match="chunk"):
+        estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), chunk=0)
+    with pytest.raises(ValueError, match="chunk"):
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), chunk=0)
 
 
 def test_thread_count_does_not_change_results(params):
@@ -157,53 +182,3 @@ def test_haar_estimates(params):
 def test_trace_product_descriptor_rejects_inverse():
     with pytest.raises(ValueError):
         TraceProduct((np.eye(2),), inverse=True)
-
-
-# ------------------------------------------------------------------ backend
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("WW_BACKEND", "numpy")
-    assert _kernels.backend() == "numpy"
-    monkeypatch.setenv("WW_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        _kernels.backend()
-    monkeypatch.delenv("WW_BACKEND")
-    assert _kernels.backend() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_kernels_agree(monkeypatch):
-    rng = np.random.default_rng(10)
-    chol2 = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.5]])) / np.sqrt(2)
-    chis = rng.chisquare(5.0, size=(64, 2))
-    normals = rng.standard_normal((64, 1))
-    Z = rng.standard_normal((64, 2, 4))
-    G = rng.standard_normal((64, 3, 3))
-    monkeypatch.setenv("WW_BACKEND", "numba")
-    w1 = _kernels.bartlett_gram(chol2, chis, normals)
-    v1 = _kernels.vectors_gram(chol2, Z)
-    i1, c1 = _kernels.inverse_and_cond(w1)
-    q1 = _kernels.haar_orthogonalize(G)
-    monkeypatch.setenv("WW_BACKEND", "numpy")
-    w2 = _kernels.bartlett_gram(chol2, chis, normals)
-    v2 = _kernels.vectors_gram(chol2, Z)
-    i2, c2 = _kernels.inverse_and_cond(w1)
-    q2 = _kernels.haar_orthogonalize(G)
-    assert np.allclose(w1, w2, rtol=1e-12, atol=1e-12)
-    assert np.allclose(v1, v2, rtol=1e-12, atol=1e-12)
-    assert np.allclose(i1, i2, rtol=1e-9, atol=1e-12)
-    assert np.allclose(c1, c2, rtol=1e-9)
-    assert np.allclose(q1, q2, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_estimates_consistent_across_backends(params, monkeypatch):
-    descs = [EntryProduct((1, 2)), TracePower(2)]
-    monkeypatch.setenv("WW_BACKEND", "numba")
-    a = estimate(descs, params, 5000, RngSpec(13))
-    monkeypatch.setenv("WW_BACKEND", "numpy")
-    b = estimate(descs, params, 5000, RngSpec(13))
-    for x, y in zip(a, b):
-        # same RNG stream, different matmul order: equal to float-noise level
-        assert x.mean == pytest.approx(y.mean, rel=1e-10)

@@ -6,11 +6,14 @@ from math import factorial
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import multigammaln
 
 from wishmom.matchgroup import coset_type, enumerate_matchings, hyperoctahedral
 from wishmom.symcomb import Perm, partitions_of
+from wishmom.validate import entrywise_power_trace
 from wishmom.weingarten import PoleError
 from wishmom.wishart import (
+    _log_multigamma,
     DomainError,
     MomentSpec,
     WishartParams,
@@ -32,7 +35,7 @@ from wishmom.wishart import (
     trace_product_moment,
 )
 
-from oracles import entrywise_power_trace, t_contraction_bruteforce
+from oracles import t_contraction_bruteforce
 
 
 def rand_pd(rng, d):
@@ -440,6 +443,12 @@ def test_density_is_exponential_at_d1():
         assert density(p, np.array([[w]])) == pytest.approx(0.5 * np.exp(-w / 2), rel=1e-13)
     total, _ = quad(lambda w: density(p, np.array([[w]])), 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_log_multigamma_matches_scipy():
+    for d in range(1, 11):
+        for a in ((d - 1) / 2 + off for off in (0.25, 0.6, 1.0, 3.7, 19.25, 55.0)):
+            assert _log_multigamma(a, d) == pytest.approx(multigammaln(a, d), rel=1e-12), (a, d)
 
 
 def test_density_domain_checks():
