@@ -1,9 +1,10 @@
 """Alpha-hafnians of symmetric matrices by three independent routes.
 
 hf_a(A) weights each perfect matching of the 2n row indices by a**kappa and
-the product of matched entries.  Next to the defining matching sum there is a
-row/column expansion recurrence and two permutation sums built from the cycle
-functionals P and Q; all four must agree, which the test suite enforces.
+the product of matched entries.  Next to the defining matching sum, taken per
+coset type by ``matchgroup.matching_type_sums``, there is a row/column
+expansion recurrence and two permutation sums built from the cycle functionals
+P and Q; all four must agree, which the test suite enforces.
 Diagonal entries of A are never read.
 
 The alpha-permanent embeds: per_a(M) = hf_a(B) for the interleaved doubling B
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .matchgroup import SizeLimitError, iter_matchings_with_type
+from .matchgroup import SizeLimitError, matching_type_sums
 
 MAX_HAFNIAN_SIZE = 16
 MAX_PERMSUM_DEGREE = 7
@@ -35,20 +36,13 @@ def _check_symmetric(A) -> int:
 
 
 def hafnian_matching(A, alpha):
-    """Defining sum over all (2n-1)!! matchings: sum of alpha**kappa * prod A[p][q]."""
+    """Defining sum over all (2n-1)!! matchings of alpha**kappa * prod A[p][q],
+    taken per coset type by ``matching_type_sums``; exact for Fraction and
+    int inputs."""
     m = _check_symmetric(A)
     if m > MAX_HAFNIAN_SIZE:
         raise SizeLimitError(f"matching sum supports size <= {MAX_HAFNIAN_SIZE}")
-    n = m // 2
-    if n == 0:
-        return 1
-    total = 0
-    for pairs, ctype in iter_matchings_with_type(n):
-        term = alpha ** len(ctype)
-        for p, q in pairs:
-            term = term * A[p - 1][q - 1]
-        total = total + term
-    return total
+    return sum(alpha ** len(ctype) * w for ctype, w in matching_type_sums(range(m), A).items())
 
 
 def hafnian_expand(A, alpha):

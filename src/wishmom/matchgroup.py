@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .symcomb import Partition, Perm, centralizer_order, check_partition
 
@@ -138,6 +138,75 @@ def iter_matchings_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ..
     else:
         for m in iter_matchings(n):
             yield m.pairs, _type_of_pairs(m.pairs)
+
+
+def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
+    """For each coset type rho, the sum over the matchings of {1,...,2n} of
+    type rho of prod x[labels[p-1]][labels[q-1]] over their pairs {p, q}.
+
+    ``x`` must be symmetric on the labels used; the sums stay in its ring
+    (float, int or Fraction).  Every matching splits into loops, each closing
+    a block B of base pairs {2j-1, 2j}, and its weight is the product of the
+    loop weights.  So two subset DPs replace the (2n-1)!! enumeration:
+
+    * ``loop[B]`` sums the loops closing exactly B, in O(2^n n^2).  A loop is
+      walked once: it starts at pair min(B), leaves through its second slot
+      and takes on one new pair per step; the state is (pairs taken, label of
+      the exit slot), so repeated labels merge.
+    * ``parts[S]`` sums, per coset type, the ways to split S into loops,
+      taking the block that holds min(S) first, in O(3^n p(n)).
+    """
+    n, odd = divmod(len(labels), 2)
+    if odd:
+        raise ValueError("need an even number of labels")
+    if n == 0:
+        return {(): 1}
+    full = (1 << n) - 1
+    loop = [0] * (full + 1)
+    # walks[mask]: {exit label: summed weight} of open walks from pair min(mask)
+    walks: list[dict] = [{} for _ in range(full + 1)]
+    for a in range(n):
+        walks[1 << a][labels[2 * a + 1]] = 1
+    for mask in range(1, full + 1):
+        a = (mask & -mask).bit_length() - 1
+        back = labels[2 * a]
+        steps = [
+            (walks[mask | 1 << b], labels[2 * b], labels[2 * b + 1])
+            for b in range(a + 1, n)
+            if not mask >> b & 1
+        ]
+        closed = 0
+        for e, v in walks[mask].items():
+            row = x[e]
+            closed = closed + v * row[back]
+            for nxt, first, second in steps:
+                # enter the new pair through one slot and leave through the other
+                nxt[second] = nxt.get(second, 0) + v * row[first]
+                nxt[first] = nxt.get(first, 0) + v * row[second]
+        loop[mask] = closed
+
+    grown: dict[tuple[Partition, int], Partition] = {}
+    parts: dict[int, dict[Partition, object]] = {0: {(): 1}}
+    # only S = full and the sets left after removing a block holding pair 0
+    for S in [*range(2, full, 2), full]:
+        low = S & -S
+        rest = S ^ low
+        acc: dict[Partition, object] = {}
+        sub = rest
+        while True:
+            block = sub | low
+            w = loop[block]
+            size = block.bit_count()
+            for t, v in parts[rest ^ sub].items():
+                key = grown.get((t, size))
+                if key is None:
+                    key = grown[t, size] = tuple(sorted(t + (size,), reverse=True))
+                acc[key] = acc.get(key, 0) + w * v
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        parts[S] = acc
+    return parts[full]
 
 
 def coset_type(g: Perm) -> Partition:

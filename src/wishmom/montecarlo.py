@@ -9,6 +9,7 @@ z-score.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,7 +298,8 @@ def _run_streams(
     """Split ``sample_count`` draws over RngSpec(seed, stream + i), i < streams,
     calling ``draw_chunk(gen, m, accs)`` with at most ``chunk`` draws at a time;
     merge the streams pairwise in order, so the thread count never changes
-    results.
+    results.  Each stream runs on one thread, so ``threads > streams`` leaves
+    threads unused and warns.
     """
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
@@ -305,6 +307,12 @@ def _run_streams(
         raise ValueError(f"streams must be at least 1, got {streams}")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
+    if threads > streams:
+        warnings.warn(
+            f"threads={threads} exceeds streams={streams}; only {streams} thread(s) can run",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     base, extra = divmod(sample_count, streams)
 
     def run_stream(i: int) -> list[_Acc]:

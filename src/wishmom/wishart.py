@@ -25,7 +25,7 @@ import numpy as np
 from .matchgroup import (
     coset_type,
     iter_matchings,
-    iter_matchings_with_type,
+    matching_type_sums,
     paired_perm,
 )
 from .symcomb import (
@@ -45,7 +45,7 @@ from .weingarten import (
     zonal_spherical,
 )
 
-MAX_ENTRY_DEGREE = 8
+MAX_ENTRY_DEGREE = 10
 MAX_TRACE_PRODUCT_DEGREE = 7
 MAX_MIXED_DEGREE = 5
 MAX_HAAR_DEGREE = 4
@@ -145,8 +145,9 @@ def _check_indices(indices: Sequence[int], d: int) -> None:
 
 
 def moment(params: WishartParams, spec: MomentSpec) -> float:
-    """E[W_{k1 k2} ... W_{k_{2n-1} k_{2n}}]: the matching sum with weights
-    (2 beta)^kappa / 2^n over the index-restricted scale matrix."""
+    """E[W_{k1 k2} ... W_{k_{2n-1} k_{2n}}] = 2^-n sum over matchings of
+    (2 beta)^kappa prod sigma[k_p, k_q], evaluated per coset type by
+    ``matching_type_sums`` in O(3^n p(n)) rather than over (2n-1)!! terms."""
     if spec.inverse:
         return inverse_moment(params, spec)
     n = spec.degree
@@ -155,16 +156,9 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     if n > MAX_ENTRY_DEGREE:
         raise ValueError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
     _check_indices(spec.indices, params.d)
-    sig = params.sigma
-    k = spec.indices
+    sums = matching_type_sums([k - 1 for k in spec.indices], params.sigma.tolist())
     two_beta = 2 * params.beta
-    total = 0.0
-    for pairs, ctype in iter_matchings_with_type(n):
-        term = float(two_beta ** len(ctype))
-        for p, q in pairs:
-            term *= sig[k[p - 1] - 1, k[q - 1] - 1]
-        total += term
-    return total / 2**n
+    return sum(float(two_beta ** len(rho)) * w for rho, w in sums.items()) / 2**n
 
 
 @cache
@@ -173,8 +167,9 @@ def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
 
 
 def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
-    """E[W^{k1 k2} ... W^{k_{2n-1} k_{2n}}]: matching sum with inverse-Wishart
-    Weingarten coefficients over the inverse scale matrix.
+    """E[W^{k1 k2} ... W^{k_{2n-1} k_{2n}}] = sum over matchings of the
+    inverse-Wishart Weingarten value of their coset type times
+    prod sigma^-1[k_p, k_q], evaluated per coset type by ``matching_type_sums``.
 
     Valid for gamma > n-1 and, by analytic continuation, for any positive
     gamma avoiding the poles (those raise PoleError).
@@ -186,15 +181,8 @@ def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
     gamma = params.gamma
     gamma_regime(gamma, n)  # raises when gamma <= 0
     table = _inv_wg_table(n, gamma)
-    inv = params.sigma_inv
-    k = spec.indices
-    total = 0.0
-    for pairs, ctype in iter_matchings_with_type(n):
-        term = float(table[ctype])
-        for p, q in pairs:
-            term *= inv[k[p - 1] - 1, k[q - 1] - 1]
-        total += term
-    return total
+    sums = matching_type_sums([k - 1 for k in spec.indices], params.sigma_inv.tolist())
+    return sum(float(table[rho]) * w for rho, w in sums.items())
 
 
 def _require_symmetric(mats: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -95,3 +95,17 @@ def t_contraction_bruteforce(g, x, ms):
             term *= x[js[g(2 * i - 1) - 1], js[g(2 * i) - 1]]
         total += term
     return total
+
+
+def matching_type_sums_enumerative(labels, x):
+    """Per coset type, the sum of prod x[labels[p-1]][labels[q-1]] over every
+    one of the (2n-1)!! matchings of that type, term by term."""
+    from wishmom.matchgroup import iter_matchings_with_type
+
+    out = {}
+    for pairs, ctype in iter_matchings_with_type(len(labels) // 2):
+        term = 1
+        for p, q in pairs:
+            term = term * x[labels[p - 1]][labels[q - 1]]
+        out[ctype] = out.get(ctype, 0) + term
+    return out

@@ -151,10 +151,10 @@ def test_table_build_show_list_cache(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "built:" in first
     path = first.split(":", 1)[1].strip()
-    cold = open(path, "rb").read()
+    cold = Path(path).read_bytes()
     assert main(["table", "build", "--n", "2", "--z", "7/2", "--cache-dir", cache]) == 0
     assert "cache hit:" in capsys.readouterr().out
-    assert open(path, "rb").read() == cold
+    assert Path(path).read_bytes() == cold
     assert main(["table", "show", "--n", "2", "--z", "7/2", "--cache-dir", cache]) == 0
     shown = capsys.readouterr().out
     assert "-8/385" in shown and "36/385" in shown

@@ -97,6 +97,23 @@ def test_four_way_agreement(n):
         assert len(vals) == 1
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 10**9))
+def test_matching_sum_exact_for_int_and_sparse_inputs(n, integral, seed):
+    rnd = random.Random(seed)
+    A = rand_sym(rnd, 2 * n)
+    for p in range(2 * n):
+        for q in range(p, 2 * n):
+            if integral:
+                A[p][q] = A[q][p] = rnd.randint(-6, 6)
+            elif rnd.random() < 0.5:
+                A[p][q] = A[q][p] = Fraction(0)
+    al = rnd.randint(-3, 3) if integral else rand_alpha(rnd)
+    h = hafnian_matching(A, al)
+    assert h == hafnian_expand(A, al) == hafnian_permsum(A, al, "P") == hafnian_permsum(A, al, "Q")
+    assert isinstance(h, int if integral else (int, Fraction))
+
+
 def test_diagonal_independence():
     rnd = random.Random(3)
     A = rand_sym(rnd, 6)

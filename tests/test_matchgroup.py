@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wishmom.matchgroup import (
     Matching,
@@ -15,12 +18,13 @@ from wishmom.matchgroup import (
     iter_matchings_with_type,
     kappa,
     matching_count,
+    matching_type_sums,
     matchings_with_type,
     paired_perm,
 )
 from wishmom.symcomb import Perm, cycle_type, partitions_of
 
-from oracles import matching_count_recursive
+from oracles import matching_count_recursive, matching_type_sums_enumerative
 
 
 def all_perms(m):
@@ -160,3 +164,29 @@ def test_paired_perm_carries_cycle_type_to_coset_type():
 
 def test_streaming_matches_cached():
     assert list(iter_matchings_with_type(3)) == list(matchings_with_type(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 10**9))
+def test_matching_type_sums_equal_enumeration(n, d, seed):
+    # exact per-type agreement in Fractions, with repeated labels
+    rnd = random.Random(seed)
+    x = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            x[i][j] = x[j][i] = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+    labels = [rnd.randrange(d) for _ in range(2 * n)]
+    assert matching_type_sums(labels, x) == matching_type_sums_enumerative(labels, x)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_matching_type_sums_count_each_double_coset(n):
+    # with unit weights the type-rho sum counts |H rho H| / |H| matchings
+    sums = matching_type_sums([0] * (2 * n), [[1]])
+    assert sums == {rho: double_coset_size(rho) // (2**n * factorial(n)) for rho in partitions_of(n)}
+
+
+def test_matching_type_sums_degree0_and_odd():
+    assert matching_type_sums([], [[1]]) == {(): 1}
+    with pytest.raises(ValueError):
+        matching_type_sums([0, 0, 0], [[1]])

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,24 @@ def test_thread_count_does_not_change_results(params):
     a = estimate(descs, params, 12000, RngSpec(7), streams=4, threads=1)
     b = estimate(descs, params, 12000, RngSpec(7), streams=4, threads=4)
     assert a[0].mean == b[0].mean and a[0].stderr == b[0].stderr
+
+
+def test_unused_threads_warn_without_changing_results(params):
+    descs = [EntryProduct((1, 1, 2, 2))]
+    a = estimate(descs, params, 4000, RngSpec(7), streams=1, threads=1)
+    with pytest.warns(RuntimeWarning, match="threads=2 exceeds streams=1"):
+        b = estimate(descs, params, 4000, RngSpec(7), streams=1, threads=2)
+    assert a[0].mean == b[0].mean and a[0].stderr == b[0].stderr
+    with pytest.warns(RuntimeWarning, match="threads=3 exceeds streams=2"):
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=2, threads=3)
+
+
+def test_threads_up_to_streams_do_not_warn(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate([EntryProduct((1, 2))], params, 2000, RngSpec(0), streams=2, threads=2)
+        estimate([EntryProduct((1, 2))], params, 2000, RngSpec(0), streams=3, threads=2)
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=1, threads=1)
 
 
 def test_sample_wishart_is_symmetric_pd(params):

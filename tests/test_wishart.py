@@ -8,12 +8,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import multigammaln
 
-from wishmom.matchgroup import coset_type, enumerate_matchings, hyperoctahedral
+from wishmom.matchgroup import coset_type, enumerate_matchings, hyperoctahedral, matching_type_sums
 from wishmom.symcomb import Perm, partitions_of
-from wishmom.validate import entrywise_power_trace
-from wishmom.weingarten import PoleError
+from wishmom.validate import REL_TOL, entrywise_power_trace
+from wishmom.weingarten import PoleError, inv_wishart_weingarten
 from wishmom.wishart import (
     _log_multigamma,
+    MAX_ENTRY_DEGREE,
     DomainError,
     MomentSpec,
     WishartParams,
@@ -129,6 +130,62 @@ def test_moment_matches_group_averaged_form(params3):
 def test_moment_index_out_of_range(params3):
     with pytest.raises(ValueError):
         moment(params3, MomentSpec((1, 4)))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_moment_diagonal_power_closed_form(params3, n):
+    # W_11 ~ Gamma(beta, sigma_11): E[W_11^n] = sigma_11^n beta (beta+1) ... (beta+n-1)
+    rising = Fraction(1)
+    for j in range(n):
+        rising *= params3.beta + j
+    want = params3.sigma[0, 0] ** n * float(rising)
+    assert moment(params3, MomentSpec((1,) * (2 * n))) == pytest.approx(want, rel=REL_TOL)
+
+
+def test_moment_degree_cap(params3):
+    assert MAX_ENTRY_DEGREE == 10
+    with pytest.raises(ValueError, match="entrywise moments support degree <= 10"):
+        moment(params3, MomentSpec((1, 2) * (MAX_ENTRY_DEGREE + 1)))
+
+
+def _exact_entrywise(params, indices, inverse):
+    # the same per-type sums taken in Fractions, with exact coefficients
+    n = len(indices) // 2
+    x = params.sigma_inv if inverse else params.sigma
+    exact_x = [[Fraction(v) for v in row] for row in x.tolist()]
+    sums = matching_type_sums([k - 1 for k in indices], exact_x)
+    if inverse:
+        return sum(inv_wishart_weingarten(rho, params.gamma) * w for rho, w in sums.items())
+    return sum((2 * params.beta) ** len(rho) * w for rho, w in sums.items()) / 2**n
+
+
+# d=4, beta=33/4: E[W^{11} W^{24} W^{22} W^{31} W^{41}] = -1.76e-11, summed
+# from terms whose absolute values add up to 7.9e-11
+CANCELLING_SIGMA = [
+    [11.54214746247345, 0.05836922325405211, 0.5712502071008622, -0.5198818262860737],
+    [0.05836922325405211, 5.652537453282406, -0.26961695716658113, -1.7884158890993684],
+    [0.5712502071008622, -0.26961695716658113, 6.449786858936591, 0.18291312419041136],
+    [-0.5198818262860737, -1.7884158890993684, 0.18291312419041136, 6.227465484292633],
+]
+
+
+def test_float_entrywise_moments_match_exact_path():
+    cancelling = WishartParams(d=4, beta=Fraction(33, 4), sigma=np.array(CANCELLING_SIGMA))
+    idx = (1, 1, 2, 4, 2, 2, 3, 1, 4, 1)
+    assert moment(cancelling, MomentSpec(idx, inverse=True)) == pytest.approx(-1.7621593e-11, rel=1e-7)
+    cases = [(cancelling, idx, True)]
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3, 4):
+        # beta >= d + 9/2 keeps gamma > n - 1 for every inverse degree n <= 5
+        p = WishartParams(d=d, beta=Fraction(int(rng.integers(2 * d + 9, 4 * d + 14)), 2), sigma=rand_pd(rng, d))
+        for n in range(1, 7):
+            cases.append((p, tuple(int(k) for k in rng.integers(1, d + 1, size=2 * n)), False))
+            if n <= 5:
+                cases.append((p, tuple(int(k) for k in rng.integers(1, d + 1, size=2 * n)), True))
+    for p, idx, inverse in cases:
+        got = moment(p, MomentSpec(idx, inverse=inverse))
+        want = float(_exact_entrywise(p, idx, inverse))
+        assert got == pytest.approx(want, rel=REL_TOL), (p.d, idx, inverse)
 
 
 def test_inverse_moment_degree1(params2):
