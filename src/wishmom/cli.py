@@ -44,7 +44,6 @@ from .wishart import (
     gamma_regime,
     haar_moment,
     invariant_moment,
-    inverse_moment,
     moment,
     power_trace_moment,
     trace_power_moment,
@@ -106,6 +105,8 @@ def read_sigma(path: str) -> np.ndarray:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
     if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
         raise ValueError(f"sigma must be a square matrix, got shape {sig.shape}")
+    if not np.isfinite(sig).all():
+        raise ValueError(f"malformed sigma file {path}: non-finite entries")
     scale = max(np.abs(sig).max(), 1.0)
     if np.abs(sig - sig.T).max() > 1e-12 * scale:
         raise ValueError("sigma is not symmetric within 1e-12")
@@ -187,7 +188,7 @@ def cmd_moment(args) -> int:
     inverse = args.inverse
     if kind == "entries":
         spec = MomentSpec(args.entries, inverse=inverse)
-        value = inverse_moment(params, spec) if inverse else moment(params, spec)
+        value = moment(params, spec)
         formula = "entrywise-matching-sum"
         degree = spec.degree
     elif kind == "trace_power":

@@ -72,8 +72,7 @@ class EntryProduct:
         return "*".join(pairs)
 
     def target(self, params: WishartParams) -> float:
-        spec = MomentSpec(self.indices, inverse=self.inverse)
-        return wishart.inverse_moment(params, spec) if self.inverse else wishart.moment(params, spec)
+        return wishart.moment(params, MomentSpec(self.indices, inverse=self.inverse))
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         out = np.ones(mats.shape[0])

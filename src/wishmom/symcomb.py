@@ -25,10 +25,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return t
 
 
-def weight(parts: Partition) -> int:
-    return sum(parts)
-
-
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, e.g. (3), (2,1), (1,1,1)."""
@@ -181,10 +177,6 @@ class Perm:
 def cycle_type(pi: Perm) -> Partition:
     """Sorted cycle lengths of pi as a partition of its ground-set size."""
     return tuple(sorted((len(c) for c in pi.cycles()), reverse=True))
-
-
-def num_cycles(pi: Perm) -> int:
-    return len(pi.cycles())
 
 
 @cache

@@ -26,6 +26,7 @@ from .symcomb import (
     partitions_of,
 )
 from .weingarten import (
+    _pole_shapes,
     biinvariant_convolve,
     hecke_unit,
     inv_wishart_weingarten,
@@ -58,14 +59,14 @@ def _rand_fraction(rnd: random.Random, lo: int = 1, hi: int = 40, den: int = 6) 
 def _pole_free_z(rnd: random.Random, n: int) -> Fraction:
     while True:
         z = _rand_fraction(rnd) * rnd.choice((1, -1))
-        if all(content_product(l, z) != 0 for l in partitions_of(n)):
+        if not _pole_shapes(n, z):
             return z
 
 
 def _pole_free_gamma(rnd: random.Random, n: int) -> Fraction:
     while True:
         g = _rand_fraction(rnd)
-        if all(content_product(l, -2 * g) != 0 for l in partitions_of(n)):
+        if not _pole_shapes(n, -2 * g):
             return g
 
 
@@ -88,8 +89,7 @@ def entrywise_power_trace(params: WishartParams, mu, inverse: bool = False) -> f
             r = len(cyc)
             for t in range(r):
                 idx.extend((cyc[t], cyc[(t + 1) % r]))
-        spec = MomentSpec(tuple(idx), inverse=inverse)
-        total += wishart.inverse_moment(params, spec) if inverse else wishart.moment(params, spec)
+        total += wishart.moment(params, MomentSpec(tuple(idx), inverse=inverse))
     return total
 
 

@@ -101,11 +101,15 @@ def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
     return Fraction(total, 2**n * factorial(n))
 
 
-def _pole_shapes(n: int, z: Fraction, max_len: int | None = None) -> tuple[Partition, ...]:
-    shapes = partitions_of(n)
-    if max_len is not None:
-        shapes = tuple(s for s in shapes if len(s) <= max_len)
-    return tuple(s for s in shapes if content_product(s, z) == 0)
+def _pole_shapes(n: int, z: Fraction) -> tuple[Partition, ...]:
+    """Shapes of weight n whose content product vanishes at z."""
+    return tuple(s for s in partitions_of(n) if content_product(s, z) == 0)
+
+
+def _weingarten_sum(rho: Partition, z: Fraction, shapes) -> Fraction:
+    """The zonal expansion of Wg(rho; z), over the given shapes only."""
+    terms = (Fraction(hook_dim_doubled(lam)) / content_product(lam, z) * zonal_spherical(lam, rho) for lam in shapes)
+    return sum(terms, Fraction(0)) / matching_count(sum(rho))
 
 
 def weingarten(rho: Partition, z) -> Fraction:
@@ -117,10 +121,7 @@ def weingarten(rho: Partition, z) -> Fraction:
     bad = _pole_shapes(n, z)
     if bad:
         raise PoleError(z, bad)
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        total += Fraction(hook_dim_doubled(lam)) / content_product(lam, z) * zonal_spherical(lam, rho)
-    return total / matching_count(n)
+    return _weingarten_sum(rho, z, partitions_of(n))
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
@@ -134,12 +135,7 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     _check_degree(n)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        if len(lam) > N:
-            continue
-        total += Fraction(hook_dim_doubled(lam)) / content_product(lam, Fraction(N)) * zonal_spherical(lam, rho)
-    return total / matching_count(n)
+    return _weingarten_sum(rho, Fraction(N), [lam for lam in partitions_of(n) if len(lam) <= N])
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:

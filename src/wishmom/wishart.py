@@ -3,8 +3,15 @@
 Convention: W has moment generating function det(I - theta*sigma)**(-beta),
 so E[W] = beta*sigma and, for integer 2*beta = p, W is a sum of p outer
 products of N(0, sigma/2) vectors.  Textbook W_d(p, Sigma) corresponds to
-p = 2*beta and Sigma = sigma/2.  The shifted shape gamma = beta - (d+1)/2
-drives every inverse moment.
+p = 2*beta and Sigma = sigma/2.
+
+Every inverse moment is the forward formula with one substitution: contract
+against sigma^-1 instead of sigma, use the shifted shape gamma = beta - (d+1)/2
+instead of beta, and weigh a matching of coset type rho by the inverse-Wishart
+Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
+moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
+C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
+that choice; every moment below has one body for both sides.
 
 Coefficients (powers of 2*beta, Weingarten values, partition weights) are
 kept exact as rationals; only the contractions against the user-supplied
@@ -17,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
-from math import factorial, lgamma, log
-from typing import Sequence
+from math import factorial, lgamma, log, prod
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +46,8 @@ from .symcomb import (
 )
 from .weingarten import (
     PoleError,
+    _check_degree,
+    _pole_shapes,
     inv_wishart_weingarten,
     weingarten_truncated,
     zonal_eval,
@@ -54,11 +63,6 @@ SYMMETRY_TOL = 1e-12
 
 class DomainError(ValueError):
     """Parameter outside the mathematical domain (non-PD, bad beta/gamma, ...)."""
-
-
-def to_fraction(x) -> Fraction:
-    """Exact rational from int/str/Fraction/float (floats read as their binary value)."""
-    return Fraction(x)
 
 
 def admissible_beta(beta: Fraction, d: int) -> bool:
@@ -88,12 +92,14 @@ class WishartParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        self.beta = to_fraction(self.beta)
+        self.beta = Fraction(self.beta)
         sig = np.asarray(self.sigma, dtype=float)
         if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
             raise ValueError(f"sigma must be square, got shape {sig.shape}")
         if self.d != sig.shape[0]:
             raise ValueError(f"d={self.d} does not match sigma shape {sig.shape}")
+        if not np.isfinite(sig).all():
+            raise ValueError("sigma has non-finite entries")
         scale = max(np.abs(sig).max(), 1.0)
         if np.abs(sig - sig.T).max() > SYMMETRY_TOL * scale:
             raise DomainError("sigma is not symmetric")
@@ -129,7 +135,7 @@ class MomentSpec:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
         if len(self.indices) % 2:
             raise ValueError("index list must have even length")
 
@@ -144,45 +150,85 @@ def _check_indices(indices: Sequence[int], d: int) -> None:
             raise ValueError(f"index {k} outside 1..{d}")
 
 
-def moment(params: WishartParams, spec: MomentSpec) -> float:
-    """E[W_{k1 k2} ... W_{k_{2n-1} k_{2n}}] = 2^-n sum over matchings of
-    (2 beta)^kappa prod sigma[k_p, k_q], evaluated per coset type by
-    ``matching_type_sums`` in O(3^n p(n)) rather than over (2n-1)!! terms."""
-    if spec.inverse:
-        return inverse_moment(params, spec)
-    n = spec.degree
-    if n == 0:
-        return 1.0
-    if n > MAX_ENTRY_DEGREE:
-        raise ValueError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
-    _check_indices(spec.indices, params.d)
-    sums = matching_type_sums([k - 1 for k in spec.indices], params.sigma.tolist())
-    two_beta = 2 * params.beta
-    return sum(float(two_beta ** len(rho)) * w for rho, w in sums.items()) / 2**n
+def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fraction]:
+    """(sigma, beta) for moments of W; (sigma^-1, gamma) for moments of W^-1,
+    once ``gamma_regime`` has checked gamma > 0 at degree n."""
+    if inverse:
+        gamma = params.gamma
+        gamma_regime(gamma, n)
+        return params.sigma_inv, gamma
+    return params.sigma, params.beta
+
+
+class _KappaWeights(dict):
+    """rho -> (2 beta)^len(rho) / 2^n at one (n, beta), each computed on first
+    lookup: a degree past the cap enumerates no partitions before it is rejected.
+    Threads that miss the same rho at once store equal values."""
+
+    def __init__(self, n: int, beta: Fraction):
+        super().__init__()
+        self.n, self.two_beta = n, 2 * beta
+
+    def __missing__(self, rho: Partition) -> Fraction:
+        self[rho] = w = self.two_beta ** len(rho) / 2**self.n
+        return w
+
+
+_kappa_weights = cache(_KappaWeights)  # one table per (n, beta)
 
 
 @cache
 def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
+    _check_degree(n)  # before partitions_of(n), which is huge for a large n
     return {rho: inv_wishart_weingarten(rho, gamma) for rho in partitions_of(n)}
 
 
-def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
-    """E[W^{k1 k2} ... W^{k_{2n-1} k_{2n}}] = sum over matchings of the
-    inverse-Wishart Weingarten value of their coset type times
-    prod sigma^-1[k_p, k_q], evaluated per coset type by ``matching_type_sums``.
+def _coset_weights(n: int, shape: Fraction, inverse: bool) -> Mapping[Partition, Fraction]:
+    """Weight of a matching of coset type rho in the degree-n matching sum:
+    (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma."""
+    return _inv_wg_table(n, shape) if inverse else _kappa_weights(n, shape)
 
-    Valid for gamma > n-1 and, by analytic continuation, for any positive
-    gamma avoiding the poles (those raise PoleError).
+
+def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> Fraction:
+    """E[Z_lam(W)] / Z_lam(sigma) = C_lam(2 beta) / 2^n, or, for W^-1 against
+    sigma^-1, (-1)^n 2^n / C_lam(-2 gamma), which has a pole where C_lam vanishes."""
+    n = sum(lam)
+    if not inverse:
+        return Fraction(content_product(lam, 2 * shape), 2**n)
+    cval = content_product(lam, -2 * shape)
+    if cval == 0:
+        raise PoleError(-2 * shape, (lam,))
+    return Fraction((-1) ** n * 2**n) / cval
+
+
+def moment(params: WishartParams, spec: MomentSpec) -> float:
+    """E[W_{k1 k2} ... W_{k_{2n-1} k_{2n}}], or the same product of entries of
+    W^-1 when ``spec.inverse``: the sum over matchings of the coset weight of
+    their type times prod x[k_p, k_q], x = sigma or sigma^-1.  The sum runs per
+    coset type through ``matching_type_sums`` in O(3^n p(n)) rather than over
+    the (2n-1)!! matchings.
+
+    Inverse moments hold for gamma > n-1 and, by analytic continuation, for any
+    positive gamma avoiding the poles (those raise PoleError).
     """
     n = spec.degree
     if n == 0:
         return 1.0
     _check_indices(spec.indices, params.d)
-    gamma = params.gamma
-    gamma_regime(gamma, n)  # raises when gamma <= 0
-    table = _inv_wg_table(n, gamma)
-    sums = matching_type_sums([k - 1 for k in spec.indices], params.sigma_inv.tolist())
-    return sum(float(table[rho]) * w for rho, w in sums.items())
+    x, shape = _side(params, n, spec.inverse)
+    weights = _coset_weights(n, shape, spec.inverse)
+    # the cap comes last, so an inverse spec past it still fails as a domain
+    # error (gamma <= 0) or on the Weingarten tables' own degree limit
+    if n > MAX_ENTRY_DEGREE:
+        raise ValueError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
+    sums = matching_type_sums([k - 1 for k in spec.indices], x.tolist())
+    return sum(float(weights[rho]) * w for rho, w in sums.items())
+
+
+def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
+    """E[W^{k1 k2} ... W^{k_{2n-1} k_{2n}}]: ``moment`` of the entries of W^-1,
+    whatever ``spec.inverse`` says."""
+    return moment(params, MomentSpec(spec.indices, inverse=True))
 
 
 def _require_symmetric(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -282,8 +328,7 @@ def mixed_trace_moment(
     params: WishartParams, g: Perm, ms: Sequence[np.ndarray], inverse: bool = False
 ) -> float:
     """E[T_g(W^{+-1}; m_1..m_n)] as a matching sum of paired contractions of
-    sigma^{+-1} weighted by (2 beta)^kappa / 2^n, or by the inverse-Wishart
-    Weingarten value of g^-1 n."""
+    sigma^{+-1}, each weighted by the coset weight of the type of g^-1 n."""
     n = len(ms)
     if not 1 <= n <= MAX_MIXED_DEGREE:
         raise ValueError(f"mixed trace moments support 1 <= n <= {MAX_MIXED_DEGREE}")
@@ -291,19 +336,12 @@ def mixed_trace_moment(
         raise ValueError("pattern size must be twice the number of matrices")
     mats = [np.asarray(m, dtype=float) for m in ms]
     g_inv = g.inverse()
-    if inverse:
-        gamma = params.gamma
-        gamma_regime(gamma, n)
-        table = _inv_wg_table(n, gamma)
-        x = params.sigma_inv
-    else:
-        two_beta = 2 * params.beta
-        x = params.sigma
+    x, shape = _side(params, n, inverse)
+    weights = _coset_weights(n, shape, inverse)
     total = 0.0
     for m in iter_matchings(n):
-        t = coset_type(g_inv * m.as_perm())
-        coef = float(table[t]) if inverse else float(two_beta ** len(t)) / 2**n
-        total += coef * paired_contraction(m.as_perm(), x, mats)
+        p = m.as_perm()
+        total += float(weights[coset_type(g_inv * p)]) * paired_contraction(p, x, mats)
     return total
 
 
@@ -316,32 +354,20 @@ def _power_sums(x: np.ndarray, n: int) -> dict[int, float]:
     return out
 
 
-def _p_value(rho: Partition, psums: dict[int, float]) -> float:
-    val = 1.0
-    for part in rho:
-        val *= psums[part]
-    return val
+def _contract(coeffs: dict[Partition, Fraction], x: np.ndarray, n: int) -> float:
+    """sum_rho c_rho p_rho(x), from the power sums tr(x^r), r <= n."""
+    psums = _power_sums(x, n)
+    return sum(float(c) * prod(psums[part] for part in rho) for rho, c in coeffs.items())
 
 
 def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = False) -> float:
-    """E[Z_lam(W)] = 2^-n C_lam(2 beta) Z_lam(sigma); inverse side uses
-    (-1)^n 2^n / C_lam(-2 gamma) and sigma^-1.  Power sums only, no
-    eigendecomposition."""
+    """E[Z_lam(W^{+-1})] = eigenvalue * Z_lam(sigma^{+-1}), see ``_eigenvalue``.
+    Power sums only, no eigendecomposition."""
     lam = check_partition(lam)
     n = sum(lam)
-    if inverse:
-        gamma = params.gamma
-        gamma_regime(gamma, n)
-        cval = content_product(lam, -2 * gamma)
-        if cval == 0:
-            raise PoleError(-2 * gamma, (lam,))
-        coef = Fraction((-1) ** n * 2**n) / cval
-        x = params.sigma_inv
-    else:
-        coef = Fraction(content_product(lam, 2 * params.beta), 2**n)
-        x = params.sigma
-    zval = zonal_eval(lam, _power_sums(x, n))
-    return float(coef) * zval
+    x, shape = _side(params, n, inverse)
+    coef = _eigenvalue(lam, shape, inverse)
+    return float(coef) * zonal_eval(lam, _power_sums(x, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
@@ -351,21 +377,18 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     """
     mu = check_partition(mu)
     n = sum(mu)
-    shape = to_fraction(shape)
+    shape = Fraction(shape)
     if inverse:
-        bad = tuple(l for l in partitions_of(n) if content_product(l, -2 * shape) == 0)
+        bad = _pole_shapes(n, -2 * shape)
         if bad:
             raise PoleError(-2 * shape, bad)
     pref = Fraction((2**n * factorial(n)) ** 2, factorial(2 * n))
+    eig = {lam: _eigenvalue(lam, shape, inverse) for lam in partitions_of(n)}
     coeffs = {}
     for rho in partitions_of(n):
         inner = Fraction(0)
         for lam in partitions_of(n):
-            w = hook_dim_doubled(lam) * zonal_spherical(lam, mu) * zonal_spherical(lam, rho)
-            if inverse:
-                inner += Fraction((-1) ** n * 2**n) / content_product(lam, -2 * shape) * w
-            else:
-                inner += Fraction(content_product(lam, 2 * shape), 2**n) * w
+            inner += eig[lam] * hook_dim_doubled(lam) * zonal_spherical(lam, mu) * zonal_spherical(lam, rho)
         coeffs[rho] = pref * Fraction(1, 2 ** len(rho) * centralizer_order(rho)) * inner
     return coeffs
 
@@ -376,41 +399,26 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
     n = sum(mu)
     if n > 4:
         raise ValueError("power-trace moments support |mu| <= 4")
-    if inverse:
-        gamma_regime(params.gamma, n)
-        coeffs = power_trace_coeffs(mu, params.gamma, inverse=True)
-        psums = _power_sums(params.sigma_inv, n)
-    else:
-        coeffs = power_trace_coeffs(mu, params.beta, inverse=False)
-        psums = _power_sums(params.sigma, n)
-    return sum(float(c) * _p_value(rho, psums) for rho, c in coeffs.items())
+    x, shape = _side(params, n, inverse)
+    return _contract(power_trace_coeffs(mu, shape, inverse), x, n)
 
 
 def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
-    """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1})."""
-    shape = to_fraction(shape)
-    coeffs = {}
-    for rho in partitions_of(n):
-        base = Fraction(factorial(n), centralizer_order(rho))
-        if inverse:
-            coeffs[rho] = 2 ** (n - len(rho)) * base * inv_wishart_weingarten(rho, shape)
-        else:
-            coeffs[rho] = base * shape ** len(rho)
-    return coeffs
+    """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
+    c_rho = 2^(n - len(rho)) n! / z_rho times the coset weight of rho."""
+    weights = _coset_weights(n, Fraction(shape), inverse)
+    return {
+        rho: 2 ** (n - len(rho)) * Fraction(factorial(n), centralizer_order(rho)) * weights[rho]
+        for rho in partitions_of(n)
+    }
 
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
     if not 1 <= n <= 4:
         raise ValueError("trace-power moments support 1 <= n <= 4")
-    if inverse:
-        gamma_regime(params.gamma, n)
-        coeffs = trace_power_coeffs(n, params.gamma, inverse=True)
-        psums = _power_sums(params.sigma_inv, n)
-    else:
-        coeffs = trace_power_coeffs(n, params.beta, inverse=False)
-        psums = _power_sums(params.sigma, n)
-    return sum(float(c) * _p_value(rho, psums) for rho, c in coeffs.items())
+    x, shape = _side(params, n, inverse)
+    return _contract(trace_power_coeffs(n, shape, inverse), x, n)
 
 
 def _log_multigamma(a: float, d: int) -> float:

@@ -99,6 +99,22 @@ def test_moment_malformed_sigma(tmp_path):
     assert main(["moment", "--entries", "1,1", "--beta", "2", "--sigma", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_moment_non_finite_sigma(tmp_path, cell, capsys):
+    bad = tmp_path / f"{cell}.csv"
+    bad.write_text(f"2.0,{cell}\n{cell},1.5\n")
+    assert main(["moment", "--entries", "1,1,2,2", "--beta", "3", "--sigma", str(bad)]) == 2
+    assert "malformed sigma" in capsys.readouterr().err
+
+
+def test_moment_inverse_error_exit_codes(sigma_csv):
+    entries = ",".join(["1", "2"] * 11)
+    # gamma = 1/2 - 3/2 <= 0 is a domain error before any degree limit
+    assert main(["moment", "--inverse", "--entries", entries, "--beta", "1/2", "--sigma", sigma_csv]) == 3
+    assert main(["moment", "--inverse", "--entries", entries, "--beta", "9", "--sigma", sigma_csv]) == 2
+    assert main(["moment", "--entries", entries, "--beta", "9", "--sigma", sigma_csv]) == 2
+
+
 def test_moment_asymmetric_sigma(tmp_path):
     bad = tmp_path / "asym.csv"
     bad.write_text("1.0,0.5\n0.2,1.0\n")

@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import multigammaln
 
-from wishmom.matchgroup import coset_type, enumerate_matchings, hyperoctahedral, matching_type_sums
+from wishmom import weingarten, wishart
+from wishmom.matchgroup import SizeLimitError, coset_type, enumerate_matchings, hyperoctahedral, matching_type_sums
 from wishmom.symcomb import Perm, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
 from wishmom.weingarten import PoleError, inv_wishart_weingarten
@@ -186,6 +187,64 @@ def test_float_entrywise_moments_match_exact_path():
         got = moment(p, MomentSpec(idx, inverse=inverse))
         want = float(_exact_entrywise(p, idx, inverse))
         assert got == pytest.approx(want, rel=REL_TOL), (p.d, idx, inverse)
+
+
+def test_moment_of_inverse_spec_is_inverse_moment():
+    rng = np.random.default_rng(5)
+    rnd = random.Random(5)
+    for d, beta in ((1, 7), (2, Fraction(13, 2)), (3, 9), (5, Fraction(31, 3))):
+        p = WishartParams(d=d, beta=beta, sigma=rand_pd(rng, d))
+        for n in range(0, 6):
+            idx = tuple(rnd.randint(1, d) for _ in range(2 * n))
+            got = moment(p, MomentSpec(idx, inverse=True))
+            assert got == inverse_moment(p, MomentSpec(idx, inverse=True))
+            # inverse_moment reads the inverse side whatever the spec says
+            assert got == inverse_moment(p, MomentSpec(idx))
+            if n:
+                assert got != moment(p, MomentSpec(idx))
+
+
+@pytest.mark.parametrize("n", [6, 11])
+def test_entrywise_error_classes(n):
+    idx = (1, 2) * n
+    # gamma = beta - 2: -1/2 and 0 are not positive, 7/3 is
+    for beta, inverse, cls in (
+        (Fraction(3, 2), True, DomainError),
+        (2, True, DomainError),
+        (Fraction(13, 3), True, SizeLimitError),
+    ):
+        p = WishartParams(d=3, beta=beta, sigma=np.eye(3))
+        with pytest.raises(cls) as info:
+            moment(p, MomentSpec(idx, inverse=inverse))
+        assert type(info.value) is cls
+    if n > MAX_ENTRY_DEGREE:
+        with pytest.raises(ValueError) as info:
+            moment(WishartParams(d=3, beta=5, sigma=np.eye(3)), MomentSpec(idx))
+        assert type(info.value) is ValueError
+
+
+def test_entrywise_far_past_the_cap_raises_without_enumerating(monkeypatch):
+    # degree 200 has ~4e12 partitions; neither side may list them to reject it
+    def no_large_partitions(n):
+        assert n <= MAX_ENTRY_DEGREE, f"partitions_of({n}) listed"
+        return partitions_of(n)
+
+    for module in (wishart, weingarten):
+        monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+    p = WishartParams(d=2, beta=9, sigma=np.eye(2))
+    with pytest.raises(ValueError, match="degree <= 10"):
+        moment(p, MomentSpec((1, 2) * 200))
+    with pytest.raises(SizeLimitError):
+        moment(p, MomentSpec((1, 2) * 200, inverse=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_sigma(bad):
+    sig = np.eye(2)
+    sig[0, 1] = sig[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite") as info:
+        WishartParams(d=2, beta=3, sigma=sig)
+    assert type(info.value) is ValueError
 
 
 def test_inverse_moment_degree1(params2):
@@ -480,6 +539,14 @@ def test_trace_power_inverse_display_degree4():
     assert c[(2, 2)] * u4 == 12 * (2 * g**2 - 5 * g + 9)
     assert c[(2, 1, 1)] * u4 == 12 * (4 * g**3 - 12 * g**2 + 3 * g + 3)
     assert c[(1, 1, 1, 1)] * u4 == (g + 1) * (2 * g - 3) * (4 * g**2 - 12 * g + 1)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("shape", [Fraction(5, 2), Fraction(17, 3), Fraction(7, 3), Fraction(1, 3), 9])
+def test_trace_power_coeffs_are_power_trace_coeffs_of_ones(shape, inverse):
+    # gamma = 7/3 and 1/3 lie below n-1 for the larger n: analytic continuation
+    for n in range(1, 5):
+        assert trace_power_coeffs(n, shape, inverse) == power_trace_coeffs((1,) * n, shape, inverse)
 
 
 def test_trace_power_degree1(params3):
