@@ -7,6 +7,7 @@ Murnaghan-Nakayama recursion as Python ints.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 from typing import Iterable, Iterator
@@ -79,21 +80,31 @@ def hook_dim(parts: Partition) -> int:
     return dim
 
 
+@cache
 def hook_dim_doubled(parts: Partition) -> int:
     """Tableau count of the doubled shape: hook_dim(2*lambda)."""
     return hook_dim(doubled(parts))
 
 
+def content_numerator(parts: Partition, p: int, q: int) -> int:
+    """q^|lam| * C_lam(p/q): the integer product over boxes (i, j), 0-based,
+    of p + (2j - i) q.  For p/q in lowest terms it is coprime to q."""
+    out = 1
+    for i, row in enumerate(parts):
+        for c in range(p - i * q, p + (2 * row - i) * q, 2 * q):
+            out *= c
+    return out
+
+
 def content_product(parts: Partition, z):
     """Product over Young-diagram boxes (i, j) of (z + 2j - i - 1), rows/cols 1-based.
 
-    For the empty partition this is the empty product 1.  Exact whenever z is.
+    For a rational z = p/q this is content_numerator / q^|lam|, one integer
+    product and one Fraction; an int when q = 1, and 1 for the empty partition.
     """
-    out = 1
-    for i, row in enumerate(parts, start=1):
-        for j in range(1, row + 1):
-            out = out * (z + 2 * j - i - 1)
-    return out
+    p, q = z.numerator, z.denominator
+    num = content_numerator(parts, p, q)
+    return num if q == 1 else Fraction(num, q ** sum(parts))
 
 
 class Perm:

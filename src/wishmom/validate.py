@@ -26,11 +26,11 @@ from .symcomb import (
     partitions_of,
 )
 from .weingarten import (
-    _pole_shapes,
     biinvariant_convolve,
     hecke_unit,
     inv_wishart_weingarten,
     kappa_power_fn,
+    pole_shapes,
     weingarten,
     weingarten_fn,
     zonal_fn,
@@ -59,14 +59,14 @@ def _rand_fraction(rnd: random.Random, lo: int = 1, hi: int = 40, den: int = 6) 
 def _pole_free_z(rnd: random.Random, n: int) -> Fraction:
     while True:
         z = _rand_fraction(rnd) * rnd.choice((1, -1))
-        if not _pole_shapes(n, z):
+        if not pole_shapes(n, z):
             return z
 
 
 def _pole_free_gamma(rnd: random.Random, n: int) -> Fraction:
     while True:
         g = _rand_fraction(rnd)
-        if not _pole_shapes(n, -2 * g):
+        if not pole_shapes(n, -2 * g):
             return g
 
 

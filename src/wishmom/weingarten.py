@@ -8,9 +8,13 @@ small degrees.
 
 The Weingarten function Wg(rho; z) is the deg-n rational function whose
 convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
-it is evaluated here through its expansion over zonal spherical functions.
-The inverse-Wishart variant is the same object at z = -2*gamma rescaled by
-(-1)^n 2^n.
+it is evaluated here through its expansion over zonal spherical functions,
+Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).  At
+z = p/q the content products enter as the integers P_lam = q^n C_lam(z),
+computed once per call and shared by the pole check and the sum; the sum is
+kept as an integer numerator and denominator and becomes one Fraction at the
+end.  Nothing is cached per evaluation point.  The inverse-Wishart variant is
+the same object at z = -2*gamma rescaled by (-1)^n 2^n.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .symcomb import (
     centralizer_order,
     character,
     check_partition,
-    content_product,
+    content_numerator,
     cycle_type,
     doubled,
     hook_dim_doubled,
@@ -58,7 +62,8 @@ class PoleError(ValueError):
         super().__init__(f"content product vanishes at z={z} for shapes {list(shapes)}")
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
+    """SizeLimitError unless 1 <= n <= MAX_ZONAL_DEGREE, the degrees the tables cover."""
     if not 1 <= n <= MAX_ZONAL_DEGREE:
         raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {n}")
 
@@ -66,7 +71,7 @@ def _check_degree(n: int) -> None:
 def zonal_spherical_at(lam: Partition, g: Perm) -> Fraction:
     """Defining average of the doubled-shape character over the coset g H_n."""
     n = sum(lam)
-    _check_degree(n)
+    check_degree(n)
     if g.size != 2 * n:
         raise ValueError("permutation size must be 2n")
     lam2 = doubled(lam)
@@ -95,47 +100,73 @@ def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
     n = sum(lam)
     if n != sum(rho):
         raise ValueError(f"weight mismatch: |{lam}| != |{rho}|")
-    _check_degree(n)
+    check_degree(n)
     lam2 = doubled(lam)
     total = sum(count * character(lam2, t) for t, count in _coset_class_histogram(n, rho))
     return Fraction(total, 2**n * factorial(n))
 
 
-def _pole_shapes(n: int, z: Fraction) -> tuple[Partition, ...]:
-    """Shapes of weight n whose content product vanishes at z."""
-    return tuple(s for s in partitions_of(n) if content_product(s, z) == 0)
+def pole_shapes(n: int, z) -> tuple[Partition, ...]:
+    """Shapes of weight n whose content product vanishes at the rational z."""
+    p, q = z.numerator, z.denominator
+    return tuple(lam for lam in partitions_of(n) if content_numerator(lam, p, q) == 0)
 
 
-def _weingarten_sum(rho: Partition, z: Fraction, shapes) -> Fraction:
-    """The zonal expansion of Wg(rho; z), over the given shapes only."""
-    terms = (Fraction(hook_dim_doubled(lam)) / content_product(lam, z) * zonal_spherical(lam, rho) for lam in shapes)
-    return sum(terms, Fraction(0)) / matching_count(sum(rho))
+def check_dimension(N) -> int:
+    """N as an int; ValueError unless N is a positive integer (int, numpy int,
+    or any number equal to one)."""
+    try:
+        k = int(N)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != N or k < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    return k
+
+
+def _weingarten_sum(rho: Partition, q: int, shapes, numerators) -> Fraction:
+    """Wg(rho; p/q) = q^n / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) / P_lam,
+    with P_lam = q^n C_lam(p/q), over the given shapes.  The sum is kept as an
+    integer numerator and denominator and normalised once, at the end."""
+    num, den = 0, 1
+    for lam, c in zip(shapes, numerators):
+        omega = zonal_spherical(lam, rho)
+        a = omega.numerator
+        if a:
+            b = omega.denominator * c
+            num = num * b + hook_dim_doubled(lam) * a * den
+            den *= b
+    n = sum(rho)
+    return Fraction(q**n * num, matching_count(n) * den)
 
 
 def weingarten(rho: Partition, z) -> Fraction:
     """Orthogonal Weingarten value Wg(rho; z), exact in the rational point z."""
     rho = check_partition(rho)
     n = sum(rho)
-    _check_degree(n)
+    check_degree(n)
     z = Fraction(z)
-    bad = _pole_shapes(n, z)
-    if bad:
-        raise PoleError(z, bad)
-    return _weingarten_sum(rho, z, partitions_of(n))
+    p, q = z.numerator, z.denominator
+    shapes = partitions_of(n)
+    numerators = [content_numerator(lam, p, q) for lam in shapes]
+    if 0 in numerators:
+        raise PoleError(z, tuple(lam for lam, c in zip(shapes, numerators) if c == 0))
+    return _weingarten_sum(rho, q, shapes, numerators)
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     """Weingarten sum restricted to shapes with at most N rows, evaluated at z=N.
 
     Coincides with ``weingarten(rho, N)`` whenever N >= n, and stays defined
-    for 1 <= N < n where the full sum has poles.
+    for 1 <= N < n where the full sum has poles.  N must be a positive integer.
     """
     rho = check_partition(rho)
     n = sum(rho)
-    _check_degree(n)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    return _weingarten_sum(rho, Fraction(N), [lam for lam in partitions_of(n) if len(lam) <= N])
+    check_degree(n)
+    N = check_dimension(N)
+    shapes = [lam for lam in partitions_of(n) if len(lam) <= N]
+    # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
+    return _weingarten_sum(rho, 1, shapes, [content_numerator(lam, N, 1) for lam in shapes])
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
@@ -230,7 +261,7 @@ def biinvariant_convolve(f1: BiinvariantFn, f2: BiinvariantFn, method: str = "re
     if f1.n != f2.n:
         raise ValueError(f"degree mismatch: {f1.n} != {f2.n}")
     n = f1.n
-    _check_degree(n)
+    check_degree(n)
     if method not in ("reduced", "full"):
         raise ValueError("method must be 'reduced' or 'full'")
     kernel = _convolution_kernel(n, method == "full")
@@ -251,7 +282,7 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     n = sum(lam)
     if n == 0:
         return Fraction(1)
-    _check_degree(n)
+    check_degree(n)
     missing = [r for r in range(1, n + 1) if r not in pvals]
     if missing:
         raise ValueError(f"missing power-sum values for r={missing}")
@@ -277,7 +308,7 @@ class WeingartenTable:
 
 def build_table(n: int, z) -> WeingartenTable:
     """Tabulate Wg(rho; z) over all rho of weight n, in reverse-lex order."""
-    _check_degree(n)
+    check_degree(n)
     z = Fraction(z)
     entries = {rho: weingarten(rho, z) for rho in partitions_of(n)}
     # provenance is deliberately clock-free so rebuilds are byte-identical

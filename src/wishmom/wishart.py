@@ -46,9 +46,10 @@ from .symcomb import (
 )
 from .weingarten import (
     PoleError,
-    _check_degree,
-    _pole_shapes,
+    check_degree,
+    check_dimension,
     inv_wishart_weingarten,
+    pole_shapes,
     weingarten_truncated,
     zonal_eval,
     zonal_spherical,
@@ -179,7 +180,7 @@ _kappa_weights = cache(_KappaWeights)  # one table per (n, beta)
 
 @cache
 def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
-    _check_degree(n)  # before partitions_of(n), which is huge for a large n
+    check_degree(n)  # before partitions_of(n), which is huge for a large n
     return {rho: inv_wishart_weingarten(rho, gamma) for rho in partitions_of(n)}
 
 
@@ -379,7 +380,7 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     n = sum(mu)
     shape = Fraction(shape)
     if inverse:
-        bad = _pole_shapes(n, -2 * shape)
+        bad = pole_shapes(n, -2 * shape)
         if bad:
             raise PoleError(-2 * shape, bad)
     pref = Fraction((2**n * factorial(n)) ** 2, factorial(2 * n))
@@ -477,8 +478,7 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     j_idx = tuple(int(v) for v in j_idx)
     if len(i_idx) != len(j_idx):
         raise ValueError("row and column index lists must have equal length")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = check_dimension(N)
     for v in i_idx + j_idx:
         if not 1 <= v <= N:
             raise ValueError(f"index {v} outside 1..{N}")

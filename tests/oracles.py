@@ -109,3 +109,27 @@ def matching_type_sums_enumerative(labels, x):
             term = term * x[labels[p - 1]][labels[q - 1]]
         out[ctype] = out.get(ctype, 0) + term
     return out
+
+
+def content_product_boxwise(parts, z):
+    """Product over Young-diagram boxes (i, j), rows/cols 1-based, of
+    (z + 2j - i - 1), multiplied in one factor at a time in the ring of z."""
+    out = 1
+    for i, row in enumerate(parts, start=1):
+        for j in range(1, row + 1):
+            out = out * (z + 2 * j - i - 1)
+    return out
+
+
+def weingarten_sum_fractions(rho, z, shapes):
+    """The zonal expansion of Wg(rho; z) over the given shapes, with one
+    Fraction operation per step: sum f^{2 lam} omega^lam(rho) / C_lam(z),
+    divided by (2n-1)!!."""
+    from wishmom.symcomb import hook_dim_doubled
+    from wishmom.weingarten import zonal_spherical
+
+    terms = (
+        Fraction(hook_dim_doubled(lam)) / content_product_boxwise(lam, z) * zonal_spherical(lam, rho)
+        for lam in shapes
+    )
+    return sum(terms, Fraction(0)) / matching_count_recursive(sum(rho))

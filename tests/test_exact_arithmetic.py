@@ -1,0 +1,124 @@
+"""The integer content products and the integer Weingarten lambda-sum against
+the one-Fraction-per-step oracles, plus the rule that N is a positive integer."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wishmom import weingarten as wg_module
+from wishmom.symcomb import content_product, partitions_of
+from wishmom.weingarten import (
+    PoleError,
+    check_degree,
+    inv_wishart_weingarten,
+    pole_shapes,
+    weingarten,
+    weingarten_truncated,
+)
+from wishmom.wishart import haar_moment
+
+from oracles import content_product_boxwise, weingarten_sum_fractions
+
+# every content 2j - i - 1 of a shape of weight <= 7 lies in -6..12, so the
+# poles are the integers -12..6; points on them, beside them, and anywhere
+near_pole = st.builds(
+    lambda k, sign, q: Fraction(k) + Fraction(sign, q),
+    st.integers(-13, 7),
+    st.sampled_from((-1, 1)),
+    st.integers(1, 10**6),
+)
+points = st.one_of(
+    st.integers(-13, 7).map(Fraction),
+    near_pole,
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
+)
+degrees = st.integers(1, 5)
+
+
+def oracle_poles(n, z):
+    return tuple(lam for lam in partitions_of(n) if content_product_boxwise(lam, z) == 0)
+
+
+def box_contents(lam):
+    return {2 * j - i - 1 for i, row in enumerate(lam, start=1) for j in range(1, row + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 7), z=points)
+def test_content_product_matches_boxwise_oracle(n, z):
+    for lam in partitions_of(n):
+        got = content_product(lam, z)
+        assert got == content_product_boxwise(lam, z)
+        assert (got == 0) == (-z in box_contents(lam))
+        if z.denominator == 1:
+            assert type(got) is int
+            assert content_product(lam, int(z)) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=degrees, z=points)
+def test_weingarten_matches_fraction_oracle(n, z):
+    bad = oracle_poles(n, z)
+    assert pole_shapes(n, z) == bad
+    for rho in partitions_of(n):
+        if bad:
+            with pytest.raises(PoleError) as err:
+                weingarten(rho, z)
+            assert err.value.shapes == bad
+            assert err.value.z == z
+        else:
+            got = weingarten(rho, z)
+            assert type(got) is Fraction
+            assert got == weingarten_sum_fractions(rho, z, partitions_of(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=degrees, gamma=points)
+def test_inv_wishart_weingarten_matches_fraction_oracle(n, gamma):
+    z = -2 * gamma
+    bad = oracle_poles(n, z)
+    for rho in partitions_of(n):
+        if bad:
+            with pytest.raises(PoleError) as err:
+                inv_wishart_weingarten(rho, gamma)
+            assert err.value.shapes == bad
+        else:
+            want = (-2) ** n * weingarten_sum_fractions(rho, z, partitions_of(n))
+            assert inv_wishart_weingarten(rho, gamma) == want
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weingarten_truncated_matches_fraction_oracle(n):
+    for N in range(1, 9):
+        shapes = [lam for lam in partitions_of(n) if len(lam) <= N]
+        for rho in partitions_of(n):
+            got = weingarten_truncated(rho, N)
+            assert type(got) is Fraction
+            assert got == weingarten_sum_fractions(rho, Fraction(N), shapes)
+
+
+def test_pole_shapes_and_check_degree_are_public():
+    assert pole_shapes(2, Fraction(1)) == ((1, 1),)
+    assert pole_shapes(3, Fraction(1, 2)) == ()
+    check_degree(5)
+    with pytest.raises(ValueError):
+        check_degree(6)
+    assert not hasattr(wg_module, "_pole_shapes") and not hasattr(wg_module, "_check_degree")
+
+
+@pytest.mark.parametrize("N", [2.5, Fraction(5, 2), 0, -1, "3", float("nan")])
+def test_non_integral_or_nonpositive_N_raises(N):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        weingarten_truncated((1, 1), N)
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        haar_moment((1, 1), (1, 1), N)
+
+
+def test_numpy_and_integral_N_match_int():
+    for N in (np.int64(3), np.int32(3), 3.0, Fraction(3)):
+        assert weingarten_truncated((1, 1), N) == weingarten_truncated((1, 1), 3)
+        assert weingarten_truncated((2, 1), N) == weingarten_truncated((2, 1), 3)
+        assert haar_moment((1, 1), (1, 1), N) == haar_moment((1, 1), (1, 1), 3) == Fraction(1, 3)
+        assert haar_moment((1, 1, 2, 2), (1, 1, 3, 3), N) == haar_moment((1, 1, 2, 2), (1, 1, 3, 3), 3)
