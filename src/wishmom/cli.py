@@ -32,11 +32,9 @@ from .weingarten import (
     save_table,
     table_path,
     table_to_json,
-    weingarten,
-    weingarten_truncated,
-    inv_wishart_weingarten,
+    weingarten_values,
 )
-from .symcomb import check_partition, partitions_of
+from .symcomb import check_partition
 from .wishart import (
     DomainError,
     MomentSpec,
@@ -156,15 +154,15 @@ def cmd_wg(args) -> int:
     if args.tilde:
         if args.gamma is None:
             raise ValueError("--tilde needs --gamma")
-        values = {rho: inv_wishart_weingarten(rho, args.gamma) for rho in partitions_of(n)}
+        values = weingarten_values(n, gamma=args.gamma)
         point = ("gamma", args.gamma)
     elif args.truncate is not None:
-        values = {rho: weingarten_truncated(rho, args.truncate) for rho in partitions_of(n)}
+        values = weingarten_values(n, N=args.truncate)
         point = ("z", Fraction(args.truncate))
     else:
         if args.z is None:
             raise ValueError("need one of --z, --gamma --tilde, or --truncate")
-        values = {rho: weingarten(rho, args.z) for rho in partitions_of(n)}
+        values = weingarten_values(n, z=args.z)
         point = ("z", args.z)
     config = RunConfig("wg", {"n": n, point[0]: str(point[1]), "tilde": args.tilde, "truncate": args.truncate})
     rows = [{"rho": list(rho), "value": v} for rho, v in values.items()]

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .matchgroup import SizeLimitError, matching_type_sums
+from .symcomb import Perm
 
 MAX_HAFNIAN_SIZE = 16
 MAX_PERMSUM_DEGREE = 7
@@ -141,23 +142,6 @@ def cycle_functionals(A, cycle):
     return _p_cycle(A, c), _q_cycle(A, c), _q_cycle(A, c_inv)
 
 
-def _perm_cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # images is 0-based here (itertools.permutations of range(n))
-    seen = [False] * len(images)
-    out = []
-    for s in range(len(images)):
-        if seen[s]:
-            continue
-        cyc = []
-        v = s
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v + 1)
-            v = images[v]
-        out.append(_canon_cycle(tuple(cyc)))
-    return out
-
-
 def hafnian_permsum(A, alpha, variant: str = "Q"):
     """Permutation-sum form: sum over S_n of (alpha/2)**nu * P_pi, or of
     alpha**nu * Q_pi, depending on ``variant``."""
@@ -174,8 +158,8 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
     else:
         base = alpha
     total = 0
-    for images in permutations(range(n)):
-        cycles = _perm_cycles(images)
+    for images in permutations(range(1, n + 1)):
+        cycles = [_canon_cycle(c) for c in Perm(images).cycles()]
         term = base ** len(cycles)
         for c in cycles:
             term = term * (_p_cycle(A, c) if variant == "P" else _q_cycle(A, c))
@@ -189,10 +173,10 @@ def alpha_permanent(M, alpha):
     if n > MAX_PERMSUM_DEGREE:
         raise SizeLimitError(f"alpha-permanent supports n <= {MAX_PERMSUM_DEGREE}")
     total = 0
-    for images in permutations(range(n)):
-        term = alpha ** len(_perm_cycles(images))
-        for i in range(n):
-            term = term * M[i][images[i]]
+    for images in permutations(range(1, n + 1)):
+        term = alpha ** len(Perm(images).cycles())
+        for i, j in enumerate(images):
+            term = term * M[i][j - 1]
         total = total + term
     return total
 

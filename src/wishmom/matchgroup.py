@@ -2,9 +2,12 @@
 
 A matching is stored through its canonical sequence (m(1),...,m(2n)) with
 m(2k-1) < m(2k) and m(1) < m(3) < ... < m(2n-1); read as one-line notation
-this embeds the matching into S_{2n}.  The coset type of g in S_{2n} is the
-partition of n formed by the halved component sizes of the graph whose edges
-are the base pairs {2k-1, 2k} together with the image pairs {g(2k-1), g(2k)}.
+this embeds the matching into S_{2n}.  The image pairs {g(2k-1), g(2k)} of g
+in S_{2n} and the base pairs {2k-1, 2k} together form a graph in which every
+slot has one edge of each kind, so it splits into loops.  ``pair_loops`` is
+the one walk over those loops; the coset type of g is the partition of n
+formed by the number of base pairs in each loop, and the trace words of
+``wishart.paired_contraction`` follow the same walk.
 """
 
 from __future__ import annotations
@@ -99,28 +102,37 @@ def enumerate_matchings(n: int) -> list[Matching]:
     return list(iter_matchings(n))
 
 
-def _type_of_pairs(pairs: tuple[tuple[int, int], ...]) -> Partition:
-    # Components of the graph on [2n] with base edges {2k-1, 2k} plus the pairs:
-    # every vertex has one partner of each kind, so components are closed walks.
-    partner: dict[int, int] = {}
-    for a, b in pairs:
+def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """Walk the loops of the graph on the slots 1..2n whose edges are the base
+    pairs {2k-1, 2k} and the pairs {pairing[2k-2], pairing[2k-1]}; ``pairing``
+    is a one-line word such as ``Perm.images`` or ``Matching.seq``.
+
+    Yields (k0, slots) per loop, in increasing order of k0, the lowest base
+    pair on the loop.  The walk enters pair k0 at slot 2k0-1, leaves it at 2k0,
+    and then follows one pairing edge and one base pair at a time; ``slots``
+    lists the slot through which it enters each base pair, in walk order, so
+    len(slots) is the number of base pairs on the loop.
+    """
+    partner = [0] * (len(pairing) + 1)
+    for a, b in zip(pairing[::2], pairing[1::2]):
         partner[a] = b
         partner[b] = a
-    seen: set[int] = set()
-    halves = []
-    for start in partner:
-        if start in seen:
+    seen = [False] * (len(pairing) // 2 + 1)
+    for k0 in range(1, len(seen)):
+        if seen[k0]:
             continue
-        size = 0
-        v = start
-        while v not in seen:
-            seen.add(v)
-            w = partner[v]
-            seen.add(w)
-            size += 2
-            v = w + 1 if w % 2 else w - 1
-        halves.append(size // 2)
-    return tuple(sorted(halves, reverse=True))
+        start = 2 * k0 - 1
+        slots = [start]
+        s = partner[start + 1]
+        while s != start:
+            slots.append(s)
+            seen[(s + 1) // 2] = True
+            s = partner[s + 1 if s % 2 else s - 1]  # leave through the pair's other slot
+        yield k0, slots
+
+
+def _loop_type(pairing: Sequence[int]) -> Partition:
+    return tuple(sorted((len(slots) for _, slots in pair_loops(pairing)), reverse=True))
 
 
 @cache
@@ -128,7 +140,7 @@ def matchings_with_type(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], Part
     """All matchings of {1,...,2n} as (pairs, coset type), cached for n <= 6."""
     if not 1 <= n <= 6:
         raise SizeLimitError("cached matching/coset-type table supports 1 <= n <= 6")
-    return tuple((m.pairs, _type_of_pairs(m.pairs)) for m in iter_matchings(n))
+    return tuple((m.pairs, _loop_type(m.seq)) for m in iter_matchings(n))
 
 
 def iter_matchings_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Partition]]:
@@ -137,7 +149,7 @@ def iter_matchings_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ..
         yield from matchings_with_type(n)
     else:
         for m in iter_matchings(n):
-            yield m.pairs, _type_of_pairs(m.pairs)
+            yield m.pairs, _loop_type(m.seq)
 
 
 def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
@@ -210,36 +222,14 @@ def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
 
 
 def coset_type(g: Perm) -> Partition:
-    """Halved component sizes (sorted descending) of the pairing graph of g."""
-    m = g.size
-    if m % 2:
+    """Base pairs per loop (sorted descending) of the pairing graph of g."""
+    if g.size % 2:
         raise ValueError("coset type needs an even-sized ground set")
-    n = m // 2
-    parent = list(range(m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for k in range(1, n + 1):
-        union(2 * k - 1, 2 * k)
-        union(g(2 * k - 1), g(2 * k))
-    sizes: dict[int, int] = {}
-    for v in range(1, m + 1):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted((s // 2 for s in sizes.values()), reverse=True))
+    return _loop_type(g.images)
 
 
 def kappa(g: Perm) -> int:
-    """Number of components of the pairing graph; the length of the coset type."""
+    """Number of loops of the pairing graph; the length of the coset type."""
     return len(coset_type(g))
 
 

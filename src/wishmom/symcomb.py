@@ -160,18 +160,19 @@ class Perm:
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points included; each cycle starts at its
         smallest element, cycles ordered by that element."""
-        seen = [False] * self.size
+        imgs = self.images
+        seen = [False] * len(imgs)
         out = []
-        for start in range(1, self.size + 1):
+        for start in range(1, len(imgs) + 1):
             if seen[start - 1]:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            v = self(start)
+            v = imgs[start - 1]
             while v != start:
                 cyc.append(v)
                 seen[v - 1] = True
-                v = self(v)
+                v = imgs[v - 1]
             out.append(tuple(cyc))
         return out
 

@@ -11,10 +11,11 @@ convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
 it is evaluated here through its expansion over zonal spherical functions,
 Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).  At
 z = p/q the content products enter as the integers P_lam = q^n C_lam(z),
-computed once per call and shared by the pole check and the sum; the sum is
-kept as an integer numerator and denominator and becomes one Fraction at the
-end.  Nothing is cached per evaluation point.  The inverse-Wishart variant is
-the same object at z = -2*gamma rescaled by (-1)^n 2^n.
+computed once per call, or once per table in ``weingarten_values``, and shared
+by the pole check and the sum; the sum is kept as an integer numerator and
+denominator and becomes one Fraction at the end.  Nothing is cached per
+evaluation point.  The inverse-Wishart variant is the same object at
+z = -2*gamma rescaled by (-1)^n 2^n.
 """
 
 from __future__ import annotations
@@ -124,10 +125,22 @@ def check_dimension(N) -> int:
     return k
 
 
-def _weingarten_sum(rho: Partition, q: int, shapes, numerators) -> Fraction:
-    """Wg(rho; p/q) = q^n / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) / P_lam,
-    with P_lam = q^n C_lam(p/q), over the given shapes.  The sum is kept as an
-    integer numerator and denominator and normalised once, at the end."""
+def _expansion(n: int, z: Fraction, rows: int | None = None):
+    """The shapes of weight n (at most ``rows`` rows, if given) and their
+    content numerators P_lam = q^n C_lam(p/q) at z = p/q; PoleError names the
+    shapes whose P_lam vanishes."""
+    shapes = partitions_of(n) if rows is None else [lam for lam in partitions_of(n) if len(lam) <= rows]
+    numerators = [content_numerator(lam, z.numerator, z.denominator) for lam in shapes]
+    if 0 in numerators:
+        raise PoleError(z, tuple(lam for lam, c in zip(shapes, numerators) if c == 0))
+    return shapes, numerators
+
+
+def _weingarten_sum(rho: Partition, q: int, shapes, numerators, scale: int = 1) -> Fraction:
+    """scale * Wg(rho; p/q) = scale * q^n / (2n-1)!! * sum_lam f^{2 lam}
+    omega^lam(rho) / P_lam, over the given shapes and their numerators.  The
+    sum is kept as an integer numerator and denominator and normalised once,
+    at the end."""
     num, den = 0, 1
     for lam, c in zip(shapes, numerators):
         omega = zonal_spherical(lam, rho)
@@ -137,7 +150,7 @@ def _weingarten_sum(rho: Partition, q: int, shapes, numerators) -> Fraction:
             num = num * b + hook_dim_doubled(lam) * a * den
             den *= b
     n = sum(rho)
-    return Fraction(q**n * num, matching_count(n) * den)
+    return Fraction(scale * q**n * num, matching_count(n) * den)
 
 
 def weingarten(rho: Partition, z) -> Fraction:
@@ -146,12 +159,7 @@ def weingarten(rho: Partition, z) -> Fraction:
     n = sum(rho)
     check_degree(n)
     z = Fraction(z)
-    p, q = z.numerator, z.denominator
-    shapes = partitions_of(n)
-    numerators = [content_numerator(lam, p, q) for lam in shapes]
-    if 0 in numerators:
-        raise PoleError(z, tuple(lam for lam, c in zip(shapes, numerators) if c == 0))
-    return _weingarten_sum(rho, q, shapes, numerators)
+    return _weingarten_sum(rho, z.denominator, *_expansion(n, z))
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
@@ -164,9 +172,8 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     n = sum(rho)
     check_degree(n)
     N = check_dimension(N)
-    shapes = [lam for lam in partitions_of(n) if len(lam) <= N]
     # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
-    return _weingarten_sum(rho, 1, shapes, [content_numerator(lam, N, 1) for lam in shapes])
+    return _weingarten_sum(rho, 1, *_expansion(n, Fraction(N), N))
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
@@ -175,6 +182,27 @@ def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
     n = sum(rho)
     gamma = Fraction(gamma)
     return (-1) ** n * 2**n * weingarten(rho, -2 * gamma)
+
+
+def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, Fraction]:
+    """One degree's table at one point: ``weingarten(rho, z)``,
+    ``inv_wishart_weingarten(rho, gamma)`` or ``weingarten_truncated(rho, N)``
+    for every rho of weight n, in reverse-lex order; exactly one point is given.
+
+    The degree is checked before any partition is listed, and the p(n) content
+    numerators and the pole check serve the whole table.
+    """
+    if sum(v is not None for v in (z, gamma, N)) != 1:
+        raise ValueError("give exactly one of z, gamma and N")
+    check_degree(n)
+    scale, rows = 1, None
+    if gamma is not None:
+        z, scale = -2 * Fraction(gamma), (-2) ** n
+    elif N is not None:
+        z = rows = check_dimension(N)
+    z = Fraction(z)
+    shapes, numerators = _expansion(n, z, rows)
+    return {rho: _weingarten_sum(rho, z.denominator, shapes, numerators, scale) for rho in partitions_of(n)}
 
 
 @dataclass
@@ -215,7 +243,7 @@ def kappa_power_fn(n: int, z) -> BiinvariantFn:
 
 
 def weingarten_fn(n: int, z) -> BiinvariantFn:
-    return BiinvariantFn(n, {rho: weingarten(rho, z) for rho in partitions_of(n)})
+    return BiinvariantFn(n, weingarten_values(n, z=z))
 
 
 @cache
@@ -308,12 +336,10 @@ class WeingartenTable:
 
 def build_table(n: int, z) -> WeingartenTable:
     """Tabulate Wg(rho; z) over all rho of weight n, in reverse-lex order."""
-    check_degree(n)
-    z = Fraction(z)
-    entries = {rho: weingarten(rho, z) for rho in partitions_of(n)}
+    entries = weingarten_values(n, z=z)
     # provenance is deliberately clock-free so rebuilds are byte-identical
     prov = {"generator": "wishmom", "version": __version__, "schema": TABLE_SCHEMA}
-    return WeingartenTable(n=n, z=z, entries=entries, provenance=prov)
+    return WeingartenTable(n=n, z=Fraction(z), entries=entries, provenance=prov)
 
 
 def table_to_json(table: WeingartenTable) -> str:

@@ -33,6 +33,7 @@ from .matchgroup import (
     coset_type,
     iter_matchings,
     matching_type_sums,
+    pair_loops,
     paired_perm,
 )
 from .symcomb import (
@@ -46,11 +47,9 @@ from .symcomb import (
 )
 from .weingarten import (
     PoleError,
-    check_degree,
     check_dimension,
-    inv_wishart_weingarten,
     pole_shapes,
-    weingarten_truncated,
+    weingarten_values,
     zonal_eval,
     zonal_spherical,
 )
@@ -180,8 +179,7 @@ _kappa_weights = cache(_KappaWeights)  # one table per (n, beta)
 
 @cache
 def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
-    check_degree(n)  # before partitions_of(n), which is huge for a large n
-    return {rho: inv_wishart_weingarten(rho, gamma) for rho in partitions_of(n)}
+    return weingarten_values(n, gamma=gamma)
 
 
 def _coset_weights(n: int, shape: Fraction, inverse: bool) -> Mapping[Partition, Fraction]:
@@ -288,40 +286,21 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     """T_g(x; m_1..m_n): contract m_k row/col indices at slots (2k-1, 2k)
     against symmetric-x links between slots g(2i-1) and g(2i).
 
-    The pairing makes the contraction a product of trace words; each word is
-    assembled by walking the alternating matrix/x edges.
+    The pairing makes the contraction a product of trace words, one per loop
+    of ``pair_loops(g.images)``: a base pair entered at its row slot adds m_k,
+    one entered at its column slot adds m_k transposed, and x links them.
     """
     n = len(ms)
     if g.size != 2 * n:
         raise ValueError("pattern size must be twice the number of matrices")
-    xpartner = {}
-    for i in range(1, n + 1):
-        a, b = g(2 * i - 1), g(2 * i)
-        xpartner[a] = b
-        xpartner[b] = a
-    done = [False] * (n + 1)
     total = 1.0
-    for k0 in range(1, n + 1):
-        if done[k0]:
-            continue
-        done[k0] = True
+    for k0, slots in pair_loops(g.images):
         word = ms[k0 - 1]
-        start, end = 2 * k0 - 1, 2 * k0
-        while True:
-            nxt = xpartner[end]
+        for s in slots[1:]:
+            m = ms[(s - 1) // 2]
             word = word @ x
-            if nxt == start:
-                total *= np.trace(word)
-                break
-            if nxt % 2:  # row slot: traverse the matrix forward
-                l = (nxt + 1) // 2
-                word = word @ ms[l - 1]
-                end = 2 * l
-            else:  # column slot: traverse backwards, i.e. transposed
-                l = nxt // 2
-                word = word @ ms[l - 1].T
-                end = 2 * l - 1
-            done[l] = True
+            word = word @ (m if s % 2 else m.T)
+        total *= np.trace(word @ x)
     return total
 
 
@@ -465,7 +444,7 @@ def _matching_product_types(n: int) -> tuple[tuple[Partition, ...], ...]:
 
 @cache
 def _haar_wg_values(n: int, N: int) -> dict[Partition, Fraction]:
-    return {rho: weingarten_truncated(rho, N) for rho in partitions_of(n)}
+    return weingarten_values(n, N=N)
 
 
 def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:

@@ -2,8 +2,8 @@
 
 Nothing here may call the code paths it is used to check: linear systems are
 solved by textbook Gaussian elimination over Fractions, determinants by
-cofactor expansion, matching counts by the defining recursion, and trace
-contractions by their defining index sums.
+cofactor expansion, matching counts by the defining recursion, trace
+contractions by their defining index sums, and coset types by union-find.
 """
 
 from __future__ import annotations
@@ -95,6 +95,29 @@ def t_contraction_bruteforce(g, x, ms):
             term *= x[js[g(2 * i - 1) - 1], js[g(2 * i) - 1]]
         total += term
     return total
+
+
+def coset_type_union_find(g):
+    """Coset type of g in S_{2n}: the halved component sizes, sorted
+    descending, of the graph with edges {2k-1, 2k} and {g(2k-1), g(2k)},
+    found by union-find rather than by walking loops."""
+    m = g.size
+    parent = list(range(m + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for k in range(1, m // 2 + 1):
+        for a, b in ((2 * k - 1, 2 * k), (g(2 * k - 1), g(2 * k))):
+            parent[find(b)] = find(a)
+    sizes = {}
+    for v in range(1, m + 1):
+        r = find(v)
+        sizes[r] = sizes.get(r, 0) + 1
+    return tuple(sorted((s // 2 for s in sizes.values()), reverse=True))
 
 
 def matching_type_sums_enumerative(labels, x):

@@ -55,6 +55,24 @@ def test_wg_missing_point(capsys):
     assert main(["wg", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize("point", [["--z", "3"], ["--tilde", "--gamma", "3"], ["--truncate", "3"]])
+def test_wg_far_past_the_cap_exits_without_enumerating(point, monkeypatch, capsys):
+    # degree 200 has ~4e12 partitions; the table must reject it before listing them
+    from wishmom import symcomb
+
+    listed = symcomb.partitions_of
+
+    def no_large_partitions(n):
+        assert n <= 10, f"partitions_of({n}) listed"
+        return listed(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wishmom") and getattr(module, "partitions_of", None) is listed:
+            monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+    assert main(["wg", "--n", "200", *point]) == 2
+    assert "1 <= n <= 5, got 200" in capsys.readouterr().err
+
+
 def test_wg_json_schema(capsys):
     assert main(["wg", "--n", "2", "--z", "5", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """The integer content products and the integer Weingarten lambda-sum against
-the one-Fraction-per-step oracles, plus the rule that N is a positive integer."""
+the one-Fraction-per-step oracles, the per-degree tables against the per-rho
+values, plus the rule that N is a positive integer."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wishmom import weingarten as wg_module
+from wishmom.matchgroup import SizeLimitError
 from wishmom.symcomb import content_product, partitions_of
 from wishmom.weingarten import (
     PoleError,
@@ -16,6 +18,7 @@ from wishmom.weingarten import (
     pole_shapes,
     weingarten,
     weingarten_truncated,
+    weingarten_values,
 )
 from wishmom.wishart import haar_moment
 
@@ -97,6 +100,51 @@ def test_weingarten_truncated_matches_fraction_oracle(n):
             got = weingarten_truncated(rho, N)
             assert type(got) is Fraction
             assert got == weingarten_sum_fractions(rho, Fraction(N), shapes)
+
+
+def per_rho_or_pole(fn, n, point):
+    try:
+        return {rho: fn(rho, point) for rho in partitions_of(n)}
+    except PoleError as exc:
+        return (type(exc), exc.z, exc.shapes)
+
+
+def table_or_pole(n, **point):
+    try:
+        return weingarten_values(n, **point)
+    except PoleError as exc:
+        return (type(exc), exc.z, exc.shapes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=degrees, z=points)
+def test_weingarten_values_equal_per_rho_values(n, z):
+    # same values (and rho order), or the same PoleError, as one call per rho
+    for got, want in (
+        (table_or_pole(n, z=z), per_rho_or_pole(weingarten, n, z)),
+        (table_or_pole(n, gamma=z), per_rho_or_pole(inv_wishart_weingarten, n, z)),
+    ):
+        assert got == want
+        if isinstance(want, dict):
+            assert list(got) == list(want)
+            assert all(type(v) is Fraction for v in got.values())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_truncated_weingarten_values_equal_per_rho_values(n):
+    for N in range(1, 9):
+        assert weingarten_values(n, N=N) == {rho: weingarten_truncated(rho, N) for rho in partitions_of(n)}
+
+
+def test_weingarten_values_checks_its_arguments():
+    for point in ({}, {"z": 3, "gamma": 3}, {"z": 3, "N": 3}, {"gamma": 3, "N": 3}):
+        with pytest.raises(ValueError, match="exactly one"):
+            weingarten_values(2, **point)
+    for n in (0, 6, 200, -1):
+        with pytest.raises(SizeLimitError):
+            weingarten_values(n, z=3)
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        weingarten_values(2, N=0)
 
 
 def test_pole_shapes_and_check_degree_are_public():

@@ -20,11 +20,12 @@ from wishmom.matchgroup import (
     matching_count,
     matching_type_sums,
     matchings_with_type,
+    pair_loops,
     paired_perm,
 )
 from wishmom.symcomb import Perm, cycle_type, partitions_of
 
-from oracles import matching_count_recursive, matching_type_sums_enumerative
+from oracles import coset_type_union_find, matching_count_recursive, matching_type_sums_enumerative
 
 
 def all_perms(m):
@@ -84,6 +85,52 @@ def test_coset_type_identity():
 def test_coset_type_odd_ground_set():
     with pytest.raises(ValueError):
         coset_type(Perm((2, 3, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coset_type_equals_union_find_on_all_of_s2n(n):
+    for images in permutations(range(1, 2 * n + 1)):
+        g = Perm(images)
+        assert coset_type(g) == coset_type_union_find(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
+def test_coset_type_equals_union_find(images):
+    g = Perm(images)
+    assert coset_type(g) == coset_type_union_find(g)
+
+
+def check_loops(images):
+    n = len(images) // 2
+    loops = list(pair_loops(images))
+    pairs = [(s + 1) // 2 for _, slots in loops for s in slots]
+    assert sorted(pairs) == list(range(1, n + 1))  # every base pair once
+    assert sum(len(slots) for _, slots in loops) == n
+    starts = [k0 for k0, _ in loops]
+    assert starts == sorted(starts)
+    for k0, slots in loops:
+        assert slots[0] == 2 * k0 - 1 and min((s + 1) // 2 for s in slots) == k0
+    assert sorted((len(slots) for _, slots in loops), reverse=True) == list(coset_type(Perm(images)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_loops_cover_every_base_pair_once_on_all_of_s2n(n):
+    for images in permutations(range(1, 2 * n + 1)):
+        check_loops(images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
+def test_pair_loops_cover_every_base_pair_once(images):
+    check_loops(images)
+
+
+def test_pair_loops_worked_example():
+    # pairing {1,3}, {2,7}, {4,8}, {5,6}: the walk 1 -> 2 -> 7 -> 8 -> 4 -> 3 -> 1
+    # enters pairs 1, 4 and 2 at slots 1, 7 and 4; pair 3 closes on itself
+    assert list(pair_loops(Matching.from_pairs([(1, 3), (2, 7), (4, 8), (5, 6)]).seq)) == [(1, [1, 7, 4]), (3, [5])]
+    assert list(pair_loops(())) == []
 
 
 def test_kappa_equals_type_length_for_matchings():

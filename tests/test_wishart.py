@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import multigammaln
 
 from wishmom import weingarten, wishart
-from wishmom.matchgroup import SizeLimitError, coset_type, enumerate_matchings, hyperoctahedral, matching_type_sums
+from wishmom.matchgroup import SizeLimitError, coset_type, enumerate_matchings, hyperoctahedral, kappa, matching_type_sums
 from wishmom.symcomb import Perm, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
 from wishmom.weingarten import PoleError, inv_wishart_weingarten
@@ -376,6 +376,21 @@ def test_paired_contraction_against_bruteforce():
             assert paired_contraction(g, x, ms) == pytest.approx(
                 t_contraction_bruteforce(g, x, ms), rel=1e-10, abs=1e-10
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_paired_contraction_of_identities_counts_loops(n):
+    # every loop of the pairing graph is one trace word tr(I_d) = d
+    rnd = random.Random(n)
+    perms = [Perm(p) for p in permutations(range(1, 2 * n + 1))] if n <= 3 else []
+    for _ in range(200):
+        images = list(range(1, 2 * n + 1))
+        rnd.shuffle(images)
+        perms.append(Perm(images))
+    for d in (1, 2, 3):
+        eye = np.eye(d)
+        for g in perms:
+            assert paired_contraction(g, eye, [eye] * n) == d ** kappa(g)
 
 
 def test_trace_pattern_matches_trace_words():
