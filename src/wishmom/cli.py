@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -299,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write the report to this file instead of stdout")
+        # argparse before 3.13 takes "-7/3" (unlike "-7") for an option; read
+        # every "-<digit>" or "-.<digit>" word as a value, as 3.13 does
+        p._negative_number_matcher = re.compile(r"-\.?\d")
 
     p = sub.add_parser("wg", help="print a Weingarten table for one degree")
     p.add_argument("--n", type=int, required=True)

@@ -269,15 +269,19 @@ def is_hyperoctahedral(g: Perm) -> bool:
     return coset_type(g) == (1,) * n
 
 
+def matching_type_count(rho: Partition) -> int:
+    """M_rho = 2^n n! / (2^len(rho) z_rho), z_rho = ``centralizer_order(rho)``:
+    the number of matchings of {1,...,2n} of coset type rho."""
+    n = sum(rho)
+    return 2**n * factorial(n) // (2 ** len(rho) * centralizer_order(rho))
+
+
 def double_coset_size(rho: Partition) -> int:
-    """Number of elements of S_{2n} with coset type rho:
-    (2^n n!)^2 / (2^len(rho) * centralizer_order(rho))."""
+    """Number of elements of S_{2n} with coset type rho: |H_n| = 2^n n! times
+    the M_rho matchings of that type."""
     rho = check_partition(rho)
     n = sum(rho)
-    num = (2**n * factorial(n)) ** 2
-    den = 2 ** len(rho) * centralizer_order(rho)
-    assert num % den == 0
-    return num // den
+    return 2**n * factorial(n) * matching_type_count(rho)
 
 
 def paired_perm(pi: Perm) -> Perm:

@@ -18,13 +18,8 @@ from math import factorial
 import numpy as np
 
 from . import hafnian, montecarlo, wishart
-from .matchgroup import double_coset_size
-from .symcomb import (
-    centralizer_order,
-    content_product,
-    hook_dim_doubled,
-    partitions_of,
-)
+from .matchgroup import double_coset_size, matching_type_count
+from .symcomb import content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
     biinvariant_convolve,
     hecke_unit,
@@ -332,10 +327,7 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
         for z2 in (_pole_free_z(rnd, n), _pole_free_z(rnd, n)):
             ok = True
             for lam in partitions_of(n):
-                s = 2**n * factorial(n) * sum(
-                    Fraction(1, 2 ** len(r) * centralizer_order(r)) * zonal_spherical(lam, r) * z2 ** len(r)
-                    for r in partitions_of(n)
-                )
+                s = sum(matching_type_count(r) * zonal_spherical(lam, r) * z2 ** len(r) for r in partitions_of(n))
                 ok &= s == content_product(lam, z2)
             for rho in partitions_of(n):
                 s = Fraction(2**n * factorial(n), factorial(2 * n)) * sum(

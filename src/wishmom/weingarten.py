@@ -8,14 +8,14 @@ small degrees.
 
 The Weingarten function Wg(rho; z) is the deg-n rational function whose
 convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
-it is evaluated here through its expansion over zonal spherical functions,
-Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).  At
-z = p/q the content products enter as the integers P_lam = q^n C_lam(z),
-computed once per call, or once per table in ``weingarten_values``, and shared
-by the pole check and the sum; the sum is kept as an integer numerator and
-denominator and becomes one Fraction at the end.  Nothing is cached per
-evaluation point.  The inverse-Wishart variant is the same object at
-z = -2*gamma rescaled by (-1)^n 2^n.
+it is evaluated through its expansion over zonal spherical functions,
+Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
+``zonal_sum`` is that lambda-sum for any integer pairs (a_lam, b_lam) in
+place of 1 / C_lam(z); it also gives the power-trace coefficients of
+``wishart``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the integer
+P_lam = q^n C_lam(z), computed once per call or per table and shared by the
+pole check and the sum, which becomes one Fraction at the end.  The
+inverse-Wishart variant is Wg at z = -2*gamma rescaled by (-1)^n 2^n.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from .matchgroup import (
     hyperoctahedral,
     iter_matchings,
     matching_count,
+    matching_type_count,
 )
 from .symcomb import (
     Partition,
     Perm,
-    centralizer_order,
     character,
     check_partition,
     content_numerator,
@@ -125,32 +125,37 @@ def check_dimension(N) -> int:
     return k
 
 
-def _expansion(n: int, z: Fraction, rows: int | None = None):
-    """The shapes of weight n (at most ``rows`` rows, if given) and their
-    content numerators P_lam = q^n C_lam(p/q) at z = p/q; PoleError names the
-    shapes whose P_lam vanishes."""
+def check_poles(z, terms) -> None:
+    """PoleError at z naming every shape of the (lam, a, b) terms with b = 0."""
+    poles = tuple(lam for lam, _, b in terms if b == 0)
+    if poles:
+        raise PoleError(z, poles)
+
+
+def _expansion(n: int, z: Fraction, rows: int | None = None) -> list[tuple[Partition, int, int]]:
+    """The terms (lam, q^n, P_lam) of Wg at z = p/q, P_lam = q^n C_lam(p/q),
+    over the shapes of weight n (at most ``rows`` rows, if given); PoleError
+    names the shapes whose P_lam vanishes."""
     shapes = partitions_of(n) if rows is None else [lam for lam in partitions_of(n) if len(lam) <= rows]
-    numerators = [content_numerator(lam, z.numerator, z.denominator) for lam in shapes]
-    if 0 in numerators:
-        raise PoleError(z, tuple(lam for lam, c in zip(shapes, numerators) if c == 0))
-    return shapes, numerators
+    p, q = z.numerator, z.denominator
+    terms = [(lam, q**n, content_numerator(lam, p, q)) for lam in shapes]
+    check_poles(z, terms)
+    return terms
 
 
-def _weingarten_sum(rho: Partition, q: int, shapes, numerators, scale: int = 1) -> Fraction:
-    """scale * Wg(rho; p/q) = scale * q^n / (2n-1)!! * sum_lam f^{2 lam}
-    omega^lam(rho) / P_lam, over the given shapes and their numerators.  The
-    sum is kept as an integer numerator and denominator and normalised once,
-    at the end."""
+def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
+    """scale / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) a_lam / b_lam over
+    the (lam, a_lam, b_lam) terms, in integers (b_lam != 0), normalised once:
+    Wg(rho; z) at a_lam / b_lam = 1 / C_lam(z)."""
     num, den = 0, 1
-    for lam, c in zip(shapes, numerators):
+    for lam, a, b in terms:
         omega = zonal_spherical(lam, rho)
-        a = omega.numerator
+        a *= omega.numerator
         if a:
-            b = omega.denominator * c
+            b *= omega.denominator
             num = num * b + hook_dim_doubled(lam) * a * den
             den *= b
-    n = sum(rho)
-    return Fraction(scale * q**n * num, matching_count(n) * den)
+    return Fraction(scale * num, matching_count(sum(rho)) * den)
 
 
 def weingarten(rho: Partition, z) -> Fraction:
@@ -159,7 +164,7 @@ def weingarten(rho: Partition, z) -> Fraction:
     n = sum(rho)
     check_degree(n)
     z = Fraction(z)
-    return _weingarten_sum(rho, z.denominator, *_expansion(n, z))
+    return zonal_sum(rho, _expansion(n, z))
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
@@ -173,7 +178,7 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     check_degree(n)
     N = check_dimension(N)
     # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
-    return _weingarten_sum(rho, 1, *_expansion(n, Fraction(N), N))
+    return zonal_sum(rho, _expansion(n, Fraction(N), N))
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
@@ -189,8 +194,8 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     ``inv_wishart_weingarten(rho, gamma)`` or ``weingarten_truncated(rho, N)``
     for every rho of weight n, in reverse-lex order; exactly one point is given.
 
-    The degree is checked before any partition is listed, and the p(n) content
-    numerators and the pole check serve the whole table.
+    The degree is checked before any partition is listed, and one list of
+    terms from ``_expansion``, with its pole check, serves the whole table.
     """
     if sum(v is not None for v in (z, gamma, N)) != 1:
         raise ValueError("give exactly one of z, gamma and N")
@@ -201,8 +206,8 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     elif N is not None:
         z = rows = check_dimension(N)
     z = Fraction(z)
-    shapes, numerators = _expansion(n, z, rows)
-    return {rho: _weingarten_sum(rho, z.denominator, shapes, numerators, scale) for rho in partitions_of(n)}
+    terms = _expansion(n, z, rows)
+    return {rho: zonal_sum(rho, terms, scale) for rho in partitions_of(n)}
 
 
 @dataclass
@@ -303,7 +308,8 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     """Zonal polynomial of shape lam evaluated at given power sums.
 
     pvals maps r -> value of the r-th power sum for r = 1..n; the result is
-    2^n n! * sum over rho of 2^-len(rho) / z_rho * omega(lam, rho) * prod pvals.
+    the sum over rho of M_rho * omega(lam, rho) * prod pvals, M_rho the
+    number of matchings of coset type rho (``matching_type_count``).
     Exact when the inputs are exact.
     """
     lam = check_partition(lam) if lam else ()
@@ -316,8 +322,7 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
         raise ValueError(f"missing power-sum values for r={missing}")
     total = 0
     for rho in partitions_of(n):
-        coef = Fraction(2**n * factorial(n), 2 ** len(rho) * centralizer_order(rho)) * zonal_spherical(lam, rho)
-        term = coef
+        term = matching_type_count(rho) * zonal_spherical(lam, rho)
         for part in rho:
             term = term * pvals[part]
         total = total + term

@@ -13,18 +13,20 @@ moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
 C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
 that choice; every moment below has one body for both sides.
 
-Coefficients (powers of 2*beta, Weingarten values, partition weights) are
-kept exact as rationals; only the contractions against the user-supplied
-sigma happen in floating point.
+Two engines give every exact coefficient: sums over matchings per coset type
+(``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
+``weingarten.zonal_sum`` (Weingarten values, power-trace coefficients).  Only
+the contractions against the user-supplied sigma happen in floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
-from math import factorial, lgamma, log, prod
+from math import lgamma, log, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,32 +34,25 @@ import numpy as np
 from .matchgroup import (
     coset_type,
     iter_matchings,
+    matching_type_count,
     matching_type_sums,
     pair_loops,
     paired_perm,
 )
-from .symcomb import (
-    Partition,
-    Perm,
-    centralizer_order,
-    check_partition,
-    content_product,
-    partitions_of,
-    hook_dim_doubled,
-)
+from .symcomb import Partition, Perm, check_partition, content_numerator, partitions_of
 from .weingarten import (
-    PoleError,
+    check_degree,
     check_dimension,
-    pole_shapes,
+    check_poles,
     weingarten_values,
     zonal_eval,
     zonal_spherical,
+    zonal_sum,
 )
 
 MAX_ENTRY_DEGREE = 10
 MAX_TRACE_PRODUCT_DEGREE = 7
 MAX_MIXED_DEGREE = 5
-MAX_HAAR_DEGREE = 4
 SYMMETRY_TOL = 1e-12
 
 
@@ -188,16 +183,15 @@ def _coset_weights(n: int, shape: Fraction, inverse: bool) -> Mapping[Partition,
     return _inv_wg_table(n, shape) if inverse else _kappa_weights(n, shape)
 
 
-def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> Fraction:
+def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> tuple[int, int]:
     """E[Z_lam(W)] / Z_lam(sigma) = C_lam(2 beta) / 2^n, or, for W^-1 against
-    sigma^-1, (-1)^n 2^n / C_lam(-2 gamma), which has a pole where C_lam vanishes."""
+    sigma^-1, (-1)^n 2^n / C_lam(-2 gamma), as integers (a, b) with value a / b:
+    (P, (2q)^n) or ((-2q)^n, P), P = q^n C_lam(p/q); b = 0 marks a pole."""
     n = sum(lam)
-    if not inverse:
-        return Fraction(content_product(lam, 2 * shape), 2**n)
-    cval = content_product(lam, -2 * shape)
-    if cval == 0:
-        raise PoleError(-2 * shape, (lam,))
-    return Fraction((-1) ** n * 2**n) / cval
+    z = -2 * shape if inverse else 2 * shape
+    c = content_numerator(lam, z.numerator, z.denominator)
+    s = 2 * z.denominator
+    return ((-s) ** n, c) if inverse else (c, s**n)
 
 
 def moment(params: WishartParams, spec: MomentSpec) -> float:
@@ -345,58 +339,55 @@ def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = Fals
     Power sums only, no eigendecomposition."""
     lam = check_partition(lam)
     n = sum(lam)
+    if lam:  # the empty shape, Z = 1, needs no table
+        check_degree(n)
     x, shape = _side(params, n, inverse)
-    coef = _eigenvalue(lam, shape, inverse)
-    return float(coef) * zonal_eval(lam, _power_sums(x, n))
+    a, b = _eigenvalue(lam, shape, inverse)
+    check_poles(-2 * shape, [(lam, a, b)])
+    return a / b * zonal_eval(lam, _power_sums(x, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients c_rho with E[p_mu(W^{+-1})] = sum c_rho p_rho(sigma^{+-1}).
 
     ``shape`` is beta on the forward side and gamma on the inverse side.
+    c_rho is ``zonal_sum`` at a_lam / b_lam = e_lam omega^lam(mu), e_lam the
+    eigenvalue, scaled by M_rho.
     """
     mu = check_partition(mu)
     n = sum(mu)
+    check_degree(n)
     shape = Fraction(shape)
-    if inverse:
-        bad = pole_shapes(n, -2 * shape)
-        if bad:
-            raise PoleError(-2 * shape, bad)
-    pref = Fraction((2**n * factorial(n)) ** 2, factorial(2 * n))
-    eig = {lam: _eigenvalue(lam, shape, inverse) for lam in partitions_of(n)}
-    coeffs = {}
-    for rho in partitions_of(n):
-        inner = Fraction(0)
-        for lam in partitions_of(n):
-            inner += eig[lam] * hook_dim_doubled(lam) * zonal_spherical(lam, mu) * zonal_spherical(lam, rho)
-        coeffs[rho] = pref * Fraction(1, 2 ** len(rho) * centralizer_order(rho)) * inner
-    return coeffs
+    terms = []
+    for lam in partitions_of(n):
+        a, b = _eigenvalue(lam, shape, inverse)
+        w = zonal_spherical(lam, mu)
+        terms.append((lam, a * w.numerator, b * w.denominator))
+    check_poles(-2 * shape, terms)
+    return {rho: zonal_sum(rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
 
 
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:
     """E[prod_i tr((W^{+-1})^{mu_i})] with exact coefficients on p_rho(sigma^{+-1})."""
     mu = check_partition(mu)
     n = sum(mu)
-    if n > 4:
-        raise ValueError("power-trace moments support |mu| <= 4")
+    check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(power_trace_coeffs(mu, shape, inverse), x, n)
 
 
 def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
-    c_rho = 2^(n - len(rho)) n! / z_rho times the coset weight of rho."""
+    c_rho = M_rho, the number of matchings of coset type rho, times their
+    coset weight."""
+    check_degree(n)
     weights = _coset_weights(n, Fraction(shape), inverse)
-    return {
-        rho: 2 ** (n - len(rho)) * Fraction(factorial(n), centralizer_order(rho)) * weights[rho]
-        for rho in partitions_of(n)
-    }
+    return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
 
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
-    if not 1 <= n <= 4:
-        raise ValueError("trace-power moments support 1 <= n <= 4")
+    check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(trace_power_coeffs(n, shape, inverse), x, n)
 
@@ -432,17 +423,6 @@ def density(params: WishartParams, w: np.ndarray) -> float:
 
 
 @cache
-def _matching_product_types(n: int) -> tuple[tuple[Partition, ...], ...]:
-    # coset type of m^-1 * n for every ordered pair of matchings
-    perms = [m.as_perm() for m in iter_matchings(n)]
-    invs = [p.inverse() for p in perms]
-    return tuple(
-        tuple(coset_type(inv_p * q) for q in perms)
-        for inv_p in invs
-    )
-
-
-@cache
 def _haar_wg_values(n: int, N: int) -> dict[Partition, Fraction]:
     return weingarten_values(n, N=N)
 
@@ -450,8 +430,13 @@ def _haar_wg_values(n: int, N: int) -> dict[Partition, Fraction]:
 def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     """Exact E[O_{i1 j1} ... O_{ik jk}] for a Haar orthogonal N x N matrix.
 
-    Odd k gives exactly zero; otherwise a double matching sum with truncated
-    Weingarten weights, valid for every N >= 1.
+    Odd k gives exactly zero.  Otherwise it sums the truncated Weingarten
+    value (valid for every N >= 1) at the coset type of m^-1 n over matchings
+    m pairing equal row indices and n pairing equal column indices.  With the
+    slots relabelled so that n's pairs are the base pairs, that is the coset
+    type of the relabelled m; so ``matching_type_sums`` counts the m per type,
+    with the row indices in the slot order of n's pairs as labels and the 0/1
+    identity as x.
     """
     i_idx = tuple(int(v) for v in i_idx)
     j_idx = tuple(int(v) for v in j_idx)
@@ -467,21 +452,20 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     n = k // 2
     if n == 0:
         return Fraction(1)
-    if n > MAX_HAAR_DEGREE:
-        raise ValueError(f"Haar moments support degree <= {MAX_HAAR_DEGREE}")
-    matchings = list(iter_matchings(n))
-    ok_i = [all(i_idx[p - 1] == i_idx[q - 1] for p, q in m.pairs) for m in matchings]
-    ok_j = [all(j_idx[p - 1] == j_idx[q - 1] for p, q in m.pairs) for m in matchings]
-    if not any(ok_i) or not any(ok_j):
+    check_degree(n)
+    rows = set(i_idx)
+    delta = {a: {b: int(a == b) for b in rows} for a in rows}
+    # the n pairing equal column indices, grouped by the row labels they give
+    groups = Counter(
+        tuple(i_idx[s - 1] for s in m.seq)
+        for m in iter_matchings(n)
+        if all(j_idx[p - 1] == j_idx[q - 1] for p, q in m.pairs)
+    )
+    counts = Counter()
+    for labels, mult in groups.items():
+        for rho, c in matching_type_sums(labels, delta).items():
+            counts[rho] += mult * c
+    if not any(counts.values()):
         return Fraction(0)
-    types = _matching_product_types(n)
     wg = _haar_wg_values(n, N)
-    total = Fraction(0)
-    for a, good_a in enumerate(ok_i):
-        if not good_a:
-            continue
-        row = types[a]
-        for b, good_b in enumerate(ok_j):
-            if good_b:
-                total += wg[row[b]]
-    return total
+    return sum(c * wg[rho] for rho, c in counts.items())

@@ -3,7 +3,9 @@
 Nothing here may call the code paths it is used to check: linear systems are
 solved by textbook Gaussian elimination over Fractions, determinants by
 cofactor expansion, matching counts by the defining recursion, trace
-contractions by their defining index sums, and coset types by union-find.
+contractions by their defining index sums, coset types by union-find, Haar
+moments by the double sum over pairs of matchings, and Weingarten values and
+power-trace coefficients by lambda-sums with one Fraction operation per step.
 """
 
 from __future__ import annotations
@@ -156,3 +158,66 @@ def weingarten_sum_fractions(rho, z, shapes):
         for lam in shapes
     )
     return sum(terms, Fraction(0)) / matching_count_recursive(sum(rho))
+
+
+def haar_moment_pair_table(i_idx, j_idx, N):
+    """E[O_{i1 j1} ... O_{ik jk}] for Haar orthogonal N x N O, term by term:
+    the sum over every ordered pair of matchings (m, n), m pairing equal row
+    indices and n equal column indices, of the Weingarten value truncated to
+    shapes with at most N rows, at the coset type of m^-1 n."""
+    from wishmom.matchgroup import iter_matchings
+    from wishmom.symcomb import partitions_of
+
+    k = len(i_idx)
+    if k % 2:
+        return Fraction(0)
+    n = k // 2
+    if n == 0:
+        return Fraction(1)
+    matchings = list(iter_matchings(n))
+    ok_i = [m.as_perm() for m in matchings if all(i_idx[p - 1] == i_idx[q - 1] for p, q in m.pairs)]
+    ok_j = [m.as_perm() for m in matchings if all(j_idx[p - 1] == j_idx[q - 1] for p, q in m.pairs)]
+    shapes = [lam for lam in partitions_of(n) if len(lam) <= N]
+    wg = {}
+    total = Fraction(0)
+    for a in ok_i:
+        a_inv = a.inverse()
+        for b in ok_j:
+            rho = coset_type_union_find(a_inv * b)
+            if rho not in wg:
+                wg[rho] = weingarten_sum_fractions(rho, Fraction(N), shapes)
+            total += wg[rho]
+    return total
+
+
+def power_trace_coeffs_fractions(mu, shape, inverse=False):
+    """c_rho with E[p_mu(W^{+-1})] = sum_rho c_rho p_rho(sigma^{+-1}), shape
+    beta or gamma: (2^n n!)^2 / ((2n)! 2^len(rho) z_rho) times
+    sum_lam e_lam f^{2 lam} omega^lam(mu) omega^lam(rho), one Fraction
+    operation per step.  e_lam = C_lam(2 beta) / 2^n, or (-1)^n 2^n /
+    C_lam(-2 gamma), with PoleError naming every shape whose C_lam(-2 gamma)
+    vanishes."""
+    from math import factorial
+
+    from wishmom.symcomb import centralizer_order, hook_dim_doubled, partitions_of
+    from wishmom.weingarten import PoleError, zonal_spherical
+
+    n = sum(mu)
+    shape = Fraction(shape)
+    z = -2 * shape if inverse else 2 * shape
+    cont = {lam: Fraction(content_product_boxwise(lam, z)) for lam in partitions_of(n)}
+    if inverse:
+        bad = tuple(lam for lam, c in cont.items() if c == 0)
+        if bad:
+            raise PoleError(z, bad)
+        eig = {lam: Fraction((-2) ** n) / c for lam, c in cont.items()}
+    else:
+        eig = {lam: c / 2**n for lam, c in cont.items()}
+    pref = Fraction((2**n * factorial(n)) ** 2, factorial(2 * n))
+    coeffs = {}
+    for rho in partitions_of(n):
+        inner = Fraction(0)
+        for lam in partitions_of(n):
+            inner += eig[lam] * hook_dim_doubled(lam) * zonal_spherical(lam, mu) * zonal_spherical(lam, rho)
+        coeffs[rho] = pref / (2 ** len(rho) * centralizer_order(rho)) * inner
+    return coeffs

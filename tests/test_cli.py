@@ -73,6 +73,68 @@ def test_wg_far_past_the_cap_exits_without_enumerating(point, monkeypatch, capsy
     assert "1 <= n <= 5, got 200" in capsys.readouterr().err
 
 
+def test_moment_invariant_far_past_the_cap_exits_without_enumerating(sigma_csv, monkeypatch, capsys):
+    # before the degree check, the eigenvalue of degree 200 overflowed a float
+    from wishmom import symcomb
+
+    listed = symcomb.partitions_of
+
+    def no_large_partitions(n):
+        assert n <= 10, f"partitions_of({n}) listed"
+        return listed(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wishmom") and getattr(module, "partitions_of", None) is listed:
+            monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+    for kind in ("--invariant", "--power-trace"):
+        for side in ([], ["--inverse"]):
+            assert main(["moment", kind, "200", "--beta", "3", "--sigma", sigma_csv, *side]) == 2
+            assert "1 <= n <= 5, got 200" in capsys.readouterr().err
+    assert main(["moment", "--trace-power", "200", "--beta", "3", "--sigma", sigma_csv]) == 2
+
+
+def test_degree5_moments_and_degree6_usage_error(sigma_csv, capsys):
+    assert main(["haar", "--i", ",".join("1" * 10), "--j", ",".join("1" * 10), "--N", "3"]) == 0
+    assert "value: 1/11" in capsys.readouterr().out
+    assert main(["moment", "--inverse", "--power-trace", "3,2", "--beta", "9", "--sigma", sigma_csv]) == 0
+    assert main(["moment", "--trace-power", "5", "--beta", "9", "--sigma", sigma_csv]) == 0
+    capsys.readouterr()
+    assert main(["haar", "--i", ",".join("1" * 12), "--j", ",".join("1" * 12), "--N", "3"]) == 2
+    assert main(["moment", "--power-trace", "3,3", "--beta", "9", "--sigma", sigma_csv]) == 2
+    assert main(["moment", "--trace-power", "6", "--beta", "9", "--sigma", sigma_csv]) == 2
+
+
+def _wg_output(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_wg_negative_rational_after_z(capsys):
+    want = _wg_output(["wg", "--n", "2", "--z=-7/3"], capsys)
+    assert _wg_output(["wg", "--n", "2", "--z", "-7/3"], capsys) == want
+    assert "27/70" in want
+
+
+def test_wg_negative_rational_after_gamma(capsys):
+    want = _wg_output(["wg", "--n", "2", "--tilde", "--gamma=-7/3"], capsys)
+    assert _wg_output(["wg", "--n", "2", "--tilde", "--gamma", "-7/3"], capsys) == want
+
+
+def test_table_build_negative_rational_after_z(tmp_path, capsys):
+    cache = str(tmp_path)
+    assert main(["table", "build", "--n", "2", "--z", "-7/3", "--cache-dir", cache]) == 0
+    assert "built:" in capsys.readouterr().out
+    assert main(["table", "build", "--n", "2", "--z=-7/3", "--cache-dir", cache]) == 0
+    assert "cache hit:" in capsys.readouterr().out
+
+
+def test_wg_negative_integer_and_non_number_after_z(capsys):
+    assert "1/280" in _wg_output(["wg", "--n", "2", "--z", "-7"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["wg", "--n", "2", "--z", "-x"])
+    assert exc.value.code == 2
+
+
 def test_wg_json_schema(capsys):
     assert main(["wg", "--n", "2", "--z", "5", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

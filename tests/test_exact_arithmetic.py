@@ -1,6 +1,7 @@
-"""The integer content products and the integer Weingarten lambda-sum against
-the one-Fraction-per-step oracles, the per-degree tables against the per-rho
-values, plus the rule that N is a positive integer."""
+"""The integer content products, the integer lambda-sum (Weingarten values and
+power-trace coefficients) and the Haar matching DP against the term-by-term
+oracles, the per-degree tables against the per-rho values, plus the rule that
+N is a positive integer."""
 
 from fractions import Fraction
 
@@ -20,9 +21,15 @@ from wishmom.weingarten import (
     weingarten_truncated,
     weingarten_values,
 )
-from wishmom.wishart import haar_moment
+from wishmom import wishart
+from wishmom.wishart import haar_moment, power_trace_coeffs
 
-from oracles import content_product_boxwise, weingarten_sum_fractions
+from oracles import (
+    content_product_boxwise,
+    haar_moment_pair_table,
+    power_trace_coeffs_fractions,
+    weingarten_sum_fractions,
+)
 
 # every content 2j - i - 1 of a shape of weight <= 7 lies in -6..12, so the
 # poles are the integers -12..6; points on them, beside them, and anywhere
@@ -170,3 +177,65 @@ def test_numpy_and_integral_N_match_int():
         assert weingarten_truncated((2, 1), N) == weingarten_truncated((2, 1), 3)
         assert haar_moment((1, 1), (1, 1), N) == haar_moment((1, 1), (1, 1), 3) == Fraction(1, 3)
         assert haar_moment((1, 1, 2, 2), (1, 1, 3, 3), N) == haar_moment((1, 1, 2, 2), (1, 1, 3, 3), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=degrees.flatmap(lambda n: st.sampled_from(partitions_of(n))), shape=points, inverse=st.booleans())
+def test_power_trace_coeffs_match_fraction_oracle(mu, shape, inverse):
+    try:
+        want = power_trace_coeffs_fractions(mu, shape, inverse)
+    except PoleError as exc:
+        with pytest.raises(PoleError) as err:
+            power_trace_coeffs(mu, shape, inverse)
+        assert (err.value.z, err.value.shapes) == (exc.z, exc.shapes)
+        return
+    got = power_trace_coeffs(mu, shape, inverse)
+    assert list(got) == list(want) and got == want
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@st.composite
+def haar_cases(draw):
+    """Row and column index lists for n <= 4 (and odd lengths), N <= 5: all
+    equal, paired up and shuffled (always matchable), or arbitrary."""
+    N = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 8))
+    index = st.integers(1, N)
+
+    def side():
+        style = draw(st.sampled_from(("equal", "paired", "any")))
+        if style == "equal":
+            return [draw(index)] * k
+        if style == "paired":
+            labels = [draw(index) for _ in range(k // 2)] * 2 + [draw(index) for _ in range(k % 2)]
+            return draw(st.permutations(labels))
+        return [draw(index) for _ in range(k)]
+
+    return side(), side(), N
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=haar_cases())
+def test_haar_moment_matches_pair_table_oracle(case):
+    i_idx, j_idx, N = case
+    got = haar_moment(i_idx, j_idx, N)
+    assert type(got) is Fraction
+    assert got == haar_moment_pair_table(i_idx, j_idx, N)
+
+
+def test_haar_moment_large_N_contracts_over_the_distinct_indices_only(monkeypatch):
+    # the 0/1 delta matrix spans the distinct row indices, never N x N
+    sizes = []
+    dp = wishart.matching_type_sums
+
+    def recording(labels, x):
+        sizes.append(len(x))
+        return dp(labels, x)
+
+    monkeypatch.setattr(wishart, "matching_type_sums", recording)
+    N = 1000
+    i_idx, j_idx = (1, 1, 1000, 1000), (1, 1, 999, 999)
+    assert haar_moment(i_idx, j_idx, N) == Fraction(N + 1, N * (N - 1) * (N + 2))
+    assert haar_moment(i_idx, j_idx, N) == haar_moment_pair_table(i_idx, j_idx, N)
+    assert haar_moment((7, 500, 7, 500), (3, 3, 3, 3), N) == Fraction(1, N * (N + 2))
+    assert sizes and max(sizes) == 2

@@ -18,6 +18,7 @@ from wishmom.matchgroup import (
     iter_matchings_with_type,
     kappa,
     matching_count,
+    matching_type_count,
     matching_type_sums,
     matchings_with_type,
     pair_loops,
@@ -231,6 +232,15 @@ def test_matching_type_sums_count_each_double_coset(n):
     # with unit weights the type-rho sum counts |H rho H| / |H| matchings
     sums = matching_type_sums([0] * (2 * n), [[1]])
     assert sums == {rho: double_coset_size(rho) // (2**n * factorial(n)) for rho in partitions_of(n)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_matching_type_count_sums_to_all_matchings_and_counts_each_type(n):
+    counts = {rho: matching_type_count(rho) for rho in partitions_of(n)}
+    assert sum(counts.values()) == matching_count_recursive(n)
+    # distinct labels and an all-ones x give every matching weight 1
+    assert matching_type_sums(range(2 * n), [[1] * (2 * n)] * (2 * n)) == counts
+    assert all(double_coset_size(rho) == 2**n * factorial(n) * m for rho, m in counts.items())
 
 
 def test_matching_type_sums_degree0_and_odd():

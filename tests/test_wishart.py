@@ -647,3 +647,69 @@ def test_haar_moment_errors():
         haar_moment((1, 1), (1,), 3)
     with pytest.raises(ValueError):
         haar_moment((1, 4), (1, 1), 3)
+
+
+def _refuse_large_partitions(monkeypatch):
+    # degree 200 has ~4e12 partitions; nothing may list them to reject it
+    listed = partitions_of
+
+    def no_large_partitions(n):
+        assert n <= 10, f"partitions_of({n}) listed"
+        return listed(n)
+
+    for module in (wishart, weingarten):
+        monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_coefficients_far_past_the_cap_raise_without_enumerating(inverse, monkeypatch):
+    _refuse_large_partitions(monkeypatch)
+    with pytest.raises(SizeLimitError):
+        power_trace_coeffs((200,), 3, inverse)
+    with pytest.raises(SizeLimitError):
+        trace_power_coeffs(200, 3, inverse)
+    p = WishartParams(d=2, beta=3, sigma=np.eye(2))
+    for call in (invariant_moment, power_trace_moment):
+        with pytest.raises(SizeLimitError):
+            call(p, (200,), inverse)
+    with pytest.raises(SizeLimitError):
+        trace_power_moment(p, 200, inverse)
+
+
+def test_invariant_moment_of_the_empty_shape_is_one(params3):
+    assert invariant_moment(params3, ()) == 1.0
+
+
+@pytest.fixture(scope="module")
+def params2_gamma_above_4():
+    # d = 2, gamma = beta - 3/2 = 13/2 > n - 1 at degree 5
+    rng = np.random.default_rng(29)
+    return WishartParams(d=2, beta=8, sigma=rand_pd(rng, 2))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_power_and_trace_power_degree5_match_entrywise_assembly(params2_gamma_above_4, inverse):
+    p = params2_gamma_above_4
+    for mu in partitions_of(5):
+        want = entrywise_power_trace(p, mu, inverse)
+        assert power_trace_moment(p, mu, inverse) == pytest.approx(want, rel=REL_TOL)
+    want = entrywise_power_trace(p, (1,) * 5, inverse)
+    assert trace_power_moment(p, 5, inverse) == pytest.approx(want, rel=REL_TOL)
+
+
+def test_haar_moment_degree5_single_entry_power():
+    # E[O_11^10] = 9!! / (N (N+2) (N+4) (N+6) (N+8)), also below N = 5
+    for N in range(1, 7):
+        want = Fraction(9 * 7 * 5 * 3, N * (N + 2) * (N + 4) * (N + 6) * (N + 8))
+        assert haar_moment((1,) * 10, (1,) * 10, N) == want
+
+
+def test_degree6_past_the_tables_raises(params2_gamma_above_4):
+    p = params2_gamma_above_4
+    for inverse in (False, True):
+        with pytest.raises(SizeLimitError):
+            power_trace_moment(p, (3, 3), inverse)
+        with pytest.raises(SizeLimitError):
+            trace_power_moment(p, 6, inverse)
+    with pytest.raises(SizeLimitError):
+        haar_moment((1,) * 12, (1,) * 12, 3)
