@@ -12,7 +12,9 @@ formed by the number of base pairs in each loop, and the trace words of
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
+from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -79,21 +81,31 @@ def matching_count(n: int) -> int:
     return out
 
 
-def iter_matchings(n: int) -> Iterator[Matching]:
-    """Yield all matchings of {1,...,2n} in lexicographic canonical order."""
+def label_matchings(labels: Sequence) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, the canonical sequences of the matchings
+    of {1,...,len(labels)} that pair only slots with equal labels; none when a
+    label occurs an odd number of times."""
+    if any(c % 2 for c in Counter(labels).values()):
+        return
 
     def rec(free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # every label left has even count, so slot a always finds a partner
         if not free:
             yield ()
             return
         a = free[0]
         for i in range(1, len(free)):
             b = free[i]
-            for rest in rec(free[1:i] + free[i + 1 :]):
-                yield (a, b) + rest
+            if labels[a - 1] == labels[b - 1]:
+                for rest in rec(free[1:i] + free[i + 1 :]):
+                    yield (a, b) + rest
 
-    for seq in rec(tuple(range(1, 2 * n + 1))):
-        yield Matching(seq)
+    yield from rec(tuple(range(1, len(labels) + 1)))
+
+
+def iter_matchings(n: int) -> Iterator[Matching]:
+    """Yield all matchings of {1,...,2n} in lexicographic canonical order."""
+    return map(Matching, label_matchings((0,) * (2 * n)))
 
 
 def enumerate_matchings(n: int) -> list[Matching]:
@@ -235,33 +247,17 @@ def kappa(g: Perm) -> int:
 
 @cache
 def hyperoctahedral(n: int) -> tuple[Perm, ...]:
-    """All 2^n n! elements of H_n inside S_{2n}, in sorted one-line order.
-
-    Generated by the pair swaps (2k-1, 2k) and the block swaps
-    (2i-1, 2j-1)(2i, 2j); closure by breadth-first search.
-    """
+    """All 2^n n! elements of H_n inside S_{2n}, in sorted one-line order: a
+    permutation pi of the base pairs, sending pair k to pair pi(k), with the
+    two slots crossed wherever the flip bit f_k is set."""
     if not 1 <= n <= MAX_HYPEROCT_DEGREE:
         raise SizeLimitError(f"hyperoctahedral enumeration supports 1 <= n <= {MAX_HYPEROCT_DEGREE}, got {n}")
-    m = 2 * n
-    gens = [Perm.from_cycles(m, [(2 * k - 1, 2 * k)]) for k in range(1, n + 1)]
-    gens += [
-        Perm.from_cycles(m, [(2 * i - 1, 2 * j - 1), (2 * i, 2 * j)])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    seen = {Perm.identity(m)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = s * g
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    assert len(seen) == 2**n * factorial(n)
-    return tuple(sorted(seen, key=lambda p: p.images))
+    elements = (
+        Perm(v for k, f in zip(pi, flips) for v in (2 * k + 1 + f, 2 * k + 2 - f))
+        for pi in permutations(range(n))
+        for flips in product((0, 1), repeat=n)
+    )
+    return tuple(sorted(elements, key=lambda p: p.images))
 
 
 def is_hyperoctahedral(g: Perm) -> bool:

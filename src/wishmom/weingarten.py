@@ -6,6 +6,10 @@ types; convolution of two such functions reduces to a finite weighted sum
 over perfect matchings, with the full |S_{2n}| sum kept as a cross-check for
 small degrees.
 
+The zonal spherical functions are the coefficients of the zonal polynomials
+Z_lam = sum_rho M_rho omega^lam(rho) p_rho, the Gram-Schmidt orthogonalised
+Schur functions: S_n characters suffice, and H_n is never enumerated.
+
 The Weingarten function Wg(rho; z) is the deg-n rational function whose
 convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
 it is evaluated through its expansion over zonal spherical functions,
@@ -33,7 +37,6 @@ from .matchgroup import (
     SizeLimitError,
     coset_representative,
     coset_type,
-    hyperoctahedral,
     iter_matchings,
     matching_count,
     matching_type_count,
@@ -41,11 +44,10 @@ from .matchgroup import (
 from .symcomb import (
     Partition,
     Perm,
+    centralizer_order,
     character,
     check_partition,
     content_numerator,
-    cycle_type,
-    doubled,
     hook_dim_doubled,
     partitions_of,
 )
@@ -69,42 +71,38 @@ def check_degree(n: int) -> None:
         raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {n}")
 
 
-def zonal_spherical_at(lam: Partition, g: Perm) -> Fraction:
-    """Defining average of the doubled-shape character over the coset g H_n."""
-    n = sum(lam)
-    check_degree(n)
-    if g.size != 2 * n:
-        raise ValueError("permutation size must be 2n")
-    lam2 = doubled(lam)
-    total = 0
-    for zeta in hyperoctahedral(n):
-        total += character(lam2, cycle_type(g * zeta))
-    return Fraction(total, 2**n * factorial(n))
-
-
 @cache
-def _coset_class_histogram(n: int, rho: Partition) -> tuple[tuple[Partition, int], ...]:
-    # cycle-type multiset of {g_rho * zeta : zeta in H_n}; shared by every lambda
-    g = coset_representative(rho)
-    hist: dict[Partition, int] = {}
-    for zeta in hyperoctahedral(n):
-        t = cycle_type(g * zeta)
-        hist[t] = hist.get(t, 0) + 1
-    return tuple(sorted(hist.items()))
+def _zonal_table(n: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """omega^lam(rho) for every lam, rho of weight n: Z_lam is the Gram-Schmidt
+    orthogonalisation, in lex-increasing order (a linear extension of
+    dominance), of s_lam = sum_rho chi^lam(rho) p_rho / z_rho under
+    <p_rho, p_sig> = delta z_rho 2^len(rho).  Each f is kept as
+    b_rho = z_rho 2^len(rho) [p_rho] f, proportional to [p_rho] f / M_rho, so
+    omega^lam(rho) = b_rho / b_(1^n).  ``zonal_spherical`` checks the degree.
+    """
+    rhos = partitions_of(n)
+    weight = {rho: Fraction(1, centralizer_order(rho) * 2 ** len(rho)) for rho in rhos}
+    done: list[tuple[dict[Partition, Fraction], Fraction]] = []
+    table = {}
+    for lam in reversed(rhos):
+        b = {rho: Fraction(character(lam, rho) * 2 ** len(rho)) for rho in rhos}
+        for u, uu in done:
+            c = sum(b[rho] * u[rho] * weight[rho] for rho in rhos) / uu
+            b = {rho: b[rho] - c * u[rho] for rho in rhos}
+        done.append((b, sum(b[rho] ** 2 * weight[rho] for rho in rhos)))
+        table[lam] = {rho: b[rho] / b[rhos[-1]] for rho in rhos}
+    return table
 
 
 @cache
 def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
     """Zonal spherical function value on the double coset of type rho."""
-    lam = check_partition(lam) if lam else ()
-    rho = check_partition(rho) if rho else ()
+    lam, rho = check_partition(lam), check_partition(rho)
     n = sum(lam)
     if n != sum(rho):
         raise ValueError(f"weight mismatch: |{lam}| != |{rho}|")
     check_degree(n)
-    lam2 = doubled(lam)
-    total = sum(count * character(lam2, t) for t, count in _coset_class_histogram(n, rho))
-    return Fraction(total, 2**n * factorial(n))
+    return _zonal_table(n)[lam][rho]
 
 
 def pole_shapes(n: int, z) -> tuple[Partition, ...]:

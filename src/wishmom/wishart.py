@@ -34,6 +34,7 @@ import numpy as np
 from .matchgroup import (
     coset_type,
     iter_matchings,
+    label_matchings,
     matching_type_count,
     matching_type_sums,
     pair_loops,
@@ -355,6 +356,8 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     eigenvalue, scaled by M_rho.
     """
     mu = check_partition(mu)
+    if not mu:
+        return {(): 1}
     n = sum(mu)
     check_degree(n)
     shape = Fraction(shape)
@@ -371,7 +374,8 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
     """E[prod_i tr((W^{+-1})^{mu_i})] with exact coefficients on p_rho(sigma^{+-1})."""
     mu = check_partition(mu)
     n = sum(mu)
-    check_degree(n)
+    if mu:  # the empty product, p_() = 1, needs no table
+        check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(power_trace_coeffs(mu, shape, inverse), x, n)
 
@@ -380,6 +384,8 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
     """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
     c_rho = M_rho, the number of matchings of coset type rho, times their
     coset weight."""
+    if n == 0:
+        return {(): 1}
     check_degree(n)
     weights = _coset_weights(n, Fraction(shape), inverse)
     return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
@@ -387,7 +393,8 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
-    check_degree(n)
+    if n:  # the empty product needs no table
+        check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(trace_power_coeffs(n, shape, inverse), x, n)
 
@@ -456,11 +463,7 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     rows = set(i_idx)
     delta = {a: {b: int(a == b) for b in rows} for a in rows}
     # the n pairing equal column indices, grouped by the row labels they give
-    groups = Counter(
-        tuple(i_idx[s - 1] for s in m.seq)
-        for m in iter_matchings(n)
-        if all(j_idx[p - 1] == j_idx[q - 1] for p, q in m.pairs)
-    )
+    groups = Counter(tuple(i_idx[s - 1] for s in seq) for seq in label_matchings(j_idx))
     counts = Counter()
     for labels, mult in groups.items():
         for rho, c in matching_type_sums(labels, delta).items():

@@ -4,8 +4,10 @@ Nothing here may call the code paths it is used to check: linear systems are
 solved by textbook Gaussian elimination over Fractions, determinants by
 cofactor expansion, matching counts by the defining recursion, trace
 contractions by their defining index sums, coset types by union-find, Haar
-moments by the double sum over pairs of matchings, and Weingarten values and
-power-trace coefficients by lambda-sums with one Fraction operation per step.
+moments by the double sum over pairs of matchings, zonal spherical functions
+by their defining average over the hyperoctahedral group, and Weingarten
+values and power-trace coefficients by lambda-sums with one Fraction
+operation per step.
 """
 
 from __future__ import annotations
@@ -134,6 +136,22 @@ def matching_type_sums_enumerative(labels, x):
             term = term * x[labels[p - 1]][labels[q - 1]]
         out[ctype] = out.get(ctype, 0) + term
     return out
+
+
+def zonal_spherical_at(lam, g):
+    """omega^lam(g): the average over zeta in H_n of the S_{2n} character of
+    the doubled shape 2 lam at the cycle type of g zeta."""
+    from math import factorial
+
+    from wishmom.matchgroup import hyperoctahedral
+    from wishmom.symcomb import character, cycle_type, doubled
+
+    n = sum(lam)
+    if g.size != 2 * n:
+        raise ValueError("permutation size must be 2n")
+    lam2 = doubled(lam)
+    total = sum(character(lam2, cycle_type(g * zeta)) for zeta in hyperoctahedral(n))
+    return Fraction(total, 2**n * factorial(n))
 
 
 def content_product_boxwise(parts, z):

@@ -159,6 +159,12 @@ def test_moment_inverse_reports_regime(sigma_csv, capsys):
     assert value == pytest.approx(inverse_moment(params, MomentSpec((1, 1), inverse=True)), rel=1e-12)
 
 
+@pytest.mark.parametrize("inverse", [[], ["--inverse"]])
+def test_moment_trace_power_zero_is_one(sigma_csv, capsys, inverse):
+    assert main(["moment", *inverse, "--trace-power", "0", "--beta", "9", "--sigma", sigma_csv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == 1.0
+
+
 def test_moment_trace_power(sigma_csv, capsys):
     assert main(["moment", "--trace-power", "4", "--beta", "2", "--sigma", sigma_csv]) == 0
     value = float(capsys.readouterr().out.splitlines()[0].split(":")[1])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -17,6 +18,7 @@ from wishmom.matchgroup import (
     is_hyperoctahedral,
     iter_matchings_with_type,
     kappa,
+    label_matchings,
     matching_count,
     matching_type_count,
     matching_type_sums,
@@ -53,6 +55,24 @@ def test_matchings_canonical_lex_order():
     for n in (2, 3, 4):
         seqs = [m.seq for m in enumerate_matchings(n)]
         assert seqs == sorted(seqs)
+
+
+@given(st.lists(st.integers(0, 3), max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_label_matchings_pair_equal_labels_only(labels):
+    mult = Counter(labels)
+    words = list(label_matchings(labels))
+    if any(m % 2 for m in mult.values()):
+        assert words == []
+        return
+    want = 1
+    for m in mult.values():
+        want *= matching_count_recursive(m // 2)
+    assert len(words) == want
+    assert words == sorted(set(words))
+    for w in words:
+        assert Matching(w).seq == w
+        assert all(labels[p - 1] == labels[q - 1] for p, q in zip(w[::2], w[1::2]))
 
 
 def test_matching_validation():

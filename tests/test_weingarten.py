@@ -1,15 +1,22 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import wishmom
 from wishmom.matchgroup import (
     coset_representative,
     coset_type,
+    double_coset_size,
     enumerate_matchings,
+    matching_type_count,
 )
 from wishmom.symcomb import (
     Perm,
@@ -20,6 +27,7 @@ from wishmom.symcomb import (
 )
 from wishmom.weingarten import (
     BiinvariantFn,
+    _zonal_table,
     PoleError,
     biinvariant_convolve,
     build_table,
@@ -37,10 +45,9 @@ from wishmom.weingarten import (
     zonal_eval,
     zonal_fn,
     zonal_spherical,
-    zonal_spherical_at,
 )
 
-from oracles import solve_exact
+from oracles import content_product_boxwise, solve_exact, zonal_spherical_at
 
 
 def rand_frac(rnd, lo=1, hi=30, den=5):
@@ -112,6 +119,57 @@ def test_zonal_well_defined_on_double_cosets():
             for lam in partitions_of(n):
                 want = zonal_spherical(lam, rho)
                 assert all(zonal_spherical_at(lam, g) == want for g in sample)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zonal_spherical_is_the_hyperoctahedral_average(n):
+    for rho in partitions_of(n):
+        g = coset_representative(rho)
+        for lam in partitions_of(n):
+            assert zonal_spherical(lam, rho) == zonal_spherical_at(lam, g)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_zonal_table_past_the_cap_is_orthogonal_and_specialises(n):
+    # sum_rho |H rho H| omega^lam omega^mu = delta (2n)! / f^{2 lam}, and the
+    # zonal polynomial at p_r = z for every r is the content product C_lam(z)
+    table = _zonal_table(n)
+    rhos = partitions_of(n)
+    for lam in rhos:
+        for mu in rhos:
+            got = sum(double_coset_size(rho) * table[lam][rho] * table[mu][rho] for rho in rhos)
+            assert got == (Fraction(factorial(2 * n), hook_dim_doubled(lam)) if lam == mu else 0)
+    z = Fraction(-7, 3)
+    for lam in rhos:
+        got = sum(matching_type_count(rho) * table[lam][rho] * z ** len(rho) for rho in rhos)
+        assert got == content_product_boxwise(lam, z)
+
+
+def test_cold_degree5_values_never_enumerate_the_hyperoctahedral_group():
+    code = """
+from fractions import Fraction
+import numpy as np
+import wishmom.matchgroup as mg
+
+def refuse(n):
+    raise AssertionError(f"hyperoctahedral({n}) enumerated")
+
+mg.hyperoctahedral = refuse
+from wishmom import weingarten as wg, wishart as ws
+
+wg.weingarten_values(5, z=Fraction(-7, 3))
+wg.weingarten_values(5, gamma=Fraction(13, 2))
+wg.weingarten_values(5, N=3)
+p = ws.WishartParams(d=2, beta=8, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+for inverse in (False, True):
+    ws.power_trace_moment(p, (3, 2), inverse)
+    ws.invariant_moment(p, (2, 2, 1), inverse)
+print(ws.haar_moment((1,) * 10, (1,) * 10, 3))
+"""
+    src = str(Path(wishmom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert Fraction(out.strip()) == Fraction(9 * 7 * 5 * 3, 3 * 5 * 7 * 9 * 11)
 
 
 def test_weingarten_closed_forms():

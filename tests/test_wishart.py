@@ -680,6 +680,29 @@ def test_invariant_moment_of_the_empty_shape_is_one(params3):
     assert invariant_moment(params3, ()) == 1.0
 
 
+def _shape(p, inverse):
+    return p.gamma if inverse else p.beta
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda p, inv: moment(p, MomentSpec((), inverse=inv)), 1.0),
+        (lambda p, inv: invariant_moment(p, (), inv), 1.0),
+        (lambda p, inv: power_trace_moment(p, (), inv), 1.0),
+        (lambda p, inv: trace_power_moment(p, 0, inv), 1.0),
+        (lambda p, inv: power_trace_coeffs((), _shape(p, inv), inv), {(): 1}),
+        (lambda p, inv: trace_power_coeffs(0, _shape(p, inv), inv), {(): 1}),
+    ],
+    ids=["moment", "invariant", "power_trace", "trace_power", "power_trace_coeffs", "trace_power_coeffs"],
+)
+def test_degree0_is_the_empty_product(params3, call, want, inverse):
+    assert params3.gamma > 0
+    got = call(params3, inverse)
+    assert type(got) is type(want) and got == want
+
+
 @pytest.fixture(scope="module")
 def params2_gamma_above_4():
     # d = 2, gamma = beta - 3/2 = 13/2 > n - 1 at degree 5
