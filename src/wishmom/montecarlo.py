@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels, wishart
+from ._kernels import COND_LIMIT
 from .symcomb import Partition, check_partition
 from .wishart import DomainError, MomentSpec, WishartParams
 
-COND_LIMIT = 1e12
 DEFAULT_CHUNK = 1 << 16
 
 
@@ -125,13 +125,17 @@ class PowerTrace:
         return wishart.power_trace_moment(params, self.mu, inverse=self.inverse)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
+        # tr(W^r) contracts W^(r-1) against W, so the top power is never formed.
+        # einsum runs along the sample axis, which the Gram kernels put
+        # innermost in memory; a stacked @ on that layout is ten times slower.
         out = np.ones(mats.shape[0])
         top = max(self.mu)
-        acc = mats
+        power = mats
         traces = {1: np.einsum("mii->m", mats)}
         for r in range(2, top + 1):
-            acc = acc @ mats
-            traces[r] = np.einsum("mii->m", acc)
+            traces[r] = np.einsum("mij,mji->m", power, mats)
+            if r < top:
+                power = np.einsum("mij,mjk->mik", power, mats)
         for part in self.mu:
             out = out * traces[part]
         return out
@@ -306,6 +310,8 @@ def _run_streams(
         raise ValueError(f"streams must be at least 1, got {streams}")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if threads > streams:
         warnings.warn(
             f"threads={threads} exceeds streams={streams}; only {streams} thread(s) can run",

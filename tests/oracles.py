@@ -5,15 +5,18 @@ solved by textbook Gaussian elimination over Fractions, determinants by
 cofactor expansion, matching counts by the defining recursion, trace
 contractions by their defining index sums, coset types by union-find, Haar
 moments by the double sum over pairs of matchings, zonal spherical functions
-by their defining average over the hyperoctahedral group, and Weingarten
+by their defining average over the hyperoctahedral group, Weingarten
 values and power-trace coefficients by lambda-sums with one Fraction
-operation per step.
+operation per step, and the sampling kernels by per-sample einsum products
+and eigenvalue-ratio condition numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def solve_exact(A, b):
@@ -239,3 +242,28 @@ def power_trace_coeffs_fractions(mu, shape, inverse=False):
             inner += eig[lam] * hook_dim_doubled(lam) * zonal_spherical(lam, mu) * zonal_spherical(lam, rho)
         coeffs[rho] = pref / (2 ** len(rho) * centralizer_order(rho)) * inner
     return coeffs
+
+
+def bartlett_gram_einsum(chol2, chis, normals):
+    """Gram matrices of chol2 @ A per sample, A the lower-triangular Bartlett factor."""
+    m, d = chis.shape
+    A = np.zeros((m, d, d))
+    idx = np.arange(d)
+    A[:, idx, idx] = np.sqrt(chis)
+    rows, cols = np.tril_indices(d, -1)
+    A[:, rows, cols] = normals
+    M = np.einsum("ij,mjk->mik", chol2, A)
+    return np.einsum("mik,mjk->mij", M, M)
+
+
+def vectors_gram_einsum(chol2, Z):
+    """Gram matrices of chol2 @ Z per sample."""
+    X = np.einsum("ij,mjp->mip", chol2, Z)
+    return np.einsum("mip,mjp->mij", X, X)
+
+
+def inverse_and_cond_eigvalsh(W):
+    """Batched inverses plus the eigenvalue ratio of every matrix."""
+    eig = np.abs(np.linalg.eigvalsh(W))
+    cond = eig[:, -1] / np.maximum(eig[:, 0], np.finfo(float).tiny)
+    return np.linalg.inv(W), cond

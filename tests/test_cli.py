@@ -204,7 +204,25 @@ def test_moment_inverse_error_exit_codes(sigma_csv):
 def test_moment_asymmetric_sigma(tmp_path):
     bad = tmp_path / "asym.csv"
     bad.write_text("1.0,0.5\n0.2,1.0\n")
+    # the library's DomainError, as for a sigma that is not positive definite
+    assert main(["moment", "--entries", "1,1", "--beta", "2", "--sigma", str(bad)]) == 3
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("scalar.json", "5"),
+        ("vector.json", "[1.0, 2.0]"),
+        ("ragged.json", "[[1.0, 0.1], [0.1]]"),
+        ("ragged.csv", "1.0,0.1\n0.1\n"),
+        ("object.json", '{"sigma": 1}'),
+    ],
+)
+def test_moment_sigma_not_a_matrix(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
     assert main(["moment", "--entries", "1,1", "--beta", "2", "--sigma", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_moment_index_error(sigma_csv):
@@ -245,6 +263,12 @@ def test_validate_montecarlo_small(capsys):
     assert main(["validate", "montecarlo", "--samples", "20000", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_validate_montecarlo_rejects_thread_count(capsys, threads):
+    assert main(["validate", "montecarlo", "--samples", "1000", "--threads", threads]) == 2
+    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
 
 
 def test_table_build_show_list_cache(tmp_path, capsys):

@@ -1,0 +1,84 @@
+import numpy as np
+import pytest
+
+from oracles import bartlett_gram_einsum, inverse_and_cond_eigvalsh, vectors_gram_einsum
+from wishmom._kernels import COND_LIMIT, bartlett_gram, inverse_and_cond, vectors_gram
+
+
+def _chol2(rng, d):
+    a = rng.normal(size=(d, d))
+    return np.linalg.cholesky(a @ a.T + d * np.eye(d)) / np.sqrt(2.0)
+
+
+def _assert_gram_close(got, want):
+    assert got.shape == want.shape
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert (err <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
+
+
+@pytest.mark.parametrize("m", [1, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_bartlett_gram_matches_per_sample_einsum(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    chol2 = _chol2(rng, d)
+    chis = rng.chisquare(2.5 + np.arange(d)[::-1], size=(m, d))
+    normals = rng.standard_normal((m, d * (d - 1) // 2))
+    _assert_gram_close(bartlett_gram(chol2, chis, normals), bartlett_gram_einsum(chol2, chis, normals))
+
+
+@pytest.mark.parametrize("m", [1, 1000])
+@pytest.mark.parametrize("p_of_d", [lambda d: 1, lambda d: d, lambda d: 2 * d], ids=["p=1", "p=d", "p=2d"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_vectors_gram_matches_per_sample_einsum(d, p_of_d, m):
+    rng = np.random.default_rng(100 * d + m)
+    chol2 = _chol2(rng, d)
+    Z = rng.standard_normal((m, d, p_of_d(d)))
+    _assert_gram_close(vectors_gram(chol2, Z), vectors_gram_einsum(chol2, Z))
+
+
+def _spd_with_ratios(rng, d, ratios):
+    """One SPD matrix per ratio: eigenvalues 1 (d-1 times) and 1/ratio, in a
+    random basis, so the Frobenius bound is about sqrt(d-1) times the ratio."""
+    mats = []
+    for r in ratios:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        lam = np.ones(d)
+        lam[0] = 1.0 / r
+        w = (q * lam) @ q.T
+        mats.append((w + w.T) / 2)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_condition_screen_keeps_every_rejection_decision(d):
+    rng = np.random.default_rng(d)
+    # dense around the limit, where a bound up to sqrt(d-1) times the ratio
+    # would reject draws the eigenvalue ratio keeps
+    ratios = np.concatenate([np.logspace(9, 15, 61), COND_LIMIT * np.linspace(0.2, 1.2, 101)])
+    W = _spd_with_ratios(rng, d, ratios)
+    inv, cond = inverse_and_cond(W)
+    want_inv, want_cond = inverse_and_cond_eigvalsh(W)
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
+    assert (cond < COND_LIMIT).any() and not (cond < COND_LIMIT).all()
+
+
+def test_condition_screen_on_wishart_draws():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2000, 4, 6))
+    W = np.einsum("mik,mjk->mij", a, a)
+    inv, cond = inverse_and_cond(W)
+    want_inv, want_cond = inverse_and_cond_eigvalsh(W)
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
+    # a screened draw holds the Frobenius bound: at least the ratio, at most d times it
+    assert (cond >= want_cond * (1 - 1e-12)).all() and (cond <= 4 * want_cond * (1 + 1e-12)).all()
+
+
+def test_condition_screen_at_d1():
+    W = np.array([1e-300, 1e-12, 1.0, 3.5, 1e300]).reshape(-1, 1, 1)
+    inv, cond = inverse_and_cond(W)
+    want_inv, want_cond = inverse_and_cond_eigvalsh(W)
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
+    assert (cond < COND_LIMIT).all()

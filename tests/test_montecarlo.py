@@ -73,11 +73,40 @@ def test_zero_chunk_rejected(params, no_draws):
         estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), chunk=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(params, no_draws, threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), streams=2, threads=threads)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=2, threads=threads)
+
+
 def test_thread_count_does_not_change_results(params):
     descs = [EntryProduct((1, 1, 2, 2))]
     a = estimate(descs, params, 12000, RngSpec(7), streams=4, threads=1)
     b = estimate(descs, params, 12000, RngSpec(7), streams=4, threads=4)
     assert a[0].mean == b[0].mean and a[0].stderr == b[0].stderr
+
+
+def _estimate_path(path, threads):
+    rng, kw = RngSpec(11), dict(streams=2, threads=threads, chunk=1500)
+    if path == "haar":
+        return estimate_haar([((1, 1), (1, 1)), ((1, 2), (1, 2))], 3, 4000, rng, **kw)
+    if path == "inverse":
+        p6 = WishartParams(d=3, beta=6, sigma=np.diag([2.0, 1.0, 0.5]) + 0.1)
+        return estimate([EntryProduct((1, 1), inverse=True), TracePower(2, inverse=True)], p6, 4000, rng, **kw)
+    p = WishartParams(d=3, beta=Fraction(5, 2), sigma=np.diag([2.0, 1.0, 0.5]) + 0.1)
+    if path == "power_trace":
+        return estimate([PowerTrace((3, 1))], p, 4000, rng, **kw)
+    return estimate([EntryProduct((1, 2)), TracePower(2)], p, 4000, rng, method=path, **kw)
+
+
+@pytest.mark.parametrize("path", ["bartlett", "vectors", "inverse", "power_trace", "haar"])
+def test_every_sampling_path_is_thread_invariant(path):
+    one, two = _estimate_path(path, 1), _estimate_path(path, 2)
+    for a, b in zip(one, two):
+        assert a.count == b.count and a.rejected == b.rejected
+        assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_unused_threads_warn_without_changing_results(params):
