@@ -72,16 +72,32 @@ def inverse_and_cond(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ratio is certainly below COND_LIMIT and ``cond[s]`` holds the bound
     itself, which is at least the ratio and at most d times it.  So
     ``cond < COND_LIMIT`` decides every draw as the eigenvalue ratio does.
+
+    A draw that LAPACK cannot invert gets a NaN inverse and ``cond = inf``,
+    so it is rejected without aborting the rest of the batch.
     """
-    inv = np.linalg.inv(W)
+    singular = None
+    try:
+        inv = np.linalg.inv(W)
+    except np.linalg.LinAlgError:
+        # invert one draw at a time, as the batched call does, to find the bad ones
+        inv = np.full_like(W, np.nan)
+        singular = np.zeros(len(W), dtype=bool)
+        for s, w in enumerate(W):
+            try:
+                inv[s] = np.linalg.inv(w)
+            except np.linalg.LinAlgError:
+                singular[s] = True
     # squares that under- or overflow give a bound of 0 * inf = NaN or inf,
-    # and such a draw gets the eigenvalue solve
+    # and such a draw gets the eigenvalue solve; a ratio that overflows is inf
     with np.errstate(invalid="ignore", over="ignore"):
         cond = np.sqrt(np.einsum("mij,mij->m", W, W) * np.einsum("mij,mij->m", inv, inv))
-    near = ~(cond < COND_LIMIT / COND_SCREEN)
-    if near.any():
-        eig = np.abs(np.linalg.eigvalsh(W[near]))
-        cond[near] = eig[:, -1] / np.maximum(eig[:, 0], np.finfo(float).tiny)
+        near = ~(cond < COND_LIMIT / COND_SCREEN)
+        if near.any():
+            eig = np.abs(np.linalg.eigvalsh(W[near]))
+            cond[near] = eig[:, -1] / np.maximum(eig[:, 0], np.finfo(float).tiny)
+    if singular is not None:
+        cond[singular] = np.inf
     return inv, cond
 
 

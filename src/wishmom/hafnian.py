@@ -4,8 +4,9 @@ hf_a(A) weights each perfect matching of the 2n row indices by a**kappa and
 the product of matched entries.  Next to the defining matching sum, taken per
 coset type by ``matchgroup.matching_type_sums``, there is a row/column
 expansion recurrence and two permutation sums built from the cycle functionals
-P and Q; all four must agree, which the test suite enforces.
-Diagonal entries of A are never read.
+P and Q, the trace and [0, 0] entry of a chain of 2x2 blocks, taken per cycle
+type by ``matchgroup.cycle_type_sums``; all four must agree, which the test
+suite enforces.  Diagonal entries of A are never read.
 
 The alpha-permanent embeds: per_a(M) = hf_a(B) for the interleaved doubling B
 of M built by ``permanent_embedding``.
@@ -14,13 +15,12 @@ of M built by ``permanent_embedding``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
 
-from .matchgroup import SizeLimitError, matching_type_sums
-from .symcomb import Perm
+import numpy as np
+
+from .matchgroup import SizeLimitError, cycle_type_sums, matching_type_sums
 
 MAX_HAFNIAN_SIZE = 16
-MAX_PERMSUM_DEGREE = 7
 
 
 def _check_symmetric(A) -> int:
@@ -88,97 +88,59 @@ def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[i + 1 :] + cycle[: i + 1]
 
 
-def _mat2(A, k: int, l: int):
-    r, c = 2 * k - 2, 2 * l - 2
-    return (A[r][c], A[r][c + 1], A[r + 1][c], A[r + 1][c + 1])
-
-
-def _mul2(X, Y):
-    a, b, c, d = X
-    e, f, g, h = Y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _p_cycle(A, c: tuple[int, ...]):
-    # tr(A[c1,c2] J A[c2,c3] J ... A[cr,c1] J) with J the antidiagonal unit;
-    # right-multiplying by J swaps the two columns.
-    r = len(c)
-    chain = None
-    for k in range(r):
-        a, b, cc, d = _mat2(A, c[k], c[(k + 1) % r])
-        block = (b, a, d, cc)  # A[c_k, c_{k+1}] J
-        chain = block if chain is None else _mul2(chain, block)
-    return chain[0] + chain[3]
-
-
-def _q_cycle(A, c: tuple[int, ...]):
-    r = len(c)
-    if r == 1:
-        return A[2 * c[0] - 2][2 * c[0] - 1]
-    last = c[-1]
-    total = 0
-    choices = [((2 * ck - 1, 2 * ck), (2 * ck, 2 * ck - 1)) for ck in c[:-1]]
-    for picks in product(*choices):
-        js = [j for pair in picks for j in pair]
-        term = A[2 * last - 2][js[0] - 1]
-        for i in range(1, r - 1):
-            term = term * A[js[2 * i - 1] - 1][js[2 * i] - 1]
-        term = term * A[js[-1] - 1][2 * last - 1]
-        total = total + term
-    return total
+def _pair_edges(A):
+    """edge(k, l) = A[k, l] J, the 2x2 block of A at pairs k, l (from 0) times
+    the antidiagonal unit J, which swaps the block's two columns."""
+    AJ = np.array(A, dtype=object)[:, [q ^ 1 for q in range(len(A))]]
+    return lambda k, l: AJ[2 * k : 2 * k + 2, 2 * l : 2 * l + 2]
 
 
 def cycle_functionals(A, cycle):
     """Return (P_c, Q_c, Q_{c inverse}) for a cycle on {1,...,n}.
 
     The cycle may be given in any rotation; it is normalized so its largest
-    element comes last, the convention the Q sum is defined with.
+    element comes last, the convention the Q sum is defined with.  The chain
+    X = A[c_r, c_1] J A[c_1, c_2] J ... A[c_{r-1}, c_r] J from the largest
+    element c_r gives P_c = tr X, Q_c = X[0, 0] and Q_{c inverse} = X[1, 1].
     """
     m = _check_symmetric(A)
     c = _canon_cycle(tuple(cycle))
     if len(set(c)) != len(c) or any(not 1 <= v <= m // 2 for v in c):
         raise ValueError(f"not a cycle on 1..{m // 2}: {cycle}")
-    c_inv = tuple(reversed(c[:-1])) + (c[-1],)
-    return _p_cycle(A, c), _q_cycle(A, c), _q_cycle(A, c_inv)
+    edge = _pair_edges(A)
+    X = edge(c[-1] - 1, c[0] - 1)
+    for k, l in zip(c, c[1:]):
+        X = X @ edge(k - 1, l - 1)
+    return X[0, 0] + X[1, 1], X[0, 0], X[1, 1]
 
 
 def hafnian_permsum(A, alpha, variant: str = "Q"):
     """Permutation-sum form: sum over S_n of (alpha/2)**nu * P_pi, or of
-    alpha**nu * Q_pi, depending on ``variant``."""
-    m = _check_symmetric(A)
-    n = m // 2
-    if n > MAX_PERMSUM_DEGREE:
-        raise SizeLimitError(f"permutation sum supports n <= {MAX_PERMSUM_DEGREE}")
+    alpha**nu * Q_pi, depending on ``variant``; ``cycle_type_sums`` takes it
+    per cycle type from the chains of ``cycle_functionals``."""
+    n = _check_symmetric(A) // 2
     if variant not in ("P", "Q"):
         raise ValueError("variant must be 'P' or 'Q'")
     if n == 0:
         return 1
     if variant == "P":
         base = Fraction(alpha, 2) if isinstance(alpha, int) else alpha / 2
+        read = np.trace
     else:
-        base = alpha
-    total = 0
-    for images in permutations(range(1, n + 1)):
-        cycles = [_canon_cycle(c) for c in Perm(images).cycles()]
-        term = base ** len(cycles)
-        for c in cycles:
-            term = term * (_p_cycle(A, c) if variant == "P" else _q_cycle(A, c))
-        total = total + term
-    return total
+        base, read = alpha, lambda X: X[0, 0]
+    sums = cycle_type_sums(n, _pair_edges(A), read)
+    return sum(base ** len(rho) * w for rho, w in sums.items())
 
 
 def alpha_permanent(M, alpha):
-    """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)]."""
+    """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)], taken per
+    cycle type by ``cycle_type_sums`` on 1x1 edges."""
     n = len(M)
-    if n > MAX_PERMSUM_DEGREE:
-        raise SizeLimitError(f"alpha-permanent supports n <= {MAX_PERMSUM_DEGREE}")
-    total = 0
-    for images in permutations(range(1, n + 1)):
-        term = alpha ** len(Perm(images).cycles())
-        for i, j in enumerate(images):
-            term = term * M[i][j - 1]
-        total = total + term
-    return total
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    B = np.array(M, dtype=object)
+    sums = cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0])
+    return sum(alpha ** len(rho) * w for rho, w in sums.items())
 
 
 def permanent_embedding(M) -> list[list]:

@@ -22,6 +22,7 @@ from .symcomb import Partition, Perm, centralizer_order, check_partition
 
 MAX_MATCHING_DEGREE = 8
 MAX_HYPEROCT_DEGREE = 5
+MAX_PERMSUM_DEGREE = 7
 
 
 class SizeLimitError(ValueError):
@@ -177,14 +178,12 @@ def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
       walked once: it starts at pair min(B), leaves through its second slot
       and takes on one new pair per step; the state is (pairs taken, label of
       the exit slot), so repeated labels merge.
-    * ``parts[S]`` sums, per coset type, the ways to split S into loops,
-      taking the block that holds min(S) first, in O(3^n p(n)).
+    * ``_partition_sums`` splits the n pairs into loops, per coset type, in
+      O(3^n p(n)).
     """
     n, odd = divmod(len(labels), 2)
     if odd:
         raise ValueError("need an even number of labels")
-    if n == 0:
-        return {(): 1}
     full = (1 << n) - 1
     loop = [0] * (full + 1)
     # walks[mask]: {exit label: summed weight} of open walks from pair min(mask)
@@ -208,19 +207,61 @@ def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
                 nxt[second] = nxt.get(second, 0) + v * row[first]
                 nxt[first] = nxt.get(first, 0) + v * row[second]
         loop[mask] = closed
+    return _partition_sums(n, loop)
 
+
+def cycle_type_sums(n: int, edge, read) -> dict[Partition, object]:
+    """For each cycle type rho, the sum over the permutations pi of
+    {0,...,n-1} of type rho of prod read(E_c) over their cycles c, where E_c
+    is the product of edge(i, pi(i)) along c from its largest point.
+
+    ``edge`` gives numpy matrices (object arrays keep Fractions exact) and
+    ``read`` is linear, like the trace.  ``cycle[B]`` reads the sum of E_c
+    over the cycles on exactly B, from Held-Karp walks that start at max(B)
+    and take on one smaller point per step, in O(2^n n^2) products; then
+    ``_partition_sums`` splits the n points into cycles.
+    """
+    if n > MAX_PERMSUM_DEGREE:
+        raise SizeLimitError(f"permutation sums support n <= {MAX_PERMSUM_DEGREE}")
+    steps = [[edge(i, j) for j in range(n)] for i in range(n)]
+    cycle = [0] * (1 << n)
+    for top in range(n):
+        # walks[low]: {last point: summed product} of the walks from top
+        # through exactly the points of low, all smaller than top
+        walks: list[dict] = [{} for _ in range(1 << top)]
+        for j in range(top):
+            walks[1 << j][j] = steps[top][j]
+        cycle[1 << top] = read(steps[top][top])
+        for low in range(1, 1 << top):
+            free = [(k, walks[low | 1 << k]) for k in range(top) if not low >> k & 1]
+            closed = 0
+            for j, w in walks[low].items():
+                row = steps[j]
+                closed = closed + w @ row[top]
+                for k, nxt in free:
+                    nxt[k] = nxt.get(k, 0) + w @ row[k]
+            cycle[low | 1 << top] = read(closed)
+    return _partition_sums(n, cycle)
+
+
+def _partition_sums(n: int, block) -> dict[Partition, object]:
+    """Per partition rho of n, the sum over the splits of {0,...,n-1} into
+    blocks B (bitmasks) of sizes rho of prod block[B], in O(3^n p(n))."""
+    if n == 0:
+        return {(): 1}
+    full = (1 << n) - 1
     grown: dict[tuple[Partition, int], Partition] = {}
     parts: dict[int, dict[Partition, object]] = {0: {(): 1}}
-    # only S = full and the sets left after removing a block holding pair 0
+    # only S = full and the sets left after removing a block holding point 0
     for S in [*range(2, full, 2), full]:
         low = S & -S
         rest = S ^ low
         acc: dict[Partition, object] = {}
         sub = rest
         while True:
-            block = sub | low
-            w = loop[block]
-            size = block.bit_count()
+            B = sub | low
+            w = block[B]
+            size = B.bit_count()
             for t, v in parts[rest ^ sub].items():
                 key = grown.get((t, size))
                 if key is None:

@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
 from math import lgamma, log, prod
 from typing import Mapping, Sequence
 
@@ -33,6 +32,7 @@ import numpy as np
 
 from .matchgroup import (
     coset_type,
+    cycle_type_sums,
     iter_matchings,
     label_matchings,
     matching_type_count,
@@ -52,7 +52,6 @@ from .weingarten import (
 )
 
 MAX_ENTRY_DEGREE = 10
-MAX_TRACE_PRODUCT_DEGREE = 7
 MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12
 
@@ -235,30 +234,14 @@ def _require_symmetric(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _perm_objects(n: int) -> list[Perm]:
-    return [Perm(images) for images in permutations(range(1, n + 1))]
-
-
 def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) -> float:
     """E[prod_i tr(W s_i)] = sum over permutations of beta**nu * products of
-    traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles."""
-    n = len(s_list)
-    if not 1 <= n <= MAX_TRACE_PRODUCT_DEGREE:
-        raise ValueError(f"trace products support 1 <= n <= {MAX_TRACE_PRODUCT_DEGREE}")
-    mats = _require_symmetric(s_list)
-    sig = params.sigma
-    beta = params.beta
-    total = 0.0
-    for pi in _perm_objects(n):
-        cycles = pi.cycles()
-        term = float(beta ** len(cycles))
-        for c in cycles:
-            prod = np.eye(params.d)
-            for ci in c:
-                prod = prod @ sig @ mats[ci - 1]
-            term *= np.trace(prod)
-        total += term
-    return total
+    traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken per cycle
+    type by ``cycle_type_sums`` with the steps i -> j = sigma s_j.  Degree 0
+    is the empty product, 1.0."""
+    steps = [params.sigma @ s for s in _require_symmetric(s_list)]
+    sums = cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace)
+    return sum(float(params.beta ** len(rho)) * w for rho, w in sums.items())
 
 
 def trace_pattern_perm(pi: Perm, transposed: Sequence[bool]) -> Perm:

@@ -7,14 +7,16 @@ contractions by their defining index sums, coset types by union-find, Haar
 moments by the double sum over pairs of matchings, zonal spherical functions
 by their defining average over the hyperoctahedral group, Weingarten
 values and power-trace coefficients by lambda-sums with one Fraction
-operation per step, and the sampling kernels by per-sample einsum products
-and eigenvalue-ratio condition numbers.
+operation per step, permutation sums (trace products, alpha-permanents and
+the P/Q hafnian sums) over all n! permutations, the cycle functional Q_c by
+its defining sum over slot picks, and the sampling kernels by per-sample
+einsum products and eigenvalue-ratio condition numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -48,8 +50,6 @@ def det_exact(A):
 
 
 def permanent_bruteforce(A):
-    from itertools import permutations
-
     n = len(A)
     total = 0
     for perm in permutations(range(n)):
@@ -139,6 +139,121 @@ def matching_type_sums_enumerative(labels, x):
             term = term * x[labels[p - 1]][labels[q - 1]]
         out[ctype] = out.get(ctype, 0) + term
     return out
+
+
+def permutation_cycles(images):
+    """Cycles of the permutation i -> images[i] of {0,...,n-1}, each listed
+    from its largest point."""
+    seen = set()
+    cycles = []
+    for start in sorted(range(len(images)), reverse=True):
+        if start in seen:
+            continue
+        c = [start]
+        seen.add(start)
+        while images[c[-1]] != start:
+            c.append(images[c[-1]])
+            seen.add(c[-1])
+        cycles.append(c)
+    return cycles
+
+
+def cycle_type_sums_enumerative(n, edge, read):
+    """Per cycle type, the sum over every one of the n! permutations pi of
+    that type of prod read(E_c), E_c = edge(c0, c1) @ edge(c1, c2) @ ... @
+    edge(c_last, c0) along each cycle c from its largest point c0."""
+    out = {}
+    for images in permutations(range(n)):
+        term = 1
+        cycles = permutation_cycles(images)
+        for c in cycles:
+            E = edge(c[0], images[c[0]])
+            for i in c[1:]:
+                E = E @ edge(i, images[i])
+            term = term * read(E)
+        rho = tuple(sorted((len(c) for c in cycles), reverse=True))
+        out[rho] = out.get(rho, 0) + term
+    return out
+
+
+def trace_product_enumerative(sigma, beta, mats):
+    """E[prod_i tr(W s_i)]: per permutation, float(beta**nu) times the trace
+    of sigma s_{c1} sigma s_{c2} ... along each cycle."""
+    total = 0.0
+    for images in permutations(range(len(mats))):
+        cycles = permutation_cycles(images)
+        term = float(beta ** len(cycles))
+        for c in cycles:
+            prod_ = np.eye(len(sigma))
+            for i in c:
+                prod_ = prod_ @ sigma @ mats[i]
+            term *= np.trace(prod_)
+        total += term
+    return total
+
+
+def alpha_permanent_enumerative(M, alpha):
+    """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)]."""
+    total = 0
+    for images in permutations(range(len(M))):
+        term = alpha ** len(permutation_cycles(images))
+        for i, j in enumerate(images):
+            term = term * M[i][j]
+        total = total + term
+    return total
+
+
+def p_cycle_trace(A, c):
+    """P_c = tr(A[c1,c2] J A[c2,c3] J ... A[cr,c1] J) for a cycle c on the
+    pairs 1..n, J the antidiagonal unit, with 2x2 blocks kept as tuples."""
+
+    def block_j(k, l):
+        r, q = 2 * k - 2, 2 * l - 2
+        # A[k, l] J: the block with its two columns swapped
+        return (A[r][q + 1], A[r][q], A[r + 1][q + 1], A[r + 1][q])
+
+    chain = block_j(c[0], c[1 % len(c)])
+    for k in range(1, len(c)):
+        a, b, cc, d = chain
+        e, f, g, h = block_j(c[k], c[(k + 1) % len(c)])
+        chain = (a * e + b * g, a * f + b * h, cc * e + d * g, cc * f + d * h)
+    return chain[0] + chain[3]
+
+
+def q_cycle_picks(A, c):
+    """Q_c by its defining sum over the 2^(r-1) ways to enter each pair of
+    c[:-1] through one slot and leave through the other; c ends with its
+    largest element, where every term starts (odd slot) and ends (even slot)."""
+    r = len(c)
+    if r == 1:
+        return A[2 * c[0] - 2][2 * c[0] - 1]
+    last = c[-1]
+    total = 0
+    choices = [((2 * ck - 1, 2 * ck), (2 * ck, 2 * ck - 1)) for ck in c[:-1]]
+    for picks in product(*choices):
+        js = [j for pair in picks for j in pair]
+        term = A[2 * last - 2][js[0] - 1]
+        for i in range(1, r - 1):
+            term = term * A[js[2 * i - 1] - 1][js[2 * i] - 1]
+        term = term * A[js[-1] - 1][2 * last - 1]
+        total = total + term
+    return total
+
+
+def hafnian_permsum_enumerative(A, alpha, variant):
+    """Sum over S_n of (alpha/2)**nu * prod P_c, or of alpha**nu * prod Q_c,
+    over the cycles c of each permutation of the pairs 1..n."""
+    base = Fraction(alpha) / 2 if variant == "P" else alpha
+    functional = p_cycle_trace if variant == "P" else q_cycle_picks
+    total = 0
+    for images in permutations(range(len(A) // 2)):
+        cycles = permutation_cycles(images)
+        term = base ** len(cycles)
+        for c in cycles:
+            # from the largest point, rotated so it comes last
+            term = term * functional(A, tuple(i + 1 for i in c[1:] + c[:1]))
+        total = total + term
+    return total
 
 
 def zonal_spherical_at(lam, g):

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wishmom
 from wishmom.hafnian import (
     alpha_permanent,
     cycle_functionals,
@@ -12,9 +17,16 @@ from wishmom.hafnian import (
     hafnian_permsum,
     permanent_embedding,
 )
-from wishmom.matchgroup import SizeLimitError, hyperoctahedral
+from wishmom.matchgroup import MAX_PERMSUM_DEGREE, SizeLimitError, hyperoctahedral
 
-from oracles import det_exact, permanent_bruteforce
+from oracles import (
+    alpha_permanent_enumerative,
+    det_exact,
+    hafnian_permsum_enumerative,
+    p_cycle_trace,
+    permanent_bruteforce,
+    q_cycle_picks,
+)
 
 
 def rand_sym(rnd, m, span=6):
@@ -158,6 +170,21 @@ def test_p_equals_q_plus_q_inverse(r):
     assert P == Q + Qinv
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**9))
+def test_cycle_functionals_equal_picks_and_trace(r, seed):
+    # both orientations of a random cycle, in any rotation
+    rnd = random.Random(seed)
+    A = rand_sym(rnd, 2 * rnd.randint(r, 6))
+    cycle = tuple(rnd.sample(range(1, len(A) // 2 + 1), r))
+    for c in (cycle, cycle[::-1]):
+        i = c.index(max(c))
+        canon = c[i + 1 :] + c[: i + 1]  # largest element last
+        inv = canon[-2::-1] + canon[-1:]
+        want = (p_cycle_trace(A, canon), q_cycle_picks(A, canon), q_cycle_picks(A, inv))
+        assert cycle_functionals(A, c[1:] + c[:1]) == want
+
+
 def test_cycle_validation():
     A = [[Fraction(0)] * 4 for _ in range(4)]
     with pytest.raises(ValueError):
@@ -178,6 +205,62 @@ def test_relabeling_invariance_under_pair_symmetry(seed):
     B = [[A[h(p + 1) - 1][h(q + 1) - 1] for q in range(2 * n)] for p in range(2 * n)]
     assert hafnian_matching(A, al) == hafnian_matching(B, al)
     assert hafnian_expand(A, al) == hafnian_expand(B, al)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5), st.booleans(), st.integers(0, 10**9))
+def test_permutation_sums_equal_enumeration(n, integral, seed):
+    rnd = random.Random(seed)
+    A = rand_sym(rnd, 2 * n)
+    M = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    al = rand_alpha(rnd)
+    if integral:
+        A = [[int(v) for v in row] for row in A]
+        M = [[int(v) for v in row] for row in M]
+        al = rnd.randint(-3, 3)
+    for variant in ("P", "Q"):
+        got, want = hafnian_permsum(A, al, variant), hafnian_permsum_enumerative(A, al, variant)
+        assert got == want and (n == 0 or type(got) is type(want))
+    got, want = alpha_permanent(M, al), alpha_permanent_enumerative(M, al)
+    assert got == want and type(got) is type(want)
+
+
+def test_four_way_agreement_at_the_cap():
+    rnd = random.Random(777)
+    n = MAX_PERMSUM_DEGREE
+    A = rand_sym(rnd, 2 * n)
+    al = rand_alpha(rnd)
+    h = hafnian_matching(A, al)
+    assert h == hafnian_expand(A, al) == hafnian_permsum(A, al, "P") == hafnian_permsum(A, al, "Q")
+    M = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    assert alpha_permanent(M, al) == hafnian_matching(permanent_embedding(M), al)
+
+
+def test_permutation_sums_do_not_enumerate_permutations():
+    # numpy's own imports enumerate permutations once, so it loads first
+    code = """
+import itertools
+from fractions import Fraction
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("itertools.permutations called")
+
+itertools.permutations = refuse
+from wishmom import hafnian, wishart
+
+n = 7
+A = [[Fraction((p * q) % 5 - 2, 1 + (p + q) % 3) for q in range(2 * n)] for p in range(2 * n)]
+M = [[i - 2 * j for j in range(n)] for i in range(n)]
+p = wishart.WishartParams(d=2, beta=5, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+wishart.trace_product_moment(p, [np.array([[1.0, k], [k, -1.0]]) for k in range(n)])
+print(hafnian.hafnian_permsum(A, Fraction(3, 2), "P") == hafnian.hafnian_permsum(A, Fraction(3, 2), "Q"))
+print(hafnian.alpha_permanent(M, 2) == hafnian.hafnian_matching(hafnian.permanent_embedding(M), 2))
+"""
+    src = str(Path(wishmom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == ["True", "True"]
 
 
 def test_alpha_permanent_identity_matrix():
@@ -216,6 +299,13 @@ def test_size_guards():
         hafnian_permsum(mid, Fraction(1))
     with pytest.raises(SizeLimitError):
         alpha_permanent([[Fraction(0)] * 8 for _ in range(8)], Fraction(1))
+
+
+def test_alpha_permanent_rejects_non_square():
+    # checked before the size guard, and never read as a smaller square
+    for M in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[0] * 9 for _ in range(8)]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            alpha_permanent(M, 2)
 
 
 def test_asymmetric_rejected():

@@ -82,3 +82,20 @@ def test_condition_screen_at_d1():
     assert np.array_equal(inv, want_inv)
     assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
     assert (cond < COND_LIMIT).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_singular_draw_is_rejected_alone(d):
+    rng = np.random.default_rng(40 + d)
+    a = rng.normal(size=(30, d, d + 2))
+    ratios = COND_LIMIT * np.array([0.5, 2.0])  # two draws that take the eigenvalue solve
+    W = np.concatenate([np.einsum("mik,mjk->mij", a, a), _spd_with_ratios(rng, d, ratios)])
+    # exactly singular: LAPACK finds a zero pivot
+    singular = np.array([np.zeros((d, d)), np.diag(np.arange(d) * 100.0)])
+    at = [3, 17]
+    inv, cond = inverse_and_cond(np.insert(W, at, singular, axis=0))
+    want_inv, want_cond = inverse_and_cond(W)
+    bad = np.isin(np.arange(len(cond)), np.array(at) + np.arange(len(at)))
+    assert np.array_equal(inv[~bad], want_inv) and np.array_equal(cond[~bad], want_cond)
+    assert np.isnan(inv[bad]).all() and (cond[bad] == np.inf).all()
+    assert np.array_equal(want_cond < COND_LIMIT, inverse_and_cond_eigvalsh(W)[1] < COND_LIMIT)

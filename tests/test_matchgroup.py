@@ -4,14 +4,17 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wishmom.matchgroup import (
+    MAX_PERMSUM_DEGREE,
     Matching,
     SizeLimitError,
     coset_representative,
     coset_type,
+    cycle_type_sums,
     double_coset_size,
     enumerate_matchings,
     hyperoctahedral,
@@ -26,9 +29,14 @@ from wishmom.matchgroup import (
     pair_loops,
     paired_perm,
 )
-from wishmom.symcomb import Perm, cycle_type, partitions_of
+from wishmom.symcomb import Perm, centralizer_order, cycle_type, partitions_of
 
-from oracles import coset_type_union_find, matching_count_recursive, matching_type_sums_enumerative
+from oracles import (
+    coset_type_union_find,
+    cycle_type_sums_enumerative,
+    matching_count_recursive,
+    matching_type_sums_enumerative,
+)
 
 
 def all_perms(m):
@@ -267,3 +275,31 @@ def test_matching_type_sums_degree0_and_odd():
     assert matching_type_sums([], [[1]]) == {(): 1}
     with pytest.raises(ValueError):
         matching_type_sums([0, 0, 0], [[1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([1, 2]), st.integers(0, 10**9))
+def test_cycle_type_sums_equal_enumeration(n, k, seed):
+    # exact per-type agreement in Fractions on k x k object-array edges, read
+    # by the trace and by one entry
+    rnd = random.Random(seed)
+    E = [
+        [np.array([[Fraction(rnd.randint(-6, 6), rnd.randint(1, 4)) for _ in range(k)] for _ in range(k)], dtype=object)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    for read in (np.trace, lambda X: X[k - 1, 0]):
+        want = cycle_type_sums_enumerative(n, lambda i, j: E[i][j], read)
+        assert cycle_type_sums(n, lambda i, j: E[i][j], read) == want
+
+
+@pytest.mark.parametrize("n", range(MAX_PERMSUM_DEGREE + 1))
+def test_cycle_type_sums_count_each_conjugacy_class(n):
+    one = np.ones((1, 1), dtype=object)
+    sums = cycle_type_sums(n, lambda i, j: one, lambda X: X[0, 0])
+    assert sums == {rho: factorial(n) // centralizer_order(rho) for rho in partitions_of(n)}
+
+
+def test_cycle_type_sums_size_guard():
+    with pytest.raises(SizeLimitError):
+        cycle_type_sums(MAX_PERMSUM_DEGREE + 1, lambda i, j: np.eye(1), np.trace)

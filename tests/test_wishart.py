@@ -37,7 +37,7 @@ from wishmom.wishart import (
     trace_product_moment,
 )
 
-from oracles import t_contraction_bruteforce
+from oracles import t_contraction_bruteforce, trace_product_enumerative
 
 
 def rand_pd(rng, d):
@@ -347,6 +347,16 @@ def test_trace_product_identity_matrices_give_trace_power(params3):
         got = trace_product_moment(params3, [np.eye(3)] * n)
         want = trace_power_moment(params3, n)
         assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_trace_product_matches_permutation_enumeration(n):
+    # indefinite factors, so the terms of the sum differ in sign
+    rng = np.random.default_rng(60 + n)
+    p = WishartParams(d=3, beta=Fraction(37, 4), sigma=rand_pd(rng, 3))
+    mats = [s + s.T for s in rng.normal(size=(n, 3, 3))]
+    want = trace_product_enumerative(p.sigma, p.beta, mats)
+    assert trace_product_moment(p, mats) == pytest.approx(want, rel=REL_TOL)
 
 
 def test_trace_product_rejects_asymmetric(params3):
@@ -694,8 +704,10 @@ def _shape(p, inverse):
         (lambda p, inv: trace_power_moment(p, 0, inv), 1.0),
         (lambda p, inv: power_trace_coeffs((), _shape(p, inv), inv), {(): 1}),
         (lambda p, inv: trace_power_coeffs(0, _shape(p, inv), inv), {(): 1}),
+        (lambda p, inv: trace_product_moment(p, []), 1.0),
     ],
-    ids=["moment", "invariant", "power_trace", "trace_power", "power_trace_coeffs", "trace_power_coeffs"],
+    ids=["moment", "invariant", "power_trace", "trace_power", "power_trace_coeffs", "trace_power_coeffs",
+         "trace_product"],
 )
 def test_degree0_is_the_empty_product(params3, call, want, inverse):
     assert params3.gamma > 0
