@@ -151,20 +151,15 @@ def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str]) -> No
 
 def cmd_wg(args) -> int:
     n = args.n
-    if args.tilde:
-        if args.gamma is None:
-            raise ValueError("--tilde needs --gamma")
-        values = weingarten_values(n, gamma=args.gamma)
-        point = ("gamma", args.gamma)
-    elif args.truncate is not None:
-        values = weingarten_values(n, N=args.truncate)
-        point = ("z", Fraction(args.truncate))
-    else:
-        if args.z is None:
-            raise ValueError("need one of --z, --gamma --tilde, or --truncate")
-        values = weingarten_values(n, z=args.z)
-        point = ("z", args.z)
-    config = RunConfig("wg", {"n": n, point[0]: str(point[1]), "tilde": args.tilde, "truncate": args.truncate})
+    if args.tilde != (args.gamma is not None):
+        raise ValueError("--tilde and --gamma must be given together")
+    # the truncated table is the plain one at z = N
+    points = [(k, v) for k, v in (("z", args.z), ("gamma", args.gamma), ("z", args.truncate)) if v is not None]
+    if len(points) != 1:
+        raise ValueError("need exactly one of --z, --gamma --tilde, or --truncate")
+    values = weingarten_values(n, z=args.z, gamma=args.gamma, N=args.truncate)
+    [(key, point)] = points
+    config = RunConfig("wg", {"n": n, key: str(point), "tilde": args.tilde, "truncate": args.truncate})
     rows = [{"rho": list(rho), "value": v} for rho, v in values.items()]
     lines = [f"{rho}: {fmt_fraction(v)}" for rho, v in values.items()]
     emit(args, config, rows, lines)

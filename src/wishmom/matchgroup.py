@@ -1,13 +1,14 @@
 """Perfect matchings of {1,...,2n}, coset types and the hyperoctahedral group.
 
-A matching is stored through its canonical sequence (m(1),...,m(2n)) with
-m(2k-1) < m(2k) and m(1) < m(3) < ... < m(2n-1); read as one-line notation
-this embeds the matching into S_{2n}.  The image pairs {g(2k-1), g(2k)} of g
-in S_{2n} and the base pairs {2k-1, 2k} together form a graph in which every
-slot has one edge of each kind, so it splits into loops.  ``pair_loops`` is
-the one walk over those loops; the coset type of g is the partition of n
-formed by the number of base pairs in each loop, and the trace words of
-``wishart.paired_contraction`` follow the same walk.
+A matching is its canonical word (m(1),...,m(2n)) with m(2k-1) < m(2k) and
+m(1) < m(3) < ... < m(2n-1); this word is the one matching format.
+``label_matchings`` yields the words, and read as one-line notation a word is
+the matching's coset representative in S_{2n}.  The image pairs
+{g(2k-1), g(2k)} of g in S_{2n} and the base pairs {2k-1, 2k} together form a
+graph in which every slot has one edge of each kind, so it splits into loops.
+``pair_loops`` is the one walk over those loops; the coset type of g is the
+partition of n formed by the number of base pairs in each loop, and the trace
+words of ``wishart.paired_contraction`` follow the same walk.
 """
 
 from __future__ import annotations
@@ -16,62 +17,16 @@ from collections import Counter
 from functools import cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .symcomb import Partition, Perm, centralizer_order, check_partition
 
-MAX_MATCHING_DEGREE = 8
 MAX_HYPEROCT_DEGREE = 5
 MAX_PERMSUM_DEGREE = 7
 
 
 class SizeLimitError(ValueError):
     """Requested enumeration exceeds the library's hard size guard."""
-
-
-class Matching:
-    """A perfect matching on {1, ..., 2n} in canonical sequence form."""
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq: Iterable[int]):
-        s = tuple(seq)
-        if len(s) % 2 or sorted(s) != list(range(1, len(s) + 1)):
-            raise ValueError(f"not a sequence over 1..2n: {s}")
-        for k in range(0, len(s), 2):
-            if s[k] > s[k + 1]:
-                raise ValueError(f"pair ({s[k]},{s[k+1]}) not increasing")
-            if k and s[k - 2] > s[k]:
-                raise ValueError("pair openers must increase")
-        object.__setattr__(self, "seq", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matching is immutable")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "Matching":
-        canon = sorted(tuple(sorted(p)) for p in pairs)
-        return cls(x for pair in canon for x in pair)
-
-    @property
-    def n(self) -> int:
-        return len(self.seq) // 2
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.seq[k], self.seq[k + 1]) for k in range(0, len(self.seq), 2))
-
-    def as_perm(self) -> Perm:
-        return Perm(self.seq)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.seq == other.seq
-
-    def __hash__(self) -> int:
-        return hash(self.seq)
-
-    def __repr__(self) -> str:
-        return f"Matching{self.pairs}"
 
 
 def matching_count(n: int) -> int:
@@ -104,21 +59,10 @@ def label_matchings(labels: Sequence) -> Iterator[tuple[int, ...]]:
     yield from rec(tuple(range(1, len(labels) + 1)))
 
 
-def iter_matchings(n: int) -> Iterator[Matching]:
-    """Yield all matchings of {1,...,2n} in lexicographic canonical order."""
-    return map(Matching, label_matchings((0,) * (2 * n)))
-
-
-def enumerate_matchings(n: int) -> list[Matching]:
-    if not 1 <= n <= MAX_MATCHING_DEGREE:
-        raise SizeLimitError(f"matching enumeration supports 1 <= n <= {MAX_MATCHING_DEGREE}, got {n}")
-    return list(iter_matchings(n))
-
-
 def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
     """Walk the loops of the graph on the slots 1..2n whose edges are the base
     pairs {2k-1, 2k} and the pairs {pairing[2k-2], pairing[2k-1]}; ``pairing``
-    is a one-line word such as ``Perm.images`` or ``Matching.seq``.
+    is a one-line word such as ``Perm.images`` or a ``label_matchings`` word.
 
     Yields (k0, slots) per loop, in increasing order of k0, the lowest base
     pair on the loop.  The walk enters pair k0 at slot 2k0-1, leaves it at 2k0,
@@ -153,7 +97,7 @@ def matchings_with_type(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], Part
     """All matchings of {1,...,2n} as (pairs, coset type), cached for n <= 6."""
     if not 1 <= n <= 6:
         raise SizeLimitError("cached matching/coset-type table supports 1 <= n <= 6")
-    return tuple((m.pairs, _loop_type(m.seq)) for m in iter_matchings(n))
+    return tuple(_pairs_with_type(n))
 
 
 def iter_matchings_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Partition]]:
@@ -161,8 +105,12 @@ def iter_matchings_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ..
     if n <= 6:
         yield from matchings_with_type(n)
     else:
-        for m in iter_matchings(n):
-            yield m.pairs, _loop_type(m.seq)
+        yield from _pairs_with_type(n)
+
+
+def _pairs_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Partition]]:
+    for seq in label_matchings((0,) * (2 * n)):
+        yield tuple(zip(seq[::2], seq[1::2])), _loop_type(seq)
 
 
 def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:

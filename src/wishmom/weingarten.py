@@ -35,9 +35,10 @@ from typing import Mapping
 from . import __version__
 from .matchgroup import (
     SizeLimitError,
+    _loop_type,
     coset_representative,
     coset_type,
-    iter_matchings,
+    label_matchings,
     matching_count,
     matching_type_count,
 )
@@ -274,14 +275,13 @@ def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Parti
             out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
     else:
         order_h = 2**n * factorial(n)
-        pairs = []
-        for m in iter_matchings(n):
-            p = m.as_perm()
-            pairs.append((p, coset_type(p.inverse())))
+        # a coset type is invariant under inversion: type(m^-1) = type(m)
+        words = [(seq, _loop_type(seq)) for seq in label_matchings((0,) * (2 * n))]
         for rho, g_rho in reps.items():
+            g = g_rho.images
             hist = {}
-            for p, t2 in pairs:
-                key = (coset_type(g_rho * p), t2)
+            for seq, t2 in words:
+                key = (_loop_type([g[s - 1] for s in seq]), t2)
                 hist[key] = hist.get(key, 0) + order_h
             out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
     return out

@@ -31,9 +31,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .matchgroup import (
-    coset_type,
+    SizeLimitError,
+    _loop_type,
     cycle_type_sums,
-    iter_matchings,
     label_matchings,
     matching_type_count,
     matching_type_sums,
@@ -213,7 +213,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     # the cap comes last, so an inverse spec past it still fails as a domain
     # error (gamma <= 0) or on the Weingarten tables' own degree limit
     if n > MAX_ENTRY_DEGREE:
-        raise ValueError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
+        raise SizeLimitError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
     sums = matching_type_sums([k - 1 for k in spec.indices], x.tolist())
     return sum(float(weights[rho]) * w for rho, w in sums.items())
 
@@ -268,11 +268,15 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     of ``pair_loops(g.images)``: a base pair entered at its row slot adds m_k,
     one entered at its column slot adds m_k transposed, and x links them.
     """
-    n = len(ms)
-    if g.size != 2 * n:
+    if g.size != 2 * len(ms):
         raise ValueError("pattern size must be twice the number of matrices")
+    return _loop_contraction(g.images, x, ms)
+
+
+def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
+    """``paired_contraction`` on a one-line word of length 2 len(ms)."""
     total = 1.0
-    for k0, slots in pair_loops(g.images):
+    for k0, slots in pair_loops(pairing):
         word = ms[k0 - 1]
         for s in slots[1:]:
             m = ms[(s - 1) // 2]
@@ -285,21 +289,24 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
 def mixed_trace_moment(
     params: WishartParams, g: Perm, ms: Sequence[np.ndarray], inverse: bool = False
 ) -> float:
-    """E[T_g(W^{+-1}; m_1..m_n)] as a matching sum of paired contractions of
-    sigma^{+-1}, each weighted by the coset weight of the type of g^-1 n."""
+    """E[T_g(W^{+-1}; m_1..m_n)] as a sum over the matching words m of the
+    paired contractions of sigma^{+-1}, each weighted by the coset weight of
+    the type of g^-1 m.  Degree 0 is the empty product, 1.0."""
     n = len(ms)
-    if not 1 <= n <= MAX_MIXED_DEGREE:
-        raise ValueError(f"mixed trace moments support 1 <= n <= {MAX_MIXED_DEGREE}")
+    if n > MAX_MIXED_DEGREE:
+        raise SizeLimitError(f"mixed trace moments support n <= {MAX_MIXED_DEGREE}")
     if g.size != 2 * n:
         raise ValueError("pattern size must be twice the number of matrices")
+    if n == 0:
+        return 1.0
     mats = [np.asarray(m, dtype=float) for m in ms]
-    g_inv = g.inverse()
+    g_inv = g.inverse().images
     x, shape = _side(params, n, inverse)
     weights = _coset_weights(n, shape, inverse)
     total = 0.0
-    for m in iter_matchings(n):
-        p = m.as_perm()
-        total += float(weights[coset_type(g_inv * p)]) * paired_contraction(p, x, mats)
+    for seq in label_matchings((0,) * (2 * n)):
+        rho = _loop_type([g_inv[s - 1] for s in seq])  # the type of g^-1 m
+        total += float(weights[rho]) * _loop_contraction(seq, x, mats)
     return total
 
 

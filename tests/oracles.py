@@ -2,15 +2,16 @@
 
 Nothing here may call the code paths it is used to check: linear systems are
 solved by textbook Gaussian elimination over Fractions, determinants by
-cofactor expansion, matching counts by the defining recursion, trace
-contractions by their defining index sums, coset types by union-find, Haar
-moments by the double sum over pairs of matchings, zonal spherical functions
-by their defining average over the hyperoctahedral group, Weingarten
-values and power-trace coefficients by lambda-sums with one Fraction
-operation per step, permutation sums (trace products, alpha-permanents and
-the P/Q hafnian sums) over all n! permutations, the cycle functional Q_c by
-its defining sum over slot picks, and the sampling kernels by per-sample
-einsum products and eigenvalue-ratio condition numbers.
+cofactor expansion, matchings and their counts by the defining recursion,
+trace contractions by their defining index sums, mixed trace moments by one
+Perm product per matching, coset types by union-find, Haar moments by the
+double sum over pairs of matchings, zonal spherical functions by their
+defining average over the hyperoctahedral group, Weingarten values and
+power-trace coefficients by lambda-sums with one Fraction operation per step,
+permutation sums (trace products, alpha-permanents and the P/Q hafnian sums)
+over all n! permutations, the cycle functional Q_c by its defining sum over
+slot picks, and the sampling kernels by per-sample einsum products and
+eigenvalue-ratio condition numbers.
 """
 
 from __future__ import annotations
@@ -67,6 +68,19 @@ def matching_count_recursive(n: int) -> int:
     return (2 * n - 1) * matching_count_recursive(n - 1)
 
 
+def matching_words(n: int) -> list[tuple[int, ...]]:
+    """Canonical words of the matchings of {1,...,2n} in lexicographic order:
+    the smallest free point is paired with each larger free point in turn."""
+
+    def rec(free):
+        if not free:
+            return [()]
+        a, rest = free[0], free[1:]
+        return [(a, b) + w for i, b in enumerate(rest) for w in rec(rest[:i] + rest[i + 1 :])]
+
+    return rec(tuple(range(1, 2 * n + 1)))
+
+
 def partitions_bruteforce(n: int) -> set[tuple[int, ...]]:
     """All partitions of n by filtering weakly decreasing compositions."""
     found = set()
@@ -101,6 +115,25 @@ def t_contraction_bruteforce(g, x, ms):
         for i in range(1, n + 1):
             term *= x[js[g(2 * i - 1) - 1], js[g(2 * i) - 1]]
         total += term
+    return total
+
+
+def mixed_trace_moment_termwise(params, g, ms, inverse=False):
+    """E[T_g(W^{+-1}; m_1..m_n)] term by term: for every matching m, built as
+    a Perm, the coset weight at the union-find type of the product g^-1 m
+    times ``paired_contraction`` at m."""
+    from wishmom.symcomb import Perm
+    from wishmom.wishart import _coset_weights, _side, paired_contraction
+
+    n = len(ms)
+    mats = [np.asarray(m, dtype=float) for m in ms]
+    g_inv = g.inverse()
+    x, shape = _side(params, n, inverse)
+    weights = _coset_weights(n, shape, inverse)
+    total = 0.0
+    for w in matching_words(n):
+        p = Perm(w)
+        total += float(weights[coset_type_union_find(g_inv * p)]) * paired_contraction(p, x, mats)
     return total
 
 
@@ -301,8 +334,7 @@ def haar_moment_pair_table(i_idx, j_idx, N):
     the sum over every ordered pair of matchings (m, n), m pairing equal row
     indices and n equal column indices, of the Weingarten value truncated to
     shapes with at most N rows, at the coset type of m^-1 n."""
-    from wishmom.matchgroup import iter_matchings
-    from wishmom.symcomb import partitions_of
+    from wishmom.symcomb import Perm, partitions_of
 
     k = len(i_idx)
     if k % 2:
@@ -310,9 +342,9 @@ def haar_moment_pair_table(i_idx, j_idx, N):
     n = k // 2
     if n == 0:
         return Fraction(1)
-    matchings = list(iter_matchings(n))
-    ok_i = [m.as_perm() for m in matchings if all(i_idx[p - 1] == i_idx[q - 1] for p, q in m.pairs)]
-    ok_j = [m.as_perm() for m in matchings if all(j_idx[p - 1] == j_idx[q - 1] for p, q in m.pairs)]
+    words = matching_words(n)
+    ok_i = [Perm(w) for w in words if all(i_idx[p - 1] == i_idx[q - 1] for p, q in zip(w[::2], w[1::2]))]
+    ok_j = [Perm(w) for w in words if all(j_idx[p - 1] == j_idx[q - 1] for p, q in zip(w[::2], w[1::2]))]
     shapes = [lam for lam in partitions_of(n) if len(lam) <= N]
     wg = {}
     total = Fraction(0)

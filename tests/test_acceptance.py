@@ -21,8 +21,9 @@ from wishmom.hafnian import (
     hafnian_permsum,
     permanent_embedding,
 )
-from wishmom.matchgroup import coset_type, double_coset_size, enumerate_matchings
+from wishmom.matchgroup import coset_type, double_coset_size, label_matchings
 from wishmom.symcomb import (
+    Perm,
     centralizer_order,
     content_product,
     hook_dim_doubled,
@@ -292,9 +293,9 @@ def test_criterion_6_inverse_moment_roundtrip():
                 for _ in range(5):
                     k = tuple(rnd.randint(1, d) for _ in range(2 * n))
                     total = 0.0
-                    for m in enumerate_matchings(n):
-                        reordered = tuple(k[s - 1] for s in m.seq)
-                        coef = float((-2 * gamma) ** len(coset_type(m.as_perm())))
+                    for w in label_matchings((0,) * (2 * n)):
+                        reordered = tuple(k[s - 1] for s in w)
+                        coef = float((-2 * gamma) ** len(coset_type(Perm(w))))
                         total += coef * inverse_moment(params, MomentSpec(reordered, inverse=True))
                     total *= (-1) ** n / 2**n
                     want = 1.0

@@ -52,7 +52,19 @@ def test_wg_truncated(capsys):
 
 
 def test_wg_missing_point(capsys):
-    assert main(["wg", "--n", "2"]) == 2
+    # exactly one of --z, --tilde --gamma and --truncate; no table is printed
+    for point in (
+        [],
+        ["--tilde"],
+        ["--gamma", "3"],
+        ["--z", "5", "--gamma", "3"],
+        ["--z", "5", "--truncate", "3"],
+        ["--z", "5", "--tilde", "--gamma", "3"],
+        ["--tilde", "--gamma", "3", "--truncate", "3"],
+        ["--z", "5", "--tilde", "--gamma", "3", "--truncate", "3"],
+    ):
+        assert main(["wg", "--n", "2", *point]) == 2, point
+        assert capsys.readouterr().out == "", point
 
 
 @pytest.mark.parametrize("point", [["--z", "3"], ["--tilde", "--gamma", "3"], ["--truncate", "3"]])

@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from wishmom.matchgroup import (
     MAX_PERMSUM_DEGREE,
-    Matching,
     SizeLimitError,
     coset_representative,
     coset_type,
     cycle_type_sums,
     double_coset_size,
-    enumerate_matchings,
     hyperoctahedral,
     is_hyperoctahedral,
     iter_matchings_with_type,
@@ -43,25 +41,33 @@ def all_perms(m):
     return [Perm(p) for p in permutations(range(1, m + 1))]
 
 
+def all_words(n):
+    return list(label_matchings((0,) * (2 * n)))
+
+
+def pairs_of(word):
+    return tuple(zip(word[::2], word[1::2]))
+
+
 def test_matchings_n2_explicit():
-    got = [m.pairs for m in enumerate_matchings(2)]
+    got = [pairs_of(w) for w in all_words(2)]
     assert got == [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
 
 
 def test_matchings_n1():
-    assert [m.pairs for m in enumerate_matchings(1)] == [((1, 2),)]
+    assert [pairs_of(w) for w in all_words(1)] == [((1, 2),)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matching_counts(n):
-    ms = enumerate_matchings(n)
+    ms = all_words(n)
     assert len(ms) == matching_count(n) == matching_count_recursive(n)
     assert len(set(ms)) == len(ms)
 
 
 def test_matchings_canonical_lex_order():
     for n in (2, 3, 4):
-        seqs = [m.seq for m in enumerate_matchings(n)]
+        seqs = all_words(n)
         assert seqs == sorted(seqs)
 
 
@@ -79,31 +85,22 @@ def test_label_matchings_pair_equal_labels_only(labels):
     assert len(words) == want
     assert words == sorted(set(words))
     for w in words:
-        assert Matching(w).seq == w
+        # canonical: a word over 1..2n, each pair increasing, openers increasing
+        assert sorted(w) == list(range(1, len(w) + 1))
+        assert all(p < q for p, q in zip(w[::2], w[1::2])) and list(w[::2]) == sorted(w[::2])
         assert all(labels[p - 1] == labels[q - 1] for p, q in zip(w[::2], w[1::2]))
 
 
-def test_matching_validation():
-    with pytest.raises(ValueError):
-        Matching((2, 1, 3, 4))  # pair not increasing
-    with pytest.raises(ValueError):
-        Matching((3, 4, 1, 2))  # openers not increasing
-    m = Matching.from_pairs([(4, 2), (3, 1)])
-    assert m.seq == (1, 3, 2, 4)
-
-
 def test_size_guards():
-    with pytest.raises(SizeLimitError):
-        enumerate_matchings(9)
     with pytest.raises(SizeLimitError):
         hyperoctahedral(6)
 
 
 def test_coset_type_worked_examples():
     assert coset_type(Perm((7, 1, 6, 3, 2, 8, 4, 5))) == (2, 2)
-    m = Matching.from_pairs([(1, 3), (2, 7), (4, 8), (5, 6)])
-    assert coset_type(m.as_perm()) == (3, 1)
-    assert kappa(m.as_perm()) == 2
+    m = Perm((1, 3, 2, 7, 4, 8, 5, 6))  # the matching {1,3}, {2,7}, {4,8}, {5,6}
+    assert coset_type(m) == (3, 1)
+    assert kappa(m) == 2
 
 
 def test_coset_type_identity():
@@ -158,17 +155,17 @@ def test_pair_loops_cover_every_base_pair_once(images):
 def test_pair_loops_worked_example():
     # pairing {1,3}, {2,7}, {4,8}, {5,6}: the walk 1 -> 2 -> 7 -> 8 -> 4 -> 3 -> 1
     # enters pairs 1, 4 and 2 at slots 1, 7 and 4; pair 3 closes on itself
-    assert list(pair_loops(Matching.from_pairs([(1, 3), (2, 7), (4, 8), (5, 6)]).seq)) == [(1, [1, 7, 4]), (3, [5])]
+    assert list(pair_loops((1, 3, 2, 7, 4, 8, 5, 6))) == [(1, [1, 7, 4]), (3, [5])]
     assert list(pair_loops(())) == []
 
 
 def test_kappa_equals_type_length_for_matchings():
     for n in (1, 2, 3, 4):
-        for m in enumerate_matchings(n):
-            t = coset_type(m.as_perm())
-            assert kappa(m.as_perm()) == len(t)
+        for w in all_words(n):
+            t = coset_type(Perm(w))
+            assert kappa(Perm(w)) == len(t)
     for pairs, t in matchings_with_type(4):
-        assert coset_type(Matching.from_pairs(pairs).as_perm()) == t
+        assert coset_type(Perm(x for pair in pairs for x in pair)) == t
 
 
 def test_hyperoctahedral_small():
@@ -209,8 +206,8 @@ def test_left_coset_decomposition():
     for n in (1, 2, 3):
         h = hyperoctahedral(n)
         seen = set()
-        for m in enumerate_matchings(n):
-            mp = m.as_perm()
+        for w in all_words(n):
+            mp = Perm(w)
             coset = {mp * z for z in h}
             assert not (coset & seen)
             seen |= coset
@@ -220,7 +217,7 @@ def test_left_coset_decomposition():
 def test_coset_type_is_biinvariant():
     for n in (1, 2, 3):
         h = hyperoctahedral(n)
-        for g in (Perm.identity(2 * n), enumerate_matchings(n)[-1].as_perm()):
+        for g in (Perm.identity(2 * n), Perm(all_words(n)[-1])):
             t = coset_type(g)
             assert all(coset_type(z * g) == t and coset_type(g * z) == t for z in h)
 

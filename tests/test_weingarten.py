@@ -15,7 +15,7 @@ from wishmom.matchgroup import (
     coset_representative,
     coset_type,
     double_coset_size,
-    enumerate_matchings,
+    label_matchings,
     matching_type_count,
 )
 from wishmom.symcomb import (
@@ -27,6 +27,7 @@ from wishmom.symcomb import (
 )
 from wishmom.weingarten import (
     BiinvariantFn,
+    _convolution_kernel,
     _zonal_table,
     PoleError,
     biinvariant_convolve,
@@ -66,12 +67,11 @@ def weingarten_by_linear_system(n, z):
     matching representatives by exact elimination."""
     rhos = list(partitions_of(n))
     reps = [coset_representative(r) for r in rhos]
-    mats = enumerate_matchings(n)
+    mats = [Perm(w) for w in label_matchings((0,) * (2 * n))]
     cols = {r: i for i, r in enumerate(rhos)}
     M = [[Fraction(0)] * len(rhos) for _ in rhos]
     for i, g in enumerate(reps):
-        for m in mats:
-            mp = m.as_perm()
+        for mp in mats:
             tau = coset_type(mp.inverse())
             M[i][cols[tau]] += z ** len(coset_type(g * mp))
     unit = 2**n * factorial(n)
@@ -289,6 +289,20 @@ def test_reduced_and_full_convolutions_agree():
         assert biinvariant_convolve(f1, f2, "reduced").values == biinvariant_convolve(f1, f2, "full").values
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_reduced_kernel_marginals(n):
+    # (f1 * f2)(g) sums over all g' in S_{2n}: g' and g g'^-1 each run over
+    # every element once, so summing the weights over one type leaves the
+    # size of the other type's double coset; the full kernel stops at n = 3
+    for rows in _convolution_kernel(n, False).values():
+        by_t1, by_t2 = {}, {}
+        for t1, t2, w in rows:
+            by_t1[t1] = by_t1.get(t1, 0) + w
+            by_t2[t2] = by_t2.get(t2, 0) + w
+        assert by_t1 == {rho: double_coset_size(rho) for rho in partitions_of(n)}
+        assert by_t2 == by_t1
+
+
 def test_convolution_degree_mismatch():
     with pytest.raises(ValueError):
         biinvariant_convolve(hecke_unit(2), hecke_unit(3))
@@ -297,7 +311,7 @@ def test_convolution_degree_mismatch():
 def test_biinvariant_fn_call_and_validation():
     f = kappa_power_fn(2, Fraction(3))
     assert f(Perm.identity(4)) == 9
-    assert f(enumerate_matchings(2)[1].as_perm()) == 3
+    assert f(Perm((1, 3, 2, 4))) == 3
     with pytest.raises(ValueError):
         BiinvariantFn(2, {(2,): Fraction(1)})
 

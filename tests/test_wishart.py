@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import multigammaln
 
 from wishmom import weingarten, wishart
-from wishmom.matchgroup import SizeLimitError, coset_type, enumerate_matchings, hyperoctahedral, kappa, matching_type_sums
+from wishmom.matchgroup import SizeLimitError, coset_type, hyperoctahedral, kappa, label_matchings, matching_type_sums
 from wishmom.symcomb import Perm, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
 from wishmom.weingarten import PoleError, inv_wishart_weingarten
@@ -37,7 +37,7 @@ from wishmom.wishart import (
     trace_product_moment,
 )
 
-from oracles import t_contraction_bruteforce, trace_product_enumerative
+from oracles import mixed_trace_moment_termwise, t_contraction_bruteforce, trace_product_enumerative
 
 
 def rand_pd(rng, d):
@@ -145,7 +145,7 @@ def test_moment_diagonal_power_closed_form(params3, n):
 
 def test_moment_degree_cap(params3):
     assert MAX_ENTRY_DEGREE == 10
-    with pytest.raises(ValueError, match="entrywise moments support degree <= 10"):
+    with pytest.raises(SizeLimitError, match="entrywise moments support degree <= 10"):
         moment(params3, MomentSpec((1, 2) * (MAX_ENTRY_DEGREE + 1)))
 
 
@@ -218,9 +218,9 @@ def test_entrywise_error_classes(n):
             moment(p, MomentSpec(idx, inverse=inverse))
         assert type(info.value) is cls
     if n > MAX_ENTRY_DEGREE:
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(SizeLimitError) as info:
             moment(WishartParams(d=3, beta=5, sigma=np.eye(3)), MomentSpec(idx))
-        assert type(info.value) is ValueError
+        assert type(info.value) is SizeLimitError
 
 
 def test_entrywise_far_past_the_cap_raises_without_enumerating(monkeypatch):
@@ -306,9 +306,9 @@ def test_moment_reconstruction_roundtrip(params3):
         for _ in range(4):
             k = tuple(rnd.randint(1, 3) for _ in range(2 * n))
             total = 0.0
-            for m in enumerate_matchings(n):
-                reordered = tuple(k[s - 1] for s in m.seq)
-                coef = float((-2 * g) ** len(coset_type(m.as_perm())))
+            for w in label_matchings((0,) * (2 * n)):
+                reordered = tuple(k[s - 1] for s in w)
+                coef = float((-2 * g) ** len(coset_type(Perm(w))))
                 total += coef * inverse_moment(params3, MomentSpec(reordered, inverse=True))
             total *= (-1) ** n / 2**n
             want = 1.0
@@ -464,6 +464,24 @@ def test_mixed_trace_inverse_display(params2):
         + np.trace(si @ m1) * np.trace(si @ m2)
     ) / den
     assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mixed_trace_equals_termwise_oracle(n, inverse):
+    # d = 3, gamma = 11/2 > n - 1 up to the cap
+    rng = np.random.default_rng(100 + n)
+    params = WishartParams(d=3, beta=Fraction(15, 2), sigma=rand_pd(rng, 3))
+    for _ in range(2):
+        g = Perm(rng.permutation(2 * n) + 1)
+        ms = [rng.normal(size=(3, 3)) for _ in range(n)]
+        want = mixed_trace_moment_termwise(params, g, ms, inverse)
+        assert mixed_trace_moment(params, g, ms, inverse) == want
+
+
+def test_mixed_trace_degree_cap(params3):
+    with pytest.raises(SizeLimitError, match="mixed trace moments support n <= 5"):
+        mixed_trace_moment(params3, Perm.identity(12), [np.eye(3)] * 6)
 
 
 def test_mixed_trace_right_invariance(params3):
@@ -705,9 +723,10 @@ def _shape(p, inverse):
         (lambda p, inv: power_trace_coeffs((), _shape(p, inv), inv), {(): 1}),
         (lambda p, inv: trace_power_coeffs(0, _shape(p, inv), inv), {(): 1}),
         (lambda p, inv: trace_product_moment(p, []), 1.0),
+        (lambda p, inv: mixed_trace_moment(p, Perm(()), [], inv), 1.0),
     ],
     ids=["moment", "invariant", "power_trace", "trace_power", "power_trace_coeffs", "trace_power_coeffs",
-         "trace_product"],
+         "trace_product", "mixed_trace"],
 )
 def test_degree0_is_the_empty_product(params3, call, want, inverse):
     assert params3.gamma > 0
