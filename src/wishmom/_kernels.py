@@ -16,7 +16,13 @@ per sample:
   threads;
 - the condition numbers of the inverses are bounded by a Frobenius-norm
   product, and ``eigvalsh`` runs only on the few draws whose bound comes
-  near ``COND_LIMIT``.
+  near ``COND_LIMIT``;
+- the Haar Q comes from Gram-Schmidt across the whole batch, each projection
+  applied twice, on only the columns the caller reads: 20,000 draws at N = 8
+  took 3.5 ms for 2 columns and 27 ms for all 8, against 55-72 ms for LAPACK
+  QR with the sign fix (2-vCPU VM, one BLAS thread).  A draw where a column
+  all but vanishes in the projections, which a Gaussian draw almost never
+  does, goes to LAPACK QR.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ COND_LIMIT = 1e12
 # eigenvalue solve.  The factor dwarfs every rounding error in the bound and
 # in the eigenvalue ratio it stands in for.
 COND_SCREEN = 100.0
+# A Haar draw where Gram-Schmidt leaves some column with at most this share of
+# its norm goes to LAPACK QR: near there the two orthogonalizations can differ
+# by far more than rounding (by about the unit roundoff over the share).  An
+# N x N Gaussian draw falls below it with probability about 1e-8 sqrt(N).
+GS_SCREEN = 1e-8
 
 
 def _scaled_columns(chol2: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -101,9 +112,34 @@ def inverse_and_cond(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, cond
 
 
-def haar_orthogonalize(G: np.ndarray) -> np.ndarray:
-    """Batched QR with the R-diagonal sign fix; Haar when G is iid Gaussian."""
-    Q, R = np.linalg.qr(G)
-    sign = np.sign(np.einsum("mii->mi", R))
-    sign[sign == 0] = 1.0
-    return Q * sign[:, None, :]
+def haar_orthogonalize(G: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of Q in G = QR, R with a positive diagonal, for
+    every sample of an (m, N, N) stack; Haar when G is iid Gaussian.
+
+    Gram-Schmidt runs across the batch with the sample axis innermost:
+    column j is projected twice against the columns before it, two ``einsum``
+    calls per pass, and then normalised.  Column j reads only columns 1..j
+    of G.  A draw where some column keeps at most ``GS_SCREEN`` of its norm
+    after the projections (an exactly zero residual included, where
+    Gram-Schmidt would divide by zero) is orthogonalized by LAPACK QR with
+    the signs of R's diagonal fixed, a zero sign counting as +1.
+    """
+    A = G[:, :, :k].transpose(2, 1, 0).copy()  # A[j, i, s] = G[s, i, j], C order
+    with np.errstate(invalid="ignore", divide="ignore"):
+        before = np.sqrt(np.einsum("jis,jis->js", A, A))
+        after = np.empty_like(before)
+        for j in range(k):
+            v, P = A[j], A[:j]
+            for _ in range(2 if j else 0):
+                v -= np.einsum("cis,cs->is", P, np.einsum("cis,is->cs", P, v))
+            after[j] = np.sqrt(np.einsum("is,is->s", v, v))
+            v /= after[j]
+        # written so that 0/0 = NaN counts as screened out
+        bad = ~(after > GS_SCREEN * before).all(axis=0)
+    Q = A.transpose(2, 1, 0)
+    if bad.any():
+        q, r = np.linalg.qr(G[bad])
+        sign = np.sign(np.einsum("mii->mi", r[:, :k, :k]))
+        sign[sign == 0] = 1.0
+        Q[bad] = q[:, :, :k] * sign[:, None, :]
+    return Q

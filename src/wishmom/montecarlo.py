@@ -129,7 +129,7 @@ class PowerTrace:
         # einsum runs along the sample axis, which the Gram kernels put
         # innermost in memory; a stacked @ on that layout is ten times slower.
         out = np.ones(mats.shape[0])
-        top = max(self.mu)
+        top = max(self.mu, default=0)
         power = mats
         traces = {1: np.einsum("mii->m", mats)}
         for r in range(2, top + 1):
@@ -217,12 +217,13 @@ def sample_wishart(params: WishartParams, rng: RngSpec, method: str = "auto") ->
 
 
 def sample_haar_batch(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    G = gen.standard_normal((count, N, N))
-    return _kernels.haar_orthogonalize(G)
+    """``count`` Haar-orthogonal N x N matrices, stacked as (count, N, N)."""
+    return _kernels.haar_orthogonalize(gen.standard_normal((count, N, N)), N)
 
 
 def sample_haar_orthogonal(N: int, rng: RngSpec) -> np.ndarray:
-    """One Haar-orthogonal N x N matrix (QR of a Gaussian matrix, sign-fixed)."""
+    """One Haar-orthogonal N x N matrix: the Q of a Gaussian matrix G = QR
+    whose R has a positive diagonal."""
     if N < 1:
         raise ValueError("N must be positive")
     return sample_haar_batch(N, 1, rng.generator())[0]
@@ -399,9 +400,11 @@ def estimate_haar(
     pairs = [(tuple(i), tuple(j)) for i, j in index_pairs]
     targets = [float(wishart.haar_moment(i, j, N)) for i, j in pairs]
     labels = [f"prod O[{i},{j}]" for i, j in pairs]
+    k = max((b for _, j_idx in pairs for b in j_idx), default=0)
 
     def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
-        Q = sample_haar_batch(N, m, gen)
+        # the draws of sample_haar_batch, orthogonalized up to the last column read
+        Q = _kernels.haar_orthogonalize(gen.standard_normal((m, N, N)), k)
         for (i_idx, j_idx), acc in zip(pairs, accs):
             vals = np.ones(m)
             for a, b in zip(i_idx, j_idx):

@@ -270,7 +270,8 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     """
     if g.size != 2 * len(ms):
         raise ValueError("pattern size must be twice the number of matrices")
-    return _loop_contraction(g.images, x, ms)
+    mats = [np.asarray(m, dtype=float) for m in ms]
+    return _loop_contraction(g.images, np.asarray(x, dtype=float), mats)
 
 
 def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.ndarray]) -> float:

@@ -10,8 +10,9 @@ defining average over the hyperoctahedral group, Weingarten values and
 power-trace coefficients by lambda-sums with one Fraction operation per step,
 permutation sums (trace products, alpha-permanents and the P/Q hafnian sums)
 over all n! permutations, the cycle functional Q_c by its defining sum over
-slot picks, and the sampling kernels by per-sample einsum products and
-eigenvalue-ratio condition numbers.
+slot picks, the sampling kernels by per-sample einsum products and
+eigenvalue-ratio condition numbers, and the Haar orthogonalization by LAPACK
+QR with the signs of R's diagonal fixed.
 """
 
 from __future__ import annotations
@@ -414,3 +415,12 @@ def inverse_and_cond_eigvalsh(W):
     eig = np.abs(np.linalg.eigvalsh(W))
     cond = eig[:, -1] / np.maximum(eig[:, 0], np.finfo(float).tiny)
     return np.linalg.inv(W), cond
+
+
+def haar_orthogonalize_qr(G):
+    """Q of G = QR per sample, by LAPACK QR with R's diagonal made
+    nonnegative; a zero on the diagonal keeps LAPACK's sign."""
+    Q, R = np.linalg.qr(G)
+    sign = np.sign(np.einsum("mii->mi", R))
+    sign[sign == 0] = 1.0
+    return Q * sign[:, None, :]

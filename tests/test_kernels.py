@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import bartlett_gram_einsum, inverse_and_cond_eigvalsh, vectors_gram_einsum
-from wishmom._kernels import COND_LIMIT, bartlett_gram, inverse_and_cond, vectors_gram
+from oracles import bartlett_gram_einsum, haar_orthogonalize_qr, inverse_and_cond_eigvalsh, vectors_gram_einsum
+from wishmom import montecarlo
+from wishmom._kernels import COND_LIMIT, bartlett_gram, haar_orthogonalize, inverse_and_cond, vectors_gram
 
 
 def _chol2(rng, d):
@@ -99,3 +100,71 @@ def test_singular_draw_is_rejected_alone(d):
     assert np.array_equal(inv[~bad], want_inv) and np.array_equal(cond[~bad], want_cond)
     assert np.isnan(inv[bad]).all() and (cond[bad] == np.inf).all()
     assert np.array_equal(want_cond < COND_LIMIT, inverse_and_cond_eigvalsh(W)[1] < COND_LIMIT)
+
+
+def _gaussian(N, m=10_000):
+    return np.random.default_rng(60 + N).standard_normal((m, N, N))
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_haar_orthogonalize_matches_lapack_qr(N):
+    G = _gaussian(N)
+    G0 = G.copy()
+    want = haar_orthogonalize_qr(G)
+    for k in range(N + 1):
+        got = haar_orthogonalize(G, k)
+        assert np.array_equal(G, G0)  # the input is left as it was
+        assert got.shape == (len(G), N, k)
+        assert np.abs(got - want[:, :, :k]).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_haar_columns_are_orthonormal_with_positive_r_diagonal(N):
+    # independent of LAPACK: Q^T Q = I and R = Q^T G upper triangular, diagonal > 0
+    G = _gaussian(N)
+    for k in range(1, N + 1):
+        Q = haar_orthogonalize(G, k)
+        assert np.abs(np.einsum("mik,mil->mkl", Q, Q) - np.eye(k)).max() <= 1e-14
+        R = np.einsum("mik,mij->mkj", Q, G[:, :, :k])
+        scale = np.abs(G).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(np.tril(R, -1)) <= 1e-14 * scale).all()
+        assert (np.einsum("mii->mi", R) > 0).all()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_degenerate_haar_draws_fall_back_to_lapack(N):
+    # a zero column (Gram-Schmidt would divide by zero), a column parallel to
+    # the first (only rounding is left of it, pointing anywhere in the
+    # complement), N=1 with G=0: LAPACK QR decides each draw once its bad
+    # column is among the k computed
+    G = _gaussian(N, 40)
+    bad = [np.zeros((N, N))]
+    if N > 1:
+        z = G[0].copy()
+        z[:, N - 1] = 0.0
+        rep = G[1].copy()
+        rep[:, 1] = 3 * rep[:, 0]
+        bad += [z, rep]
+    at = [3, 17, 30][: len(bad)]
+    H = np.insert(G, at, bad, axis=0)
+    mask = np.isin(np.arange(len(H)), np.array(at) + np.arange(len(at)))
+    for k in range(1, N + 1):
+        got = haar_orthogonalize(H, k)
+        assert np.isfinite(got).all()
+        assert np.abs(got[mask] - haar_orthogonalize_qr(H[mask])[:, :, :k]).max() <= 1e-12
+        assert np.array_equal(got[~mask], haar_orthogonalize(G, k))
+    if N == 1:
+        assert got[mask].ravel().tolist() == [1.0]
+
+
+def test_gaussian_haar_draws_never_reach_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called LAPACK QR on a Gaussian batch")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    rng = montecarlo.RngSpec(8)
+    for N, pairs in ((3, [((1, 1, 2, 2), (1, 2, 1, 2))]), (8, [((1, 8), (8, 8)), ((2, 2), (8, 8))])):
+        for s in montecarlo.estimate_haar(pairs, N, 20_000, rng, streams=2, threads=2):
+            assert abs(s.zscore) < 6
+    Q = montecarlo.sample_haar_batch(8, 20_000, rng.generator())
+    assert np.abs(np.einsum("mik,mil->mkl", Q, Q) - np.eye(8)).max() <= 1e-14

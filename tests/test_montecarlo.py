@@ -49,7 +49,7 @@ def no_draws(monkeypatch):
         raise AssertionError("drew samples before checking sizes")
 
     monkeypatch.setattr(montecarlo, "sample_wishart_batch", refuse)
-    monkeypatch.setattr(montecarlo, "sample_haar_batch", refuse)
+    monkeypatch.setattr(montecarlo._kernels, "haar_orthogonalize", refuse)
 
 
 def test_zero_streams_rejected(params, no_draws):
@@ -92,6 +92,10 @@ def _estimate_path(path, threads):
     rng, kw = RngSpec(11), dict(streams=2, threads=threads, chunk=1500)
     if path == "haar":
         return estimate_haar([((1, 1), (1, 1)), ((1, 2), (1, 2))], 3, 4000, rng, **kw)
+    if path == "haar_last_column":
+        return estimate_haar([((3, 3), (8, 8)), ((1, 1, 2, 2), (1, 8, 1, 8))], 8, 4000, rng, **kw)
+    if path == "haar_degree0":
+        return estimate_haar([((), ()), ((1, 1), (2, 2))], 3, 4000, rng, **kw)
     if path == "inverse":
         p6 = WishartParams(d=3, beta=6, sigma=np.diag([2.0, 1.0, 0.5]) + 0.1)
         return estimate([EntryProduct((1, 1), inverse=True), TracePower(2, inverse=True)], p6, 4000, rng, **kw)
@@ -101,7 +105,9 @@ def _estimate_path(path, threads):
     return estimate([EntryProduct((1, 2)), TracePower(2)], p, 4000, rng, method=path, **kw)
 
 
-@pytest.mark.parametrize("path", ["bartlett", "vectors", "inverse", "power_trace", "haar"])
+@pytest.mark.parametrize(
+    "path", ["bartlett", "vectors", "inverse", "power_trace", "haar", "haar_last_column", "haar_degree0"]
+)
 def test_every_sampling_path_is_thread_invariant(path):
     one, two = _estimate_path(path, 1), _estimate_path(path, 2)
     for a, b in zip(one, two):
@@ -154,6 +160,22 @@ def test_haar_degenerate_dimension():
     # N=1: entries are +-1, even powers are exactly 1 with zero spread
     s = estimate_haar([((1, 1, 1, 1), (1, 1, 1, 1))], 1, 2000, RngSpec(16))[0]
     assert s.mean == 1.0 and s.target == 1.0 and s.stderr == 0.0 and s.zscore == 0.0
+
+
+def test_haar_estimate_reads_the_last_column():
+    # the pairs read column N, so every column of Q is orthogonalized
+    stats = estimate_haar([((3, 3), (8, 8)), ((1, 1, 2, 2), (1, 8, 1, 8))], 8, 20000, RngSpec(17))
+    assert stats[0].target == 1 / 8
+    for s in stats:
+        assert abs(s.zscore) < 5
+
+
+def test_degree0_estimates_are_the_empty_product(params):
+    s = estimate_haar([((), ())], 3, 2000, RngSpec(18))[0]
+    assert s.mean == 1.0 and s.target == 1.0 and s.stderr == 0.0 and s.zscore == 0.0
+    descs = [PowerTrace(()), PowerTrace((), inverse=True), TracePower(0), TraceProduct(())]
+    for s in estimate(descs, params, 2000, RngSpec(19)):
+        assert s.mean == 1.0 and s.target == 1.0 and s.stderr == 0.0 and s.zscore == 0.0
 
 
 def test_sampler_paths_agree_in_distribution():

@@ -388,6 +388,18 @@ def test_paired_contraction_against_bruteforce():
             )
 
 
+@pytest.mark.parametrize("images", [(2, 1), (1, 3, 2, 4)])
+def test_paired_contraction_takes_nested_lists(images):
+    # (1, 3, 2, 4) enters a base pair at its column slot, which transposes m
+    rng = np.random.default_rng(5)
+    x = rand_pd(rng, 2)
+    ms = [rng.normal(size=(2, 2)) for _ in range(len(images) // 2)]
+    g = Perm(images)
+    want = paired_contraction(g, x, ms)
+    assert want == pytest.approx(t_contraction_bruteforce(g, x, ms), rel=1e-12)
+    assert paired_contraction(g, x.tolist(), [m.tolist() for m in ms]) == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_paired_contraction_of_identities_counts_loops(n):
     # every loop of the pairing graph is one trace word tr(I_d) = d
