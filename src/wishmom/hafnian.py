@@ -1,12 +1,13 @@
 """Alpha-hafnians of symmetric matrices by three independent routes.
 
 hf_a(A) weights each perfect matching of the 2n row indices by a**kappa and
-the product of matched entries.  Next to the defining matching sum, taken per
-coset type by ``matchgroup.matching_type_sums``, there is a row/column
-expansion recurrence and two permutation sums built from the cycle functionals
-P and Q, the trace and [0, 0] entry of a chain of 2x2 blocks, taken per cycle
-type by ``matchgroup.cycle_type_sums``; all four must agree, which the test
-suite enforces.  Diagonal entries of A are never read.
+the product of matched entries.  Next to the defining matching sum, taken by
+``matchgroup.matching_type_sums`` with a factor a per loop, there is a
+row/column expansion recurrence and two permutation sums built from the cycle
+functionals P and Q, the trace and [0, 0] entry of a chain of 2x2 blocks,
+taken by ``matchgroup.cycle_type_sums`` with a factor per cycle; all four
+must agree, which the test suite enforces.  Diagonal entries of A are never
+read.
 
 The alpha-permanent embeds: per_a(M) = hf_a(B) for the interleaved doubling B
 of M built by ``permanent_embedding``.
@@ -38,12 +39,12 @@ def _check_symmetric(A) -> int:
 
 def hafnian_matching(A, alpha):
     """Defining sum over all (2n-1)!! matchings of alpha**kappa * prod A[p][q],
-    taken per coset type by ``matching_type_sums``; exact for Fraction and
-    int inputs."""
+    taken by ``matching_type_sums`` with a factor alpha per loop; exact for
+    Fraction and int inputs."""
     m = _check_symmetric(A)
     if m > MAX_HAFNIAN_SIZE:
         raise SizeLimitError(f"matching sum supports size <= {MAX_HAFNIAN_SIZE}")
-    return sum(alpha ** len(ctype) * w for ctype, w in matching_type_sums(range(m), A).items())
+    return matching_type_sums(range(m), A, alpha)
 
 
 def hafnian_expand(A, alpha):
@@ -117,7 +118,8 @@ def cycle_functionals(A, cycle):
 def hafnian_permsum(A, alpha, variant: str = "Q"):
     """Permutation-sum form: sum over S_n of (alpha/2)**nu * P_pi, or of
     alpha**nu * Q_pi, depending on ``variant``; ``cycle_type_sums`` takes it
-    per cycle type from the chains of ``cycle_functionals``."""
+    from the chains of ``cycle_functionals``, with a factor alpha/2 or alpha
+    per cycle."""
     n = _check_symmetric(A) // 2
     if variant not in ("P", "Q"):
         raise ValueError("variant must be 'P' or 'Q'")
@@ -128,19 +130,17 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
         read = np.trace
     else:
         base, read = alpha, lambda X: X[0, 0]
-    sums = cycle_type_sums(n, _pair_edges(A), read)
-    return sum(base ** len(rho) * w for rho, w in sums.items())
+    return cycle_type_sums(n, _pair_edges(A), read, base)
 
 
 def alpha_permanent(M, alpha):
-    """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)], taken per
-    cycle type by ``cycle_type_sums`` on 1x1 edges."""
+    """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)], taken by
+    ``cycle_type_sums`` on 1x1 edges with a factor alpha per cycle."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
     B = np.array(M, dtype=object)
-    sums = cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0])
-    return sum(alpha ** len(rho) * w for rho, w in sums.items())
+    return cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0], alpha)
 
 
 def permanent_embedding(M) -> list[list]:

@@ -113,9 +113,11 @@ def _pairs_with_type(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Part
         yield tuple(zip(seq[::2], seq[1::2])), _loop_type(seq)
 
 
-def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
+def matching_type_sums(labels: Sequence[int], x, factor=None):
     """For each coset type rho, the sum over the matchings of {1,...,2n} of
     type rho of prod x[labels[p-1]][labels[q-1]] over their pairs {p, q}.
+    Given ``factor`` c, the one sum over all matchings of c^kappa times that
+    product instead, kappa the number of loops (``len(rho)``).
 
     ``x`` must be symmetric on the labels used; the sums stay in its ring
     (float, int or Fraction).  Every matching splits into loops, each closing
@@ -126,8 +128,8 @@ def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
       walked once: it starts at pair min(B), leaves through its second slot
       and takes on one new pair per step; the state is (pairs taken, label of
       the exit slot), so repeated labels merge.
-    * ``_partition_sums`` splits the n pairs into loops, per coset type, in
-      O(3^n p(n)).
+    * ``_partition_sums`` splits the n pairs into loops: per coset type in
+      O(3^n p(n)), or weighting each loop by c in O(3^n).
     """
     n, odd = divmod(len(labels), 2)
     if odd:
@@ -155,19 +157,22 @@ def matching_type_sums(labels: Sequence[int], x) -> dict[Partition, object]:
                 nxt[second] = nxt.get(second, 0) + v * row[first]
                 nxt[first] = nxt.get(first, 0) + v * row[second]
         loop[mask] = closed
-    return _partition_sums(n, loop)
+    return _partition_sums(n, loop, factor)
 
 
-def cycle_type_sums(n: int, edge, read) -> dict[Partition, object]:
+def cycle_type_sums(n: int, edge, read, factor=None):
     """For each cycle type rho, the sum over the permutations pi of
     {0,...,n-1} of type rho of prod read(E_c) over their cycles c, where E_c
-    is the product of edge(i, pi(i)) along c from its largest point.
+    is the product of edge(i, pi(i)) along c from its largest point.  Given
+    ``factor`` c, the one sum over all pi of c^nu(pi) times that product
+    instead, nu the number of cycles (``len(rho)``).
 
     ``edge`` gives numpy matrices (object arrays keep Fractions exact) and
     ``read`` is linear, like the trace.  ``cycle[B]`` reads the sum of E_c
     over the cycles on exactly B, from Held-Karp walks that start at max(B)
     and take on one smaller point per step, in O(2^n n^2) products; then
-    ``_partition_sums`` splits the n points into cycles.
+    ``_partition_sums`` splits the n points into cycles, in O(3^n p(n)) per
+    cycle type or O(3^n) with ``factor``.
     """
     if n > MAX_PERMSUM_DEGREE:
         raise SizeLimitError(f"permutation sums support n <= {MAX_PERMSUM_DEGREE}")
@@ -189,36 +194,51 @@ def cycle_type_sums(n: int, edge, read) -> dict[Partition, object]:
                 for k, nxt in free:
                     nxt[k] = nxt.get(k, 0) + w @ row[k]
             cycle[low | 1 << top] = read(closed)
-    return _partition_sums(n, cycle)
+    return _partition_sums(n, cycle, factor)
 
 
-def _partition_sums(n: int, block) -> dict[Partition, object]:
-    """Per partition rho of n, the sum over the splits of {0,...,n-1} into
-    blocks B (bitmasks) of sizes rho of prod block[B], in O(3^n p(n))."""
+def _partition_sums(n: int, block, factor=None):
+    """The sums over the splits of {0,...,n-1} into blocks B (bitmasks) of
+    prod block[B], from the recursion on the block holding the lowest point
+    of each set S: f(S) = sum over B containing min(S) of block[B] f(S - B).
+
+    Keyed mode (``factor`` None): one sum per partition rho of n, over the
+    splits into blocks of sizes rho, in O(3^n p(n)).  Scalar mode: the one
+    sum of prod factor * block[B] over all the splits, that is
+    sum_rho factor^len(rho) times the keyed sum at rho, with one value per set
+    and no partition keys, in O(3^n).  Size 0 is the empty product: {(): 1},
+    or 1.
+    """
+    keyed = factor is None
+    empty = {(): 1} if keyed else 1
     if n == 0:
-        return {(): 1}
+        return empty
     full = (1 << n) - 1
+    parts: list = [None] * (full + 1)
+    parts[0] = empty
     grown: dict[tuple[Partition, int], Partition] = {}
-    parts: dict[int, dict[Partition, object]] = {0: {(): 1}}
     # only S = full and the sets left after removing a block holding point 0
     for S in [*range(2, full, 2), full]:
         low = S & -S
         rest = S ^ low
-        acc: dict[Partition, object] = {}
+        acc = {} if keyed else 0
         sub = rest
         while True:
             B = sub | low
             w = block[B]
-            size = B.bit_count()
-            for t, v in parts[rest ^ sub].items():
-                key = grown.get((t, size))
-                if key is None:
-                    key = grown[t, size] = tuple(sorted(t + (size,), reverse=True))
-                acc[key] = acc.get(key, 0) + w * v
+            if keyed:
+                size = B.bit_count()
+                for t, v in parts[rest ^ sub].items():
+                    key = grown.get((t, size))
+                    if key is None:
+                        key = grown[t, size] = tuple(sorted(t + (size,), reverse=True))
+                    acc[key] = acc.get(key, 0) + w * v
+            else:
+                acc = acc + w * parts[rest ^ sub]
             if not sub:
                 break
             sub = (sub - 1) & rest
-        parts[S] = acc
+        parts[S] = acc if keyed else factor * acc
     return parts[full]
 
 

@@ -381,7 +381,20 @@ def save_table(table: WeingartenTable, cache_dir: str | Path) -> Path:
 
 
 def load_table(cache_dir: str | Path, n: int, z) -> WeingartenTable | None:
+    """The table cached for (n, z), or None when there is none.  A file at its
+    path that does not parse as a table, or holds another n, z or schema, or
+    whose entries are not keyed by exactly ``partitions_of(n)`` in order, is
+    not that table either: callers rebuild it."""
     path = table_path(cache_dir, n, z)
-    if not path.exists():
+    # build_table writes no table outside the supported degrees
+    if not 1 <= n <= MAX_ZONAL_DEGREE or not path.exists():
         return None
-    return table_from_json(path.read_text())
+    try:
+        table = table_from_json(path.read_text())
+        schema = table.provenance.get("schema")
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        # truncated JSON, or a document without the fields of a table
+        return None
+    if table.n != n or table.z != Fraction(z) or schema != TABLE_SCHEMA or tuple(table.entries) != partitions_of(n):
+        return None
+    return table

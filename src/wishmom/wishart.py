@@ -11,7 +11,9 @@ instead of beta, and weigh a matching of coset type rho by the inverse-Wishart
 Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
 moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
 C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
-that choice; every moment below has one body for both sides.
+that choice; every moment below has one body for both sides.  Entrywise
+moments and trace products take the forward weight as a factor per loop or
+cycle, which needs no coset types.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
@@ -197,9 +199,11 @@ def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> tuple[int, in
 def moment(params: WishartParams, spec: MomentSpec) -> float:
     """E[W_{k1 k2} ... W_{k_{2n-1} k_{2n}}], or the same product of entries of
     W^-1 when ``spec.inverse``: the sum over matchings of the coset weight of
-    their type times prod x[k_p, k_q], x = sigma or sigma^-1.  The sum runs per
-    coset type through ``matching_type_sums`` in O(3^n p(n)) rather than over
-    the (2n-1)!! matchings.
+    their type times prod x[k_p, k_q], x = sigma or sigma^-1, through
+    ``matching_type_sums`` rather than over the (2n-1)!! matchings.  The
+    forward weight (2 beta)^kappa / 2^n is a factor 2 beta per loop, so that
+    sum takes the scalar partition stage in O(3^n); the Weingarten weights of
+    the inverse side need the per-type sums, in O(3^n p(n)).
 
     Inverse moments hold for gamma > n-1 and, by analytic continuation, for any
     positive gamma avoiding the poles (those raise PoleError).
@@ -209,12 +213,16 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
         return 1.0
     _check_indices(spec.indices, params.d)
     x, shape = _side(params, n, spec.inverse)
-    weights = _coset_weights(n, shape, spec.inverse)
+    weights = _inv_wg_table(n, shape) if spec.inverse else None
     # the cap comes last, so an inverse spec past it still fails as a domain
     # error (gamma <= 0) or on the Weingarten tables' own degree limit
     if n > MAX_ENTRY_DEGREE:
         raise SizeLimitError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
-    sums = matching_type_sums([k - 1 for k in spec.indices], x.tolist())
+    labels = [k - 1 for k in spec.indices]
+    if weights is None:
+        # dividing by a power of two is exact
+        return matching_type_sums(labels, x.tolist(), float(2 * shape)) / 2**n
+    sums = matching_type_sums(labels, x.tolist())
     return sum(float(weights[rho]) * w for rho, w in sums.items())
 
 
@@ -224,10 +232,12 @@ def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
     return moment(params, MomentSpec(spec.indices, inverse=True))
 
 
-def _require_symmetric(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _require_symmetric(mats: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
     out = []
     for s in mats:
         s = np.asarray(s, dtype=float)
+        if s.shape != (d, d):
+            raise ValueError(f"trace-product factors must be {d}x{d} matrices, got shape {s.shape}")
         if not np.allclose(s, s.T, rtol=1e-12, atol=1e-12):
             raise ValueError("trace-product factors must be symmetric matrices")
         out.append(s)
@@ -236,12 +246,11 @@ def _require_symmetric(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) -> float:
     """E[prod_i tr(W s_i)] = sum over permutations of beta**nu * products of
-    traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken per cycle
-    type by ``cycle_type_sums`` with the steps i -> j = sigma s_j.  Degree 0
-    is the empty product, 1.0."""
-    steps = [params.sigma @ s for s in _require_symmetric(s_list)]
-    sums = cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace)
-    return sum(float(params.beta ** len(rho)) * w for rho, w in sums.items())
+    traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken by
+    ``cycle_type_sums`` with the steps i -> j = sigma s_j and a factor beta
+    per cycle.  Degree 0 is the empty product, 1.0."""
+    steps = [params.sigma @ s for s in _require_symmetric(s_list, params.d)]
+    return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
 
 
 def trace_pattern_perm(pi: Perm, transposed: Sequence[bool]) -> Perm:

@@ -161,6 +161,12 @@ def coset_type_union_find(g):
     return tuple(sorted((s // 2 for s in sizes.values()), reverse=True))
 
 
+def keyed_sum(sums, c):
+    """sum_rho c^len(rho) S_rho over per-type sums: the weight a scalar
+    partition stage with factor c applies per block."""
+    return sum(c ** len(rho) * w for rho, w in sums.items())
+
+
 def matching_type_sums_enumerative(labels, x):
     """Per coset type, the sum of prod x[labels[p-1]][labels[q-1]] over every
     one of the (2n-1)!! matchings of that type, term by term."""

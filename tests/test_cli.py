@@ -9,6 +9,7 @@ import pytest
 
 import wishmom
 from wishmom.cli import main
+from wishmom.weingarten import build_table, load_table, table_path, table_to_json
 from wishmom.wishart import MomentSpec, WishartParams, inverse_moment, moment, trace_power_moment
 
 
@@ -298,6 +299,33 @@ def test_table_build_show_list_cache(tmp_path, capsys):
     assert "-8/385" in shown and "36/385" in shown
     assert main(["table", "list", "--cache-dir", cache]) == 0
     assert "z_7_2.json" in capsys.readouterr().out
+
+
+def _foreign_table_doc():
+    # a well-formed table document for another degree and schema, with no entries
+    return json.dumps({"n": 2, "z": {"num": "5", "den": "1"}, "entries": [], "provenance": {"schema": 99}})
+
+
+def _truncated_table_doc():
+    text = table_to_json(build_table(3, 5))
+    return text[: text.index('"rho"') + 4]
+
+
+@pytest.mark.parametrize("doc", [_foreign_table_doc, _truncated_table_doc], ids=["foreign", "truncated"])
+def test_table_show_and_build_replace_a_file_that_is_not_the_table(tmp_path, capsys, doc):
+    cache = tmp_path / "cache"
+    path = table_path(cache, 3, 5)
+    path.parent.mkdir(parents=True)
+    path.write_text(doc())
+    assert load_table(cache, 3, 5) is None
+    assert main(["table", "show", "--n", "3", "--z", "5", "--cache-dir", str(cache), "--format", "json"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["config"]["options"]["cached"] is False
+    assert [r["rho"] for r in shown["results"]] == [[3], [2, 1], [1, 1, 1]]
+    assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 0
+    assert "built:" in capsys.readouterr().out
+    assert path.read_text() == table_to_json(build_table(3, 5))
+    assert load_table(cache, 3, 5).entries == build_table(3, 5).entries
 
 
 def test_table_requires_n_and_z(tmp_path):

@@ -5,11 +5,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wishmom
 from wishmom.hafnian import (
+    _pair_edges,
     alpha_permanent,
     cycle_functionals,
     hafnian_expand,
@@ -17,12 +19,19 @@ from wishmom.hafnian import (
     hafnian_permsum,
     permanent_embedding,
 )
-from wishmom.matchgroup import MAX_PERMSUM_DEGREE, SizeLimitError, hyperoctahedral
+from wishmom.matchgroup import (
+    MAX_PERMSUM_DEGREE,
+    SizeLimitError,
+    cycle_type_sums,
+    hyperoctahedral,
+    matching_type_sums,
+)
 
 from oracles import (
     alpha_permanent_enumerative,
     det_exact,
     hafnian_permsum_enumerative,
+    keyed_sum,
     p_cycle_trace,
     permanent_bruteforce,
     q_cycle_picks,
@@ -222,7 +231,7 @@ def test_permutation_sums_equal_enumeration(n, integral, seed):
         got, want = hafnian_permsum(A, al, variant), hafnian_permsum_enumerative(A, al, variant)
         assert got == want and (n == 0 or type(got) is type(want))
     got, want = alpha_permanent(M, al), alpha_permanent_enumerative(M, al)
-    assert got == want and type(got) is type(want)
+    assert got == want and (n == 0 or type(got) is type(want))
 
 
 def test_four_way_agreement_at_the_cap():
@@ -312,3 +321,55 @@ def test_asymmetric_rejected():
     A = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]
     with pytest.raises(ValueError):
         hafnian_matching(A, Fraction(1))
+
+
+@pytest.mark.parametrize("al", [2, Fraction(2), Fraction(-5, 3)])
+@pytest.mark.parametrize(
+    "route",
+    [
+        hafnian_matching,
+        hafnian_expand,
+        lambda A, al: hafnian_permsum(A, al, "P"),
+        lambda A, al: hafnian_permsum(A, al, "Q"),
+        alpha_permanent,
+    ],
+    ids=["matching", "expand", "permsum_P", "permsum_Q", "alpha_permanent"],
+)
+def test_size0_is_the_int_empty_product(route, al):
+    got = route([], al)
+    assert type(got) is int and got == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 10**9))
+def test_hafnian_matching_scalar_stage_equals_keyed_sum(n, integral, seed):
+    rnd = random.Random(seed)
+    A = rand_sym(rnd, 2 * n)
+    al = rand_alpha(rnd)
+    if integral:
+        A = [[int(v) for v in row] for row in A]
+        al = rnd.randint(-3, 3)
+    got, want = hafnian_matching(A, al), keyed_sum(matching_type_sums(range(2 * n), A), al)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, MAX_PERMSUM_DEGREE), st.booleans(), st.integers(0, 10**9))
+def test_permutation_sums_scalar_stage_equal_keyed_sums(n, integral, seed):
+    rnd = random.Random(seed)
+    A = rand_sym(rnd, 2 * n)
+    M = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    al = rand_alpha(rnd)
+    if integral:
+        A = [[int(v) for v in row] for row in A]
+        M = [[int(v) for v in row] for row in M]
+        al = rnd.randint(-3, 3)
+    edges = _pair_edges(A)
+    half = Fraction(al, 2) if integral else al / 2
+    for variant, c, read in (("P", half, np.trace), ("Q", al, lambda X: X[0, 0])):
+        got, want = hafnian_permsum(A, al, variant), keyed_sum(cycle_type_sums(n, edges, read), c)
+        assert got == want and type(got) is type(want)
+    B = np.array(M, dtype=object)
+    want = keyed_sum(cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0]), al)
+    got = alpha_permanent(M, al)
+    assert got == want and type(got) is type(want)

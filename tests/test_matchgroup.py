@@ -32,6 +32,7 @@ from wishmom.symcomb import Perm, centralizer_order, cycle_type, partitions_of
 from oracles import (
     coset_type_union_find,
     cycle_type_sums_enumerative,
+    keyed_sum,
     matching_count_recursive,
     matching_type_sums_enumerative,
 )
@@ -270,8 +271,49 @@ def test_matching_type_count_sums_to_all_matchings_and_counts_each_type(n):
 
 def test_matching_type_sums_degree0_and_odd():
     assert matching_type_sums([], [[1]]) == {(): 1}
+    for c in (3, Fraction(3), 3.0):
+        got = matching_type_sums([], [[1]], c)
+        assert type(got) is int and got == 1
     with pytest.raises(ValueError):
         matching_type_sums([0, 0, 0], [[1]])
+
+
+def _rand_entry(rnd, integral):
+    return rnd.randint(-6, 6) if integral else Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.booleans(), st.integers(0, 10**9))
+def test_matching_scalar_stage_equals_keyed_sum(n, d, integral, seed):
+    # a factor c per loop, as the forward moment (c = 2 beta) and the
+    # alpha-hafnian (c = alpha) weigh their matchings; exact, and an int stays an int
+    rnd = random.Random(seed)
+    x = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            x[i][j] = x[j][i] = _rand_entry(rnd, integral)
+    labels = [rnd.randrange(d) for _ in range(2 * n)]
+    c = _rand_entry(rnd, integral)
+    got, want = matching_type_sums(labels, x, c), keyed_sum(matching_type_sums(labels, x), c)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, MAX_PERMSUM_DEGREE), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 10**9))
+def test_cycle_scalar_stage_equals_keyed_sum(n, k, integral, seed):
+    # a factor c per cycle, as trace products (c = beta), alpha-permanents and
+    # the hafnian permutation sums weigh their permutations
+    rnd = random.Random(seed)
+    E = [
+        [np.array([[_rand_entry(rnd, integral) for _ in range(k)] for _ in range(k)], dtype=object) for _ in range(n)]
+        for _ in range(n)
+    ]
+    c = _rand_entry(rnd, integral)
+    for read in (np.trace, lambda X: X[k - 1, 0]):
+        got = cycle_type_sums(n, lambda i, j: E[i][j], read, c)
+        want = keyed_sum(cycle_type_sums(n, lambda i, j: E[i][j], read), c)
+        # size 0 is the int empty product whatever c is
+        assert got == want and type(got) is (int if n == 0 else type(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -189,6 +189,31 @@ def test_float_entrywise_moments_match_exact_path():
         assert got == pytest.approx(want, rel=REL_TOL), (p.d, idx, inverse)
 
 
+@pytest.mark.parametrize("n", [7, 8, MAX_ENTRY_DEGREE])
+def test_forward_moment_matches_exact_evaluation_up_to_the_cap(n):
+    # the float scalar stage against the per-type sums in Fractions on the
+    # same float sigma; beta = k/3 makes the factor 2 beta inexact in floats
+    rng = np.random.default_rng(70 + n)
+    for d, den in ((2, 2), (3, 3), (4, 2)):
+        beta = Fraction(int(rng.integers(3 * d, 6 * d)), den)
+        p = WishartParams(d=d, beta=beta, sigma=rand_pd(rng, d))
+        idx = tuple(int(k) for k in rng.integers(1, d + 1, size=2 * n))
+        want = _exact_entrywise(p, idx, False)
+        assert abs(moment(p, MomentSpec(idx)) - want) <= 1e-13 * abs(want), (d, idx)
+
+
+def test_inverse_moment_is_the_per_type_weingarten_sum_bit_for_bit():
+    # the inverse side keeps the per-type sums, contracted in partition order
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3, 4):
+        p = WishartParams(d=d, beta=Fraction(int(rng.integers(2 * d + 9, 4 * d + 14)), 2), sigma=rand_pd(rng, d))
+        for n in range(1, 6):
+            idx = tuple(int(k) for k in rng.integers(1, d + 1, size=2 * n))
+            sums = matching_type_sums([k - 1 for k in idx], p.sigma_inv.tolist())
+            wg = weingarten.weingarten_values(n, gamma=p.gamma)
+            assert moment(p, MomentSpec(idx, inverse=True)) == sum(float(wg[rho]) * w for rho, w in sums.items())
+
+
 def test_moment_of_inverse_spec_is_inverse_moment():
     rng = np.random.default_rng(5)
     rnd = random.Random(5)
@@ -363,6 +388,12 @@ def test_trace_product_rejects_asymmetric(params3):
     bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         trace_product_moment(params3, [bad])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3,), (3, 3, 1)])
+def test_trace_product_rejects_factors_that_are_not_d_by_d(params3, shape):
+    with pytest.raises(ValueError, match=r"must be 3x3 matrices, got shape"):
+        trace_product_moment(params3, [np.eye(3), np.ones(shape)])
 
 
 def test_paired_contraction_against_bruteforce():
