@@ -4,9 +4,10 @@ Subcommands: wg (Weingarten tables), moment (exact Wishart moments), haar
 (Haar-orthogonal moments), validate (golden / identities / montecarlo
 suites) and table (build/list/show persistent Weingarten tables).
 
-Exit codes: 0 success, 2 usage error, 3 math-domain error (pole, non-PD,
-bad shape parameter), 4 validation failure.  Matrix indices on the command
-line are 1-based.  WW_CACHE_DIR overrides the default table cache location.
+Exit codes: 0 success, 2 usage error (a path that cannot be read or written
+included), 3 math-domain error (pole, non-PD, bad shape parameter), 4
+validation failure.  Matrix indices on the command line are 1-based.
+WW_CACHE_DIR overrides the default table cache location.
 """
 
 from __future__ import annotations
@@ -355,7 +356,8 @@ def main(argv=None) -> int:
     except (PoleError, DomainError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
-    except (SizeLimitError, ValueError) as exc:
+    except (SizeLimitError, ValueError, OSError) as exc:
+        # an OSError (a directory given as --out or --sigma, say) names its path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -22,6 +22,7 @@ from .matchgroup import double_coset_size, matching_type_count
 from .symcomb import content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
     biinvariant_convolve,
+    check_degree,
     hecke_unit,
     inv_wishart_weingarten,
     kappa_power_fn,
@@ -294,13 +295,17 @@ def golden_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
+    """Exact identities of the convolution algebra at degrees 1..n_max (the
+    full-group kernel at n <= 3, the reduced one above), then hafnian checks.
+    SizeLimitError unless 1 <= n_max <= MAX_ZONAL_DEGREE."""
+    check_degree(n_max)
     rnd = random.Random(seed)
     out: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         out.append(CheckResult(name, bool(ok), detail))
 
-    for n in range(1, min(n_max, 4) + 1):
+    for n in range(1, n_max + 1):
         method = "full" if n <= 3 else "reduced"
         z = _pole_free_z(rnd, n)
         lhs = biinvariant_convolve(kappa_power_fn(n, z), weingarten_fn(n, z), method)

@@ -18,8 +18,10 @@ Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
 place of 1 / C_lam(z); it also gives the power-trace coefficients of
 ``wishart``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the integer
 P_lam = q^n C_lam(z), computed once per call or per table and shared by the
-pole check and the sum, which becomes one Fraction at the end.  The
-inverse-Wishart variant is Wg at z = -2*gamma rescaled by (-1)^n 2^n.
+pole check and the sum, which becomes one Fraction at the end.  Every
+Weingarten value is ``zonal_sum`` over the terms of ``_point_terms``: Wg at z,
+the inverse-Wishart kernel at z = -2*gamma scaled by (-1)^n 2^n, or the shapes
+with at most N rows at z = N.
 """
 
 from __future__ import annotations
@@ -131,15 +133,25 @@ def check_poles(z, terms) -> None:
         raise PoleError(z, poles)
 
 
-def _expansion(n: int, z: Fraction, rows: int | None = None) -> list[tuple[Partition, int, int]]:
-    """The terms (lam, q^n, P_lam) of Wg at z = p/q, P_lam = q^n C_lam(p/q),
-    over the shapes of weight n (at most ``rows`` rows, if given); PoleError
-    names the shapes whose P_lam vanishes."""
-    shapes = partitions_of(n) if rows is None else [lam for lam in partitions_of(n) if len(lam) <= rows]
+def _point_terms(n: int, kind: str, point) -> tuple[list[tuple[Partition, int, int]], int]:
+    """The terms (lam, q^n, P_lam = q^n C_lam(p/q)) and ``zonal_sum`` scale of
+    Wg at z = p/q, for the point of kind "z", "gamma" (z = -2 gamma, scale
+    (-2)^n) or "N" (z = N, shapes with at most N rows).  The degree is checked
+    first; PoleError names the shapes whose P_lam vanishes."""
+    check_degree(n)
+    shapes, scale = partitions_of(n), 1
+    if kind == "gamma":
+        z, scale = -2 * Fraction(point), (-2) ** n
+    elif kind == "N":
+        z = Fraction(check_dimension(point))
+        # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
+        shapes = [lam for lam in shapes if len(lam) <= z]
+    else:
+        z = Fraction(point)
     p, q = z.numerator, z.denominator
     terms = [(lam, q**n, content_numerator(lam, p, q)) for lam in shapes]
     check_poles(z, terms)
-    return terms
+    return terms, scale
 
 
 def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
@@ -160,10 +172,7 @@ def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
 def weingarten(rho: Partition, z) -> Fraction:
     """Orthogonal Weingarten value Wg(rho; z), exact in the rational point z."""
     rho = check_partition(rho)
-    n = sum(rho)
-    check_degree(n)
-    z = Fraction(z)
-    return zonal_sum(rho, _expansion(n, z))
+    return zonal_sum(rho, *_point_terms(sum(rho), "z", z))
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
@@ -173,39 +182,26 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     for 1 <= N < n where the full sum has poles.  N must be a positive integer.
     """
     rho = check_partition(rho)
-    n = sum(rho)
-    check_degree(n)
-    N = check_dimension(N)
-    # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
-    return zonal_sum(rho, _expansion(n, Fraction(N), N))
+    return zonal_sum(rho, *_point_terms(sum(rho), "N", N))
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
     """Coefficient kernel for inverse-Wishart moments: (-1)^n 2^n Wg(rho; -2*gamma)."""
     rho = check_partition(rho)
-    n = sum(rho)
-    gamma = Fraction(gamma)
-    return (-1) ** n * 2**n * weingarten(rho, -2 * gamma)
+    gamma = Fraction(gamma)  # a bad gamma is reported ahead of a bad degree
+    return zonal_sum(rho, *_point_terms(sum(rho), "gamma", gamma))
 
 
 def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, Fraction]:
     """One degree's table at one point: ``weingarten(rho, z)``,
     ``inv_wishart_weingarten(rho, gamma)`` or ``weingarten_truncated(rho, N)``
     for every rho of weight n, in reverse-lex order; exactly one point is given.
-
-    The degree is checked before any partition is listed, and one list of
-    terms from ``_expansion``, with its pole check, serves the whole table.
+    One list of terms, with its pole check, serves the whole table.
     """
-    if sum(v is not None for v in (z, gamma, N)) != 1:
+    points = [(kind, v) for kind, v in (("z", z), ("gamma", gamma), ("N", N)) if v is not None]
+    if len(points) != 1:
         raise ValueError("give exactly one of z, gamma and N")
-    check_degree(n)
-    scale, rows = 1, None
-    if gamma is not None:
-        z, scale = -2 * Fraction(gamma), (-2) ** n
-    elif N is not None:
-        z = rows = check_dimension(N)
-    z = Fraction(z)
-    terms = _expansion(n, z, rows)
+    terms, scale = _point_terms(n, *points[0])
     return {rho: zonal_sum(rho, terms, scale) for rho in partitions_of(n)}
 
 
@@ -220,9 +216,6 @@ class BiinvariantFn:
         want = set(partitions_of(self.n))
         if set(self.values) != want:
             raise ValueError(f"values must cover all partitions of {self.n}")
-
-    def value(self, rho: Partition) -> Fraction:
-        return self.values[tuple(rho)]
 
     def __call__(self, g: Perm) -> Fraction:
         return self.values[coset_type(g)]
@@ -381,19 +374,19 @@ def save_table(table: WeingartenTable, cache_dir: str | Path) -> Path:
 
 
 def load_table(cache_dir: str | Path, n: int, z) -> WeingartenTable | None:
-    """The table cached for (n, z), or None when there is none.  A file at its
-    path that does not parse as a table, or holds another n, z or schema, or
-    whose entries are not keyed by exactly ``partitions_of(n)`` in order, is
-    not that table either: callers rebuild it."""
-    path = table_path(cache_dir, n, z)
+    """The table cached for (n, z), or None when there is none.  A path that
+    cannot be read as a file (a directory, say), a file that does not parse as
+    a table, or holds another n, z or schema, or whose entries are not keyed by
+    exactly ``partitions_of(n)`` in order, is not that table either: callers
+    rebuild it."""
     # build_table writes no table outside the supported degrees
-    if not 1 <= n <= MAX_ZONAL_DEGREE or not path.exists():
+    if not 1 <= n <= MAX_ZONAL_DEGREE:
         return None
     try:
-        table = table_from_json(path.read_text())
+        table = table_from_json(table_path(cache_dir, n, z).read_text())
         schema = table.provenance.get("schema")
-    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
-        # truncated JSON, or a document without the fields of a table
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        # no readable file, truncated JSON, or a document without the fields of a table
         return None
     if table.n != n or table.z != Fraction(z) or schema != TABLE_SCHEMA or tuple(table.entries) != partitions_of(n):
         return None

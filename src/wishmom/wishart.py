@@ -11,9 +11,10 @@ instead of beta, and weigh a matching of coset type rho by the inverse-Wishart
 Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
 moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
 C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
-that choice; every moment below has one body for both sides.  Entrywise
-moments and trace products take the forward weight as a factor per loop or
-cycle, which needs no coset types.
+that choice; every moment below has one body for both sides.  The forward
+weights are a plain dict built per call.  Entrywise moments and trace
+products take the forward weight as a factor per loop or cycle, which needs
+no coset types.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lgamma, log, prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,32 +158,18 @@ def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fra
     return params.sigma, params.beta
 
 
-class _KappaWeights(dict):
-    """rho -> (2 beta)^len(rho) / 2^n at one (n, beta), each computed on first
-    lookup: a degree past the cap enumerates no partitions before it is rejected.
-    Threads that miss the same rho at once store equal values."""
-
-    def __init__(self, n: int, beta: Fraction):
-        super().__init__()
-        self.n, self.two_beta = n, 2 * beta
-
-    def __missing__(self, rho: Partition) -> Fraction:
-        self[rho] = w = self.two_beta ** len(rho) / 2**self.n
-        return w
-
-
-_kappa_weights = cache(_KappaWeights)  # one table per (n, beta)
-
-
 @cache
 def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
     return weingarten_values(n, gamma=gamma)
 
 
-def _coset_weights(n: int, shape: Fraction, inverse: bool) -> Mapping[Partition, Fraction]:
+def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fraction]:
     """Weight of a matching of coset type rho in the degree-n matching sum:
-    (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma."""
-    return _inv_wg_table(n, shape) if inverse else _kappa_weights(n, shape)
+    (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma.
+    Callers check the degree first."""
+    if inverse:
+        return _inv_wg_table(n, shape)
+    return {rho: (2 * shape) ** len(rho) / 2**n for rho in partitions_of(n)}
 
 
 def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> tuple[int, int]:

@@ -272,6 +272,25 @@ def test_validate_identities(capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
+def test_validate_identities_runs_every_degree_it_is_given(capsys):
+    assert main(["validate", "identities", "--n", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "30/30 checks passed"
+    assert "PASS  zonal orthogonality n=5 (reduced)" in lines
+    assert main(["validate", "identities", "--n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "25/25 checks passed"
+    assert not any("n=5" in line for line in lines)
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "6", "9"])
+def test_validate_identities_rejects_degrees_outside_the_tables(capsys, n):
+    assert main(["validate", "identities", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: zonal machinery supports 1 <= n <= 5, got {n}\n"
+
+
 def test_validate_montecarlo_small(capsys):
     assert main(["validate", "montecarlo", "--samples", "20000", "--seed", "42"]) == 0
     out = capsys.readouterr().out
@@ -326,6 +345,38 @@ def test_table_show_and_build_replace_a_file_that_is_not_the_table(tmp_path, cap
     assert "built:" in capsys.readouterr().out
     assert path.read_text() == table_to_json(build_table(3, 5))
     assert load_table(cache, 3, 5).entries == build_table(3, 5).entries
+
+
+def test_table_show_rebuilds_and_build_rejects_a_directory_at_the_cache_path(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    path = table_path(cache, 3, 5)
+    path.mkdir(parents=True)
+    assert load_table(cache, 3, 5) is None
+    assert main(["table", "show", "--n", "3", "--z", "5", "--cache-dir", str(cache), "--format", "json"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["config"]["options"]["cached"] is False
+    assert [r["rho"] for r in shown["results"]] == [[3], [2, 1], [1, 1, 1]]
+    assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert path.is_dir()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--sigma"])
+def test_directory_as_out_or_sigma_is_a_usage_error(tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if flag == "--out":
+        argv = ["wg", "--n", "2", "--z", "5", "--out", str(folder)]
+    else:
+        argv = ["moment", "--entries", "1,1", "--beta", "3", "--sigma", str(folder)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(folder) in captured.err
 
 
 def test_table_requires_n_and_z(tmp_path):

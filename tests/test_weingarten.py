@@ -48,7 +48,7 @@ from wishmom.weingarten import (
     zonal_spherical,
 )
 
-from oracles import content_product_boxwise, solve_exact, zonal_spherical_at
+from oracles import content_product_boxwise, solve_exact, weingarten_sum_fractions, zonal_spherical_at
 
 
 def rand_frac(rnd, lo=1, hi=30, den=5):
@@ -189,6 +189,42 @@ def test_weingarten_matches_linear_system_oracle(n):
     oracle = weingarten_by_linear_system(n, z)
     for rho in partitions_of(n):
         assert weingarten(rho, z) == oracle[rho]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inverse_and_truncated_values_match_the_zonal_oracle(n):
+    # the oracle sums one Fraction per shape, with box-by-box content products
+    rnd = random.Random(40 + n)
+    shapes = partitions_of(n)
+    for _ in range(3):
+        gamma = -pole_free_z(rnd, n) / 2
+        for rho in shapes:
+            want = (-1) ** n * 2**n * weingarten_sum_fractions(rho, -2 * gamma, shapes)
+            got = inv_wishart_weingarten(rho, gamma)
+            assert got == want and type(got) is Fraction
+    for N in range(1, 9):
+        rows = [lam for lam in shapes if len(lam) <= N]
+        for rho in shapes:
+            got = weingarten_truncated(rho, N)
+            assert got == weingarten_sum_fractions(rho, N, rows) and type(got) is Fraction
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pole_errors_name_the_point_and_every_vanishing_shape(n):
+    poles = 0
+    for z in map(Fraction, range(-2 * n + 2, n)):
+        want = tuple(lam for lam in partitions_of(n) if content_product_boxwise(lam, z) == 0)
+        if not want:
+            continue
+        poles += 1
+        for rho in partitions_of(n):
+            # the inverse-Wishart kernel at gamma = -z/2 is taken at the point z
+            for call in (lambda: weingarten(rho, z), lambda: inv_wishart_weingarten(rho, -z / 2)):
+                with pytest.raises(PoleError) as err:
+                    call()
+                assert err.value.z == z and type(err.value.z) is Fraction
+                assert err.value.shapes == want
+    assert poles
 
 
 def test_weingarten_pole_error_names_shapes():

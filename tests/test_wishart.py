@@ -616,6 +616,15 @@ def test_trace_power_coefficients_degree4():
     }
 
 
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), 3])
+def test_forward_coset_weights_are_the_plain_table(beta):
+    for n in range(1, 6):
+        got = wishart._coset_weights(n, Fraction(beta), False)
+        assert list(got) == list(partitions_of(n))
+        for rho, w in got.items():
+            assert w == Fraction(2 * beta) ** len(rho) / 2**n and type(w) is Fraction
+
+
 def test_trace_power_inverse_display_degree4():
     g = Fraction(19, 4)
     u4 = g * (g - 1) * (g - 2) * (g - 3) * (2 * g - 1) * (g + 1) * (2 * g + 1) * (2 * g + 3)
