@@ -147,11 +147,7 @@ class TraceProduct:
 
     mats: tuple
 
-    inverse: bool = False  # kept for interface symmetry; must stay False
-
     def __post_init__(self):
-        if self.inverse:
-            raise ValueError("trace products of fixed matrices are forward-only")
         object.__setattr__(self, "mats", tuple(np.asarray(m, dtype=float) for m in self.mats))
 
     @property

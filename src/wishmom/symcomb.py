@@ -15,9 +15,32 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
+def _as_int(x) -> int | None:
+    """x as an int when it is a number equal to one and not a bool (Python's,
+    or numpy's, told by its dtype so that numpy need not be imported); else None."""
+    if type(x) is int:
+        return x
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if k != x or isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b":
+        return None
+    return k
+
+
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints by ``_as_int``; ValueError naming ``what`` unless each is one."""
+    t = tuple(values)
+    ints = tuple(map(_as_int, t))
+    if None in ints:
+        raise ValueError(f"{what} must be integers, got {t!r}")
+    return ints
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalize a weakly decreasing sequence of positive parts."""
-    t = tuple(int(p) for p in parts)
+    t = _as_ints(parts, "partition parts")
     for i, p in enumerate(t):
         if p < 1:
             raise ValueError(f"partition parts must be positive, got {t}")

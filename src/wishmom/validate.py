@@ -25,11 +25,9 @@ from .weingarten import (
     check_degree,
     hecke_unit,
     inv_wishart_weingarten,
-    kappa_power_fn,
     pole_shapes,
     weingarten,
-    weingarten_fn,
-    zonal_fn,
+    weingarten_values,
     zonal_spherical,
 )
 from .wishart import MomentSpec, WishartParams
@@ -307,27 +305,28 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
 
     for n in range(1, n_max + 1):
         method = "full" if n <= 3 else "reduced"
+        rhos = partitions_of(n)
         z = _pole_free_z(rnd, n)
-        lhs = biinvariant_convolve(kappa_power_fn(n, z), weingarten_fn(n, z), method)
+        kappa_power, wg = {r: z ** len(r) for r in rhos}, weingarten_values(n, z=z)
+        lhs = biinvariant_convolve(kappa_power, wg, method)
         scale = (2**n * factorial(n)) ** 2
         unit = hecke_unit(n)
-        ok = all(lhs.values[r] == scale * unit.values[r] for r in partitions_of(n))
+        ok = all(lhs[r] == scale * unit[r] for r in rhos)
         check(f"convolution inverse identity n={n} ({method}) at z={z}", ok)
 
+        zonal = {lam: {r: zonal_spherical(lam, r) for r in rhos} for lam in rhos}
         ok = True
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                conv = biinvariant_convolve(zonal_fn(lam), zonal_fn(mu), method)
+        for lam in rhos:
+            for mu in rhos:
                 if lam == mu:
-                    want = {r: Fraction(factorial(2 * n), hook_dim_doubled(lam)) * zonal_spherical(lam, r) for r in partitions_of(n)}
+                    want = {r: Fraction(factorial(2 * n), hook_dim_doubled(lam)) * zonal[lam][r] for r in rhos}
                 else:
-                    want = {r: Fraction(0) for r in partitions_of(n)}
-                ok &= conv.values == want
+                    want = {r: Fraction(0) for r in rhos}
+                ok &= biinvariant_convolve(zonal[lam], zonal[mu], method) == want
         check(f"zonal orthogonality n={n} ({method})", ok)
 
         if n <= 3:
-            red = biinvariant_convolve(kappa_power_fn(n, z), weingarten_fn(n, z), "reduced")
-            check(f"full vs reduced convolution agree n={n}", red.values == lhs.values)
+            check(f"full vs reduced convolution agree n={n}", biinvariant_convolve(kappa_power, wg, "reduced") == lhs)
 
         for z2 in (_pole_free_z(rnd, n), _pole_free_z(rnd, n)):
             ok = True

@@ -1,10 +1,11 @@
 """Zonal spherical functions, orthogonal Weingarten functions and tables.
 
 All values are exact rationals.  A function on S_{2n} that is invariant under
-the hyperoctahedral group on both sides is stored by its values on coset
-types; convolution of two such functions reduces to a finite weighted sum
-over perfect matchings, with the full |S_{2n}| sum kept as a cross-check for
-small degrees.
+the hyperoctahedral group on both sides is the plain table {rho: value} of its
+values on the coset types, the partitions of n.  The convolution of two such
+tables is a weighted sum over pairs of types; one loop builds the weights
+from the perfect matchings, or, as a cross-check for small degrees, from all
+of S_{2n}.
 
 The zonal spherical functions are the coefficients of the zonal polynomials
 Z_lam = sum_rho M_rho omega^lam(rho) p_rho, the Gram-Schmidt orthogonalised
@@ -30,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 from typing import Mapping
@@ -39,14 +41,13 @@ from .matchgroup import (
     SizeLimitError,
     _loop_type,
     coset_representative,
-    coset_type,
     label_matchings,
     matching_count,
     matching_type_count,
 )
 from .symcomb import (
     Partition,
-    Perm,
+    _as_int,
     centralizer_order,
     character,
     check_partition,
@@ -116,12 +117,9 @@ def pole_shapes(n: int, z) -> tuple[Partition, ...]:
 
 def check_dimension(N) -> int:
     """N as an int; ValueError unless N is a positive integer (int, numpy int,
-    or any number equal to one)."""
-    try:
-        k = int(N)
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != N or k < 1:
+    or any number equal to one, but not a bool)."""
+    k = _as_int(N)
+    if k is None or k < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return k
 
@@ -188,7 +186,6 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
     """Coefficient kernel for inverse-Wishart moments: (-1)^n 2^n Wg(rho; -2*gamma)."""
     rho = check_partition(rho)
-    gamma = Fraction(gamma)  # a bad gamma is reported ahead of a bad degree
     return zonal_sum(rho, *_point_terms(sum(rho), "gamma", gamma))
 
 
@@ -205,94 +202,56 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     return {rho: zonal_sum(rho, terms, scale) for rho in partitions_of(n)}
 
 
-@dataclass
-class BiinvariantFn:
-    """A two-sided H_n-invariant function on S_{2n}, stored by coset type."""
-
-    n: int
-    values: dict[Partition, Fraction]
-
-    def __post_init__(self):
-        want = set(partitions_of(self.n))
-        if set(self.values) != want:
-            raise ValueError(f"values must cover all partitions of {self.n}")
-
-    def __call__(self, g: Perm) -> Fraction:
-        return self.values[coset_type(g)]
-
-
-def hecke_unit(n: int) -> BiinvariantFn:
+def hecke_unit(n: int) -> dict[Partition, Fraction]:
     """Unit of the convolution algebra: (2^n n!)^-1 on H_n, zero elsewhere."""
     unit = Fraction(1, 2**n * factorial(n))
-    vals = {rho: (unit if rho == (1,) * n else Fraction(0)) for rho in partitions_of(n)}
-    return BiinvariantFn(n, vals)
-
-
-def zonal_fn(lam: Partition) -> BiinvariantFn:
-    n = sum(lam)
-    return BiinvariantFn(n, {rho: zonal_spherical(lam, rho) for rho in partitions_of(n)})
-
-
-def kappa_power_fn(n: int, z) -> BiinvariantFn:
-    """The function g -> z**kappa(g), i.e. z**len(rho) on coset type rho."""
-    z = Fraction(z)
-    return BiinvariantFn(n, {rho: z ** len(rho) for rho in partitions_of(n)})
-
-
-def weingarten_fn(n: int, z) -> BiinvariantFn:
-    return BiinvariantFn(n, weingarten_values(n, z=z))
+    return {rho: (unit if rho == (1,) * n else Fraction(0)) for rho in partitions_of(n)}
 
 
 @cache
 def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Partition, Partition, int], ...]]:
-    """Weights w such that (f1 * f2)(g_rho) = sum w * f1[t1] * f2[t2].
+    """Weights w such that (f1 * f2)(g_rho) = sum w * f1[t1] * f2[t2]: w counts
+    the h in S_{2n} with (type(g_rho h), type(h)) = (t1, t2), that is
+    g' = h^-1 in sum_g' f1(g_rho g'^-1) f2(g'), a coset type being invariant
+    under inversion.
 
-    The reduced kernel runs over the (2n-1)!! matching coset representatives
-    with multiplicity |H_n|; the full kernel runs over all of S_{2n} and is
-    kept only as a small-degree oracle.
+    The reduced kernel runs over the (2n-1)!! matching words with weight
+    |H_n|, one per left coset h H_n; the full kernel runs over every word of
+    S_{2n} with weight 1 and is kept only as a small-degree oracle.
     """
-    out: dict[Partition, tuple[tuple[Partition, Partition, int], ...]] = {}
-    reps = {rho: coset_representative(rho) for rho in partitions_of(n)}
     if full:
         if n > 3:
             raise SizeLimitError("full-group convolution supports n <= 3")
-        from itertools import permutations
-
-        elements = [Perm(p) for p in permutations(range(1, 2 * n + 1))]
-        types = {g: coset_type(g) for g in elements}
-        for rho, g_rho in reps.items():
-            hist: dict[tuple[Partition, Partition], int] = {}
-            for gp in elements:
-                key = (types[g_rho * gp.inverse()], types[gp])
-                hist[key] = hist.get(key, 0) + 1
-            out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
+        words, weight = permutations(range(1, 2 * n + 1)), 1
     else:
-        order_h = 2**n * factorial(n)
-        # a coset type is invariant under inversion: type(m^-1) = type(m)
-        words = [(seq, _loop_type(seq)) for seq in label_matchings((0,) * (2 * n))]
-        for rho, g_rho in reps.items():
-            g = g_rho.images
-            hist = {}
-            for seq, t2 in words:
-                key = (_loop_type([g[s - 1] for s in seq]), t2)
-                hist[key] = hist.get(key, 0) + order_h
-            out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
+        words, weight = label_matchings((0,) * (2 * n)), 2**n * factorial(n)
+    typed = [(h, _loop_type(h)) for h in words]
+    out = {}
+    for rho in partitions_of(n):
+        g = coset_representative(rho).images
+        hist: dict[tuple[Partition, Partition], int] = {}
+        for h, t2 in typed:
+            key = (_loop_type([g[s - 1] for s in h]), t2)
+            hist[key] = hist.get(key, 0) + weight
+        out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
     return out
 
 
-def biinvariant_convolve(f1: BiinvariantFn, f2: BiinvariantFn, method: str = "reduced") -> BiinvariantFn:
-    """Convolution (f1 * f2)(g) = sum over g' of f1(g g'^-1) f2(g')."""
-    if f1.n != f2.n:
-        raise ValueError(f"degree mismatch: {f1.n} != {f2.n}")
-    n = f1.n
+def biinvariant_convolve(
+    f1: Mapping[Partition, Fraction], f2: Mapping[Partition, Fraction], method: str = "reduced"
+) -> dict[Partition, Fraction]:
+    """Convolution (f1 * f2)(g) = sum over g' of f1(g g'^-1) f2(g') of two
+    functions on S_{2n} invariant under H_n on both sides, each given as its
+    table {rho: value} over exactly the coset types ``partitions_of(n)``."""
+    # (1^n) is the longest type; as p(n) >= n, no table with fewer keys needs partitions_of(n)
+    n = max(map(len, f1), default=0)
+    if n > len(f1) or set(f1) != set(partitions_of(n)) or set(f2) != set(f1):
+        raise ValueError("f1 and f2 must each cover exactly the partitions of one n")
     check_degree(n)
     if method not in ("reduced", "full"):
         raise ValueError("method must be 'reduced' or 'full'")
     kernel = _convolution_kernel(n, method == "full")
-    vals = {}
-    for rho, rows in kernel.items():
-        vals[rho] = sum((w * f1.values[t1] * f2.values[t2] for t1, t2, w in rows), Fraction(0))
-    return BiinvariantFn(n, vals)
+    return {rho: sum((w * f1[t1] * f2[t2] for t1, t2, w in rows), Fraction(0)) for rho, rows in kernel.items()}
 
 
 def zonal_eval(lam: Partition, pvals: Mapping[int, object]):

@@ -43,7 +43,7 @@ from .matchgroup import (
     pair_loops,
     paired_perm,
 )
-from .symcomb import Partition, Perm, check_partition, content_numerator, partitions_of
+from .symcomb import Partition, Perm, _as_ints, check_partition, content_numerator, partitions_of
 from .weingarten import (
     check_degree,
     check_dimension,
@@ -81,6 +81,23 @@ def gamma_regime(gamma: Fraction, n: int) -> str:
     raise DomainError(f"gamma={gamma} must be positive for inverse moments")
 
 
+def _symmetric(a, d: int, name: str) -> np.ndarray:
+    """a as a float array, symmetrised as (a + a^T) / 2: ValueError unless it
+    is d x d with finite entries, DomainError unless it is symmetric to
+    SYMMETRY_TOL times its largest entry (or 1)."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if d != m.shape[0]:
+        raise ValueError(f"d={d} does not match {name} shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
+        raise DomainError(f"{name} is not symmetric")
+    return (m + m.T) / 2
+
+
 @dataclass
 class WishartParams:
     """Dimension, shape and scale of one Wishart law; sigma must be symmetric PD."""
@@ -91,17 +108,7 @@ class WishartParams:
 
     def __post_init__(self):
         self.beta = Fraction(self.beta)
-        sig = np.asarray(self.sigma, dtype=float)
-        if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
-            raise ValueError(f"sigma must be square, got shape {sig.shape}")
-        if self.d != sig.shape[0]:
-            raise ValueError(f"d={self.d} does not match sigma shape {sig.shape}")
-        if not np.isfinite(sig).all():
-            raise ValueError("sigma has non-finite entries")
-        scale = max(np.abs(sig).max(), 1.0)
-        if np.abs(sig - sig.T).max() > SYMMETRY_TOL * scale:
-            raise DomainError("sigma is not symmetric")
-        self.sigma = (sig + sig.T) / 2
+        self.sigma = _symmetric(self.sigma, self.d, "sigma")
         try:
             np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError as exc:
@@ -133,7 +140,7 @@ class MomentSpec:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        object.__setattr__(self, "indices", _as_ints(self.indices, "indices"))
         if len(self.indices) % 2:
             raise ValueError("index list must have even length")
 
@@ -392,12 +399,12 @@ def _log_multigamma(a: float, d: int) -> float:
 
 
 def log_density(params: WishartParams, w: np.ndarray) -> float:
-    """Log density at a positive definite w; needs beta > (d-1)/2."""
+    """Log density at a symmetric positive definite d x d w; needs beta > (d-1)/2."""
     d = params.d
     beta = float(params.beta)
     if params.beta <= Fraction(d - 1, 2):
         raise DomainError(f"density requires beta > (d-1)/2, got beta={params.beta}")
-    w = np.asarray(w, dtype=float)
+    w = _symmetric(w, d, "w")
     try:
         np.linalg.cholesky(w)
     except np.linalg.LinAlgError as exc:
@@ -432,8 +439,8 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     with the row indices in the slot order of n's pairs as labels and the 0/1
     identity as x.
     """
-    i_idx = tuple(int(v) for v in i_idx)
-    j_idx = tuple(int(v) for v in j_idx)
+    i_idx = _as_ints(i_idx, "row indices")
+    j_idx = _as_ints(j_idx, "column indices")
     if len(i_idx) != len(j_idx):
         raise ValueError("row and column index lists must have equal length")
     N = check_dimension(N)

@@ -163,12 +163,34 @@ def test_pole_shapes_and_check_degree_are_public():
     assert not hasattr(wg_module, "_pole_shapes") and not hasattr(wg_module, "_check_degree")
 
 
-@pytest.mark.parametrize("N", [2.5, Fraction(5, 2), 0, -1, "3", float("nan")])
+@pytest.mark.parametrize("N", [2.5, Fraction(5, 2), 0, -1, "3", float("nan"), True, False, np.True_, np.array(True)])
 def test_non_integral_or_nonpositive_N_raises(N):
     with pytest.raises(ValueError, match="N must be a positive integer"):
         weingarten_truncated((1, 1), N)
     with pytest.raises(ValueError, match="N must be a positive integer"):
         haar_moment((1, 1), (1, 1), N)
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        weingarten_values(1, N=N)
+
+
+def test_every_entry_point_checks_the_degree_before_the_point():
+    for point in ("abc", None, float("nan")):
+        for call in (
+            lambda: weingarten((6,), point),
+            lambda: inv_wishart_weingarten((6,), point),
+            lambda: weingarten_truncated((6,), point),
+            lambda: weingarten_values(6, gamma=point if point is not None else "abc"),
+        ):
+            with pytest.raises(SizeLimitError):
+                call()
+    # inside the degree range a bad point keeps its own error
+    for n in range(1, 6):
+        rho = partitions_of(n)[0]
+        for call in (weingarten, inv_wishart_weingarten):
+            with pytest.raises(ValueError):
+                call(rho, "abc")
+            with pytest.raises(TypeError):
+                call(rho, None)
 
 
 def test_numpy_and_integral_N_match_int():

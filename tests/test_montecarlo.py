@@ -249,6 +249,14 @@ def test_haar_estimates(params):
         assert abs(s.zscore) < 6
 
 
-def test_trace_product_descriptor_rejects_inverse():
-    with pytest.raises(ValueError):
+def test_trace_product_descriptor_is_forward_only():
+    with pytest.raises(TypeError):
         TraceProduct((np.eye(2),), inverse=True)
+    desc = TraceProduct(([[1, 0], [0, 2]],))
+    assert not hasattr(desc, "inverse") and desc.mats[0].dtype == float
+    # gamma = -1/2: an inverse descriptor could not be estimated at all
+    p = WishartParams(d=2, beta=1, sigma=np.eye(2))
+    with pytest.raises(DomainError):
+        estimate([TracePower(1, inverse=True)], p, 100, RngSpec(0))
+    (stat,) = estimate([desc], p, 2000, RngSpec(0))
+    assert stat.count == 2000 and stat.rejected == 0 and stat.target == 3  # E[W] = beta sigma

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +46,14 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+    for bad in ((2.5,), (2, 0.5), ("2",), (True,), (None,), (float("inf"),)):
+        with pytest.raises(ValueError, match="must be integers"):
+            check_partition(bad)
+
+
+def test_check_partition_takes_numbers_equal_to_ints_as_ints():
+    got = check_partition((np.int64(3), 2.0, Fraction(1)))
+    assert got == (3, 2, 1) and all(type(p) is int for p in got)
 
 
 def test_cycle_type_worked_example():

@@ -12,6 +12,7 @@ import pytest
 
 import wishmom
 from wishmom.matchgroup import (
+    SizeLimitError,
     coset_representative,
     coset_type,
     double_coset_size,
@@ -26,7 +27,6 @@ from wishmom.symcomb import (
     partitions_of,
 )
 from wishmom.weingarten import (
-    BiinvariantFn,
     _convolution_kernel,
     _zonal_table,
     PoleError,
@@ -34,17 +34,15 @@ from wishmom.weingarten import (
     build_table,
     hecke_unit,
     inv_wishart_weingarten,
-    kappa_power_fn,
     load_table,
     save_table,
     table_from_json,
     table_path,
     table_to_json,
     weingarten,
-    weingarten_fn,
     weingarten_truncated,
+    weingarten_values,
     zonal_eval,
-    zonal_fn,
     zonal_spherical,
 )
 
@@ -60,6 +58,14 @@ def pole_free_z(rnd, n):
         z = rand_frac(rnd) * rnd.choice((1, -1))
         if all(content_product(l, z) != 0 for l in partitions_of(n)):
             return z
+
+
+def zonal_table(lam):
+    return {r: zonal_spherical(lam, r) for r in partitions_of(sum(lam))}
+
+
+def kappa_power(n, z):
+    return {r: z ** len(r) for r in partitions_of(n)}
 
 
 def weingarten_by_linear_system(n, z):
@@ -276,16 +282,16 @@ def test_inv_wishart_weingarten_pole_at_small_integer_gamma():
 
 def test_hecke_unit_is_convolution_unit():
     for n in (1, 2, 3):
-        f = zonal_fn(partitions_of(n)[-1])
-        assert biinvariant_convolve(f, hecke_unit(n)).values == f.values
-        assert biinvariant_convolve(hecke_unit(n), f).values == f.values
+        f = zonal_table(partitions_of(n)[-1])
+        assert biinvariant_convolve(f, hecke_unit(n)) == f
+        assert biinvariant_convolve(hecke_unit(n), f) == f
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_zonal_orthogonality_full_sum(n):
     for lam in partitions_of(n):
         for mu in partitions_of(n):
-            conv = biinvariant_convolve(zonal_fn(lam), zonal_fn(mu), "full")
+            conv = biinvariant_convolve(zonal_table(lam), zonal_table(mu), "full")
             if lam == mu:
                 want = {
                     r: Fraction(factorial(2 * n), hook_dim_doubled(lam)) * zonal_spherical(lam, r)
@@ -293,18 +299,18 @@ def test_zonal_orthogonality_full_sum(n):
                 }
             else:
                 want = {r: Fraction(0) for r in partitions_of(n)}
-            assert conv.values == want
+            assert conv == want
 
 
 def test_zonal_orthogonality_reduced_degree4():
     n = 4
     lam, mu = (3, 1), (2, 2)
-    assert biinvariant_convolve(zonal_fn(lam), zonal_fn(mu)).values == {
+    assert biinvariant_convolve(zonal_table(lam), zonal_table(mu)) == {
         r: Fraction(0) for r in partitions_of(n)
     }
-    conv = biinvariant_convolve(zonal_fn(lam), zonal_fn(lam))
+    conv = biinvariant_convolve(zonal_table(lam), zonal_table(lam))
     want = {r: Fraction(factorial(8), hook_dim_doubled(lam)) * zonal_spherical(lam, r) for r in partitions_of(n)}
-    assert conv.values == want
+    assert conv == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -312,17 +318,17 @@ def test_convolution_inverse_identity_full(n):
     rnd = random.Random(30 + n)
     for _ in range(2):
         z = pole_free_z(rnd, n)
-        conv = biinvariant_convolve(kappa_power_fn(n, z), weingarten_fn(n, z), "full")
+        conv = biinvariant_convolve(kappa_power(n, z), weingarten_values(n, z=z), "full")
         scale = (2**n * factorial(n)) ** 2
-        assert conv.values == {r: scale * v for r, v in hecke_unit(n).values.items()}
+        assert conv == {r: scale * v for r, v in hecke_unit(n).items()}
 
 
 def test_reduced_and_full_convolutions_agree():
     rnd = random.Random(9)
     for n in (1, 2, 3):
         z = pole_free_z(rnd, n)
-        f1, f2 = kappa_power_fn(n, z), zonal_fn(partitions_of(n)[0])
-        assert biinvariant_convolve(f1, f2, "reduced").values == biinvariant_convolve(f1, f2, "full").values
+        f1, f2 = kappa_power(n, z), zonal_table(partitions_of(n)[0])
+        assert biinvariant_convolve(f1, f2, "reduced") == biinvariant_convolve(f1, f2, "full")
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -344,12 +350,37 @@ def test_convolution_degree_mismatch():
         biinvariant_convolve(hecke_unit(2), hecke_unit(3))
 
 
-def test_biinvariant_fn_call_and_validation():
-    f = kappa_power_fn(2, Fraction(3))
-    assert f(Perm.identity(4)) == 9
-    assert f(Perm((1, 3, 2, 4))) == 3
-    with pytest.raises(ValueError):
-        BiinvariantFn(2, {(2,): Fraction(1)})
+def test_convolution_takes_tables_over_exactly_the_partitions_of_one_n():
+    f = kappa_power(2, Fraction(3))
+    bad = [
+        {(2,): Fraction(1)},  # a missing coset type
+        {**f, (3,): Fraction(1)},  # a type of another weight
+        {},
+        {(1,) * 200: Fraction(1)},  # found without listing the partitions of 200
+    ]
+    for table in bad:
+        for f1, f2 in ((table, f), (f, table)):
+            with pytest.raises(ValueError, match="cover exactly the partitions"):
+                biinvariant_convolve(f1, f2)
+            # the tables are checked before the degree and the method
+            with pytest.raises(ValueError, match="cover exactly the partitions"):
+                biinvariant_convolve(f1, f2, "none")
+    with pytest.raises(SizeLimitError):
+        biinvariant_convolve({(): Fraction(1)}, {(): Fraction(1)}, "none")
+    six = {r: Fraction(1) for r in partitions_of(6)}
+    with pytest.raises(SizeLimitError):
+        biinvariant_convolve(six, six, "none")
+    with pytest.raises(ValueError, match="method"):
+        biinvariant_convolve(f, f, "none")
+
+
+def test_full_and_reduced_kernels_are_equal_tables():
+    # one loop over two element sets: every word of S_{2n} with weight 1, or
+    # the matching words with weight |H_n|
+    for n in (1, 2, 3):
+        assert _convolution_kernel(n, True) == _convolution_kernel(n, False)
+    with pytest.raises(SizeLimitError):
+        _convolution_kernel(4, True)
 
 
 def test_unit_expansion_identity():
@@ -444,10 +475,9 @@ def test_table_residual_zero_at_pole_free_point():
     # multiply the table against the kappa-power function: exact algebra unit
     n, z = 4, Fraction(7)
     table = build_table(n, z)
-    wg = BiinvariantFn(n, dict(table.entries))
-    conv = biinvariant_convolve(kappa_power_fn(n, z), wg)
+    conv = biinvariant_convolve(kappa_power(n, z), table.entries)
     scale = (2**n * factorial(n)) ** 2
-    assert conv.values == {r: scale * v for r, v in hecke_unit(n).values.items()}
+    assert conv == {r: scale * v for r, v in hecke_unit(n).items()}
 
 
 def test_table_path_shape():

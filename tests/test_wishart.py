@@ -682,6 +682,35 @@ def test_density_domain_checks():
         density(WishartParams(d=2, beta=Fraction(1, 2), sigma=np.eye(2)), w)
 
 
+def test_log_density_checks_w_as_sigma_is_checked():
+    p = WishartParams(d=2, beta=3, sigma=np.eye(2))
+    w = rand_pd(np.random.default_rng(1), 2)
+    assert log_density(p, w) == log_density(p, (w + w.T) / 2)
+    for bad, err, match in (
+        ([[1, 0.5], [0, 1]], DomainError, "w is not symmetric"),
+        ([[np.nan, 0], [0, 1]], ValueError, "w has non-finite entries"),
+        ([[1, np.inf], [np.inf, 1]], ValueError, "w has non-finite entries"),
+        ([1, 2], ValueError, "w must be square"),
+        (np.eye(3), ValueError, "does not match w shape"),
+    ):
+        with pytest.raises(err, match=match) as info:
+            log_density(p, bad)
+        assert type(info.value) is err
+
+
+def test_non_integral_indices_raise():
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        haar_moment((1.5, 1), (1, 1), 2)
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        haar_moment((1, 1), (1, True), 2)
+    for bad in ((1.5, 1.5), (1, "2"), (np.True_, 1), (None, 1)):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            MomentSpec(bad)
+    spec = MomentSpec((np.int64(1), 2.0, Fraction(2), 1))
+    assert spec.indices == (1, 2, 2, 1) and all(type(k) is int for k in spec.indices)
+    assert haar_moment((1.0, np.int32(1)), (Fraction(2), 2), 2) == haar_moment((1, 1), (2, 2), 2)
+
+
 def test_haar_moment_degree1():
     for N in (1, 2, 5):
         assert haar_moment((1, 1), (1, 1), N) == Fraction(1, N)
