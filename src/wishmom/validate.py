@@ -296,7 +296,7 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
     """Exact identities of the convolution algebra at degrees 1..n_max (the
     full-group kernel at n <= 3, the reduced one above), then hafnian checks.
     SizeLimitError unless 1 <= n_max <= MAX_ZONAL_DEGREE."""
-    check_degree(n_max)
+    n_max = check_degree(n_max)
     rnd = random.Random(seed)
     out: list[CheckResult] = []
 

@@ -69,10 +69,15 @@ class PoleError(ValueError):
         super().__init__(f"content product vanishes at z={z} for shapes {list(shapes)}")
 
 
-def check_degree(n: int) -> None:
-    """SizeLimitError unless 1 <= n <= MAX_ZONAL_DEGREE, the degrees the tables cover."""
-    if not 1 <= n <= MAX_ZONAL_DEGREE:
-        raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {n}")
+def check_degree(n) -> int:
+    """n as an int: ValueError unless it is an integer (read as by ``check_dimension``),
+    SizeLimitError unless 1 <= n <= MAX_ZONAL_DEGREE, the degrees the tables cover."""
+    k = _as_int(n)
+    if k is None:
+        raise ValueError(f"degree must be an integer, got {n!r}")
+    if not 1 <= k <= MAX_ZONAL_DEGREE:
+        raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {k}")
+    return k
 
 
 @cache
@@ -136,7 +141,7 @@ def _point_terms(n: int, kind: str, point) -> tuple[list[tuple[Partition, int, i
     Wg at z = p/q, for the point of kind "z", "gamma" (z = -2 gamma, scale
     (-2)^n) or "N" (z = N, shapes with at most N rows).  The degree is checked
     first; PoleError names the shapes whose P_lam vanishes."""
-    check_degree(n)
+    n = check_degree(n)
     shapes, scale = partitions_of(n), 1
     if kind == "gamma":
         z, scale = -2 * Fraction(point), (-2) ** n
@@ -198,6 +203,7 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     points = [(kind, v) for kind, v in (("z", z), ("gamma", gamma), ("N", N)) if v is not None]
     if len(points) != 1:
         raise ValueError("give exactly one of z, gamma and N")
+    n = check_degree(n)
     terms, scale = _point_terms(n, *points[0])
     return {rho: zonal_sum(rho, terms, scale) for rho in partitions_of(n)}
 

@@ -43,7 +43,7 @@ from .matchgroup import (
     pair_loops,
     paired_perm,
 )
-from .symcomb import Partition, Perm, _as_ints, check_partition, content_numerator, partitions_of
+from .symcomb import Partition, Perm, _as_int, _as_ints, check_partition, content_numerator, partitions_of
 from .weingarten import (
     check_degree,
     check_dimension,
@@ -83,9 +83,12 @@ def gamma_regime(gamma: Fraction, n: int) -> str:
 
 def _symmetric(a, d: int, name: str) -> np.ndarray:
     """a as a float array, symmetrised as (a + a^T) / 2: ValueError unless it
-    is d x d with finite entries, DomainError unless it is symmetric to
-    SYMMETRY_TOL times its largest entry (or 1)."""
-    m = np.asarray(a, dtype=float)
+    is real and d x d with finite entries, DomainError unless it is symmetric
+    to SYMMETRY_TOL times its largest entry (or 1)."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        raise ValueError(f"{name} must be real, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if d != m.shape[0]:
@@ -107,6 +110,10 @@ class WishartParams:
     sigma: np.ndarray
 
     def __post_init__(self):
+        d = _as_int(self.d)
+        if d is None or d < 1:
+            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        self.d = d
         self.beta = Fraction(self.beta)
         self.sigma = _symmetric(self.sigma, self.d, "sigma")
         try:
@@ -380,7 +387,7 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
     coset weight."""
     if n == 0:
         return {(): 1}
-    check_degree(n)
+    n = check_degree(n)
     weights = _coset_weights(n, Fraction(shape), inverse)
     return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
 
@@ -388,7 +395,7 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
     if n:  # the empty product needs no table
-        check_degree(n)
+        n = check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(trace_power_coeffs(n, shape, inverse), x, n)
 

@@ -50,6 +50,22 @@ def _spd_with_ratios(rng, d, ratios):
     return np.array(mats)
 
 
+# c in the forward-error bound c d u kappa(W) ||W^-1||_2 between the Cholesky
+# and the LAPACK inverse (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 14); the largest seen is c = 4, at d = 1.
+INVERSE_ERROR_C = 8.0
+
+
+def _assert_within_forward_error(inv, want_inv, W):
+    """Each draw's inverse within the forward-error bound of LAPACK's."""
+    d = W.shape[-1]
+    eig = np.abs(np.linalg.eigvalsh(W))
+    u = np.finfo(float).eps / 2
+    # kappa(W) ||W^-1||_2 = lambda_max / lambda_min^2, taken in two steps so it does not overflow
+    bound = INVERSE_ERROR_C * d * u * (eig[:, -1] / eig[:, 0]) / eig[:, 0]
+    assert (np.abs(inv - want_inv).max(axis=(1, 2)) <= bound).all()
+
+
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_condition_screen_keeps_every_rejection_decision(d):
     rng = np.random.default_rng(d)
@@ -59,7 +75,7 @@ def test_condition_screen_keeps_every_rejection_decision(d):
     W = _spd_with_ratios(rng, d, ratios)
     inv, cond = inverse_and_cond(W)
     want_inv, want_cond = inverse_and_cond_eigvalsh(W)
-    assert np.array_equal(inv, want_inv)
+    _assert_within_forward_error(inv, want_inv, W)
     assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
     assert (cond < COND_LIMIT).any() and not (cond < COND_LIMIT).all()
 
@@ -70,7 +86,7 @@ def test_condition_screen_on_wishart_draws():
     W = np.einsum("mik,mjk->mij", a, a)
     inv, cond = inverse_and_cond(W)
     want_inv, want_cond = inverse_and_cond_eigvalsh(W)
-    assert np.array_equal(inv, want_inv)
+    _assert_within_forward_error(inv, want_inv, W)
     assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
     # a screened draw holds the Frobenius bound: at least the ratio, at most d times it
     assert (cond >= want_cond * (1 - 1e-12)).all() and (cond <= 4 * want_cond * (1 + 1e-12)).all()
@@ -80,7 +96,7 @@ def test_condition_screen_at_d1():
     W = np.array([1e-300, 1e-12, 1.0, 3.5, 1e300]).reshape(-1, 1, 1)
     inv, cond = inverse_and_cond(W)
     want_inv, want_cond = inverse_and_cond_eigvalsh(W)
-    assert np.array_equal(inv, want_inv)
+    _assert_within_forward_error(inv, want_inv, W)
     assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
     assert (cond < COND_LIMIT).all()
 
@@ -100,6 +116,76 @@ def test_singular_draw_is_rejected_alone(d):
     assert np.array_equal(inv[~bad], want_inv) and np.array_equal(cond[~bad], want_cond)
     assert np.isnan(inv[bad]).all() and (cond[bad] == np.inf).all()
     assert np.array_equal(want_cond < COND_LIMIT, inverse_and_cond_eigvalsh(W)[1] < COND_LIMIT)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_cholesky_inverse_matches_lapack(d):
+    rng = np.random.default_rng(70 + d)
+    a = rng.normal(size=(3000, d, d + 1))
+    W = np.concatenate([np.einsum("mik,mjk->mij", a, a), _spd_with_ratios(rng, d, np.logspace(0, 14, 57))])
+    inv, cond = inverse_and_cond(W)
+    want_inv, want_cond = inverse_and_cond_eigvalsh(W)
+    _assert_within_forward_error(inv, want_inv, W)
+    assert np.array_equal(inv, inv.transpose(0, 2, 1))
+    assert np.array_equal(cond < COND_LIMIT, want_cond < COND_LIMIT)
+
+
+def _indefinite(rng, d):
+    """Symmetric, eigenvalues 1 (d-1 times) and -1e-13 in a random basis: the
+    last Cholesky pivot goes negative, but LAPACK's LU inverts it."""
+    return _spd_with_ratios(rng, d, [-1e13])[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_indefinite_draw_is_rejected_alone(d):
+    rng = np.random.default_rng(80 + d)
+    a = rng.normal(size=(40, d, d + 2))
+    W = np.einsum("mik,mjk->mij", a, a)
+    at = [0, 21, 40]
+    H = np.insert(W, at, [_indefinite(rng, d) for _ in at], axis=0)
+    inv, cond = inverse_and_cond(H)
+    want_inv, want_cond = inverse_and_cond(W)
+    bad = np.isin(np.arange(len(H)), np.array(at) + np.arange(len(at)))
+    assert np.array_equal(inv[~bad], want_inv) and np.array_equal(cond[~bad], want_cond)
+    # inverted one at a time by LAPACK and rejected by the eigenvalue ratio
+    assert np.array_equal(inv[bad], [np.linalg.inv(w) for w in H[bad]])
+    assert np.array_equal(cond[bad], inverse_and_cond_eigvalsh(H[bad])[1])
+    assert (cond[bad] >= COND_LIMIT).all() and (want_cond < COND_LIMIT).all()
+
+
+def test_draw_inverted_by_lapack_takes_the_eigenvalue_solve():
+    # indefinite but far from singular: the first pivot fails, LAPACK inverts
+    # it, and cond is the eigenvalue ratio 3, not the Frobenius bound 10/3
+    W = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    inv, cond = inverse_and_cond(W)
+    assert np.array_equal(inv[1], np.linalg.inv(W[1]))
+    assert cond[1] == inverse_and_cond_eigvalsh(W)[1][1] and abs(cond[1] - 3) < 1e-14
+    assert cond[0] == 2.0  # the identity keeps its Frobenius bound, d times the ratio
+
+
+def test_inverse_does_not_depend_on_memory_layout():
+    rng = np.random.default_rng(90)
+    a = rng.normal(size=(500, 3, 5))
+    W = np.einsum("mik,mjk->mij", a, a)
+    ratios = COND_LIMIT * np.array([0.01, 0.5, 2.0])
+    W = np.concatenate([W, _spd_with_ratios(rng, 3, ratios), [_indefinite(rng, 3), np.zeros((3, 3))]])
+    inner = np.ascontiguousarray(W.transpose(1, 2, 0)).transpose(2, 0, 1)  # the Gram kernels' layout
+    assert W.flags.c_contiguous and inner.strides[0] == 8 and np.array_equal(W, inner)
+    inv, cond = inverse_and_cond(W)
+    inv2, cond2 = inverse_and_cond(inner)
+    assert np.array_equal(inv, inv2, equal_nan=True) and np.array_equal(cond, cond2)
+    assert inv.strides[0] == inv2.strides[0] == 8
+
+
+def test_gram_kernels_put_the_sample_axis_innermost():
+    rng = np.random.default_rng(91)
+    for d in (1, 3, 8):
+        chol2 = _chol2(rng, d)
+        chis = rng.chisquare(2.5 + np.arange(d)[::-1], size=(50, d))
+        normals = rng.standard_normal((50, d * (d - 1) // 2))
+        Z = rng.standard_normal((50, d, 2 * d))
+        for G in (bartlett_gram(chol2, chis, normals), vectors_gram(chol2, Z)):
+            assert G.shape == (50, d, d) and G.strides[0] == 8
 
 
 def _gaussian(N, m=10_000):

@@ -254,6 +254,17 @@ def test_truncated_single_shape_degree2():
     assert weingarten_truncated((1, 1), 1) == Fraction(1, 9)
 
 
+def test_degree_must_be_an_integer():
+    for bad in (True, False, 2.5, "2"):
+        with pytest.raises(ValueError, match="degree must be an integer") as info:
+            weingarten_values(bad, z=3)
+        assert type(info.value) is ValueError
+    assert weingarten_values(2.0, z=3) == weingarten_values(2, z=3)
+    assert list(weingarten_values(2.0, z=3)) == [(2,), (1, 1)]
+    with pytest.raises(SizeLimitError):
+        weingarten_values(6.0, z=3)
+
+
 def test_inv_wishart_weingarten_golden_tables():
     rnd = random.Random(1)
     for _ in range(5):

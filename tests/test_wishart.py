@@ -77,6 +77,28 @@ def test_params_validation():
     assert np.allclose(p.sigma_inv, np.diag([0.5, 1 / 3]))
 
 
+def test_params_dimension_must_be_a_positive_integer():
+    for bad in (True, 2.5, 0, "2"):
+        with pytest.raises(ValueError, match="d must be a positive integer") as info:
+            WishartParams(d=bad, beta=3, sigma=np.eye(2))
+        assert type(info.value) is ValueError
+    p = WishartParams(d=2.0, beta=3, sigma=np.eye(2))
+    assert p.d == 2 and type(p.d) is int and p.gamma == Fraction(3, 2)
+    assert WishartParams(d=np.int64(2), beta=3, sigma=np.eye(2)).d == 2
+
+
+def test_complex_matrices_are_refused():
+    p = WishartParams(d=2, beta=3, sigma=np.eye(2))
+    for name, call in (
+        ("sigma", lambda a: WishartParams(d=2, beta=3, sigma=a)),
+        ("w", lambda a: log_density(p, a)),
+    ):
+        for bad in (np.eye(2) + 0j, np.eye(2) + 0.5j * np.eye(2), [[1, 0], [0, 1j]]):
+            with pytest.raises(ValueError, match=f"{name} must be real") as info:
+                call(bad)
+            assert type(info.value) is ValueError
+
+
 def test_gamma_regime():
     assert gamma_regime(Fraction(5), 2) == "standard"
     assert gamma_regime(Fraction(1, 2), 2) == "analytic-continuation"
