@@ -20,10 +20,18 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
-from .symcomb import Partition, check_partition
+from .symcomb import Partition, _as_int, check_partition
 from .wishart import DomainError, MomentSpec, WishartParams
 
 DEFAULT_CHUNK = 1 << 16
+
+
+def _integer(x, what: str) -> int:
+    """x as an int by ``symcomb._as_int``; ValueError naming ``what`` unless it is one."""
+    k = _as_int(x)
+    if k is None:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,10 @@ class RngSpec:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "stream", _integer(self.stream, "stream"))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -301,6 +313,10 @@ def _run_streams(
     results.  Each stream runs on one thread, so ``threads > streams`` leaves
     threads unused and warns.
     """
+    sample_count = _integer(sample_count, "sample_count")
+    streams = _integer(streams, "streams")
+    chunk = _integer(chunk, "chunk")
+    threads = _integer(threads, "threads")
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     if streams < 1:

@@ -29,6 +29,20 @@ def _as_int(x) -> int | None:
     return k
 
 
+def _as_fraction(x, what: str) -> Fraction:
+    """x as a Fraction when it is a finite rational number (an int, Fraction,
+    finite float, numpy int or float64, or a string such as "7/3") and not a
+    bool; else ValueError naming ``what``."""
+    if type(x) is Fraction:
+        return x
+    if not (isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b"):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a finite rational number, got {x!r}")
+
+
 def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as ints by ``_as_int``; ValueError naming ``what`` unless each is one."""
     t = tuple(values)

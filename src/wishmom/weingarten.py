@@ -47,6 +47,7 @@ from .matchgroup import (
 )
 from .symcomb import (
     Partition,
+    _as_fraction,
     _as_int,
     centralizer_order,
     character,
@@ -144,13 +145,13 @@ def _point_terms(n: int, kind: str, point) -> tuple[list[tuple[Partition, int, i
     n = check_degree(n)
     shapes, scale = partitions_of(n), 1
     if kind == "gamma":
-        z, scale = -2 * Fraction(point), (-2) ** n
+        z, scale = -2 * _as_fraction(point, "gamma"), (-2) ** n
     elif kind == "N":
         z = Fraction(check_dimension(point))
         # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
         shapes = [lam for lam in shapes if len(lam) <= z]
     else:
-        z = Fraction(point)
+        z = _as_fraction(point, "z")
     p, q = z.numerator, z.denominator
     terms = [(lam, q**n, content_numerator(lam, p, q)) for lam in shapes]
     check_poles(z, terms)
@@ -327,7 +328,7 @@ def table_from_json(text: str) -> WeingartenTable:
 
 
 def table_path(cache_dir: str | Path, n: int, z) -> Path:
-    z = Fraction(z)
+    z = _as_fraction(z, "z")
     return Path(cache_dir) / "tables" / "wg_o" / f"n{n}" / f"z_{z.numerator}_{z.denominator}.json"
 
 

@@ -43,7 +43,7 @@ from .matchgroup import (
     pair_loops,
     paired_perm,
 )
-from .symcomb import Partition, Perm, _as_int, _as_ints, check_partition, content_numerator, partitions_of
+from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, content_numerator, partitions_of
 from .weingarten import (
     check_degree,
     check_dimension,
@@ -114,7 +114,7 @@ class WishartParams:
         if d is None or d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
         self.d = d
-        self.beta = Fraction(self.beta)
+        self.beta = _as_fraction(self.beta, "beta")
         self.sigma = _symmetric(self.sigma, self.d, "sigma")
         try:
             np.linalg.cholesky(self.sigma)
@@ -361,7 +361,7 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
         return {(): 1}
     n = sum(mu)
     check_degree(n)
-    shape = Fraction(shape)
+    shape = _as_fraction(shape, "shape")
     terms = []
     for lam in partitions_of(n):
         a, b = _eigenvalue(lam, shape, inverse)
@@ -388,7 +388,7 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
     if n == 0:
         return {(): 1}
     n = check_degree(n)
-    weights = _coset_weights(n, Fraction(shape), inverse)
+    weights = _coset_weights(n, _as_fraction(shape, "shape"), inverse)
     return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
 
 

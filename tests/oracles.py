@@ -416,6 +416,31 @@ def vectors_gram_einsum(chol2, Z):
     return np.einsum("mip,mjp->mij", X, X)
 
 
+def gram_whole_batch(chol2, F):
+    """X[:, :, s] @ X[:, :, s].T for X = chol2 @ F[:, :, s], every sample s of a
+    (d, k, m) stack at once: one GEMM and one full einsum along the sample
+    axis, returned as the (m, d, d) view of the (d, d, m) result."""
+    d, k, m = F.shape
+    X = (chol2 @ F.reshape(d, k * m)).reshape(d, k, m)
+    return np.einsum("ikm,jkm->ijm", X, X).transpose(2, 0, 1)
+
+
+def bartlett_gram_whole_batch(chol2, chis, normals):
+    """``gram_whole_batch`` of the lower-triangular Bartlett factors A[:, :, s]."""
+    m, d = chis.shape
+    A = np.zeros((d, d, m))
+    idx = np.arange(d)
+    A[idx, idx] = np.sqrt(chis).T
+    rows, cols = np.tril_indices(d, -1)
+    A[rows, cols] = normals.T
+    return gram_whole_batch(chol2, A)
+
+
+def vectors_gram_whole_batch(chol2, Z):
+    """``gram_whole_batch`` of the Gaussian blocks, copied to F[:, :, s] = Z[s]."""
+    return gram_whole_batch(chol2, np.ascontiguousarray(Z.transpose(1, 2, 0)))
+
+
 def inverse_and_cond_eigvalsh(W):
     """Batched inverses plus the eigenvalue ratio of every matrix."""
     eig = np.abs(np.linalg.eigvalsh(W))

@@ -187,10 +187,9 @@ def test_every_entry_point_checks_the_degree_before_the_point():
     for n in range(1, 6):
         rho = partitions_of(n)[0]
         for call in (weingarten, inv_wishart_weingarten):
-            with pytest.raises(ValueError):
-                call(rho, "abc")
-            with pytest.raises(TypeError):
-                call(rho, None)
+            for bad in ("abc", None):
+                with pytest.raises(ValueError, match="must be a finite rational number"):
+                    call(rho, bad)
 
 
 def test_numpy_and_integral_N_match_int():

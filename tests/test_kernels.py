@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import bartlett_gram_einsum, haar_orthogonalize_qr, inverse_and_cond_eigvalsh, vectors_gram_einsum
-from wishmom import montecarlo
+from oracles import (
+    bartlett_gram_einsum,
+    bartlett_gram_whole_batch,
+    haar_orthogonalize_qr,
+    inverse_and_cond_eigvalsh,
+    vectors_gram_einsum,
+    vectors_gram_whole_batch,
+)
+from wishmom import _kernels, montecarlo
 from wishmom._kernels import COND_LIMIT, bartlett_gram, haar_orthogonalize, inverse_and_cond, vectors_gram
 
 
@@ -35,6 +42,67 @@ def test_vectors_gram_matches_per_sample_einsum(d, p_of_d, m):
     chol2 = _chol2(rng, d)
     Z = rng.standard_normal((m, d, p_of_d(d)))
     _assert_gram_close(vectors_gram(chol2, Z), vectors_gram_einsum(chol2, Z))
+
+
+def _bartlett_draws(rng, d, m):
+    chis = rng.chisquare(2.5 + np.arange(d)[::-1], size=(m, d))
+    return chis, rng.standard_normal((m, d * (d - 1) // 2))
+
+
+def _assert_whole_batch(got, want):
+    """Bit for bit the whole-batch product, exactly symmetric, sample stride 8 bytes."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, got.transpose(0, 2, 1))
+    assert got.strides[0] == 8
+
+
+def _block_edges(d, k):
+    """Batch sizes 1, B - 1, B, B + 1 and 3B + 17, B the most draws of d x k
+    factors in one block."""
+    B = _kernels._BLOCK_BYTES // (16 * d * k)
+    return [1, B - 1, B, B + 1, 3 * B + 17]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_bartlett_gram_is_the_whole_batch_product_at_block_edges(d):
+    rng = np.random.default_rng(200 + d)
+    chol2 = _chol2(rng, d)
+    for m in _block_edges(d, d):
+        chis, normals = _bartlett_draws(rng, d, m)
+        _assert_whole_batch(bartlett_gram(chol2, chis, normals), bartlett_gram_whole_batch(chol2, chis, normals))
+
+
+@pytest.mark.parametrize("p_of_d", [lambda d: 1, lambda d: d, lambda d: 2 * d], ids=["p=1", "p=d", "p=2d"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_vectors_gram_is_the_whole_batch_product_at_block_edges(d, p_of_d):
+    rng = np.random.default_rng(300 + d)
+    chol2 = _chol2(rng, d)
+    p = p_of_d(d)
+    for m in _block_edges(d, p):
+        Z = rng.standard_normal((m, d, p))
+        _assert_whole_batch(vectors_gram(chol2, Z), vectors_gram_whole_batch(chol2, Z))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_gram_kernels_are_the_whole_batch_product_in_blocks_of_three(d, monkeypatch):
+    # blocks of at most three draws, down to a lone draw behind full blocks
+    rng = np.random.default_rng(400 + d)
+    chol2 = _chol2(rng, d)
+    for m in range(1, 12):
+        chis, normals = _bartlett_draws(rng, d, m)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 16 * d * d * 3)
+        _assert_whole_batch(bartlett_gram(chol2, chis, normals), bartlett_gram_whole_batch(chol2, chis, normals))
+        for p in (1, d, 2 * d):
+            Z = rng.standard_normal((m, d, p))
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 16 * d * p * 3)
+            _assert_whole_batch(vectors_gram(chol2, Z), vectors_gram_whole_batch(chol2, Z))
+
+
+def test_gram_kernels_take_an_empty_batch():
+    chol2 = _chol2(np.random.default_rng(500), 3)
+    assert bartlett_gram(chol2, np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3, 3)
+    assert vectors_gram(chol2, np.zeros((0, 3, 2))).shape == (0, 3, 3)
+    assert np.array_equal(vectors_gram(chol2, np.zeros((4, 3, 0))), np.zeros((4, 3, 3)))
 
 
 def _spd_with_ratios(rng, d, ratios):

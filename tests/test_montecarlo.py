@@ -81,6 +81,37 @@ def test_thread_count_below_one_rejected(params, no_draws, threads):
         estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=2, threads=threads)
 
 
+@pytest.mark.parametrize(
+    "knob, bad",
+    [("threads", True), ("chunk", True), ("streams", 2.5), ("sample_count", 1000.5), ("streams", None),
+     ("chunk", "1000"), ("threads", np.bool_(True)), ("sample_count", float("inf"))],
+)
+def test_estimator_knobs_must_be_integers(params, no_draws, knob, bad):
+    kw = dict(sample_count=2000, streams=2, chunk=1000, threads=1, rng=RngSpec(0))
+    kw[knob] = bad
+    for call in (lambda: estimate([EntryProduct((1, 1))], params, **kw), lambda: estimate_haar([((1,), (1,))], 2, **kw)):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer, got") as info:
+            call()
+        assert type(info.value) is ValueError
+
+
+def test_rngspec_takes_integers_only():
+    for bad in (True, np.bool_(False), 1.5, None, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RngSpec(bad)
+        with pytest.raises(ValueError, match="stream must be an integer"):
+            RngSpec(1, bad)
+    spec = RngSpec(np.int64(5), 2.0)
+    assert spec == RngSpec(5, 2) and type(spec.seed) is type(spec.stream) is int
+
+
+def test_integral_knobs_of_other_types_run_as_ints(params):
+    want = estimate([EntryProduct((1, 2))], params, 3000, RngSpec(4), chunk=700, streams=2, threads=2)
+    got = estimate([EntryProduct((1, 2))], params, 3000.0, RngSpec(4.0), chunk=np.int64(700), streams=Fraction(2),
+                   threads=np.int32(2))
+    assert got == want
+
+
 def test_thread_count_does_not_change_results(params):
     descs = [EntryProduct((1, 1, 2, 2))]
     a = estimate(descs, params, 12000, RngSpec(7), streams=4, threads=1)
@@ -260,3 +291,42 @@ def test_trace_product_descriptor_is_forward_only():
         estimate([TracePower(1, inverse=True)], p, 100, RngSpec(0))
     (stat,) = estimate([desc], p, 2000, RngSpec(0))
     assert stat.count == 2000 and stat.rejected == 0 and stat.target == 3  # E[W] = beta sigma
+
+
+_SIGMA3 = np.diag([2.0, 1.0, 0.5]) + 0.1
+# (count, rejected, mean.hex(), stderr.hex()) per descriptor, recorded with
+# the whole-batch Gram kernels (numpy 2.4, OpenBLAS 0.3.31, x86-64): the
+# blocked kernels must give the same seeded estimates bit for bit
+PINNED_ESTIMATES = {
+    "bartlett d=3": (
+        lambda: estimate([EntryProduct((1, 2)), TracePower(2), PowerTrace((2, 1))],
+                         WishartParams(d=3, beta=Fraction(5, 2), sigma=_SIGMA3), 20_000, RngSpec(2024),
+                         method="bartlett", streams=2),
+        [(20000, 0, "0x1.092e33b240334p-2", "0x1.8b5055c98ff81p-7"),
+         (20000, 0, "0x1.a2f9423136736p+6", "0x1.4cc57b821ee4ep-1"),
+         (20000, 0, "0x1.9a70b90ac10cfp+9", "0x1.39ac0a8ee5635p+3")],
+    ),
+    "vectors d=3 p=6": (
+        lambda: estimate([EntryProduct((1, 1, 2, 2)), TracePower(1)],
+                         WishartParams(d=3, beta=3, sigma=_SIGMA3), 20_000, RngSpec(2025),
+                         method="vectors", streams=2),
+        [(20000, 0, "0x1.4b289009d2cb4p+4", "0x1.074490f7949dcp-3"),
+         (20000, 0, "0x1.6c02712179a02p+3", "0x1.eba8210f8ac02p-6")],
+    ),
+    # a chunk of 1000 draws at d=8, p=16 needs 2 MB of kernel scratch: it spans two blocks
+    "vectors d=8 p=16": (
+        lambda: estimate([EntryProduct((1, 2, 3, 4)), TracePower(2)],
+                         WishartParams(d=8, beta=8, sigma=np.eye(8) + 0.3), 4_000, RngSpec(2026),
+                         method="vectors", chunk=1000, streams=2),
+        [(4000, 0, "0x1.956cf7a1ff8b0p+2", "0x1.a2c598c2d4883p-3"),
+         (4000, 0, "0x1.bce9dfedb6287p+12", "0x1.0eada9147da53p+5")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ESTIMATES))
+def test_seeded_estimates_are_pinned_bit_for_bit(case):
+    run, want = PINNED_ESTIMATES[case]
+    stats = run()
+    assert [(s.count, s.rejected, s.mean.hex(), s.stderr.hex()) for s in stats] == want
+    assert all(abs(s.zscore) < 5 for s in stats)

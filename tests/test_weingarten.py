@@ -8,6 +8,7 @@ from itertools import permutations
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wishmom
@@ -263,6 +264,21 @@ def test_degree_must_be_an_integer():
     assert list(weingarten_values(2.0, z=3)) == [(2,), (1, 1)]
     with pytest.raises(SizeLimitError):
         weingarten_values(6.0, z=3)
+
+
+def test_point_must_be_a_finite_rational(tmp_path):
+    for bad in (True, np.bool_(False), float("nan"), float("-inf"), 1j, "z"):
+        for call in (
+            lambda: weingarten_values(2, z=bad),
+            lambda: weingarten_values(2, gamma=bad),
+            lambda: weingarten((1, 1), bad),
+            lambda: table_path(tmp_path, 2, bad),
+        ):
+            with pytest.raises(ValueError, match="(z|gamma) must be a finite rational number") as info:
+                call()
+            assert type(info.value) is ValueError
+    assert weingarten_values(2, z=np.float64(2.5)) == weingarten_values(2, z="5/2") == weingarten_values(2, z=Fraction(5, 2))
+    assert weingarten_values(2, gamma=4.0) == weingarten_values(2, gamma=4)
 
 
 def test_inv_wishart_weingarten_golden_tables():

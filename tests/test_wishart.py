@@ -87,6 +87,16 @@ def test_params_dimension_must_be_a_positive_integer():
     assert WishartParams(d=np.int64(2), beta=3, sigma=np.eye(2)).d == 2
 
 
+def test_params_beta_must_be_a_finite_rational():
+    for bad in (True, np.bool_(True), None, float("nan"), float("inf"), 1j, "beta"):
+        with pytest.raises(ValueError, match="beta must be a finite rational number") as info:
+            WishartParams(d=2, beta=bad, sigma=np.eye(2))
+        assert type(info.value) is ValueError
+    for same in (2.5, np.float64(2.5), "5/2", Fraction(5, 2)):
+        p = WishartParams(d=2, beta=same, sigma=np.eye(2))
+        assert p.beta == Fraction(5, 2) and type(p.beta) is Fraction
+
+
 def test_complex_matrices_are_refused():
     p = WishartParams(d=2, beta=3, sigma=np.eye(2))
     for name, call in (
