@@ -36,7 +36,7 @@ from .weingarten import (
     table_to_json,
     weingarten_values,
 )
-from .symcomb import check_partition
+from .symcomb import _as_fraction, check_partition
 from .wishart import (
     DomainError,
     MomentSpec,
@@ -70,8 +70,8 @@ def default_cache_dir() -> str:
 
 def parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return _as_fraction(text, "value")
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
@@ -92,9 +92,8 @@ def parse_partition(text: str) -> tuple[int, ...]:
 def read_sigma(path: str) -> np.ndarray:
     """Parse sigma from CSV (rows of comma-separated decimals) or a JSON array.
 
-    Only the file format is checked here: every cell must be a finite number.
-    Shape, symmetry and positive definiteness are checked by WishartParams.
-    """
+    Only the format is checked: every cell is a number (a JSON true or "1.5" is
+    not one); WishartParams reads the matrix."""
     p = Path(path)
     if not p.exists():
         raise ValueError(f"sigma file not found: {path}")
@@ -102,14 +101,13 @@ def read_sigma(path: str) -> np.ndarray:
     try:
         if p.suffix.lower() == ".json" or text.startswith("["):
             rows = json.loads(text)
+            if not all(type(cell) in (int, float) for row in rows for cell in row):
+                raise ValueError("every cell must be a number")
         else:
             rows = [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line.strip()]
-        sig = np.asarray(rows, dtype=float)
+        return np.asarray(rows, dtype=float)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
-    if not np.isfinite(sig).all():
-        raise ValueError(f"malformed sigma file {path}: non-finite entries")
-    return sig
 
 
 def fmt_fraction(f: Fraction) -> str:

@@ -16,21 +16,39 @@ of M built by ``permanent_embedding``.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
 from .matchgroup import SizeLimitError, cycle_type_sums, matching_type_sums
+from .symcomb import _as_fraction, _as_ints
 
 MAX_HAFNIAN_SIZE = 16
 
 
+def _alpha(alpha):
+    """alpha once ``symcomb._as_fraction`` reads it as a finite rational: a
+    float as given, an integer as an int, anything else (a string, say) as its
+    Fraction; so int, Fraction and float inputs keep their arithmetic."""
+    a = _as_fraction(alpha, "alpha")
+    if isinstance(alpha, float):
+        return alpha
+    return int(a) if isinstance(alpha, Integral) else a
+
+
+def _square(M) -> int:
+    """The size of the square M, [] being 0 x 0; ValueError for any other shape."""
+    shape = np.array(M, dtype=object).shape
+    if shape != (0,) and (len(shape) != 2 or shape[0] != shape[1]):
+        raise ValueError("matrix must be square")
+    return shape[0]
+
+
 def _check_symmetric(A) -> int:
-    m = len(A)
+    m = _square(A)
     if m % 2:
         raise ValueError("matrix size must be even")
     for p in range(m):
-        if len(A[p]) != m:
-            raise ValueError("matrix must be square")
         for q in range(p + 1, m):
             if A[p][q] != A[q][p]:
                 raise ValueError(f"matrix not symmetric at ({p},{q})")
@@ -41,7 +59,7 @@ def hafnian_matching(A, alpha):
     """Defining sum over all (2n-1)!! matchings of alpha**kappa * prod A[p][q],
     taken by ``matching_type_sums`` with a factor alpha per loop; exact for
     Fraction and int inputs."""
-    m = _check_symmetric(A)
+    m, alpha = _check_symmetric(A), _alpha(alpha)
     if m > MAX_HAFNIAN_SIZE:
         raise SizeLimitError(f"matching sum supports size <= {MAX_HAFNIAN_SIZE}")
     return matching_type_sums(range(m), A, alpha)
@@ -54,7 +72,7 @@ def hafnian_expand(A, alpha):
     on that set because hf_a is invariant under relabelings that permute the
     pairs or swap within a pair.
     """
-    m = _check_symmetric(A)
+    m, alpha = _check_symmetric(A), _alpha(alpha)
     if m > MAX_HAFNIAN_SIZE:
         raise SizeLimitError(f"expansion supports size <= {MAX_HAFNIAN_SIZE}")
     if m == 0:
@@ -105,8 +123,8 @@ def cycle_functionals(A, cycle):
     element c_r gives P_c = tr X, Q_c = X[0, 0] and Q_{c inverse} = X[1, 1].
     """
     m = _check_symmetric(A)
-    c = _canon_cycle(tuple(cycle))
-    if len(set(c)) != len(c) or any(not 1 <= v <= m // 2 for v in c):
+    c = _canon_cycle(_as_ints(cycle, "cycle element", 1, m // 2))
+    if len(set(c)) != len(c):
         raise ValueError(f"not a cycle on 1..{m // 2}: {cycle}")
     edge = _pair_edges(A)
     X = edge(c[-1] - 1, c[0] - 1)
@@ -120,7 +138,7 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
     alpha**nu * Q_pi, depending on ``variant``; ``cycle_type_sums`` takes it
     from the chains of ``cycle_functionals``, with a factor alpha/2 or alpha
     per cycle."""
-    n = _check_symmetric(A) // 2
+    n, alpha = _check_symmetric(A) // 2, _alpha(alpha)
     if variant not in ("P", "Q"):
         raise ValueError("variant must be 'P' or 'Q'")
     if n == 0:
@@ -136,9 +154,7 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
 def alpha_permanent(M, alpha):
     """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)], taken by
     ``cycle_type_sums`` on 1x1 edges with a factor alpha per cycle."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("matrix must be square")
+    n, alpha = _square(M), _alpha(alpha)
     B = np.array(M, dtype=object)
     return cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0], alpha)
 
@@ -146,7 +162,7 @@ def alpha_permanent(M, alpha):
 def permanent_embedding(M) -> list[list]:
     """Interleave M into the 2n x 2n symmetric B with B[2i-1][2j] = M[i][j]
     (1-based) and zero odd-odd / even-even blocks, so hf_a(B) = per_a(M)."""
-    n = len(M)
+    n = _square(M)
     B = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -20,18 +20,11 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
-from .symcomb import Partition, _as_int, check_partition
-from .wishart import DomainError, MomentSpec, WishartParams
+from .symcomb import Partition, _as_int, _as_ints, check_partition
+from .weingarten import check_dimension
+from .wishart import DomainError, MomentSpec, WishartParams, _real_matrix
 
 DEFAULT_CHUNK = 1 << 16
-
-
-def _integer(x, what: str) -> int:
-    """x as an int by ``symcomb._as_int``; ValueError naming ``what`` unless it is one."""
-    k = _as_int(x)
-    if k is None:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -42,8 +35,8 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "stream", _integer(self.stream, "stream"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
+        object.__setattr__(self, "stream", _as_int(self.stream, "stream", 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -73,6 +66,9 @@ class EntryProduct:
     indices: tuple[int, ...]
     inverse: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "indices", MomentSpec(self.indices).indices)
+
     @property
     def order(self) -> int:
         return len(self.indices) // 2
@@ -99,6 +95,9 @@ class TracePower:
 
     power: int
     inverse: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "power", _as_int(self.power, "power"))
 
     @property
     def order(self) -> int:
@@ -160,7 +159,7 @@ class TraceProduct:
     mats: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(np.asarray(m, dtype=float) for m in self.mats))
+        object.__setattr__(self, "mats", tuple(_real_matrix(m, None, "trace-product factor") for m in self.mats))
 
     @property
     def order(self) -> int:
@@ -206,6 +205,7 @@ def sample_wishart_batch(
     params: WishartParams, count: int, gen: np.random.Generator, method: str = "auto"
 ) -> np.ndarray:
     """Draw ``count`` Wishart matrices; E[W] = beta * sigma."""
+    count = _as_int(count, "count", 0)
     method = _resolve_method(params, method)
     d = params.d
     chol2 = params.chol / np.sqrt(2.0)  # cholesky factor of sigma/2
@@ -226,14 +226,13 @@ def sample_wishart(params: WishartParams, rng: RngSpec, method: str = "auto") ->
 
 def sample_haar_batch(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` Haar-orthogonal N x N matrices, stacked as (count, N, N)."""
+    N, count = check_dimension(N), _as_int(count, "count", 0)
     return _kernels.haar_orthogonalize(gen.standard_normal((count, N, N)), N)
 
 
 def sample_haar_orthogonal(N: int, rng: RngSpec) -> np.ndarray:
     """One Haar-orthogonal N x N matrix: the Q of a Gaussian matrix G = QR
     whose R has a positive diagonal."""
-    if N < 1:
-        raise ValueError("N must be positive")
     return sample_haar_batch(N, 1, rng.generator())[0]
 
 
@@ -313,18 +312,10 @@ def _run_streams(
     results.  Each stream runs on one thread, so ``threads > streams`` leaves
     threads unused and warns.
     """
-    sample_count = _integer(sample_count, "sample_count")
-    streams = _integer(streams, "streams")
-    chunk = _integer(chunk, "chunk")
-    threads = _integer(threads, "threads")
-    if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
-    if streams < 1:
-        raise ValueError(f"streams must be at least 1, got {streams}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    sample_count = _as_int(sample_count, "sample_count", 1000)
+    streams = _as_int(streams, "streams", 1)
+    chunk = _as_int(chunk, "chunk", 1)
+    threads = _as_int(threads, "threads", 1)
     if threads > streams:
         warnings.warn(
             f"threads={threads} exceeds streams={streams}; only {streams} thread(s) can run",
@@ -409,7 +400,8 @@ def estimate_haar(
 ) -> list[SampleStats]:
     """Estimate E[prod O[i_k, j_k]] for each (i, j) pair list against the
     exact Weingarten-sum value."""
-    pairs = [(tuple(i), tuple(j)) for i, j in index_pairs]
+    N = check_dimension(N)
+    pairs = [(_as_ints(i, "row index", 1, N), _as_ints(j, "column index", 1, N)) for i, j in index_pairs]
     targets = [float(wishart.haar_moment(i, j, N)) for i, j in pairs]
     labels = [f"prod O[{i},{j}]" for i, j in pairs]
     k = max((b for _, j_idx in pairs for b in j_idx), default=0)

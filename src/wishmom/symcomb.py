@@ -15,49 +15,56 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
-def _as_int(x) -> int | None:
-    """x as an int when it is a number equal to one and not a bool (Python's,
-    or numpy's, told by its dtype so that numpy need not be imported); else None."""
-    if type(x) is int:
+def _not_real(x) -> bool:
+    """Whether x is a bool or complex, Python's or numpy's (told by its dtype)."""
+    return isinstance(x, (bool, complex)) or getattr(getattr(x, "dtype", None), "kind", "") in ("b", "c")
+
+
+def _as_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """x as an int when it is a real number equal to one, and not a bool, with
+    lo <= x <= hi for each bound given (hi only with lo); else ValueError
+    naming ``what`` and the rule."""
+    if type(x) is int and (lo is None or lo <= x) and (hi is None or x <= hi):
         return x
     try:
-        k = int(x)
+        k = None if _not_real(x) else int(x)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if k != x or isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b":
-        return None
+        k = None
+    if k is None or k != x or (lo is not None and k < lo) or (hi is not None and k > hi):
+        if hi is not None:
+            rule = f"an integer in {lo}..{hi}"
+        elif lo is not None:
+            rule = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        else:
+            rule = "an integer"
+        raise ValueError(f"{what} must be {rule}, got {x!r}")
     return k
 
 
+def _as_ints(values: Iterable, what: str, lo: int | None = None, hi: int | None = None) -> tuple[int, ...]:
+    """Each of the values as an int by ``_as_int``."""
+    return tuple([_as_int(v, what, lo, hi) for v in values])
+
+
 def _as_fraction(x, what: str) -> Fraction:
-    """x as a Fraction when it is a finite rational number (an int, Fraction,
-    finite float, numpy int or float64, or a string such as "7/3") and not a
-    bool; else ValueError naming ``what``."""
+    """x as a Fraction of Python ints (numpy ints overflow) when it is a finite
+    rational number (an int, Fraction, finite float, numpy int or float64, or a
+    string such as "7/3") and not a bool; else ValueError naming ``what``."""
     if type(x) is Fraction:
         return x
-    if not (isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b"):
+    if not _not_real(x):
         try:
-            return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
+            f = Fraction(x)
+            return Fraction(int(f.numerator), int(f.denominator))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} must be a finite rational number, got {x!r}")
 
 
-def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """The values as ints by ``_as_int``; ValueError naming ``what`` unless each is one."""
-    t = tuple(values)
-    ints = tuple(map(_as_int, t))
-    if None in ints:
-        raise ValueError(f"{what} must be integers, got {t!r}")
-    return ints
-
-
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalize a weakly decreasing sequence of positive parts."""
-    t = _as_ints(parts, "partition parts")
+    t = _as_ints(parts, "partition part", 1)
     for i, p in enumerate(t):
-        if p < 1:
-            raise ValueError(f"partition parts must be positive, got {t}")
         if i and t[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {t}")
     return t

@@ -71,11 +71,9 @@ class PoleError(ValueError):
 
 
 def check_degree(n) -> int:
-    """n as an int: ValueError unless it is an integer (read as by ``check_dimension``),
+    """n as an int: ValueError unless it is an integer (``symcomb._as_int``),
     SizeLimitError unless 1 <= n <= MAX_ZONAL_DEGREE, the degrees the tables cover."""
-    k = _as_int(n)
-    if k is None:
-        raise ValueError(f"degree must be an integer, got {n!r}")
+    k = _as_int(n, "degree")
     if not 1 <= k <= MAX_ZONAL_DEGREE:
         raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {k}")
     return k
@@ -117,21 +115,19 @@ def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
 
 def pole_shapes(n: int, z) -> tuple[Partition, ...]:
     """Shapes of weight n whose content product vanishes at the rational z."""
+    z = _as_fraction(z, "z")
     p, q = z.numerator, z.denominator
-    return tuple(lam for lam in partitions_of(n) if content_numerator(lam, p, q) == 0)
+    return tuple(lam for lam in partitions_of(_as_int(n, "degree", 0)) if content_numerator(lam, p, q) == 0)
 
 
 def check_dimension(N) -> int:
-    """N as an int; ValueError unless N is a positive integer (int, numpy int,
-    or any number equal to one, but not a bool)."""
-    k = _as_int(N)
-    if k is None or k < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    return k
+    """N as an int; ValueError unless N is a positive integer (``symcomb._as_int``)."""
+    return _as_int(N, "N", 1)
 
 
 def check_poles(z, terms) -> None:
-    """PoleError at z naming every shape of the (lam, a, b) terms with b = 0."""
+    """PoleError at the rational z naming every shape of the (lam, a, b) terms with b = 0."""
+    z = _as_fraction(z, "z")
     poles = tuple(lam for lam, _, b in terms if b == 0)
     if poles:
         raise PoleError(z, poles)
@@ -162,7 +158,7 @@ def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
     """scale / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) a_lam / b_lam over
     the (lam, a_lam, b_lam) terms, in integers (b_lam != 0), normalised once:
     Wg(rho; z) at a_lam / b_lam = 1 / C_lam(z)."""
-    num, den = 0, 1
+    scale, num, den = _as_int(scale, "scale"), 0, 1
     for lam, a, b in terms:
         omega = zonal_spherical(lam, rho)
         a *= omega.numerator
@@ -211,6 +207,7 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:
     """Unit of the convolution algebra: (2^n n!)^-1 on H_n, zero elsewhere."""
+    n = _as_int(n, "degree", 0)
     unit = Fraction(1, 2**n * factorial(n))
     return {rho: (unit if rho == (1,) * n else Fraction(0)) for rho in partitions_of(n)}
 
@@ -298,10 +295,11 @@ class WeingartenTable:
 
 def build_table(n: int, z) -> WeingartenTable:
     """Tabulate Wg(rho; z) over all rho of weight n, in reverse-lex order."""
+    n, z = check_degree(n), _as_fraction(z, "z")
     entries = weingarten_values(n, z=z)
     # provenance is deliberately clock-free so rebuilds are byte-identical
     prov = {"generator": "wishmom", "version": __version__, "schema": TABLE_SCHEMA}
-    return WeingartenTable(n=n, z=Fraction(z), entries=entries, provenance=prov)
+    return WeingartenTable(n=n, z=z, entries=entries, provenance=prov)
 
 
 def table_to_json(table: WeingartenTable) -> str:
@@ -328,7 +326,7 @@ def table_from_json(text: str) -> WeingartenTable:
 
 
 def table_path(cache_dir: str | Path, n: int, z) -> Path:
-    z = _as_fraction(z, "z")
+    n, z = _as_int(n, "degree"), _as_fraction(z, "z")
     return Path(cache_dir) / "tables" / "wg_o" / f"n{n}" / f"z_{z.numerator}_{z.denominator}.json"
 
 
@@ -345,6 +343,7 @@ def load_table(cache_dir: str | Path, n: int, z) -> WeingartenTable | None:
     a table, or holds another n, z or schema, or whose entries are not keyed by
     exactly ``partitions_of(n)`` in order, is not that table either: callers
     rebuild it."""
+    n, z = _as_int(n, "degree"), _as_fraction(z, "z")
     # build_table writes no table outside the supported degrees
     if not 1 <= n <= MAX_ZONAL_DEGREE:
         return None
@@ -354,6 +353,6 @@ def load_table(cache_dir: str | Path, n: int, z) -> WeingartenTable | None:
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
         # no readable file, truncated JSON, or a document without the fields of a table
         return None
-    if table.n != n or table.z != Fraction(z) or schema != TABLE_SCHEMA or tuple(table.entries) != partitions_of(n):
+    if table.n != n or table.z != z or schema != TABLE_SCHEMA or tuple(table.entries) != partitions_of(n):
         return None
     return table

@@ -65,6 +65,7 @@ class DomainError(ValueError):
 
 def admissible_beta(beta: Fraction, d: int) -> bool:
     """True when beta lies in {1/2, 1, ..., (d-1)/2} or beyond (d-1)/2."""
+    beta, d = _as_fraction(beta, "beta"), _as_int(d, "d", 1)
     if beta > Fraction(d - 1, 2):
         return True
     twice = 2 * beta
@@ -74,6 +75,7 @@ def admissible_beta(beta: Fraction, d: int) -> bool:
 def gamma_regime(gamma: Fraction, n: int) -> str:
     """'standard' when gamma > n-1; 'analytic-continuation' for smaller positive
     gamma, where the formulas extend but only pole-freeness is checked."""
+    gamma, n = _as_fraction(gamma, "gamma"), _as_int(n, "degree")
     if gamma > n - 1:
         return "standard"
     if gamma > 0:
@@ -81,20 +83,29 @@ def gamma_regime(gamma: Fraction, n: int) -> str:
     raise DomainError(f"gamma={gamma} must be positive for inverse moments")
 
 
-def _symmetric(a, d: int, name: str) -> np.ndarray:
-    """a as a float array, symmetrised as (a + a^T) / 2: ValueError unless it
-    is real and d x d with finite entries, DomainError unless it is symmetric
-    to SYMMETRY_TOL times its largest entry (or 1)."""
-    m = np.asarray(a)
-    if np.iscomplexobj(m):
+def _real_matrix(a, d: int | None, name: str) -> np.ndarray:
+    """a as a float array: ValueError unless it is real (numbers, but no bool,
+    complex or text), square, d x d when d is given, and finite."""
+    try:
+        m = np.asarray(a)
+        if m.dtype.kind in "iufO":
+            m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):  # rows of different lengths, or entries that are not numbers
+        raise ValueError(f"{name} must be a real matrix, got {a!r}") from None
+    if m.dtype.kind != "f":
         raise ValueError(f"{name} must be real, got dtype {m.dtype}")
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if d != m.shape[0]:
-        raise ValueError(f"d={d} does not match {name} shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or d not in (None, m.shape[0]):
+        size = "" if d is None else f" of size {d}"
+        raise ValueError(f"{name} must be a square matrix{size}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def _symmetric(a, d: int | None, name: str) -> np.ndarray:
+    """``_real_matrix`` symmetrised as (a + a^T) / 2, which leaves a symmetric a
+    unchanged: DomainError unless symmetric to SYMMETRY_TOL times max(|a|, 1)."""
+    m = _real_matrix(a, d, name)
     scale = max(np.abs(m).max(), 1.0)
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise DomainError(f"{name} is not symmetric")
@@ -110,10 +121,7 @@ class WishartParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        d = _as_int(self.d)
-        if d is None or d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        self.d = d
+        self.d = _as_int(self.d, "d", 1)
         self.beta = _as_fraction(self.beta, "beta")
         self.sigma = _symmetric(self.sigma, self.d, "sigma")
         try:
@@ -147,19 +155,13 @@ class MomentSpec:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", _as_ints(self.indices, "indices"))
+        object.__setattr__(self, "indices", _as_ints(self.indices, "index", 1))
         if len(self.indices) % 2:
             raise ValueError("index list must have even length")
 
     @property
     def degree(self) -> int:
         return len(self.indices) // 2
-
-
-def _check_indices(indices: Sequence[int], d: int) -> None:
-    for k in indices:
-        if not 1 <= k <= d:
-            raise ValueError(f"index {k} outside 1..{d}")
 
 
 def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fraction]:
@@ -212,7 +214,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     n = spec.degree
     if n == 0:
         return 1.0
-    _check_indices(spec.indices, params.d)
+    _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
     x, shape = _side(params, n, spec.inverse)
     weights = _inv_wg_table(n, shape) if spec.inverse else None
     # the cap comes last, so an inverse spec past it still fails as a domain
@@ -233,24 +235,12 @@ def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
     return moment(params, MomentSpec(spec.indices, inverse=True))
 
 
-def _require_symmetric(mats: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
-    out = []
-    for s in mats:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (d, d):
-            raise ValueError(f"trace-product factors must be {d}x{d} matrices, got shape {s.shape}")
-        if not np.allclose(s, s.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("trace-product factors must be symmetric matrices")
-        out.append(s)
-    return out
-
-
 def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) -> float:
     """E[prod_i tr(W s_i)] = sum over permutations of beta**nu * products of
     traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken by
     ``cycle_type_sums`` with the steps i -> j = sigma s_j and a factor beta
     per cycle.  Degree 0 is the empty product, 1.0."""
-    steps = [params.sigma @ s for s in _require_symmetric(s_list, params.d)]
+    steps = [params.sigma @ _symmetric(s, params.d, "trace-product factor") for s in s_list]
     return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
 
 
@@ -280,8 +270,9 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     """
     if g.size != 2 * len(ms):
         raise ValueError("pattern size must be twice the number of matrices")
-    mats = [np.asarray(m, dtype=float) for m in ms]
-    return _loop_contraction(g.images, np.asarray(x, dtype=float), mats)
+    x = _real_matrix(x, None, "x")
+    mats = [_real_matrix(m, len(x), "factor") for m in ms]
+    return _loop_contraction(g.images, x, mats)
 
 
 def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
@@ -310,7 +301,7 @@ def mixed_trace_moment(
         raise ValueError("pattern size must be twice the number of matrices")
     if n == 0:
         return 1.0
-    mats = [np.asarray(m, dtype=float) for m in ms]
+    mats = [_real_matrix(m, params.d, "factor") for m in ms]
     g_inv = g.inverse().images
     x, shape = _side(params, n, inverse)
     weights = _coset_weights(n, shape, inverse)
@@ -356,12 +347,11 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     c_rho is ``zonal_sum`` at a_lam / b_lam = e_lam omega^lam(mu), e_lam the
     eigenvalue, scaled by M_rho.
     """
-    mu = check_partition(mu)
+    mu, shape = check_partition(mu), _as_fraction(shape, "shape")
     if not mu:
         return {(): 1}
     n = sum(mu)
     check_degree(n)
-    shape = _as_fraction(shape, "shape")
     terms = []
     for lam in partitions_of(n):
         a, b = _eigenvalue(lam, shape, inverse)
@@ -385,17 +375,18 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
     """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
     c_rho = M_rho, the number of matchings of coset type rho, times their
     coset weight."""
+    n, shape = _as_int(n, "degree"), _as_fraction(shape, "shape")
     if n == 0:
         return {(): 1}
-    n = check_degree(n)
-    weights = _coset_weights(n, _as_fraction(shape, "shape"), inverse)
+    weights = _coset_weights(check_degree(n), shape, inverse)
     return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
 
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
+    n = _as_int(n, "degree")
     if n:  # the empty product needs no table
-        n = check_degree(n)
+        check_degree(n)
     x, shape = _side(params, n, inverse)
     return _contract(trace_power_coeffs(n, shape, inverse), x, n)
 
@@ -446,14 +437,11 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     with the row indices in the slot order of n's pairs as labels and the 0/1
     identity as x.
     """
-    i_idx = _as_ints(i_idx, "row indices")
-    j_idx = _as_ints(j_idx, "column indices")
+    N = check_dimension(N)
+    i_idx = _as_ints(i_idx, "row index", 1, N)
+    j_idx = _as_ints(j_idx, "column index", 1, N)
     if len(i_idx) != len(j_idx):
         raise ValueError("row and column index lists must have equal length")
-    N = check_dimension(N)
-    for v in i_idx + j_idx:
-        if not 1 <= v <= N:
-            raise ValueError(f"index {v} outside 1..{N}")
     k = len(i_idx)
     if k % 2:
         return Fraction(0)

@@ -203,7 +203,7 @@ def test_moment_non_finite_sigma(tmp_path, cell, capsys):
     bad = tmp_path / f"{cell}.csv"
     bad.write_text(f"2.0,{cell}\n{cell},1.5\n")
     assert main(["moment", "--entries", "1,1,2,2", "--beta", "3", "--sigma", str(bad)]) == 2
-    assert "malformed sigma" in capsys.readouterr().err
+    assert "sigma has non-finite entries" in capsys.readouterr().err
 
 
 def test_moment_inverse_error_exit_codes(sigma_csv):
@@ -300,7 +300,7 @@ def test_validate_montecarlo_small(capsys):
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_validate_montecarlo_rejects_thread_count(capsys, threads):
     assert main(["validate", "montecarlo", "--samples", "1000", "--threads", threads]) == 2
-    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert f"threads must be a positive integer, got {threads}" in capsys.readouterr().err
 
 
 def test_table_build_show_list_cache(tmp_path, capsys):
@@ -396,3 +396,38 @@ def test_out_file_and_csv(tmp_path, capsys):
     text = target.read_text()
     assert "rho,value" in text.splitlines()[0]
     assert "-1/140" in text
+
+
+SIGMA_FILES = {
+    "bools.json": "[[true, false], [false, true]]",
+    "strings.json": '[["2.0", "0.3"], ["0.3", "1.5"]]',
+    "mixed.json": "[[2.0, false], [false, 1.5]]",
+    "nan.json": "[[NaN, 0.3], [0.3, 1.5]]",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["moment", "--entries", "1,1", "--beta", "3", "--sigma", "bools.json"], 2),
+        (["moment", "--entries", "1,1", "--beta", "3", "--sigma", "strings.json"], 2),
+        (["moment", "--entries", "1,1", "--beta", "3", "--sigma", "mixed.json"], 2),
+        (["moment", "--entries", "1,1", "--beta", "3", "--sigma", "nan.json"], 2),
+        (["moment", "--entries", "1,1", "--beta", "3", "--sigma", __file__], 2),
+        (["haar", "--i", "1,1", "--j", "1,1", "--N", "0"], 2),
+        (["validate", "montecarlo", "--samples", "10"], 2),
+        (["wg", "--n", "2", "--z", "1/0"], 2),
+        (["wg", "--n", "2", "--z", "1"], 3),
+    ],
+    ids=["bools", "numeric-strings", "mixed-bools", "nan-sigma", "this-file", "N-0", "samples-10", "z-1/0", "pole"],
+)
+def test_bad_argv_exits_2_or_3_without_a_traceback(tmp_path, capsys, argv, code):
+    for name, text in SIGMA_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in SIGMA_FILES else a for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code and "Traceback" not in err and err

@@ -75,9 +75,9 @@ def test_zero_chunk_rejected(params, no_draws):
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_thread_count_below_one_rejected(params, no_draws, threads):
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
         estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), streams=2, threads=threads)
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
         estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=2, threads=threads)
 
 
@@ -89,8 +89,9 @@ def test_thread_count_below_one_rejected(params, no_draws, threads):
 def test_estimator_knobs_must_be_integers(params, no_draws, knob, bad):
     kw = dict(sample_count=2000, streams=2, chunk=1000, threads=1, rng=RngSpec(0))
     kw[knob] = bad
+    rule = "an integer >= 1000" if knob == "sample_count" else "a positive integer"
     for call in (lambda: estimate([EntryProduct((1, 1))], params, **kw), lambda: estimate_haar([((1,), (1,))], 2, **kw)):
-        with pytest.raises(ValueError, match=f"{knob} must be an integer, got") as info:
+        with pytest.raises(ValueError, match=f"{knob} must be {rule}, got") as info:
             call()
         assert type(info.value) is ValueError
 

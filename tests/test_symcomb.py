@@ -47,7 +47,7 @@ def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((2, 0))
     for bad in ((2.5,), (2, 0.5), ("2",), (True,), (None,), (float("inf"),)):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="partition part must be a positive integer"):
             check_partition(bad)
 
 
