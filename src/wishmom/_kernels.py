@@ -12,15 +12,15 @@ calls into numpy a fixed number of times per batch or block of draws (at
 most a few per row or column), never once per sample:
 
 - the Gram kernels run their batch in blocks of b draws through two
-  (d, k, b) scratch buffers, allocated once per call and reused by every
-  block, of at most ``_BLOCK_BYTES`` = 1 MB together (up to 7,281 Bartlett
-  draws at d = 3, 512 draws at d = 8, p = 16).  Each block's factors go into
-  the first (the Bartlett factors as A[:, :, s], the Gaussian blocks Z[s]
-  copied to F[:, :, s]), chol(sigma/2) scales them into the second in one
-  (d x d)(d x k*b) matrix product, and the lower triangle of the Gram is
-  written row by row, one ``einsum`` per row; it is mirrored at the end.  A
-  Bartlett row i reads only k <= i: about d^3/3 multiply-adds per draw
-  instead of d^3.  The output is the (m, d, d) view of a (d, d, m) array, so
+  (d, k, b) scratch buffers from the thread's workspace (below), reused by
+  every block, of at most ``_BLOCK_BYTES`` = 1 MB together (up to 7,281
+  Bartlett draws at d = 3, 512 draws at d = 8, p = 16).  Each block's
+  factors go into the first (the Bartlett factors as A[:, :, s], the
+  Gaussian blocks Z[s] copied to F[:, :, s]), chol(sigma/2) scales them into
+  the second in one (d x d)(d x k*b) matrix product, and the lower triangle
+  of the Gram is written row by row, one ``einsum`` per row; it is mirrored
+  at the end.  A Bartlett row i reads only k <= i: about d^3/3 multiply-adds
+  per draw instead of d^3.  The output is the (m, d, d) view of a (d, d, m) array, so
   an entry read across all samples is contiguous, and it equals the
   whole-batch product bit for bit.  Whole-batch intermediates cost as much
   in first touches of fresh pages as in arithmetic; blocked, on 12,500
@@ -48,9 +48,29 @@ most a few per row or column), never once per sample:
   QR with the sign fix (2-vCPU VM, one BLAS thread).  A draw where a column
   all but vanishes in the projections, which a Gaussian draw almost never
   does, goes to LAPACK QR.
+
+Each thread keeps a workspace of named float64 buffers (``_scratch``) that
+grow on demand and outlive the call: the samplers in ``montecarlo`` draw
+into it, the Gaussians through ``Generator.standard_normal(out=...)`` and
+the Bartlett chi-squares as 2 ``standard_gamma(dof / 2, out=...)``, which
+is numpy's own definition of ``chisquare``, draw for draw; the Gram kernels
+take their two scratch buffers from it, the first zeroed at every call.  A
+thread keeps at most ``_KEEP_BYTES`` = 8 MB; a larger request gets a fresh
+array that is not kept.  No buffer escapes: every array a function returns
+is freshly allocated.  The estimator runs its streams on worker threads
+that persist across calls, so after the first call a repeated estimate
+touches no fresh page.  On the benchmark's Monte Carlo pool, one call of
+each slot in turn at threads = 1 faulted in 195 / 72 / 1,068 / 277 / 98
+fresh pages per call (Bartlett d = 3 / Bartlett d = 8 / vectors d = 3 /
+inverse d = 4 / Haar N = 3, none at Haar N = 8); with the workspace, none.
+The vectors d = 3 call (25,000 draws, p = 6) took 12.3 against 15.3 ms
+(2-vCPU VM, one BLAS thread, median of 12).
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -69,6 +89,41 @@ GS_SCREEN = 1e-8
 # 16 d k bytes per sample.  A batch is split into the fewest blocks within it,
 # of nearly equal size; a batch that fits is one block.
 _BLOCK_BYTES = 1 << 20
+# Bytes of workspace one thread keeps from call to call (``_scratch``): the
+# draws of every chunk the benchmark draws fit, with the Gram scratch.  A
+# larger request gets a fresh array that is not kept, so that, say, a
+# DEFAULT_CHUNK of draws at d = 8, p = 16 (67 MB) is not held for the life
+# of the thread.
+_KEEP_BYTES = 1 << 23
+
+
+class _Workspace(threading.local):
+    """The named float64 buffers of one thread."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape`` from this thread's buffer
+    ``name``, its contents left over from earlier calls.
+
+    The buffer grows on demand and is kept while the thread keeps at most
+    ``_KEEP_BYTES`` in all; past that the request gets a fresh array that is
+    not kept.  The next request for ``name`` on the thread reuses the memory,
+    so the array must not outlive the call that asked for it.
+    """
+    size = math.prod(shape)
+    buffers = _workspace.buffers
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        if 8 * size + sum(b.nbytes for key, b in buffers.items() if key != name) > _KEEP_BYTES:
+            return np.empty(shape)
+        buf = buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _block_gram(chol2: np.ndarray, m: int, k: int, fill, lower: bool) -> np.ndarray:
@@ -76,21 +131,19 @@ def _block_gram(chol2: np.ndarray, m: int, k: int, fill, lower: bool) -> np.ndar
     samples s, returned as the (m, d, d) view of a (d, d, m) array.
 
     The batch runs in blocks of b samples through two (d, k, b) scratch
-    buffers allocated once per call: ``fill(F, b0, n)`` writes the factors
-    of samples b0 .. b0 + n - 1 into F[:, :, :n], one GEMM (d x d)(d x k b)
-    scales them into X, and the lower triangle of the Gram is written row
-    by row, one ``einsum`` along the contiguous sample axis per row, then
-    mirrored.  With ``lower`` the X are lower triangular (k = d), so row i
-    reads only k <= i.
+    buffers of the thread's workspace, F zeroed once per call:
+    ``fill(F, b0, n)`` writes the factors of samples b0 .. b0 + n - 1 into
+    F[:, :, :n], one GEMM (d x d)(d x k b) scales them into X, and the lower
+    triangle of the Gram is written row by row, one ``einsum`` along the
+    contiguous sample axis per row, then mirrored.  With ``lower`` the X
+    are lower triangular (k = d), so row i reads only k <= i.
     """
     d = len(chol2)
     blocks = -(-16 * d * k * m // _BLOCK_BYTES) or 1
     b = -(-m // blocks) or 1  # an empty batch still gets a one-draw scratch
-    F = np.zeros((d, k, b))
-    X = np.empty((d, k, b))
-    # allocated after the scratch: freed below the output, the scratch stays
-    # in the heap for the caller's next arrays, whereas freed at the top of
-    # the heap it is given back to the system and faulted in again
+    F = _scratch("gram F", (d, k, b))
+    F.fill(0.0)  # a Bartlett factor's upper triangle is read, never written
+    X = _scratch("gram X", (d, k, b))
     G = np.empty((d, d, m))
     for b0 in range(0, m, b):
         n = min(b, m - b0)

@@ -2,15 +2,18 @@
 
 Sampling is reproducible: an RngSpec (seed, stream) pins the whole draw
 sequence, worker streams are merged by a deterministic pairwise reduction,
-and the thread count never changes results.  Every estimated moment is
-paired with its exact target from the closed-form modules and reported as a
-z-score.
+and the thread count never changes results.  The streams run on one pool of
+worker threads kept across calls, and the draws go into buffers each thread
+keeps (``_kernels._scratch``).  Every estimated moment is paired with its
+exact target from the closed-form modules and reported as a z-score.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -201,6 +204,11 @@ def _resolve_method(params: WishartParams, method: str) -> str:
     raise ValueError(f"unknown sampling method {method!r}")
 
 
+def _normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal draws of ``shape`` in this thread's workspace."""
+    return gen.standard_normal(shape, out=_kernels._scratch("normal", shape))
+
+
 def sample_wishart_batch(
     params: WishartParams, count: int, gen: np.random.Generator, method: str = "auto"
 ) -> np.ndarray:
@@ -209,14 +217,14 @@ def sample_wishart_batch(
     method = _resolve_method(params, method)
     d = params.d
     chol2 = params.chol / np.sqrt(2.0)  # cholesky factor of sigma/2
+    # the draws go into the thread's workspace; the kernels return fresh arrays
     if method == "bartlett":
         dof = 2 * float(params.beta) - np.arange(d)
-        chis = gen.chisquare(dof, size=(count, d))
-        normals = gen.standard_normal((count, d * (d - 1) // 2)) if d > 1 else np.zeros((count, 0))
-        return _kernels.bartlett_gram(chol2, chis, normals)
-    p = int(2 * params.beta)
-    Z = gen.standard_normal((count, d, p))
-    return _kernels.vectors_gram(chol2, Z)
+        # chisquare(dof) is 2 standard_gamma(dof / 2), draw for draw
+        chis = gen.standard_gamma(dof / 2, (count, d), out=_kernels._scratch("gamma", (count, d)))
+        chis *= 2
+        return _kernels.bartlett_gram(chol2, chis, _normals(gen, (count, d * (d - 1) // 2)))
+    return _kernels.vectors_gram(chol2, _normals(gen, (count, d, int(2 * params.beta))))
 
 
 def sample_wishart(params: WishartParams, rng: RngSpec, method: str = "auto") -> np.ndarray:
@@ -227,7 +235,7 @@ def sample_wishart(params: WishartParams, rng: RngSpec, method: str = "auto") ->
 def sample_haar_batch(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` Haar-orthogonal N x N matrices, stacked as (count, N, N)."""
     N, count = check_dimension(N), _as_int(count, "count", 0)
-    return _kernels.haar_orthogonalize(gen.standard_normal((count, N, N)), N)
+    return _kernels.haar_orthogonalize(_normals(gen, (count, N, N)), N)
 
 
 def sample_haar_orthogonal(N: int, rng: RngSpec) -> np.ndarray:
@@ -302,6 +310,29 @@ def _pairwise_merge(per_stream: list[list[_Acc]]) -> list[_Acc]:
     return work[0]
 
 
+# Every estimate runs its streams on one pool of worker threads, built on
+# first use and kept, so that a call starts no thread and each worker keeps
+# its workspace (``_kernels._scratch``) from one call to the next.
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_pid = 0
+_pool_lock = threading.Lock()
+
+
+def _workers(lanes: int) -> ThreadPoolExecutor:
+    """The worker pool, rebuilt when it has fewer than ``lanes`` workers or
+    was built by another process: a forked child inherits the pool but not
+    its threads, and would wait forever on what it submits.  A replaced pool
+    is dropped, not shut down, so a call still submitting to it runs; its
+    workers exit once it is garbage-collected."""
+    global _pool, _pool_size, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_size < lanes or _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(lanes, thread_name_prefix="wishmom-streams")
+            _pool_size, _pool_pid = lanes, os.getpid()
+        return _pool
+
+
 def _run_streams(
     draw_chunk: Callable[[np.random.Generator, int, list[_Acc]], None], targets: list[float],
     labels: list[str], sample_count: int, rng: RngSpec, chunk: int, streams: int, threads: int,
@@ -311,6 +342,10 @@ def _run_streams(
     merge the streams pairwise in order, so the thread count never changes
     results.  Each stream runs on one thread, so ``threads > streams`` leaves
     threads unused and warns.
+
+    The streams run in ``min(threads, streams)`` lanes: lane j runs streams
+    j, j + lanes, ... in order, so at most ``threads`` of them run at once.
+    One lane runs on the calling thread, more on the worker pool.
     """
     sample_count = _as_int(sample_count, "sample_count", 1000)
     streams = _as_int(streams, "streams", 1)
@@ -334,11 +369,19 @@ def _run_streams(
             draw_chunk(gen, m, accs)
         return accs
 
-    if threads > 1 and streams > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_stream = list(pool.map(run_stream, range(streams)))
+    lanes = min(threads, streams)
+
+    def run_lane(j: int) -> list[list[_Acc]]:
+        return [run_stream(i) for i in range(j, streams, lanes)]
+
+    if lanes > 1:
+        pool = _workers(lanes)
+        futures = [pool.submit(run_lane, j) for j in range(lanes)]
+        wait(futures)  # every lane ends before an error is raised
+        per_lane = [f.result() for f in futures]
     else:
-        per_stream = [run_stream(i) for i in range(streams)]
+        per_lane = [run_lane(0)]
+    per_stream = [per_lane[i % lanes][i // lanes] for i in range(streams)]
     merged = _pairwise_merge(per_stream)
     return [_finalize(acc, t, lab) for acc, t, lab in zip(merged, targets, labels)]
 
@@ -408,7 +451,7 @@ def estimate_haar(
 
     def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
         # the draws of sample_haar_batch, orthogonalized up to the last column read
-        Q = _kernels.haar_orthogonalize(gen.standard_normal((m, N, N)), k)
+        Q = _kernels.haar_orthogonalize(_normals(gen, (m, N, N)), k)
         for (i_idx, j_idx), acc in zip(pairs, accs):
             vals = np.ones(m)
             for a, b in zip(i_idx, j_idx):
