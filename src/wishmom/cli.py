@@ -30,10 +30,11 @@ from .matchgroup import SizeLimitError
 from .weingarten import (
     PoleError,
     build_table,
+    cached_tables,
+    fraction_json,
     load_table,
     save_table,
     table_path,
-    table_to_json,
     weingarten_values,
 )
 from .symcomb import _as_fraction, check_partition
@@ -110,39 +111,48 @@ def read_sigma(path: str) -> np.ndarray:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
 
 
-def fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def frac_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
-
-
 def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str]) -> None:
-    """Write the report in the selected format to --out or stdout.
+    """Write the report in the format of --format to --out or stdout.
 
-    Fraction values become {"num","den"} objects in JSON and "p/q" in CSV.
+    Fraction values become {"num","den"} objects in JSON (``fraction_json``)
+    and, as in the text lines, "p/q" in CSV.
     """
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        safe = [{k: (frac_json(v) if isinstance(v, Fraction) else v) for k, v in r.items()} for r in rows]
-        payload = {"config": asdict(config), "results": safe}
-        body = json.dumps(payload, indent=2, default=str) + "\n"
-    elif fmt == "csv":
+    if args.format == "json":
+        safe = [{k: (fraction_json(v) if isinstance(v, Fraction) else v) for k, v in r.items()} for r in rows]
+        body = json.dumps({"config": asdict(config), "results": safe}, indent=2, default=str) + "\n"
+    elif args.format == "csv":
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
             writer.writeheader()
-            for r in rows:
-                writer.writerow({k: (fmt_fraction(v) if isinstance(v, Fraction) else v) for k, v in r.items()})
+            writer.writerows(rows)
         body = buf.getvalue()
     else:
         body = "\n".join(text_lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(body)
+    if args.out:
+        Path(args.out).write_text(body)
     else:
         sys.stdout.write(body)
+
+
+def emit_table(args, config: RunConfig, values: dict[tuple[int, ...], Fraction]) -> None:
+    """The report of one Weingarten table {rho: value}, for ``wg`` and ``table show``."""
+    rows = [{"rho": list(rho), "value": v} for rho, v in values.items()]
+    emit(args, config, rows, [f"{rho}: {v}" for rho, v in values.items()])
+
+
+# moment kind, named as its flag's dest -> (library call, formula label,
+# degree of the flag's value); the calls look the library functions up when
+# they run, so that a wrapper put in place of one of those names in this
+# module is called too
+MOMENT_KINDS = {
+    "entries": (
+        lambda p, v, inv: moment(p, MomentSpec(v, inverse=inv)), "entrywise-matching-sum", lambda v: len(v) // 2
+    ),
+    "trace_power": (lambda p, v, inv: trace_power_moment(p, v, inverse=inv), "trace-power-sum", lambda v: v),
+    "power_trace": (lambda p, v, inv: power_trace_moment(p, v, inverse=inv), "power-trace-sum", sum),
+    "invariant": (lambda p, v, inv: invariant_moment(p, v, inverse=inv), "invariant-zonal", sum),
+}
 
 
 # ---------------------------------------------------------------- commands
@@ -159,17 +169,8 @@ def cmd_wg(args) -> int:
     values = weingarten_values(n, z=args.z, gamma=args.gamma, N=args.truncate)
     [(key, point)] = points
     config = RunConfig("wg", {"n": n, key: str(point), "tilde": args.tilde, "truncate": args.truncate})
-    rows = [{"rho": list(rho), "value": v} for rho, v in values.items()]
-    lines = [f"{rho}: {fmt_fraction(v)}" for rho, v in values.items()]
-    emit(args, config, rows, lines)
+    emit_table(args, config, values)
     return EXIT_OK
-
-
-def _moment_kind(args) -> str:
-    picks = [name for name in ("entries", "trace_power", "power_trace", "invariant") if getattr(args, name) is not None]
-    if len(picks) != 1:
-        raise ValueError("pick exactly one of --entries, --trace-power, --power-trace, --invariant")
-    return picks[0]
 
 
 def cmd_moment(args) -> int:
@@ -177,43 +178,19 @@ def cmd_moment(args) -> int:
     # a scalar sigma has no first axis; WishartParams rejects its shape whatever d is
     d = args.d if args.d is not None else (sigma.shape[0] if sigma.ndim else 0)
     params = WishartParams(d=d, beta=args.beta, sigma=sigma)
-    kind = _moment_kind(args)
-    inverse = args.inverse
-    if kind == "entries":
-        spec = MomentSpec(args.entries, inverse=inverse)
-        value = moment(params, spec)
-        formula = "entrywise-matching-sum"
-        degree = spec.degree
-    elif kind == "trace_power":
-        value = trace_power_moment(params, args.trace_power, inverse=inverse)
-        formula = "trace-power-sum"
-        degree = args.trace_power
-    elif kind == "power_trace":
-        value = power_trace_moment(params, args.power_trace, inverse=inverse)
-        formula = "power-trace-sum"
-        degree = sum(args.power_trace)
-    else:
-        value = invariant_moment(params, args.invariant, inverse=inverse)
-        formula = "invariant-zonal"
-        degree = sum(args.invariant)
-    value = float(value)
-    regime = gamma_regime(params.gamma, degree) if inverse else None
-    config = RunConfig(
-        "moment",
-        {
-            "sigma": args.sigma,
-            "d": d,
-            "beta": str(params.beta),
-            "kind": kind,
-            "inverse": inverse,
-            "entries": list(args.entries) if args.entries else None,
-            "trace_power": args.trace_power,
-            "power_trace": list(args.power_trace) if args.power_trace else None,
-            "invariant": list(args.invariant) if args.invariant else None,
-        },
-    )
+    picks = [name for name in MOMENT_KINDS if getattr(args, name) is not None]
+    if len(picks) != 1:
+        raise ValueError("pick exactly one of --entries, --trace-power, --power-trace, --invariant")
+    [kind] = picks
+    call, formula, degree = MOMENT_KINDS[kind]
+    arg, inverse = getattr(args, kind), args.inverse
+    value = float(call(params, arg, inverse))
+    regime = gamma_regime(params.gamma, degree(arg)) if inverse else None
+    options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": kind, "inverse": inverse}
+    # the JSON report writes the tuple-valued flags as lists
+    config = RunConfig("moment", options | {name: getattr(args, name) for name in MOMENT_KINDS})
     row = {"value": value, "formula": formula, "gamma": str(params.gamma), "gamma_regime": regime}
-    lines = [f"value: {value:.17g}", f"formula: {formula}", f"gamma: {fmt_fraction(params.gamma)}"]
+    lines = [f"value: {value:.17g}", f"formula: {formula}", f"gamma: {params.gamma}"]
     if regime:
         lines.append(f"gamma regime: {regime}")
     emit(args, config, [row], lines)
@@ -223,8 +200,7 @@ def cmd_moment(args) -> int:
 def cmd_haar(args) -> int:
     value = haar_moment(args.i, args.j, args.N)
     config = RunConfig("haar", {"i": list(args.i), "j": list(args.j), "N": args.N})
-    rows = [{"value": value}]
-    emit(args, config, rows, [f"value: {fmt_fraction(value)}"])
+    emit(args, config, [{"value": value}], [f"value: {value}"])
     return EXIT_OK
 
 
@@ -251,32 +227,25 @@ def cmd_table(args) -> int:
     cache = args.cache_dir or default_cache_dir()
     if args.action in ("build", "show") and (args.n is None or args.z is None):
         raise ValueError(f"table {args.action} needs --n and --z")
+    if args.action == "list":
+        paths = [str(p) for p in cached_tables(cache)]
+        config = RunConfig("table-list", {"cache_dir": str(cache)})
+        emit(args, config, [{"path": p} for p in paths], paths or ["(no cached tables)"])
+        return EXIT_OK
+    options = {"n": args.n, "z": str(args.z), "cache_dir": str(cache)}
+    cached = load_table(cache, args.n, args.z)
     if args.action == "build":
         table = build_table(args.n, args.z)
-        path = table_path(cache, args.n, args.z)
-        if path.exists() and path.read_text() == table_to_json(table):
-            sys.stdout.write(f"cache hit: {path}\n")
+        if cached == table:
+            status, path = "cache hit", table_path(cache, args.n, args.z)
         else:
-            save_table(table, cache)
-            sys.stdout.write(f"built: {path}\n")
+            status, path = "built", save_table(table, cache)
+        config = RunConfig("table-build", options)
+        emit(args, config, [{"status": status, "path": str(path)}], [f"{status}: {path}"])
         return EXIT_OK
-    if args.action == "list":
-        root = Path(cache) / "tables" / "wg_o"
-        found = sorted(root.rglob("*.json")) if root.exists() else []
-        for p in found:
-            sys.stdout.write(f"{p}\n")
-        if not found:
-            sys.stdout.write("(no cached tables)\n")
-        return EXIT_OK
-    # show
-    table = load_table(cache, args.n, args.z)
-    cached = table is not None
-    if table is None:
-        table = build_table(args.n, args.z)
-    config = RunConfig("table-show", {"n": args.n, "z": str(Fraction(args.z)), "cache_dir": str(cache), "cached": cached})
-    rows = [{"rho": list(rho), "value": v} for rho, v in table.entries.items()]
-    lines = [f"{rho}: {fmt_fraction(v)}" for rho, v in table.entries.items()]
-    emit(args, config, rows, lines)
+    config = RunConfig("table-show", options | {"cached": cached is not None})
+    table = cached if cached is not None else build_table(args.n, args.z)
+    emit_table(args, config, table.entries)
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ with at most N rows at z = N.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -302,14 +303,16 @@ def build_table(n: int, z) -> WeingartenTable:
     return WeingartenTable(n=n, z=z, entries=entries, provenance=prov)
 
 
+def fraction_json(f: Fraction) -> dict:
+    """f as the JSON object {"num": "<p>", "den": "<q>"} of table files and CLI reports."""
+    return {"num": str(f.numerator), "den": str(f.denominator)}
+
+
 def table_to_json(table: WeingartenTable) -> str:
     doc = {
         "n": table.n,
-        "z": {"num": str(table.z.numerator), "den": str(table.z.denominator)},
-        "entries": [
-            {"rho": list(rho), "value": {"num": str(v.numerator), "den": str(v.denominator)}}
-            for rho, v in table.entries.items()
-        ],
+        "z": fraction_json(table.z),
+        "entries": [{"rho": list(rho), "value": fraction_json(v)} for rho, v in table.entries.items()],
         "provenance": table.provenance,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -325,9 +328,26 @@ def table_from_json(text: str) -> WeingartenTable:
     return WeingartenTable(n=int(doc["n"]), z=z, entries=entries, provenance=doc.get("provenance", {}))
 
 
+def _table_root(cache_dir: str | Path) -> Path:
+    return Path(cache_dir) / "tables" / "wg_o"
+
+
 def table_path(cache_dir: str | Path, n: int, z) -> Path:
     n, z = _as_int(n, "degree"), _as_fraction(z, "z")
-    return Path(cache_dir) / "tables" / "wg_o" / f"n{n}" / f"z_{z.numerator}_{z.denominator}.json"
+    return _table_root(cache_dir) / f"n{n}" / f"z_{z.numerator}_{z.denominator}.json"
+
+
+def cached_tables(cache_dir: str | Path) -> list[Path]:
+    """The files under cache_dir that lie at ``table_path(cache_dir, n, z)`` for
+    some n and z, sorted.  Nothing else there is listed, a directory at such a
+    path included; what the files hold is ``load_table``'s to check."""
+    root = _table_root(cache_dir)
+    found = []
+    for path in root.glob("n*/z_*.json"):
+        m = re.fullmatch(r"n(\d+)/z_(-?\d+)_([1-9]\d*)\.json", path.relative_to(root).as_posix())
+        if m and path.is_file() and path == table_path(cache_dir, int(m[1]), Fraction(int(m[2]), int(m[3]))):
+            found.append(path)
+    return sorted(found)
 
 
 def save_table(table: WeingartenTable, cache_dir: str | Path) -> Path:

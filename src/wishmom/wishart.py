@@ -125,7 +125,7 @@ class WishartParams:
         self.beta = _as_fraction(self.beta, "beta")
         self.sigma = _symmetric(self.sigma, self.d, "sigma")
         try:
-            np.linalg.cholesky(self.sigma)
+            self.chol  # the factorisation is the positive-definiteness check
         except np.linalg.LinAlgError as exc:
             raise DomainError("sigma is not positive definite") from exc
         if not admissible_beta(self.beta, self.d):
@@ -345,13 +345,19 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
 
     ``shape`` is beta on the forward side and gamma on the inverse side.
     c_rho is ``zonal_sum`` at a_lam / b_lam = e_lam omega^lam(mu), e_lam the
-    eigenvalue, scaled by M_rho.
+    eigenvalue, scaled by M_rho.  At mu = (1^n), omega^lam(mu) = 1 and that
+    sum is the coset weight of rho, so c_rho is M_rho times ``_coset_weights``:
+    on the inverse side the cached Weingarten table at gamma, with the same
+    poles.
     """
     mu, shape = check_partition(mu), _as_fraction(shape, "shape")
     if not mu:
         return {(): 1}
     n = sum(mu)
     check_degree(n)
+    if mu == (1,) * n:
+        weights = _coset_weights(n, shape, inverse)
+        return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
     terms = []
     for lam in partitions_of(n):
         a, b = _eigenvalue(lam, shape, inverse)
@@ -373,22 +379,19 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
 
 def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
-    c_rho = M_rho, the number of matchings of coset type rho, times their
-    coset weight."""
+    ``power_trace_coeffs`` at mu = (1^n)."""
     n, shape = _as_int(n, "degree"), _as_fraction(shape, "shape")
-    if n == 0:
-        return {(): 1}
-    weights = _coset_weights(check_degree(n), shape, inverse)
-    return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
+    if n:  # the degree is checked before (1,) * n is built
+        check_degree(n)
+    return power_trace_coeffs((1,) * n, shape, inverse)
 
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
-    """E[(tr W)^n] or E[(tr W^-1)^n] with exact partition-indexed coefficients."""
+    """E[(tr W)^n] or E[(tr W^-1)^n]: ``power_trace_moment`` at mu = (1^n)."""
     n = _as_int(n, "degree")
-    if n:  # the empty product needs no table
+    if n:  # the degree is checked before (1,) * n is built
         check_degree(n)
-    x, shape = _side(params, n, inverse)
-    return _contract(trace_power_coeffs(n, shape, inverse), x, n)
+    return power_trace_moment(params, (1,) * n, inverse)
 
 
 def _log_multigamma(a: float, d: int) -> float:

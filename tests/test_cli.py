@@ -185,6 +185,20 @@ def test_moment_trace_power(sigma_csv, capsys):
     assert value == pytest.approx(trace_power_moment(params, 4), rel=1e-12)
 
 
+@pytest.mark.parametrize("inverse", [[], ["--inverse"]])
+def test_moment_trace_power_is_power_trace_of_ones(sigma_csv, capsys, inverse):
+    reports = []
+    for kind, value in (("--trace-power", "4"), ("--power-trace", "1,1,1,1")):
+        assert main(["moment", *inverse, kind, value, "--beta", "9", "--sigma", sigma_csv, "--format", "json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    tp, pt = reports
+    assert tp["results"][0]["value"] == pt["results"][0]["value"]
+    assert [r["formula"] for r in (tp["results"][0], pt["results"][0])] == ["trace-power-sum", "power-trace-sum"]
+    options = ["sigma", "d", "beta", "kind", "inverse", "entries", "trace_power", "power_trace", "invariant"]
+    assert list(tp["config"]["options"]) == list(pt["config"]["options"]) == options
+    assert (tp["config"]["options"]["trace_power"], pt["config"]["options"]["power_trace"]) == (4, [1, 1, 1, 1])
+
+
 def test_moment_option_conflicts(sigma_csv):
     assert main(["moment", "--beta", "2", "--sigma", sigma_csv]) == 2
     assert main(["moment", "--entries", "1,1", "--trace-power", "2", "--beta", "2", "--sigma", sigma_csv]) == 2
@@ -318,6 +332,66 @@ def test_table_build_show_list_cache(tmp_path, capsys):
     assert "-8/385" in shown and "36/385" in shown
     assert main(["table", "list", "--cache-dir", cache]) == 0
     assert "z_7_2.json" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_build_and_list_follow_format(tmp_path, capsys, fmt):
+    cache = str(tmp_path / "cache")
+    path = str(table_path(cache, 3, 5))
+    reports = []
+    for action in (["build", "--n", "3", "--z", "5"], ["build", "--n", "3", "--z", "5"], ["list"]):
+        assert main(["table", *action, "--cache-dir", cache, "--format", fmt]) == 0
+        reports.append(capsys.readouterr().out)
+    if fmt == "json":
+        docs = [json.loads(r) for r in reports]
+        assert [d["config"]["command"] for d in docs] == ["table-build", "table-build", "table-list"]
+        assert docs[0]["config"]["options"] == {"n": 3, "z": "5", "cache_dir": cache}
+        assert [d["results"] for d in docs] == [
+            [{"status": "built", "path": path}],
+            [{"status": "cache hit", "path": path}],
+            [{"path": path}],
+        ]
+    else:
+        assert reports == [f"status,path\r\nbuilt,{path}\r\n", f"status,path\r\ncache hit,{path}\r\n", f"path\r\n{path}\r\n"]
+
+
+def test_table_build_and_list_write_to_out(tmp_path, capsys):
+    cache, out = str(tmp_path / "cache"), tmp_path / "report.txt"
+    path = table_path(cache, 2, "7/2")
+    for action, want in ((["list"], "(no cached tables)\n"), (["build", "--n", "2", "--z", "7/2"], f"built: {path}\n"),
+                         (["build", "--n", "2", "--z", "7/2"], f"cache hit: {path}\n"), (["list"], f"{path}\n")):
+        assert main(["table", *action, "--cache-dir", cache, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == want
+
+
+def test_table_list_shows_only_table_files(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    real = [table_path(cache, 2, "7/2"), table_path(cache, 4, "-13/5")]
+    for n, z in ((2, "7/2"), (4, "-13/5")):
+        assert main(["table", "build", "--n", str(n), "--z", z, "--cache-dir", str(cache)]) == 0
+    root = cache / "tables" / "wg_o"
+    (root / "notes.json").write_text("{}")
+    (root / "n2" / "other.json").write_text("{}")
+    for name in ("n03/z_5_1.json", "n3/z_10_2.json", "n3/z_5_0.json", "n3/sub/z_5_1.json"):  # not where table_path puts a table
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(table_to_json(build_table(3, 5)))
+    (root / "n5" / "z_5_1.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["table", "list", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in sorted(real))
+
+
+def test_table_build_reads_the_cached_file_as_a_table(tmp_path, capsys):
+    # the same table in another layout is a cache hit, and the file is left alone
+    cache = tmp_path / "cache"
+    path = table_path(cache, 3, 5)
+    path.parent.mkdir(parents=True)
+    compact = json.dumps(json.loads(table_to_json(build_table(3, 5))))
+    path.write_text(compact)
+    assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == f"cache hit: {path}\n"
+    assert path.read_text() == compact
 
 
 def _foreign_table_doc():

@@ -77,6 +77,18 @@ def test_params_validation():
     assert np.allclose(p.sigma_inv, np.diag([0.5, 1 / 3]))
 
 
+def test_params_factor_sigma_once(monkeypatch):
+    # the positive-definiteness check is the Cholesky factor that chol and sigma_inv then read
+    calls = []
+    factor = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or factor(a))
+    p = WishartParams(d=2, beta=3, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    assert np.array_equal(p.chol, factor(p.sigma)) and p.sigma_inv.shape == (2, 2)
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match="sigma is not positive definite"):
+        WishartParams(d=2, beta=2, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_params_dimension_must_be_a_positive_integer():
     for bad in (True, 2.5, 0, "2"):
         with pytest.raises(ValueError, match="d must be a positive integer") as info:
@@ -672,8 +684,32 @@ def test_trace_power_inverse_display_degree4():
 @pytest.mark.parametrize("shape", [Fraction(5, 2), Fraction(17, 3), Fraction(7, 3), Fraction(1, 3), 9])
 def test_trace_power_coeffs_are_power_trace_coeffs_of_ones(shape, inverse):
     # gamma = 7/3 and 1/3 lie below n-1 for the larger n: analytic continuation
-    for n in range(1, 5):
-        assert trace_power_coeffs(n, shape, inverse) == power_trace_coeffs((1,) * n, shape, inverse)
+    for n in range(0, 6):
+        got, want = trace_power_coeffs(n, shape, inverse), power_trace_coeffs((1,) * n, shape, inverse)
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("beta", [8, Fraction(23, 3), Fraction(10, 3)])
+def test_trace_power_moment_is_power_trace_moment_of_ones(beta, inverse):
+    # d = 2: gamma = 13/2, 37/6 and 11/6, the last below n-1 for n >= 3
+    p = WishartParams(d=2, beta=beta, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    for n in range(0, 6):
+        got, want = trace_power_moment(p, n, inverse), power_trace_moment(p, (1,) * n, inverse)
+        assert got.hex() == want.hex()
+
+
+def test_trace_power_and_power_trace_raise_the_same_pole():
+    p = WishartParams(d=3, beta=3, sigma=np.eye(3))  # gamma = 1: a pole at every degree from 2
+    for n in range(2, 6):
+        errors = []
+        for call in (lambda: trace_power_moment(p, n, True), lambda: power_trace_moment(p, (1,) * n, True),
+                     lambda: trace_power_coeffs(n, p.gamma, True), lambda: power_trace_coeffs((1,) * n, p.gamma, True)):
+            with pytest.raises(PoleError) as info:
+                call()
+            errors.append((str(info.value), info.value.z, info.value.shapes))
+        assert errors[0][2] and errors.count(errors[0]) == 4, errors
 
 
 def test_trace_power_degree1(params3):
