@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, validate
 from .matchgroup import SizeLimitError
+from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower
 from .weingarten import (
     PoleError,
     build_table,
@@ -38,17 +39,7 @@ from .weingarten import (
     weingarten_values,
 )
 from .symcomb import _as_fraction, check_partition
-from .wishart import (
-    DomainError,
-    MomentSpec,
-    WishartParams,
-    gamma_regime,
-    haar_moment,
-    invariant_moment,
-    moment,
-    power_trace_moment,
-    trace_power_moment,
-)
+from .wishart import DomainError, WishartParams, gamma_regime, haar_moment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,21 +102,21 @@ def read_sigma(path: str) -> np.ndarray:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
 
 
-def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str]) -> None:
+def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str], columns: tuple[str, ...] = ()) -> None:
     """Write the report in the format of --format to --out or stdout.
 
     Fraction values become {"num","den"} objects in JSON (``fraction_json``)
-    and, as in the text lines, "p/q" in CSV.
+    and, as in the text lines, "p/q" in CSV.  The CSV header is the keys of
+    the rows, or ``columns`` when there are none.
     """
     if args.format == "json":
         safe = [{k: (fraction_json(v) if isinstance(v, Fraction) else v) for k, v in r.items()} for r in rows]
         body = json.dumps({"config": asdict(config), "results": safe}, indent=2, default=str) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else columns)
+        writer.writeheader()
+        writer.writerows(rows)
         body = buf.getvalue()
     else:
         body = "\n".join(text_lines) + "\n"
@@ -141,17 +132,13 @@ def emit_table(args, config: RunConfig, values: dict[tuple[int, ...], Fraction])
     emit(args, config, rows, [f"{rho}: {v}" for rho, v in values.items()])
 
 
-# moment kind, named as its flag's dest -> (library call, formula label,
-# degree of the flag's value); the calls look the library functions up when
-# they run, so that a wrapper put in place of one of those names in this
-# module is called too
+# moment kind, named as its flag's dest -> (its class, built from the flag's
+# value and --inverse, and the formula name in the report)
 MOMENT_KINDS = {
-    "entries": (
-        lambda p, v, inv: moment(p, MomentSpec(v, inverse=inv)), "entrywise-matching-sum", lambda v: len(v) // 2
-    ),
-    "trace_power": (lambda p, v, inv: trace_power_moment(p, v, inverse=inv), "trace-power-sum", lambda v: v),
-    "power_trace": (lambda p, v, inv: power_trace_moment(p, v, inverse=inv), "power-trace-sum", sum),
-    "invariant": (lambda p, v, inv: invariant_moment(p, v, inverse=inv), "invariant-zonal", sum),
+    "entries": (EntryProduct, "entrywise-matching-sum"),
+    "trace_power": (TracePower, "trace-power-sum"),
+    "power_trace": (PowerTrace, "power-trace-sum"),
+    "invariant": (Invariant, "invariant-zonal"),
 }
 
 
@@ -162,12 +149,9 @@ def cmd_wg(args) -> int:
     n = args.n
     if args.tilde != (args.gamma is not None):
         raise ValueError("--tilde and --gamma must be given together")
-    # the truncated table is the plain one at z = N
-    points = [(k, v) for k, v in (("z", args.z), ("gamma", args.gamma), ("z", args.truncate)) if v is not None]
-    if len(points) != 1:
-        raise ValueError("need exactly one of --z, --gamma --tilde, or --truncate")
     values = weingarten_values(n, z=args.z, gamma=args.gamma, N=args.truncate)
-    [(key, point)] = points
+    # exactly one point was given; the truncated table is the plain one at z = N
+    key, point = ("gamma", args.gamma) if args.tilde else ("z", args.truncate if args.z is None else args.z)
     config = RunConfig("wg", {"n": n, key: str(point), "tilde": args.tilde, "truncate": args.truncate})
     emit_table(args, config, values)
     return EXIT_OK
@@ -181,12 +165,12 @@ def cmd_moment(args) -> int:
     picks = [name for name in MOMENT_KINDS if getattr(args, name) is not None]
     if len(picks) != 1:
         raise ValueError("pick exactly one of --entries, --trace-power, --power-trace, --invariant")
-    [kind] = picks
-    call, formula, degree = MOMENT_KINDS[kind]
-    arg, inverse = getattr(args, kind), args.inverse
-    value = float(call(params, arg, inverse))
-    regime = gamma_regime(params.gamma, degree(arg)) if inverse else None
-    options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": kind, "inverse": inverse}
+    [flag] = picks
+    cls, formula = MOMENT_KINDS[flag]
+    kind = cls(getattr(args, flag), args.inverse)
+    value = float(kind.target(params))
+    regime = gamma_regime(params.gamma, kind.order) if args.inverse else None
+    options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": flag, "inverse": args.inverse}
     # the JSON report writes the tuple-valued flags as lists
     config = RunConfig("moment", options | {name: getattr(args, name) for name in MOMENT_KINDS})
     row = {"value": value, "formula": formula, "gamma": str(params.gamma), "gamma_regime": regime}
@@ -230,7 +214,7 @@ def cmd_table(args) -> int:
     if args.action == "list":
         paths = [str(p) for p in cached_tables(cache)]
         config = RunConfig("table-list", {"cache_dir": str(cache)})
-        emit(args, config, [{"path": p} for p in paths], paths or ["(no cached tables)"])
+        emit(args, config, [{"path": p} for p in paths], paths or ["(no cached tables)"], ("path",))
         return EXIT_OK
     options = {"n": args.n, "z": str(args.z), "cache_dir": str(cache)}
     cached = load_table(cache, args.n, args.z)

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
-from .symcomb import Partition, _as_int, _as_ints, check_partition
-from .weingarten import check_dimension
+from .matchgroup import matching_type_count
+from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
+from .weingarten import check_dimension, zonal_spherical
 from .wishart import DomainError, MomentSpec, WishartParams, _real_matrix
 
 DEFAULT_CHUNK = 1 << 16
@@ -60,6 +61,22 @@ class SampleStats:
 
 
 # ------------------------------------------------------------- descriptors
+# One class per moment kind, with its exact target and its per-draw values;
+# ``wishmom moment`` computes through the same classes.
+
+
+def _power_traces(mats: np.ndarray, top: int) -> dict[int, np.ndarray]:
+    """tr(W^r) of each draw, for r = 1..top (and r = 1 when top is 0)."""
+    # tr(W^r) contracts W^(r-1) against W, so the top power is never formed.
+    # einsum runs along the sample axis, which the Gram kernels put
+    # innermost in memory; a stacked @ on that layout is ten times slower.
+    power = mats
+    traces = {1: np.einsum("mii->m", mats)}
+    for r in range(2, top + 1):
+        traces[r] = np.einsum("mij,mji->m", power, mats)
+        if r < top:
+            power = np.einsum("mij,mjk->mik", power, mats)
+    return traces
 
 
 @dataclass(frozen=True)
@@ -139,19 +156,46 @@ class PowerTrace:
         return wishart.power_trace_moment(params, self.mu, inverse=self.inverse)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
-        # tr(W^r) contracts W^(r-1) against W, so the top power is never formed.
-        # einsum runs along the sample axis, which the Gram kernels put
-        # innermost in memory; a stacked @ on that layout is ten times slower.
         out = np.ones(mats.shape[0])
-        top = max(self.mu, default=0)
-        power = mats
-        traces = {1: np.einsum("mii->m", mats)}
-        for r in range(2, top + 1):
-            traces[r] = np.einsum("mij,mji->m", power, mats)
-            if r < top:
-                power = np.einsum("mij,mjk->mik", power, mats)
+        traces = _power_traces(mats, max(self.mu, default=0))
         for part in self.mu:
             out = out * traces[part]
+        return out
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """Z_lam(W^{+-1}), the zonal polynomial of shape lam."""
+
+    lam: Partition
+    inverse: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", check_partition(self.lam))
+
+    @property
+    def order(self) -> int:
+        return sum(self.lam)
+
+    @property
+    def label(self) -> str:
+        return f"Z_{self.lam}({'Winv' if self.inverse else 'W'})"
+
+    def target(self, params: WishartParams) -> float:
+        return wishart.invariant_moment(params, self.lam, inverse=self.inverse)
+
+    def values(self, mats: np.ndarray) -> np.ndarray:
+        # sum_rho M_rho omega^lam(rho) p_rho with float coefficients: the
+        # Fractions of ``zonal_eval`` would make object arrays
+        if not self.lam:
+            return np.ones(mats.shape[0])
+        traces = _power_traces(mats, self.order)
+        out = np.zeros(mats.shape[0])
+        for rho in partitions_of(self.order):
+            term = float(matching_type_count(rho) * zonal_spherical(self.lam, rho))
+            for part in rho:
+                term = term * traces[part]
+            out += term
         return out
 
 

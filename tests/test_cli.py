@@ -2,14 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wishmom
-from wishmom.cli import main
-from wishmom.weingarten import build_table, load_table, table_path, table_to_json
+from wishmom.cli import MOMENT_KINDS, main
+from wishmom.matchgroup import matching_type_count
+from wishmom.montecarlo import EntryProduct, Invariant, PowerTrace, RngSpec, TracePower, estimate
+from wishmom.symcomb import partitions_of
+from wishmom.validate import REL_TOL, entrywise_power_trace
+from wishmom.weingarten import build_table, load_table, table_path, table_to_json, zonal_spherical
 from wishmom.wishart import MomentSpec, WishartParams, inverse_moment, moment, trace_power_moment
 
 
@@ -65,7 +70,11 @@ def test_wg_missing_point(capsys):
         ["--z", "5", "--tilde", "--gamma", "3", "--truncate", "3"],
     ):
         assert main(["wg", "--n", "2", *point]) == 2, point
-        assert capsys.readouterr().out == "", point
+        out, err = capsys.readouterr()
+        assert out == "", point
+        # the pairing is the CLI's own check; the count of points is the library's
+        assert err in ("error: --tilde and --gamma must be given together\n",
+                       "error: give exactly one of z, gamma and N\n"), point
 
 
 @pytest.mark.parametrize("point", [["--z", "3"], ["--tilde", "--gamma", "3"], ["--truncate", "3"]])
@@ -197,6 +206,53 @@ def test_moment_trace_power_is_power_trace_of_ones(sigma_csv, capsys, inverse):
     options = ["sigma", "d", "beta", "kind", "inverse", "entries", "trace_power", "power_trace", "invariant"]
     assert list(tp["config"]["options"]) == list(pt["config"]["options"]) == options
     assert (tp["config"]["options"]["trace_power"], pt["config"]["options"]["power_trace"]) == (4, [1, 1, 1, 1])
+
+
+# the value of each --<kind> flag at degrees 1, 2 and 3, as the library reads it
+KIND_ARGS = {
+    EntryProduct: [(1, 2), (1, 2, 3, 3), (1, 1, 2, 3, 2, 3)],
+    TracePower: [1, 2, 3],
+    PowerTrace: [(1,), (2,), (2, 1)],
+    Invariant: [(1,), (1, 1), (2, 1)],
+}
+SIGMA3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+
+
+def _assembled(kind, params):
+    """The target of a trace or invariant kind from entrywise moments alone."""
+    if isinstance(kind, TracePower):
+        return entrywise_power_trace(params, (1,) * kind.power, kind.inverse)
+    if isinstance(kind, PowerTrace):
+        return entrywise_power_trace(params, kind.mu, kind.inverse)
+    # Z_lam = sum_rho M_rho omega^lam(rho) p_rho
+    return sum(
+        float(matching_type_count(rho) * zonal_spherical(kind.lam, rho)) * entrywise_power_trace(params, rho, kind.inverse)
+        for rho in partitions_of(kind.order)
+    )
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("flag", list(MOMENT_KINDS))
+def test_every_moment_kind_is_its_class(tmp_path, capsys, flag, degree, inverse):
+    # d = 3, gamma = 15/2 > 3: every inverse moment of degree <= 3 exists and can be estimated
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(",".join(map(str, row)) for row in SIGMA3) + "\n")
+    params = WishartParams(d=3, beta=Fraction(19, 2), sigma=SIGMA3)
+    cls, formula = MOMENT_KINDS[flag]
+    arg = KIND_ARGS[cls][degree - 1]
+    kind = cls(arg, inverse)
+    assert kind.order == degree
+    value = ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg)
+    argv = ["moment", f"--{flag.replace('_', '-')}", value, "--beta", "19/2", "--sigma", str(path), "--format", "json"]
+    assert main(argv + ["--inverse"] * inverse) == 0
+    [row] = json.loads(capsys.readouterr().out)["results"]
+    target = float(kind.target(params))
+    assert (row["value"], row["formula"]) == (target, formula)
+    if cls is not EntryProduct:
+        assert target == pytest.approx(_assembled(kind, params), rel=REL_TOL)
+    one, two = (estimate([kind], params, 20_000, RngSpec(11), streams=2, threads=t) for t in (1, 2))
+    assert one == two and abs(one[0].zscore) < 5, one
 
 
 def test_moment_option_conflicts(sigma_csv):
@@ -353,6 +409,11 @@ def test_table_build_and_list_follow_format(tmp_path, capsys, fmt):
         ]
     else:
         assert reports == [f"status,path\r\nbuilt,{path}\r\n", f"status,path\r\ncache hit,{path}\r\n", f"path\r\n{path}\r\n"]
+
+
+def test_empty_table_list_csv_prints_its_header(tmp_path, capsys):
+    assert main(["table", "list", "--cache-dir", str(tmp_path / "cache"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "path\r\n"
 
 
 def test_table_build_and_list_write_to_out(tmp_path, capsys):

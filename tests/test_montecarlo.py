@@ -7,6 +7,7 @@ import pytest
 from wishmom import montecarlo
 from wishmom.montecarlo import (
     EntryProduct,
+    Invariant,
     PowerTrace,
     RngSpec,
     TracePower,
@@ -17,6 +18,7 @@ from wishmom.montecarlo import (
     sample_wishart,
     sample_wishart_batch,
 )
+from wishmom.weingarten import zonal_eval
 from wishmom.wishart import DomainError, WishartParams
 
 
@@ -208,6 +210,14 @@ def test_degree0_estimates_are_the_empty_product(params):
     descs = [PowerTrace(()), PowerTrace((), inverse=True), TracePower(0), TraceProduct(())]
     for s in estimate(descs, params, 2000, RngSpec(19)):
         assert s.mean == 1.0 and s.target == 1.0 and s.stderr == 0.0 and s.zscore == 0.0
+
+
+def test_invariant_values_are_the_zonal_polynomial(params):
+    mats = sample_wishart_batch(params, 5, RngSpec(20).generator())
+    for lam in ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (3, 2)):
+        psums = [{r: np.trace(np.linalg.matrix_power(w, r)) for r in range(1, sum(lam) + 1)} for w in mats]
+        assert Invariant(lam).values(mats) == pytest.approx([float(zonal_eval(lam, p)) for p in psums], rel=1e-12)
+    assert (Invariant((2, 1), inverse=True).label, Invariant((2, 1)).order) == ("Z_(2, 1)(Winv)", 3)
 
 
 def test_sampler_paths_agree_in_distribution():
