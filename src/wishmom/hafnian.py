@@ -16,14 +16,12 @@ of M built by ``permanent_embedding``.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Number
 
 import numpy as np
 
-from .matchgroup import SizeLimitError, cycle_type_sums, matching_type_sums
+from .matchgroup import check_sum_degree, cycle_type_sums, matching_type_sums
 from .symcomb import _as_fraction, _as_ints
-
-MAX_HAFNIAN_SIZE = 16
 
 
 def _alpha(alpha):
@@ -37,10 +35,15 @@ def _alpha(alpha):
 
 
 def _square(M) -> int:
-    """The size of the square M, [] being 0 x 0; ValueError for any other shape."""
-    shape = np.array(M, dtype=object).shape
+    """The size of the square M, [] being 0 x 0; ValueError for any other
+    shape, or for an entry that is not a number or is a bool."""
+    entries = np.array(M, dtype=object)
+    shape = entries.shape
     if shape != (0,) and (len(shape) != 2 or shape[0] != shape[1]):
         raise ValueError("matrix must be square")
+    for (p, q), v in np.ndenumerate(entries):
+        if not isinstance(v, Number) or isinstance(v, bool):
+            raise ValueError(f"matrix entry at ({p},{q}) must be a number, got {v!r}")
     return shape[0]
 
 
@@ -60,8 +63,6 @@ def hafnian_matching(A, alpha):
     taken by ``matching_type_sums`` with a factor alpha per loop; exact for
     Fraction and int inputs."""
     m, alpha = _check_symmetric(A), _alpha(alpha)
-    if m > MAX_HAFNIAN_SIZE:
-        raise SizeLimitError(f"matching sum supports size <= {MAX_HAFNIAN_SIZE}")
     return matching_type_sums(range(m), A, alpha)
 
 
@@ -73,8 +74,7 @@ def hafnian_expand(A, alpha):
     pairs or swap within a pair.
     """
     m, alpha = _check_symmetric(A), _alpha(alpha)
-    if m > MAX_HAFNIAN_SIZE:
-        raise SizeLimitError(f"expansion supports size <= {MAX_HAFNIAN_SIZE}")
+    check_sum_degree(m // 2)
     if m == 0:
         return 1
     memo: dict[tuple, object] = {}

@@ -22,11 +22,20 @@ from typing import Iterator, Sequence
 from .symcomb import Partition, Perm, centralizer_order, check_partition
 
 MAX_HYPEROCT_DEGREE = 5
-MAX_PERMSUM_DEGREE = 7
+# the most pairs (matching sums, alpha-hafnians) or points (permutation sums)
+# an exact sum may take; its subset DPs hold 2^n tables and take O(3^n) splits
+MAX_SUM_DEGREE = 10
 
 
 class SizeLimitError(ValueError):
     """Requested enumeration exceeds the library's hard size guard."""
+
+
+def check_sum_degree(n: int) -> None:
+    """SizeLimitError unless an exact sum of n pairs or points is within
+    MAX_SUM_DEGREE; checked before any table of size 2^n is built."""
+    if n > MAX_SUM_DEGREE:
+        raise SizeLimitError(f"exact sums support degree <= {MAX_SUM_DEGREE} (pairs or points), got {n}")
 
 
 def matching_count(n: int) -> int:
@@ -134,6 +143,7 @@ def matching_type_sums(labels: Sequence[int], x, factor=None):
     n, odd = divmod(len(labels), 2)
     if odd:
         raise ValueError("need an even number of labels")
+    check_sum_degree(n)
     full = (1 << n) - 1
     loop = [0] * (full + 1)
     # walks[mask]: {exit label: summed weight} of open walks from pair min(mask)
@@ -174,8 +184,7 @@ def cycle_type_sums(n: int, edge, read, factor=None):
     ``_partition_sums`` splits the n points into cycles, in O(3^n p(n)) per
     cycle type or O(3^n) with ``factor``.
     """
-    if n > MAX_PERMSUM_DEGREE:
-        raise SizeLimitError(f"permutation sums support n <= {MAX_PERMSUM_DEGREE}")
+    check_sum_degree(n)
     steps = [[edge(i, j) for j in range(n)] for i in range(n)]
     cycle = [0] * (1 << n)
     for top in range(n):

@@ -54,7 +54,6 @@ from .weingarten import (
     zonal_sum,
 )
 
-MAX_ENTRY_DEGREE = 10
 MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12
 
@@ -217,10 +216,6 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
     x, shape = _side(params, n, spec.inverse)
     weights = _inv_wg_table(n, shape) if spec.inverse else None
-    # the cap comes last, so an inverse spec past it still fails as a domain
-    # error (gamma <= 0) or on the Weingarten tables' own degree limit
-    if n > MAX_ENTRY_DEGREE:
-        raise SizeLimitError(f"entrywise moments support degree <= {MAX_ENTRY_DEGREE}")
     labels = [k - 1 for k in spec.indices]
     if weights is None:
         # dividing by a power of two is exact

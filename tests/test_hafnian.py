@@ -20,8 +20,7 @@ from wishmom.hafnian import (
     permanent_embedding,
 )
 from wishmom.matchgroup import (
-    MAX_PERMSUM_DEGREE,
-    SizeLimitError,
+    MAX_SUM_DEGREE,
     cycle_type_sums,
     hyperoctahedral,
     matching_type_sums,
@@ -235,12 +234,16 @@ def test_permutation_sums_equal_enumeration(n, integral, seed):
 
 
 def test_four_way_agreement_at_the_cap():
+    # the three subset-DP routes at size 2 MAX_SUM_DEGREE; the expansion, about
+    # 10 s there, is checked at size 16 here and at the cap in CI
     rnd = random.Random(777)
-    n = MAX_PERMSUM_DEGREE
+    n = MAX_SUM_DEGREE
     A = rand_sym(rnd, 2 * n)
     al = rand_alpha(rnd)
     h = hafnian_matching(A, al)
-    assert h == hafnian_expand(A, al) == hafnian_permsum(A, al, "P") == hafnian_permsum(A, al, "Q")
+    assert h != 0 and h == hafnian_permsum(A, al, "P") == hafnian_permsum(A, al, "Q")
+    A16 = [row[:16] for row in A[:16]]
+    assert hafnian_expand(A16, al) == hafnian_matching(A16, al)
     M = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
     assert alpha_permanent(M, al) == hafnian_matching(permanent_embedding(M), al)
 
@@ -297,19 +300,6 @@ def test_permanent_embedding_identity():
         assert hafnian_expand(B, al) == alpha_permanent(M, al)
 
 
-def test_size_guards():
-    big = [[Fraction(0)] * 18 for _ in range(18)]
-    with pytest.raises(SizeLimitError):
-        hafnian_matching(big, Fraction(1))
-    with pytest.raises(SizeLimitError):
-        hafnian_expand(big, Fraction(1))
-    mid = [[Fraction(0)] * 16 for _ in range(16)]
-    with pytest.raises(SizeLimitError):
-        hafnian_permsum(mid, Fraction(1))
-    with pytest.raises(SizeLimitError):
-        alpha_permanent([[Fraction(0)] * 8 for _ in range(8)], Fraction(1))
-
-
 def test_alpha_permanent_rejects_non_square():
     # checked before the size guard, and never read as a smaller square
     for M in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[0] * 9 for _ in range(8)]):
@@ -354,8 +344,9 @@ def test_hafnian_matching_scalar_stage_equals_keyed_sum(n, integral, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, MAX_PERMSUM_DEGREE), st.booleans(), st.integers(0, 10**9))
+@given(st.integers(1, 7), st.booleans(), st.integers(0, 10**9))
 def test_permutation_sums_scalar_stage_equal_keyed_sums(n, integral, seed):
+    # n <= 7, since one example takes about 4 s at n = 10
     rnd = random.Random(seed)
     A = rand_sym(rnd, 2 * n)
     M = [[Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]

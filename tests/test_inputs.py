@@ -19,7 +19,9 @@ Not fuzzed, as they take none of the three kinds: flags (``inverse``,
 (``WeingartenTable``, ``Perm``, ``SampleStats``, tables of values, JSON text),
 and values of any ring (the power sums of ``zonal_eval``, the (lam, a, b)
 terms of ``zonal_sum``).  The matrices of ``hafnian`` are matrices over any
-ring, complex and IEEE ones included, so only their shape is fuzzed there.
+ring of numbers, complex and IEEE ones included, read by ``hafnian._square``:
+there the fuzz test checks the shape and that every entry is a number and not
+a bool.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import dataclasses
 import math
 import warnings
 from fractions import Fraction
+from numbers import Number
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from wishmom.symcomb import Perm
 class S:
     """An argument slot: ``kind`` is "int", "rational", "alpha", "matrix"
     (real, of ``size`` x ``size``, any square size when None) or "ring" (a
-    hafnian matrix)."""
+    hafnian matrix of numbers)."""
 
     kind: str
     value: object
@@ -201,6 +204,9 @@ BAD = [
     # matrices: complex, non-finite and of the wrong shape
     np.eye(2) + 0.5j, [[1.0, 0.0], [0.0, 1j]], np.array([[1.0, NAN], [NAN, 1.0]]), np.full((2, 2), INF),
     [[1.0, 0.0], [0.0, -INF]], np.eye(3), np.ones(2), np.ones((2, 2, 1)), [[1.0, 0.0], [0.0]], np.ones((2, 3)),
+    # matrices with entries that are not numbers, or are bools
+    [["a", "b"], ["b", "a"]], [[None, 1], [1, None]], [[0, "1/2"], ["1/2", 0]], [[True, False], [False, True]],
+    np.eye(2, dtype=bool), np.array([[0, Fraction(1, 2)], [Fraction(1, 2), None]], dtype=object),
 ]
 
 
@@ -210,6 +216,11 @@ def _square(x) -> bool:
     except ValueError:
         return False
     return len(shape) == 2 and shape[0] == shape[1]
+
+
+def _numbers(x) -> bool:
+    """Every entry of x is a number and not a bool."""
+    return all(isinstance(v, Number) and not isinstance(v, bool) for v in np.array(x, dtype=object).flat)
 
 
 def _rational(x):
@@ -299,8 +310,9 @@ def test_bad_input_is_refused_or_read_as_its_equal(name, k, bad):
     if not returned and isinstance(got, ValueError):
         return
     if slot.kind == "ring":
-        # any square matrix is a hafnian input; a value of another shape is not
-        assert _square(bad) and (returned or isinstance(got, ValueError)), (name, bad, got)
+        # any square matrix of numbers is a hafnian input; a value of another
+        # shape, or with an entry that is not a number or is a bool, is not
+        assert _square(bad) and _numbers(bad) and returned, (name, bad, got)
         return
     equal = _equal_valid(slot, bad)
     assert equal is not None, f"{name}: {bad!r} in slot {k} gave {got!r}"
@@ -335,6 +347,20 @@ def test_alpha_is_read_as_a_finite_rational(route, exact):
     ints = A4_INT if len(exact) == 4 else [[1, 2], [-1, 3]]
     assert route(ints, np.int64(3)) == route(ints, 3) and type(route(ints, np.int64(3))) is type(route(ints, 3))
     assert type(route(exact, 0.5)) is float and route(exact, 0.5) == pytest.approx(float(route(exact, Fraction(1, 2))))
+
+
+@pytest.mark.parametrize("route, exact", ROUTES.values(), ids=ROUTES.keys())
+def test_hafnian_matrix_entries_are_numbers(route, exact):
+    # a string entry was returned as a value or raised TypeError from inside a sum
+    for bad in ("b", None, True, np.True_, [1]):
+        M = [list(row) for row in exact]
+        M[0][1] = M[1][0] = bad
+        with pytest.raises(ValueError, match=r"matrix entry at \(0,1\) must be a number") as info:
+            route(M, 2)
+        assert type(info.value) is ValueError
+    # complex entries are numbers of a ring
+    ints = A4_INT if len(exact) == 4 else [[1, 2], [-1, 3]]
+    assert route([[complex(v) for v in row] for row in ints], 2) == route(ints, 2)
 
 
 @pytest.mark.parametrize(

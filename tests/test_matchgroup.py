@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wishmom.matchgroup import (
-    MAX_PERMSUM_DEGREE,
+    MAX_SUM_DEGREE,
     SizeLimitError,
     coset_representative,
     coset_type,
@@ -299,10 +299,11 @@ def test_matching_scalar_stage_equals_keyed_sum(n, d, integral, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, MAX_PERMSUM_DEGREE), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 10**9))
+@given(st.integers(0, 7), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 10**9))
 def test_cycle_scalar_stage_equals_keyed_sum(n, k, integral, seed):
     # a factor c per cycle, as trace products (c = beta), alpha-permanents and
-    # the hafnian permutation sums weigh their permutations
+    # the hafnian permutation sums weigh their permutations; n <= 7, since one
+    # example on 2 x 2 Fraction edges takes about 2.5 s at n = 10
     rnd = random.Random(seed)
     E = [
         [np.array([[_rand_entry(rnd, integral) for _ in range(k)] for _ in range(k)], dtype=object) for _ in range(n)]
@@ -332,13 +333,8 @@ def test_cycle_type_sums_equal_enumeration(n, k, seed):
         assert cycle_type_sums(n, lambda i, j: E[i][j], read) == want
 
 
-@pytest.mark.parametrize("n", range(MAX_PERMSUM_DEGREE + 1))
+@pytest.mark.parametrize("n", range(MAX_SUM_DEGREE + 1))
 def test_cycle_type_sums_count_each_conjugacy_class(n):
     one = np.ones((1, 1), dtype=object)
     sums = cycle_type_sums(n, lambda i, j: one, lambda X: X[0, 0])
     assert sums == {rho: factorial(n) // centralizer_order(rho) for rho in partitions_of(n)}
-
-
-def test_cycle_type_sums_size_guard():
-    with pytest.raises(SizeLimitError):
-        cycle_type_sums(MAX_PERMSUM_DEGREE + 1, lambda i, j: np.eye(1), np.trace)

@@ -1,7 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -9,13 +10,21 @@ from scipy.integrate import quad
 from scipy.special import multigammaln
 
 from wishmom import weingarten, wishart
-from wishmom.matchgroup import SizeLimitError, coset_type, hyperoctahedral, kappa, label_matchings, matching_type_sums
+from wishmom.hafnian import alpha_permanent, hafnian_expand, hafnian_matching, hafnian_permsum, permanent_embedding
+from wishmom.matchgroup import (
+    MAX_SUM_DEGREE,
+    SizeLimitError,
+    coset_type,
+    hyperoctahedral,
+    kappa,
+    label_matchings,
+    matching_type_sums,
+)
 from wishmom.symcomb import Perm, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
 from wishmom.weingarten import PoleError, inv_wishart_weingarten
 from wishmom.wishart import (
     _log_multigamma,
-    MAX_ENTRY_DEGREE,
     DomainError,
     MomentSpec,
     WishartParams,
@@ -187,12 +196,6 @@ def test_moment_diagonal_power_closed_form(params3, n):
     assert moment(params3, MomentSpec((1,) * (2 * n))) == pytest.approx(want, rel=REL_TOL)
 
 
-def test_moment_degree_cap(params3):
-    assert MAX_ENTRY_DEGREE == 10
-    with pytest.raises(SizeLimitError, match="entrywise moments support degree <= 10"):
-        moment(params3, MomentSpec((1, 2) * (MAX_ENTRY_DEGREE + 1)))
-
-
 def _exact_entrywise(params, indices, inverse):
     # the same per-type sums taken in Fractions, with exact coefficients
     n = len(indices) // 2
@@ -233,7 +236,7 @@ def test_float_entrywise_moments_match_exact_path():
         assert got == pytest.approx(want, rel=REL_TOL), (p.d, idx, inverse)
 
 
-@pytest.mark.parametrize("n", [7, 8, MAX_ENTRY_DEGREE])
+@pytest.mark.parametrize("n", [7, 8, MAX_SUM_DEGREE])
 def test_forward_moment_matches_exact_evaluation_up_to_the_cap(n):
     # the float scalar stage against the per-type sums in Fractions on the
     # same float sigma; beta = k/3 makes the factor 2 beta inexact in floats
@@ -286,7 +289,7 @@ def test_entrywise_error_classes(n):
         with pytest.raises(cls) as info:
             moment(p, MomentSpec(idx, inverse=inverse))
         assert type(info.value) is cls
-    if n > MAX_ENTRY_DEGREE:
+    if n > MAX_SUM_DEGREE:
         with pytest.raises(SizeLimitError) as info:
             moment(WishartParams(d=3, beta=5, sigma=np.eye(3)), MomentSpec(idx))
         assert type(info.value) is SizeLimitError
@@ -295,7 +298,7 @@ def test_entrywise_error_classes(n):
 def test_entrywise_far_past_the_cap_raises_without_enumerating(monkeypatch):
     # degree 200 has ~4e12 partitions; neither side may list them to reject it
     def no_large_partitions(n):
-        assert n <= MAX_ENTRY_DEGREE, f"partitions_of({n}) listed"
+        assert n <= MAX_SUM_DEGREE, f"partitions_of({n}) listed"
         return partitions_of(n)
 
     for module in (wishart, weingarten):
@@ -416,6 +419,27 @@ def test_trace_product_identity_matrices_give_trace_power(params3):
         got = trace_product_moment(params3, [np.eye(3)] * n)
         want = trace_power_moment(params3, n)
         assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_trace_product_of_identities_at_the_cap_is_the_rising_factorial():
+    # sigma = I: tr W ~ Gamma(beta d), so E[(tr W)^n] = prod_{k<n} (beta d + k),
+    # an integer below 2^53 that the float sums reach exactly
+    n = MAX_SUM_DEGREE
+    for d, beta in ((4, 5), (3, 7)):
+        p = WishartParams(d=d, beta=beta, sigma=np.eye(d))
+        assert trace_product_moment(p, [np.eye(d)] * n) == prod(beta * d + k for k in range(n))
+
+
+def test_rank_one_trace_product_at_the_cap_is_an_alpha_permanent():
+    # E[prod_k v_k' W v_k] = per_beta(G), G_ij = v_i' sigma v_j, taken here
+    # through the matching sum of its embedding rather than the cycle engine
+    rng = np.random.default_rng(61)
+    n, d = MAX_SUM_DEGREE, 4
+    p = WishartParams(d=d, beta=Fraction(37, 4), sigma=rand_pd(rng, d))
+    vs = rng.normal(size=(n, d))
+    got = trace_product_moment(p, [np.outer(v, v) for v in vs])
+    want = hafnian_matching(permanent_embedding((vs @ p.sigma @ vs.T).tolist()), float(p.beta))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -836,6 +860,34 @@ def _refuse_large_partitions(monkeypatch):
 
     for module in (wishart, weingarten):
         monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+
+
+def _zeros(m):
+    return [[0] * m for _ in range(m)]
+
+
+SUM_ROUTES = {
+    "moment": lambda n: moment(WishartParams(d=2, beta=9, sigma=np.eye(2)), MomentSpec((1, 2) * n)),
+    "trace_product": lambda n: trace_product_moment(WishartParams(d=2, beta=9, sigma=np.eye(2)), [np.eye(2)] * n),
+    "hafnian_matching": lambda n: hafnian_matching(_zeros(2 * n), 1),
+    "hafnian_expand": lambda n: hafnian_expand(_zeros(2 * n), 1),
+    "hafnian_permsum_P": lambda n: hafnian_permsum(_zeros(2 * n), 1, "P"),
+    "hafnian_permsum_Q": lambda n: hafnian_permsum(_zeros(2 * n), 1, "Q"),
+    "alpha_permanent": lambda n: alpha_permanent(_zeros(n), 1),
+}
+
+
+@pytest.mark.parametrize("n", [MAX_SUM_DEGREE + 1, 200])
+@pytest.mark.parametrize("route", SUM_ROUTES.values(), ids=SUM_ROUTES.keys())
+def test_every_exact_sum_refuses_past_the_one_limit(route, n, monkeypatch):
+    # one message from matchgroup, raised before any table of size 2^n is built
+    _refuse_large_partitions(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        route(n)
+    assert time.perf_counter() - start < 0.5
+    assert type(info.value) is SizeLimitError
+    assert str(info.value) == f"exact sums support degree <= {MAX_SUM_DEGREE} (pairs or points), got {n}"
 
 
 @pytest.mark.parametrize("inverse", [False, True])
