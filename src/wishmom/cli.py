@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .matchgroup import SizeLimitError
 from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower
 from .weingarten import (
     PoleError,
-    build_table,
     cached_tables,
     fraction_json,
     load_table,
@@ -45,15 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VALIDATION = 4
-
-
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce a run; embedded in every JSON report."""
-
-    command: str
-    options: dict
-    version: str = __version__
 
 
 def default_cache_dir() -> str:
@@ -102,16 +91,21 @@ def read_sigma(path: str) -> np.ndarray:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
 
 
-def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str], columns: tuple[str, ...] = ()) -> None:
+def emit(
+    args, command: str, options: dict, rows: list[dict], text_lines: list[str], columns: tuple[str, ...] = ()
+) -> None:
     """Write the report in the format of --format to --out or stdout.
 
-    Fraction values become {"num","den"} objects in JSON (``fraction_json``)
-    and, as in the text lines, "p/q" in CSV.  The CSV header is the keys of
-    the rows, or ``columns`` when there are none.
+    The JSON report opens with the run's config {"command", "options",
+    "version"}, everything needed to reproduce it.  Fraction values become
+    {"num","den"} objects in JSON (``fraction_json``) and, as in the text
+    lines, "p/q" in CSV.  The CSV header is the keys of the rows, or
+    ``columns`` when there are none.
     """
     if args.format == "json":
+        config = {"command": command, "options": options, "version": __version__}
         safe = [{k: (fraction_json(v) if isinstance(v, Fraction) else v) for k, v in r.items()} for r in rows]
-        body = json.dumps({"config": asdict(config), "results": safe}, indent=2, default=str) + "\n"
+        body = json.dumps({"config": config, "results": safe}, indent=2, default=str) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else columns)
@@ -126,10 +120,10 @@ def emit(args, config: RunConfig, rows: list[dict], text_lines: list[str], colum
         sys.stdout.write(body)
 
 
-def emit_table(args, config: RunConfig, values: dict[tuple[int, ...], Fraction]) -> None:
+def emit_table(args, command: str, options: dict, values: dict[tuple[int, ...], Fraction]) -> None:
     """The report of one Weingarten table {rho: value}, for ``wg`` and ``table show``."""
     rows = [{"rho": list(rho), "value": v} for rho, v in values.items()]
-    emit(args, config, rows, [f"{rho}: {v}" for rho, v in values.items()])
+    emit(args, command, options, rows, [f"{rho}: {v}" for rho, v in values.items()])
 
 
 # moment kind, named as its flag's dest -> (its class, built from the flag's
@@ -146,21 +140,17 @@ MOMENT_KINDS = {
 
 
 def cmd_wg(args) -> int:
-    n = args.n
-    if args.tilde != (args.gamma is not None):
-        raise ValueError("--tilde and --gamma must be given together")
-    values = weingarten_values(n, z=args.z, gamma=args.gamma, N=args.truncate)
+    values = weingarten_values(args.n, z=args.z, gamma=args.gamma, N=args.truncate)
     # exactly one point was given; the truncated table is the plain one at z = N
-    key, point = ("gamma", args.gamma) if args.tilde else ("z", args.truncate if args.z is None else args.z)
-    config = RunConfig("wg", {"n": n, key: str(point), "tilde": args.tilde, "truncate": args.truncate})
-    emit_table(args, config, values)
+    key, point = ("gamma", args.gamma) if args.gamma is not None else ("z", args.truncate if args.z is None else args.z)
+    emit_table(args, "wg", {"n": args.n, key: str(point), "truncate": args.truncate}, values)
     return EXIT_OK
 
 
 def cmd_moment(args) -> int:
     sigma = read_sigma(args.sigma)
     # a scalar sigma has no first axis; WishartParams rejects its shape whatever d is
-    d = args.d if args.d is not None else (sigma.shape[0] if sigma.ndim else 0)
+    d = sigma.shape[0] if sigma.ndim else 0
     params = WishartParams(d=d, beta=args.beta, sigma=sigma)
     picks = [name for name in MOMENT_KINDS if getattr(args, name) is not None]
     if len(picks) != 1:
@@ -172,38 +162,35 @@ def cmd_moment(args) -> int:
     regime = gamma_regime(params.gamma, kind.order) if args.inverse else None
     options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": flag, "inverse": args.inverse}
     # the JSON report writes the tuple-valued flags as lists
-    config = RunConfig("moment", options | {name: getattr(args, name) for name in MOMENT_KINDS})
+    options |= {name: getattr(args, name) for name in MOMENT_KINDS}
     row = {"value": value, "formula": formula, "gamma": str(params.gamma), "gamma_regime": regime}
     lines = [f"value: {value:.17g}", f"formula: {formula}", f"gamma: {params.gamma}"]
     if regime:
         lines.append(f"gamma regime: {regime}")
-    emit(args, config, [row], lines)
+    emit(args, "moment", options, [row], lines)
     return EXIT_OK
 
 
 def cmd_haar(args) -> int:
     value = haar_moment(args.i, args.j, args.N)
-    config = RunConfig("haar", {"i": list(args.i), "j": list(args.j), "N": args.N})
-    emit(args, config, [{"value": value}], [f"value: {value}"])
+    emit(args, "haar", {"i": list(args.i), "j": list(args.j), "N": args.N}, [{"value": value}], [f"value: {value}"])
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     if args.suite == "golden":
-        results = validate.golden_suite(seed=args.seed)
+        rows = validate.golden_suite(seed=args.seed)
     elif args.suite == "identities":
-        results = validate.identities_suite(n_max=args.n, seed=args.seed)
+        rows = validate.identities_suite(n_max=args.n, seed=args.seed)
     else:
-        results = validate.montecarlo_suite(samples=args.samples, seed=args.seed, threads=args.threads)
-    config = RunConfig(
-        "validate",
-        {"suite": args.suite, "n": args.n, "samples": args.samples, "seed": args.seed, "threads": args.threads},
-    )
-    rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  [{r.detail}]" if r.detail else "") for r in results]
-    failures = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
-    emit(args, config, rows, lines)
+        rows = validate.montecarlo_suite(samples=args.samples, seed=args.seed, threads=args.threads)
+    options = {"suite": args.suite, "n": args.n, "samples": args.samples, "seed": args.seed, "threads": args.threads}
+    lines = [
+        f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}" + (f"  [{r['detail']}]" if r["detail"] else "") for r in rows
+    ]
+    failures = sum(1 for r in rows if not r["passed"])
+    lines.append(f"{len(rows) - failures}/{len(rows)} checks passed")
+    emit(args, "validate", options, rows, lines)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
@@ -213,23 +200,22 @@ def cmd_table(args) -> int:
         raise ValueError(f"table {args.action} needs --n and --z")
     if args.action == "list":
         paths = [str(p) for p in cached_tables(cache)]
-        config = RunConfig("table-list", {"cache_dir": str(cache)})
-        emit(args, config, [{"path": p} for p in paths], paths or ["(no cached tables)"], ("path",))
+        rows = [{"path": p} for p in paths]
+        emit(args, "table-list", {"cache_dir": str(cache)}, rows, paths or ["(no cached tables)"], ("path",))
         return EXIT_OK
     options = {"n": args.n, "z": str(args.z), "cache_dir": str(cache)}
     cached = load_table(cache, args.n, args.z)
     if args.action == "build":
-        table = build_table(args.n, args.z)
-        if cached == table:
+        values = weingarten_values(args.n, z=args.z)
+        # a file with these entries is a hit whatever version of wishmom wrote it
+        if cached == values:
             status, path = "cache hit", table_path(cache, args.n, args.z)
         else:
-            status, path = "built", save_table(table, cache)
-        config = RunConfig("table-build", options)
-        emit(args, config, [{"status": status, "path": str(path)}], [f"{status}: {path}"])
+            status, path = "built", save_table(cache, args.n, args.z, values)
+        emit(args, "table-build", options, [{"status": status, "path": str(path)}], [f"{status}: {path}"])
         return EXIT_OK
-    config = RunConfig("table-show", options | {"cached": cached is not None})
-    table = cached if cached is not None else build_table(args.n, args.z)
-    emit_table(args, config, table.entries)
+    values = cached if cached is not None else weingarten_values(args.n, z=args.z)
+    emit_table(args, "table-show", options | {"cached": cached is not None}, values)
     return EXIT_OK
 
 
@@ -254,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wg", help="print a Weingarten table for one degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=parse_fraction, help="evaluation point for the plain table")
-    p.add_argument("--gamma", type=parse_fraction, help="shape parameter for the --tilde table")
-    p.add_argument("--tilde", action="store_true", help="inverse-Wishart variant at --gamma")
+    p.add_argument("--gamma", type=parse_fraction, help="shape parameter for the inverse-Wishart table")
     p.add_argument("--truncate", type=int, help="row-truncated table at z=N")
     common(p)
     p.set_defaults(func=cmd_wg)
@@ -263,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="exact Wishart or inverse-Wishart moment")
     p.add_argument("--sigma", required=True, help="scale matrix file (CSV rows or JSON 2D array)")
     p.add_argument("--beta", type=parse_fraction, required=True)
-    p.add_argument("--d", type=int, help="dimension (defaults to the sigma size)")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--entries", type=parse_indices, help="1-based index list k1,k2,...,k2n")
     p.add_argument("--trace-power", dest="trace_power", type=int, help="E[(tr W)^n]")

@@ -1,16 +1,15 @@
 """Validation suites: golden values, exact identities, Monte Carlo checks.
 
-Each suite returns a list of CheckResult rows; the CLI renders them and
-turns any failure into a nonzero exit.  Golden rows replay the explicit
-low-degree values; identity rows replay the convolution / orthogonality /
-hafnian-equivalence laws exactly; Monte Carlo rows compare sampled moments
-against their closed forms by z-score.
+Each suite returns a list of report rows {"name", "passed", "detail"}; the
+CLI reports them as they are and turns any failure into a nonzero exit.
+Golden rows replay the explicit low-degree values; identity rows replay the
+convolution / orthogonality / hafnian-equivalence laws exactly; Monte Carlo
+rows compare sampled moments against their closed forms by z-score.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -33,13 +32,12 @@ from .weingarten import (
 from .wishart import MomentSpec, WishartParams
 
 REL_TOL = 1e-10
+# substreams of every Monte Carlo check: with the seed, they fix its draws
+MC_STREAMS = 4
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+def _row(name: str, passed, detail: str = "") -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
@@ -90,13 +88,13 @@ def entrywise_power_trace(params: WishartParams, mu, inverse: bool = False) -> f
 # ------------------------------------------------------------------ golden
 
 
-def golden_suite(seed: int = 0) -> list[CheckResult]:
+def golden_suite(seed: int = 0) -> list[dict]:
     rnd = random.Random(seed)
     rng = np.random.default_rng(seed + 1)
-    out: list[CheckResult] = []
+    out: list[dict] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        out.append(CheckResult(name, bool(ok), detail))
+        out.append(_row(name, ok, detail))
 
     # Weingarten closed forms, degrees 1 and 2
     ok = True
@@ -292,16 +290,16 @@ def golden_suite(seed: int = 0) -> list[CheckResult]:
 # --------------------------------------------------------------- identities
 
 
-def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
+def identities_suite(n_max: int = 4, seed: int = 0) -> list[dict]:
     """Exact identities of the convolution algebra at degrees 1..n_max (the
     full-group kernel at n <= 3, the reduced one above), then hafnian checks.
     SizeLimitError unless 1 <= n_max <= MAX_ZONAL_DEGREE."""
     n_max = check_degree(n_max)
     rnd = random.Random(seed)
-    out: list[CheckResult] = []
+    out: list[dict] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        out.append(CheckResult(name, bool(ok), detail))
+        out.append(_row(name, ok, detail))
 
     for n in range(1, n_max + 1):
         method = "full" if n <= 3 else "reduced"
@@ -375,18 +373,16 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[CheckResult]:
 # -------------------------------------------------------------- monte carlo
 
 
-def montecarlo_suite(
-    samples: int = 100_000, seed: int = 42, threads: int = 1, streams: int = 4
-) -> list[CheckResult]:
+def montecarlo_suite(samples: int = 100_000, seed: int = 42, threads: int = 1) -> list[dict]:
     rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
+    out: list[dict] = []
     stats: list[montecarlo.SampleStats] = []
 
     def add(batch: list[montecarlo.SampleStats], tag: str) -> None:
         for s in batch:
             stats.append(s)
             out.append(
-                CheckResult(
+                _row(
                     f"{tag}: {s.label}",
                     abs(s.zscore) < 5,
                     f"mean={s.mean:.6g} target={s.target:.6g} z={s.zscore:.2f} rejected={s.rejected}",
@@ -398,13 +394,13 @@ def montecarlo_suite(
 
     params_b = WishartParams(d=3, beta=Fraction(5, 2), sigma=sig3)
     add(
-        montecarlo.estimate(entries3, params_b, samples, montecarlo.RngSpec(seed), method="bartlett", streams=streams, threads=threads),
+        montecarlo.estimate(entries3, params_b, samples, montecarlo.RngSpec(seed), method="bartlett", streams=MC_STREAMS, threads=threads),
         "E[W] d=3 beta=5/2 bartlett",
     )
 
     params_i = WishartParams(d=3, beta=3, sigma=sig3)
     add(
-        montecarlo.estimate(entries3, params_i, samples, montecarlo.RngSpec(seed + 1), method="vectors", streams=streams, threads=threads),
+        montecarlo.estimate(entries3, params_i, samples, montecarlo.RngSpec(seed + 1), method="vectors", streams=MC_STREAMS, threads=threads),
         "E[W] d=3 beta=3 integer",
     )
 
@@ -414,7 +410,7 @@ def montecarlo_suite(
     inv2 = [montecarlo.EntryProduct((1, 1), inverse=True), montecarlo.EntryProduct((1, 1, 2, 2), inverse=True)]
     tr3 = [montecarlo.TracePower(3)]
     add(
-        montecarlo.estimate(deg2 + inv2 + tr3, params2, samples, montecarlo.RngSpec(seed + 2), streams=streams, threads=threads),
+        montecarlo.estimate(deg2 + inv2 + tr3, params2, samples, montecarlo.RngSpec(seed + 2), streams=MC_STREAMS, threads=threads),
         "d=2 beta=6",
     )
 
@@ -427,13 +423,13 @@ def montecarlo_suite(
         ((1, 1, 1, 1), (1, 1, 1, 1)),
     ]
     add(
-        montecarlo.estimate_haar(haar_pairs, 3, samples, montecarlo.RngSpec(seed + 3), streams=streams, threads=threads),
+        montecarlo.estimate_haar(haar_pairs, 3, samples, montecarlo.RngSpec(seed + 3), streams=MC_STREAMS, threads=threads),
         "Haar N=3",
     )
 
     over3 = sum(1 for s in stats if abs(s.zscore) > 3)
     out.append(
-        CheckResult(
+        _row(
             "multiplicity: fraction of |z|>3 below 5%",
             over3 <= max(1, int(0.05 * len(stats))),
             f"{over3} of {len(stats)} checks above |z|=3",

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial
+from numbers import Number
 from pathlib import Path
 from typing import Mapping
 
@@ -265,7 +265,8 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     pvals maps r -> value of the r-th power sum for r = 1..n; the result is
     the sum over rho of M_rho * omega(lam, rho) * prod pvals, M_rho the
     number of matchings of coset type rho (``matching_type_count``).
-    Exact when the inputs are exact.
+    Each value is a number and not a bool, as ``hafnian`` reads matrix
+    entries; exact when the inputs are exact.
     """
     lam = check_partition(lam) if lam else ()
     n = sum(lam)
@@ -275,6 +276,9 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     missing = [r for r in range(1, n + 1) if r not in pvals]
     if missing:
         raise ValueError(f"missing power-sum values for r={missing}")
+    for r in range(1, n + 1):
+        if not isinstance(pvals[r], Number) or isinstance(pvals[r], bool):
+            raise ValueError(f"power-sum value for r={r} must be a number, got {pvals[r]!r}")
     total = 0
     for rho in partitions_of(n):
         term = matching_type_count(rho) * zonal_spherical(lam, rho)
@@ -284,48 +288,26 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     return total
 
 
-@dataclass
-class WeingartenTable:
-    """Weingarten values for every coset type of one degree at one point."""
-
-    n: int
-    z: Fraction
-    entries: dict[Partition, Fraction]
-    provenance: dict = field(default_factory=dict)
-
-
-def build_table(n: int, z) -> WeingartenTable:
-    """Tabulate Wg(rho; z) over all rho of weight n, in reverse-lex order."""
-    n, z = check_degree(n), _as_fraction(z, "z")
-    entries = weingarten_values(n, z=z)
-    # provenance is deliberately clock-free so rebuilds are byte-identical
-    prov = {"generator": "wishmom", "version": __version__, "schema": TABLE_SCHEMA}
-    return WeingartenTable(n=n, z=z, entries=entries, provenance=prov)
-
-
 def fraction_json(f: Fraction) -> dict:
     """f as the JSON object {"num": "<p>", "den": "<q>"} of table files and CLI reports."""
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def table_to_json(table: WeingartenTable) -> str:
+def _json_fraction(doc) -> Fraction:
+    return Fraction(int(doc["num"]), int(doc["den"]))
+
+
+def table_to_json(n: int, z, entries: Mapping[Partition, Fraction]) -> str:
+    """The table file of the values {rho: value} of degree n at the point z."""
+    n, z = _as_int(n, "degree"), _as_fraction(z, "z")
+    # provenance is deliberately clock-free so rebuilds are byte-identical
     doc = {
-        "n": table.n,
-        "z": fraction_json(table.z),
-        "entries": [{"rho": list(rho), "value": fraction_json(v)} for rho, v in table.entries.items()],
-        "provenance": table.provenance,
+        "n": n,
+        "z": fraction_json(z),
+        "entries": [{"rho": list(rho), "value": fraction_json(v)} for rho, v in entries.items()],
+        "provenance": {"generator": "wishmom", "version": __version__, "schema": TABLE_SCHEMA},
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def table_from_json(text: str) -> WeingartenTable:
-    doc = json.loads(text)
-    z = Fraction(int(doc["z"]["num"]), int(doc["z"]["den"]))
-    entries = {
-        tuple(e["rho"]): Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
-        for e in doc["entries"]
-    }
-    return WeingartenTable(n=int(doc["n"]), z=z, entries=entries, provenance=doc.get("provenance", {}))
 
 
 def _table_root(cache_dir: str | Path) -> Path:
@@ -350,29 +332,31 @@ def cached_tables(cache_dir: str | Path) -> list[Path]:
     return sorted(found)
 
 
-def save_table(table: WeingartenTable, cache_dir: str | Path) -> Path:
-    path = table_path(cache_dir, table.n, table.z)
+def save_table(cache_dir: str | Path, n: int, z, entries: Mapping[Partition, Fraction]) -> Path:
+    """Write the table {rho: value} of degree n at z to its ``table_path``; that path."""
+    path = table_path(cache_dir, n, z)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(table_to_json(table))
+    path.write_text(table_to_json(n, z, entries))
     return path
 
 
-def load_table(cache_dir: str | Path, n: int, z) -> WeingartenTable | None:
-    """The table cached for (n, z), or None when there is none.  A path that
-    cannot be read as a file (a directory, say), a file that does not parse as
-    a table, or holds another n, z or schema, or whose entries are not keyed by
-    exactly ``partitions_of(n)`` in order, is not that table either: callers
-    rebuild it."""
+def load_table(cache_dir: str | Path, n: int, z) -> dict[Partition, Fraction] | None:
+    """The table {rho: value} cached for (n, z), or None when there is none.  A
+    path that cannot be read as a file (a directory, say), a file that does not
+    parse as a table, or holds another n, z or schema, or whose entries are not
+    keyed by exactly ``partitions_of(n)`` in order, is not that table either:
+    callers rebuild it.  The generator and version of its provenance are not read."""
     n, z = _as_int(n, "degree"), _as_fraction(z, "z")
-    # build_table writes no table outside the supported degrees
+    # weingarten_values makes no table outside the supported degrees
     if not 1 <= n <= MAX_ZONAL_DEGREE:
         return None
     try:
-        table = table_from_json(table_path(cache_dir, n, z).read_text())
-        schema = table.provenance.get("schema")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        doc = json.loads(table_path(cache_dir, n, z).read_text())
+        header = (int(doc["n"]), _json_fraction(doc["z"]), doc["provenance"]["schema"])
+        entries = {tuple(e["rho"]): _json_fraction(e["value"]) for e in doc["entries"]}
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         # no readable file, truncated JSON, or a document without the fields of a table
         return None
-    if table.n != n or table.z != z or schema != TABLE_SCHEMA or tuple(table.entries) != partitions_of(n):
+    if header != (n, z, TABLE_SCHEMA) or tuple(entries) != partitions_of(n):
         return None
-    return table
+    return entries

@@ -305,12 +305,12 @@ def test_criterion_6_inverse_moment_roundtrip():
 
 def test_criterion_7_montecarlo_suite():
     with criterion(7, "Monte Carlo validation at 1e6 samples, all |z| < 5", 600.0):
-        results = validate_mod.montecarlo_suite(samples=1_000_000, seed=42, threads=1, streams=4)
+        results = validate_mod.montecarlo_suite(samples=1_000_000, seed=42, threads=1)
         assert len(results) >= 20
-        failures = [r for r in results if not r.passed]
+        failures = [r for r in results if not r["passed"]]
         assert not failures, failures
         # the multiplicity row is the suite's own <=5% |z|>3 discipline check
-        assert results[-1].name.startswith("multiplicity")
+        assert results[-1]["name"].startswith("multiplicity")
 
 
 def test_criterion_8_degree3_combinatorial_constants():

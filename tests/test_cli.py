@@ -14,7 +14,7 @@ from wishmom.matchgroup import matching_type_count
 from wishmom.montecarlo import EntryProduct, Invariant, PowerTrace, RngSpec, TracePower, estimate
 from wishmom.symcomb import partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
-from wishmom.weingarten import build_table, load_table, table_path, table_to_json, zonal_spherical
+from wishmom.weingarten import load_table, table_path, table_to_json, weingarten_values, zonal_spherical
 from wishmom.wishart import MomentSpec, WishartParams, inverse_moment, moment, trace_power_moment
 
 
@@ -40,14 +40,23 @@ def test_wg_table_values(capsys):
     assert "-1/140" in out and "3/70" in out
 
 
-def test_wg_tilde_values(capsys):
-    assert main(["wg", "--n", "3", "--gamma", "4", "--tilde"]) == 0
+def test_wg_gamma_values(capsys):
+    # --gamma alone picks the inverse-Wishart table
+    assert main(["wg", "--n", "3", "--gamma", "4"]) == 0
     out = capsys.readouterr().out
     assert "1/1080" in out and "1/360" in out and "19/1080" in out
+    assert out == "".join(f"{rho}: {v}\n" for rho, v in weingarten_values(3, gamma=4).items())
+    assert main(["wg", "--n", "3", "--gamma", "4", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["options"] == {"n": 3, "gamma": "4", "truncate": None}
+    assert doc["results"] == [
+        {"rho": list(rho), "value": {"num": str(v.numerator), "den": str(v.denominator)}}
+        for rho, v in weingarten_values(3, gamma=4).items()
+    ]
 
 
 def test_wg_pole_exit_code(capsys):
-    assert main(["wg", "--n", "2", "--gamma", "1", "--tilde"]) == 3
+    assert main(["wg", "--n", "2", "--gamma", "1"]) == 3
     assert "vanishes" in capsys.readouterr().err
 
 
@@ -58,26 +67,22 @@ def test_wg_truncated(capsys):
 
 
 def test_wg_missing_point(capsys):
-    # exactly one of --z, --tilde --gamma and --truncate; no table is printed
+    # exactly one of --z, --gamma and --truncate; no table is printed
     for point in (
         [],
-        ["--tilde"],
-        ["--gamma", "3"],
         ["--z", "5", "--gamma", "3"],
         ["--z", "5", "--truncate", "3"],
-        ["--z", "5", "--tilde", "--gamma", "3"],
-        ["--tilde", "--gamma", "3", "--truncate", "3"],
-        ["--z", "5", "--tilde", "--gamma", "3", "--truncate", "3"],
+        ["--gamma", "3", "--truncate", "3"],
+        ["--z", "5", "--gamma", "3", "--truncate", "3"],
     ):
         assert main(["wg", "--n", "2", *point]) == 2, point
         out, err = capsys.readouterr()
         assert out == "", point
-        # the pairing is the CLI's own check; the count of points is the library's
-        assert err in ("error: --tilde and --gamma must be given together\n",
-                       "error: give exactly one of z, gamma and N\n"), point
+        # the count of points is the library's check
+        assert err == "error: give exactly one of z, gamma and N\n", point
 
 
-@pytest.mark.parametrize("point", [["--z", "3"], ["--tilde", "--gamma", "3"], ["--truncate", "3"]])
+@pytest.mark.parametrize("point", [["--z", "3"], ["--gamma", "3"], ["--truncate", "3"]])
 def test_wg_far_past_the_cap_exits_without_enumerating(point, monkeypatch, capsys):
     # degree 200 has ~4e12 partitions; the table must reject it before listing them
     from wishmom import symcomb
@@ -138,8 +143,8 @@ def test_wg_negative_rational_after_z(capsys):
 
 
 def test_wg_negative_rational_after_gamma(capsys):
-    want = _wg_output(["wg", "--n", "2", "--tilde", "--gamma=-7/3"], capsys)
-    assert _wg_output(["wg", "--n", "2", "--tilde", "--gamma", "-7/3"], capsys) == want
+    want = _wg_output(["wg", "--n", "2", "--gamma=-7/3"], capsys)
+    assert _wg_output(["wg", "--n", "2", "--gamma", "-7/3"], capsys) == want
 
 
 def test_table_build_negative_rational_after_z(tmp_path, capsys):
@@ -162,6 +167,31 @@ def test_wg_json_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["command"] == "wg"
     assert doc["results"][0] == {"rho": [2], "value": {"num": "-1", "den": "140"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wg", "--n", "2", "--truncate", "1"],
+        ["moment", "--trace-power", "2", "--beta", "3"],
+        ["haar", "--i", "1,1", "--j", "2,2", "--N", "3"],
+        ["validate", "identities", "--n", "1"],
+        ["table", "build", "--n", "2", "--z", "5"],
+        ["table", "show", "--n", "2", "--z", "5"],
+        ["table", "list"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_every_json_report_config_is_command_options_version(tmp_path, sigma_csv, capsys, argv):
+    if argv[0] == "moment":
+        argv = [*argv, "--sigma", sigma_csv]
+    if argv[0] == "table":
+        argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    assert main([*argv, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config) == ["command", "options", "version"]
+    assert config["command"] == ("-".join(argv[:2]) if argv[0] == "table" else argv[0])
+    assert config["version"] == wishmom.__version__ and isinstance(config["options"], dict)
 
 
 def test_moment_entries_matches_library(sigma_csv, capsys):
@@ -436,7 +466,7 @@ def test_table_list_shows_only_table_files(tmp_path, capsys):
     (root / "n2" / "other.json").write_text("{}")
     for name in ("n03/z_5_1.json", "n3/z_10_2.json", "n3/z_5_0.json", "n3/sub/z_5_1.json"):  # not where table_path puts a table
         (root / name).parent.mkdir(parents=True, exist_ok=True)
-        (root / name).write_text(table_to_json(build_table(3, 5)))
+        (root / name).write_text(table_to_json(3, 5, weingarten_values(3, z=5)))
     (root / "n5" / "z_5_1.json").mkdir(parents=True)
     capsys.readouterr()
     assert main(["table", "list", "--cache-dir", str(cache)]) == 0
@@ -448,11 +478,27 @@ def test_table_build_reads_the_cached_file_as_a_table(tmp_path, capsys):
     cache = tmp_path / "cache"
     path = table_path(cache, 3, 5)
     path.parent.mkdir(parents=True)
-    compact = json.dumps(json.loads(table_to_json(build_table(3, 5))))
+    compact = json.dumps(json.loads(table_to_json(3, 5, weingarten_values(3, z=5))))
     path.write_text(compact)
     assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out == f"cache hit: {path}\n"
     assert path.read_text() == compact
+
+
+def test_table_build_takes_a_file_from_another_version_as_a_hit(tmp_path, capsys):
+    # the generator and version are not part of the table; the file is left alone
+    cache = tmp_path / "cache"
+    path = table_path(cache, 3, 5)
+    path.parent.mkdir(parents=True)
+    doc = json.loads(table_to_json(3, 5, weingarten_values(3, z=5)))
+    doc["provenance"]["version"] = "0.0.0"
+    old = json.dumps(doc, indent=2) + "\n"
+    path.write_text(old)
+    assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == f"cache hit: {path}\n"
+    assert path.read_text() == old
+    assert main(["table", "show", "--n", "3", "--z", "5", "--cache-dir", str(cache), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["options"]["cached"] is True
 
 
 def _foreign_table_doc():
@@ -461,7 +507,7 @@ def _foreign_table_doc():
 
 
 def _truncated_table_doc():
-    text = table_to_json(build_table(3, 5))
+    text = table_to_json(3, 5, weingarten_values(3, z=5))
     return text[: text.index('"rho"') + 4]
 
 
@@ -478,8 +524,8 @@ def test_table_show_and_build_replace_a_file_that_is_not_the_table(tmp_path, cap
     assert [r["rho"] for r in shown["results"]] == [[3], [2, 1], [1, 1, 1]]
     assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", str(cache)]) == 0
     assert "built:" in capsys.readouterr().out
-    assert path.read_text() == table_to_json(build_table(3, 5))
-    assert load_table(cache, 3, 5).entries == build_table(3, 5).entries
+    assert path.read_text() == table_to_json(3, 5, weingarten_values(3, z=5))
+    assert load_table(cache, 3, 5) == weingarten_values(3, z=5)
 
 
 def test_table_show_rebuilds_and_build_rejects_a_directory_at_the_cache_path(tmp_path, capsys):

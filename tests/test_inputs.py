@@ -16,12 +16,12 @@ has none.
 
 Not fuzzed, as they take none of the three kinds: flags (``inverse``,
 ``transposed``), choices (``method``, ``variant``), objects the library builds
-(``WeingartenTable``, ``Perm``, ``SampleStats``, tables of values, JSON text),
-and values of any ring (the power sums of ``zonal_eval``, the (lam, a, b)
-terms of ``zonal_sum``).  The matrices of ``hafnian`` are matrices over any
-ring of numbers, complex and IEEE ones included, read by ``hafnian._square``:
-there the fuzz test checks the shape and that every entry is a number and not
-a bool.
+(``Perm``, ``SampleStats``, tables of values {rho: value}, JSON text), and the
+(lam, a, b) terms of ``zonal_sum``.  The matrices of ``hafnian`` are matrices
+over any ring of numbers, complex and IEEE ones included, read by
+``hafnian._square``, and the power sums of ``zonal_eval`` are numbers of any
+such ring: in these ring slots the fuzz test checks the shape and that every
+entry is a number and not a bool.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from wishmom.symcomb import Perm
 class S:
     """An argument slot: ``kind`` is "int", "rational", "alpha", "matrix"
     (real, of ``size`` x ``size``, any square size when None) or "ring" (a
-    hafnian matrix of numbers)."""
+    hafnian matrix of numbers, or one number when ``value`` is a scalar)."""
 
     kind: str
     value: object
@@ -142,8 +142,8 @@ CASES = {
     "weingarten_values(gamma)": _call(wg.weingarten_values, Int(2), gamma=Rat(Fraction(9, 2))),
     "weingarten_values(N)": _call(wg.weingarten_values, Int(2), N=Int(3)),
     "hecke_unit": _call(wg.hecke_unit, Int(2)),
-    "zonal_eval": _call(wg.zonal_eval, ints(2, 1), {1: Fraction(2), 2: Fraction(3), 3: Fraction(5)}),
-    "build_table": _call(wg.build_table, Int(2), Rat(5)),
+    "zonal_eval": _call(wg.zonal_eval, ints(2, 1), {r: S("ring", Fraction(v)) for r, v in ((1, 2), (2, 3), (3, 5))}),
+    "table_to_json": _call(wg.table_to_json, Int(2), Rat(5), wg.weingarten_values(2, z=5)),
     "table_path": _call(wg.table_path, "cache", Int(2), Rat(5)),
     "load_table": _call(wg.load_table, "no-such-cache-dir", Int(2), Rat(5)),
     # wishart
@@ -310,9 +310,13 @@ def test_bad_input_is_refused_or_read_as_its_equal(name, k, bad):
     if not returned and isinstance(got, ValueError):
         return
     if slot.kind == "ring":
-        # any square matrix of numbers is a hafnian input; a value of another
-        # shape, or with an entry that is not a number or is a bool, is not
-        assert _square(bad) and _numbers(bad) and returned, (name, bad, got)
+        # any square matrix of numbers is a hafnian input and any number a power
+        # sum; a value of another shape, or with an entry that is not a number
+        # or is a bool, is not
+        if np.ndim(slot.value) == 2:
+            assert _square(bad) and _numbers(bad) and returned, (name, bad, got)
+        else:
+            assert isinstance(bad, Number) and not isinstance(bad, bool) and returned, (name, bad, got)
         return
     equal = _equal_valid(slot, bad)
     assert equal is not None, f"{name}: {bad!r} in slot {k} gave {got!r}"

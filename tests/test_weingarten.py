@@ -32,12 +32,10 @@ from wishmom.weingarten import (
     _zonal_table,
     PoleError,
     biinvariant_convolve,
-    build_table,
     hecke_unit,
     inv_wishart_weingarten,
     load_table,
     save_table,
-    table_from_json,
     table_path,
     table_to_json,
     weingarten,
@@ -467,42 +465,85 @@ def test_zonal_eval_single_box_and_missing_value():
         zonal_eval((2, 1), {1: Fraction(1)})
 
 
-def test_build_table_degree1():
+def test_zonal_eval_power_sums_are_numbers():
+    # None raised TypeError from inside the sum, and a bool was read as 0 or 1
+    for bad, r in ((None, 1), ("2", 2), (True, 1), (np.True_, 2), ([1], 1)):
+        pv = {1: Fraction(3), 2: 1}
+        pv[r] = bad
+        with pytest.raises(ValueError, match=f"power-sum value for r={r} must be a number"):
+            zonal_eval((2,), pv)
+    # Z_(2) = p_1^2 + 2 p_2 at any numbers
+    assert zonal_eval((2,), {1: np.float64(3.0), 2: np.int64(1)}) == 11
+    assert zonal_eval((2,), {1: 1j, 2: Fraction(1, 2)}) == 0
+
+
+# the file of the table at n = 2, z = 5, as every earlier release wrote it
+TABLE_N2_Z5 = (
+    '{\n  "n": 2,\n  "z": {\n    "num": "5",\n    "den": "1"\n  },\n  "entries": [\n    {\n      "rho": [\n'
+    '        2\n      ],\n      "value": {\n        "num": "-1",\n        "den": "140"\n      }\n    },\n'
+    '    {\n      "rho": [\n        1,\n        1\n      ],\n      "value": {\n        "num": "3",\n'
+    '        "den": "70"\n      }\n    }\n  ],\n  "provenance": {\n    "generator": "wishmom",\n'
+    '    "version": "0.1.0",\n    "schema": 1\n  }\n}\n'
+)
+
+
+def test_table_degree1(tmp_path):
     q = Fraction(9, 2)
-    assert build_table(1, q).entries == {(1,): 1 / q}
+    assert weingarten_values(1, z=q) == {(1,): 1 / q}
+    save_table(tmp_path, 1, q, weingarten_values(1, z=q))
+    assert load_table(tmp_path, 1, q) == {(1,): 1 / q}
+
+
+def test_table_file_text(tmp_path):
+    assert table_to_json(2, 5, weingarten_values(2, z=5)) == TABLE_N2_Z5
+    assert save_table(tmp_path, 2, 5, weingarten_values(2, z=5)).read_text() == TABLE_N2_Z5
 
 
 def test_table_rebuild_byte_identical(tmp_path):
-    t1 = table_to_json(build_table(3, Fraction(7, 2)))
-    t2 = table_to_json(build_table(3, Fraction(7, 2)))
+    z = Fraction(7, 2)
+    t1 = table_to_json(3, z, weingarten_values(3, z=z))
+    t2 = table_to_json(3, z, weingarten_values(3, z=z))
     assert t1 == t2
-    p1 = save_table(build_table(3, Fraction(7, 2)), tmp_path)
+    p1 = save_table(tmp_path, 3, z, weingarten_values(3, z=z))
     assert p1.read_bytes() == t1.encode()
 
 
 def test_table_json_roundtrip_and_layout(tmp_path):
-    table = build_table(2, Fraction(-7, 3))
-    back = table_from_json(table_to_json(table))
-    assert back.n == 2 and back.z == Fraction(-7, 3) and back.entries == table.entries
-    path = save_table(table, tmp_path)
+    z = Fraction(-7, 3)
+    values = weingarten_values(2, z=z)
+    path = save_table(tmp_path, 2, z, values)
     assert path == tmp_path / "tables" / "wg_o" / "n2" / "z_-7_3.json"
-    assert load_table(tmp_path, 2, Fraction(-7, 3)).entries == table.entries
+    back = load_table(tmp_path, 2, z)
+    assert back == values and list(back) == list(values)
+    assert all(type(v) is Fraction for v in back.values())
     assert load_table(tmp_path, 2, Fraction(5)) is None
-    doc = json.loads(table_to_json(table))
+    doc = json.loads(table_to_json(2, z, values))
     assert set(doc) == {"n", "z", "entries", "provenance"}
+    assert (doc["n"], doc["z"]) == (2, {"num": "-7", "den": "3"})
     assert doc["entries"][0]["value"].keys() == {"num", "den"}
+
+
+def test_load_table_ignores_the_generator_and_version(tmp_path):
+    values = weingarten_values(3, z=5)
+    path = save_table(tmp_path, 3, 5, values)
+    doc = json.loads(path.read_text())
+    doc["provenance"] = {"generator": "other", "version": "0.0.0", "schema": 1}
+    path.write_text(json.dumps(doc))
+    assert load_table(tmp_path, 3, 5) == values
+    doc["provenance"] = {"generator": "wishmom", "version": "0.1.0", "schema": 2}
+    path.write_text(json.dumps(doc))
+    assert load_table(tmp_path, 3, 5) is None
 
 
 def test_table_pole_rejected():
     with pytest.raises(PoleError):
-        build_table(4, 3)  # z=3 zeroes the four-row shape's content product
+        weingarten_values(4, z=3)  # z=3 zeroes the four-row shape's content product
 
 
 def test_table_residual_zero_at_pole_free_point():
     # multiply the table against the kappa-power function: exact algebra unit
     n, z = 4, Fraction(7)
-    table = build_table(n, z)
-    conv = biinvariant_convolve(kappa_power(n, z), table.entries)
+    conv = biinvariant_convolve(kappa_power(n, z), weingarten_values(n, z=z))
     scale = (2**n * factorial(n)) ** 2
     assert conv == {r: scale * v for r, v in hecke_unit(n).items()}
 
