@@ -310,7 +310,6 @@ def paired_perm(pi: Perm) -> Perm:
     return Perm(imgs)
 
 
-@cache
 def coset_representative(rho: Partition) -> Perm:
     """A deterministic element of S_{2n} with the given coset type: the paired
     lift of the permutation whose cycles are consecutive blocks of sizes rho."""

@@ -25,7 +25,7 @@ from . import _kernels, wishart
 from ._kernels import COND_LIMIT
 from .matchgroup import matching_type_count
 from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
-from .weingarten import check_dimension, zonal_spherical
+from .weingarten import _zonal_table, check_degree, check_dimension
 from .wishart import DomainError, MomentSpec, WishartParams, _real_matrix
 
 DEFAULT_CHUNK = 1 << 16
@@ -189,10 +189,11 @@ class Invariant:
         # Fractions of ``zonal_eval`` would make object arrays
         if not self.lam:
             return np.ones(mats.shape[0])
+        omega = _zonal_table(check_degree(self.order))[self.lam]
         traces = _power_traces(mats, self.order)
         out = np.zeros(mats.shape[0])
         for rho in partitions_of(self.order):
-            term = float(matching_type_count(rho) * zonal_spherical(self.lam, rho))
+            term = float(matching_type_count(rho) * omega[rho])
             for part in rho:
                 term = term * traces[part]
             out += term

@@ -17,11 +17,12 @@ it is evaluated through its expansion over zonal spherical functions,
 Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
 ``zonal_sum`` is that lambda-sum for any integer pairs (a_lam, b_lam) in
 place of 1 / C_lam(z); it also gives the power-trace coefficients of
-``wishart``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the integer
-P_lam = q^n C_lam(z), computed once per call or per table and shared by the
-pole check and the sum, which becomes one Fraction at the end.  Every
-Weingarten value is ``zonal_sum`` over the terms of ``_point_terms``: Wg at z,
-the inverse-Wishart kernel at z = -2*gamma scaled by (-1)^n 2^n, or the shapes
+``wishart``; callers that checked rho run its core ``_zonal_sum`` on one
+read of ``_zonal_table``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the
+integer P_lam = q^n C_lam(z), computed once per call or per table and shared
+by the pole check and the sum, which becomes one Fraction at the end.  Every
+Weingarten value is that sum over the terms of ``_point_terms``: Wg at z, the
+inverse-Wishart kernel at z = -2*gamma scaled by (-1)^n 2^n, or the shapes
 with at most N rows at z = N.
 """
 
@@ -87,7 +88,9 @@ def _zonal_table(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     dominance), of s_lam = sum_rho chi^lam(rho) p_rho / z_rho under
     <p_rho, p_sig> = delta z_rho 2^len(rho).  Each f is kept as
     b_rho = z_rho 2^len(rho) [p_rho] f, proportional to [p_rho] f / M_rho, so
-    omega^lam(rho) = b_rho / b_(1^n).  ``zonal_spherical`` checks the degree.
+    omega^lam(rho) = b_rho / b_(1^n).  The one store of omega: readers check
+    first (``check_degree``, the partitions and their weight), then read it
+    once per call.
     """
     rhos = partitions_of(n)
     weight = {rho: Fraction(1, centralizer_order(rho) * 2 ** len(rho)) for rho in rhos}
@@ -103,7 +106,6 @@ def _zonal_table(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     return table
 
 
-@cache
 def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
     """Zonal spherical function value on the double coset of type rho."""
     lam, rho = check_partition(lam), check_partition(rho)
@@ -114,11 +116,20 @@ def zonal_spherical(lam: Partition, rho: Partition) -> Fraction:
     return _zonal_table(n)[lam][rho]
 
 
+# the benchmark's zonal cache counters read these until ROADMAP item 3 step 2
+zonal_spherical.cache_info = _zonal_table.cache_info
+zonal_spherical.cache_clear = _zonal_table.cache_clear
+
+
 def pole_shapes(n: int, z) -> tuple[Partition, ...]:
-    """Shapes of weight n whose content product vanishes at the rational z."""
+    """Shapes of weight n whose content product vanishes at the rational z;
+    SizeLimitError past the tables' degrees (``check_degree``), none at n = 0."""
     z = _as_fraction(z, "z")
+    n = _as_int(n, "degree", 0)
+    if n:
+        check_degree(n)
     p, q = z.numerator, z.denominator
-    return tuple(lam for lam in partitions_of(_as_int(n, "degree", 0)) if content_numerator(lam, p, q) == 0)
+    return tuple(lam for lam in partitions_of(n) if content_numerator(lam, p, q) == 0)
 
 
 def check_dimension(N) -> int:
@@ -158,10 +169,22 @@ def _point_terms(n: int, kind: str, point) -> tuple[list[tuple[Partition, int, i
 def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
     """scale / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) a_lam / b_lam over
     the (lam, a_lam, b_lam) terms, in integers (b_lam != 0), normalised once:
-    Wg(rho; z) at a_lam / b_lam = 1 / C_lam(z)."""
-    scale, num, den = _as_int(scale, "scale"), 0, 1
+    Wg(rho; z) at a_lam / b_lam = 1 / C_lam(z).  Every lam is a partition of
+    |rho|, else ValueError."""
+    scale = _as_int(scale, "scale")
+    rho = check_partition(rho)
+    return _zonal_sum(_zonal_table(check_degree(sum(rho))), rho, terms, scale)
+
+
+def _zonal_sum(table, rho: Partition, terms, scale: int) -> Fraction:
+    """``zonal_sum`` over the ``_zonal_table`` of the weight of rho, for callers
+    that checked rho and scale: one table read serves every rho of a degree."""
+    num, den = 0, 1
     for lam, a, b in terms:
-        omega = zonal_spherical(lam, rho)
+        try:
+            omega = table[lam][rho]
+        except (KeyError, TypeError):
+            raise ValueError(f"term shape {lam!r} is not a partition of {sum(rho)}, the weight of {rho}") from None
         a *= omega.numerator
         if a:
             b *= omega.denominator
@@ -170,10 +193,17 @@ def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
     return Fraction(scale * num, matching_count(sum(rho)) * den)
 
 
+def _point_value(rho: Partition, kind: str, point) -> Fraction:
+    """The one body of ``weingarten``, ``weingarten_truncated`` and
+    ``inv_wishart_weingarten``: rho is checked once, then ``_point_terms``."""
+    rho = check_partition(rho)
+    terms, scale = _point_terms(sum(rho), kind, point)
+    return _zonal_sum(_zonal_table(sum(rho)), rho, terms, scale)
+
+
 def weingarten(rho: Partition, z) -> Fraction:
     """Orthogonal Weingarten value Wg(rho; z), exact in the rational point z."""
-    rho = check_partition(rho)
-    return zonal_sum(rho, *_point_terms(sum(rho), "z", z))
+    return _point_value(rho, "z", z)
 
 
 def weingarten_truncated(rho: Partition, N: int) -> Fraction:
@@ -182,14 +212,12 @@ def weingarten_truncated(rho: Partition, N: int) -> Fraction:
     Coincides with ``weingarten(rho, N)`` whenever N >= n, and stays defined
     for 1 <= N < n where the full sum has poles.  N must be a positive integer.
     """
-    rho = check_partition(rho)
-    return zonal_sum(rho, *_point_terms(sum(rho), "N", N))
+    return _point_value(rho, "N", N)
 
 
 def inv_wishart_weingarten(rho: Partition, gamma) -> Fraction:
     """Coefficient kernel for inverse-Wishart moments: (-1)^n 2^n Wg(rho; -2*gamma)."""
-    rho = check_partition(rho)
-    return zonal_sum(rho, *_point_terms(sum(rho), "gamma", gamma))
+    return _point_value(rho, "gamma", gamma)
 
 
 def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, Fraction]:
@@ -203,12 +231,16 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
         raise ValueError("give exactly one of z, gamma and N")
     n = check_degree(n)
     terms, scale = _point_terms(n, *points[0])
-    return {rho: zonal_sum(rho, terms, scale) for rho in partitions_of(n)}
+    table = _zonal_table(n)
+    return {rho: _zonal_sum(table, rho, terms, scale) for rho in partitions_of(n)}
 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:
-    """Unit of the convolution algebra: (2^n n!)^-1 on H_n, zero elsewhere."""
+    """Unit of the convolution algebra: (2^n n!)^-1 on H_n, zero elsewhere;
+    SizeLimitError past the tables' degrees (``check_degree``), {(): 1} at n = 0."""
     n = _as_int(n, "degree", 0)
+    if n:
+        check_degree(n)
     unit = Fraction(1, 2**n * factorial(n))
     return {rho: (unit if rho == (1,) * n else Fraction(0)) for rho in partitions_of(n)}
 
@@ -279,9 +311,10 @@ def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     for r in range(1, n + 1):
         if not isinstance(pvals[r], Number) or isinstance(pvals[r], bool):
             raise ValueError(f"power-sum value for r={r} must be a number, got {pvals[r]!r}")
+    omega = _zonal_table(n)[lam]
     total = 0
     for rho in partitions_of(n):
-        term = matching_type_count(rho) * zonal_spherical(lam, rho)
+        term = matching_type_count(rho) * omega[rho]
         for part in rho:
             term = term * pvals[part]
         total = total + term

@@ -45,13 +45,13 @@ from .matchgroup import (
 )
 from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, content_numerator, partitions_of
 from .weingarten import (
+    _zonal_sum,
+    _zonal_table,
     check_degree,
     check_dimension,
     check_poles,
     weingarten_values,
     zonal_eval,
-    zonal_spherical,
-    zonal_sum,
 )
 
 MAX_MIXED_DEGREE = 5
@@ -353,13 +353,13 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     if mu == (1,) * n:
         weights = _coset_weights(n, shape, inverse)
         return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
-    terms = []
+    table, terms = _zonal_table(n), []
     for lam in partitions_of(n):
         a, b = _eigenvalue(lam, shape, inverse)
-        w = zonal_spherical(lam, mu)
+        w = table[lam][mu]
         terms.append((lam, a * w.numerator, b * w.denominator))
     check_poles(-2 * shape, terms)
-    return {rho: zonal_sum(rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
+    return {rho: _zonal_sum(table, rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
 
 
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:

@@ -8,11 +8,10 @@ public function of ``weingarten``, ``wishart``, ``hafnian`` or ``montecarlo``.
 With warnings raised as errors, the call must either behave as on the equal
 valid input (the same value, or the same exception) or raise ValueError;
 DomainError, SizeLimitError and PoleError are subclasses.  Equal is as Python
-compares, True == 1 and 2 + 0j == 2, which is how a cache keyed by the value
-sees them; a string is equal to the rational it spells, as beta reads it.  An
-alpha of ``hafnian`` is used as given, so there the equal valid input is the
-value itself (a numpy int made an int, a string its rational), and a bool
-has none.
+compares, True == 1 and 2 + 0j == 2; a string is equal to the rational it
+spells, as beta reads it.  An alpha of ``hafnian`` is used as given, so there
+the equal valid input is the value itself (a numpy int made an int, a string
+its rational), and a bool has none.
 
 Not fuzzed, as they take none of the three kinds: flags (``inverse``,
 ``transposed``), choices (``method``, ``variant``), objects the library builds

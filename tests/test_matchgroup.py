@@ -230,6 +230,13 @@ def test_coset_representative_roundtrip(n):
     assert coset_representative((1,) * n) == Perm.identity(2 * n)
 
 
+def test_coset_representative_checks_its_partition_after_the_equal_key_was_read():
+    assert coset_representative((1, 1)) == Perm.identity(4)
+    with pytest.raises(ValueError, match="partition part"):
+        coset_representative((True, 1))
+    assert coset_representative([2, 1]) == coset_representative((2, 1))
+
+
 def test_paired_perm_carries_cycle_type_to_coset_type():
     for images in permutations(range(1, 5)):
         pi = Perm(images)

@@ -29,6 +29,7 @@ from wishmom.symcomb import (
 )
 from wishmom.weingarten import (
     _convolution_kernel,
+    _point_terms,
     _zonal_table,
     PoleError,
     biinvariant_convolve,
@@ -43,6 +44,7 @@ from wishmom.weingarten import (
     weingarten_values,
     zonal_eval,
     zonal_spherical,
+    zonal_sum,
 )
 
 from oracles import content_product_boxwise, solve_exact, weingarten_sum_fractions, zonal_spherical_at
@@ -109,6 +111,26 @@ def test_zonal_degree3_matrix():
 def test_zonal_weight_mismatch():
     with pytest.raises(ValueError):
         zonal_spherical((2,), (1,))
+
+
+def test_zonal_spherical_checks_its_partitions_after_the_equal_key_was_read():
+    assert zonal_spherical((1, 1), (1, 1)) == 1
+    for lam, rho in (((True, 1), (1, 1)), ((1, 1), (1, True)), ((2 + 0j,), (2,))):
+        with pytest.raises(ValueError, match="partition part"):
+            zonal_spherical(lam, rho)
+    assert zonal_spherical([2, 1], [1, 1, 1]) == zonal_spherical((2, 1), (1, 1, 1)) == 1
+
+
+def test_zonal_sum_checks_rho_and_the_weight_of_each_term():
+    terms = _point_terms(2, "z", 5)[0]
+    assert zonal_sum([1, 1], terms) == zonal_sum((1, 1), terms) == weingarten((1, 1), 5)
+    for rho in ((True, 1), (1, 2), ()):
+        with pytest.raises(ValueError):
+            zonal_sum(rho, terms)
+    with pytest.raises(ValueError, match=r"term shape \(2,\) is not a partition of 3"):
+        zonal_sum((2, 1), terms)
+    with pytest.raises(ValueError, match=r"term shape \[2\] is not a partition of 2"):
+        zonal_sum((1, 1), [([2], 1, 1)])
 
 
 def test_zonal_well_defined_on_double_cosets():

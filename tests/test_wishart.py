@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import multigammaln
 
-from wishmom import weingarten, wishart
+from wishmom import montecarlo, weingarten, wishart
 from wishmom.hafnian import alpha_permanent, hafnian_expand, hafnian_matching, hafnian_permsum, permanent_embedding
 from wishmom.matchgroup import (
     MAX_SUM_DEGREE,
@@ -858,7 +858,7 @@ def _refuse_large_partitions(monkeypatch):
         assert n <= 10, f"partitions_of({n}) listed"
         return listed(n)
 
-    for module in (wishart, weingarten):
+    for module in (wishart, weingarten, montecarlo):
         monkeypatch.setattr(module, "partitions_of", no_large_partitions)
 
 
@@ -903,6 +903,26 @@ def test_coefficients_far_past_the_cap_raise_without_enumerating(inverse, monkey
             call(p, (200,), inverse)
     with pytest.raises(SizeLimitError):
         trace_power_moment(p, 200, inverse)
+
+
+def test_tables_far_past_the_cap_raise_without_listing_partitions(monkeypatch):
+    _refuse_large_partitions(monkeypatch)
+    mats = np.stack([np.eye(2)] * 3)
+    calls = (
+        weingarten.hecke_unit,
+        lambda n: weingarten.pole_shapes(n, 3),
+        lambda n: montecarlo.Invariant((n,)).values(mats),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            call(200)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(SizeLimitError):
+            call(weingarten.MAX_ZONAL_DEGREE + 1)
+    assert weingarten.hecke_unit(0) == {(): 1}
+    assert weingarten.pole_shapes(0, 3) == ()
+    assert montecarlo.Invariant(()).values(mats).tolist() == [1.0] * 3
 
 
 def test_invariant_moment_of_the_empty_shape_is_one(params3):
