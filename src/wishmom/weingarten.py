@@ -19,11 +19,17 @@ Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
 place of 1 / C_lam(z); it also gives the power-trace coefficients of
 ``wishart``; callers that checked rho run its core ``_zonal_sum`` on one
 read of ``_zonal_table``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the
-integer P_lam = q^n C_lam(z), computed once per call or per table and shared
-by the pole check and the sum, which becomes one Fraction at the end.  Every
-Weingarten value is that sum over the terms of ``_point_terms``: Wg at z, the
-inverse-Wishart kernel at z = -2*gamma scaled by (-1)^n 2^n, or the shapes
-with at most N rows at z = N.
+integer P_lam = q^n C_lam(z), shared by the pole check and the sum, which
+becomes one Fraction at the end.  Every Weingarten value is that sum over the
+terms of ``_point_terms``: Wg at z, the inverse-Wishart kernel at
+z = -2*gamma scaled by (-1)^n 2^n, or the shapes with at most N rows at z = N.
+
+Each point's terms are built once and kept, with the values read so far, in
+one store of the last POINT_TABLES points (degree, kind and point), which
+every reader shares: the three per-value functions, ``weingarten_values``
+and ``point_table``, the table the inverse-Wishart and Haar moments of
+``wishart`` read.  A value is summed on its first read at its point; a
+point with a pole is never stored.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 from math import factorial
 from numbers import Number
@@ -51,16 +57,18 @@ from .symcomb import (
     Partition,
     _as_fraction,
     _as_int,
+    _character,
+    _hook_dim_doubled,
     centralizer_order,
-    character,
     check_partition,
     content_numerator,
-    hook_dim_doubled,
     partitions_of,
 )
 
 MAX_ZONAL_DEGREE = 5
 TABLE_SCHEMA = 1
+# points whose terms and values ``_point_cache`` keeps, the least recently read dropped first
+POINT_TABLES = 1024
 
 
 class PoleError(ValueError):
@@ -97,7 +105,7 @@ def _zonal_table(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     done: list[tuple[dict[Partition, Fraction], Fraction]] = []
     table = {}
     for lam in reversed(rhos):
-        b = {rho: Fraction(character(lam, rho) * 2 ** len(rho)) for rho in rhos}
+        b = {rho: Fraction(_character(lam, rho) * 2 ** len(rho)) for rho in rhos}
         for u, uu in done:
             c = sum(b[rho] * u[rho] * weight[rho] for rho in rhos) / uu
             b = {rho: b[rho] - c * u[rho] for rho in rhos}
@@ -145,24 +153,36 @@ def check_poles(z, terms) -> None:
         raise PoleError(z, poles)
 
 
-def _point_terms(n: int, kind: str, point) -> tuple[list[tuple[Partition, int, int]], int]:
-    """The terms (lam, q^n, P_lam = q^n C_lam(p/q)) and ``zonal_sum`` scale of
-    Wg at z = p/q, for the point of kind "z", "gamma" (z = -2 gamma, scale
-    (-2)^n) or "N" (z = N, shapes with at most N rows).  The degree is checked
-    first; PoleError names the shapes whose P_lam vanishes."""
+def _point_key(n, kind: str, point) -> tuple[int, str, int, int]:
+    """(n, kind, p, q) for the point p/q in lowest terms of kind "z", "gamma"
+    or "N" (q = 1): the degree is checked first, then the point, so equal
+    keys are equal points of one kind.  The key of ``_point_cache``."""
+    if kind not in ("z", "gamma", "N"):
+        raise ValueError(f"point kind must be 'z', 'gamma' or 'N', got {kind!r}")
     n = check_degree(n)
+    if kind == "N":
+        return n, kind, check_dimension(point), 1
+    x = _as_fraction(point, kind)
+    return n, kind, x.numerator, x.denominator
+
+
+def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[list[tuple[Partition, int, int]], int]:
+    """The terms (lam, q^n, P_lam = q^n C_lam(z)) and ``zonal_sum`` scale of Wg
+    at z = p/q in lowest terms, for a key of ``_point_key``: the point itself,
+    z = -2 gamma with scale (-2)^n, or z = N over the shapes with at most N
+    rows.  PoleError names the shapes whose P_lam vanishes."""
     shapes, scale = partitions_of(n), 1
     if kind == "gamma":
-        z, scale = -2 * _as_fraction(point, "gamma"), (-2) ** n
+        # -2 gamma in lowest terms, as gcd(p, q) = 1
+        p, q = (-p, q // 2) if q % 2 == 0 else (-2 * p, q)
+        scale = (-2) ** n
     elif kind == "N":
-        z = Fraction(check_dimension(point))
         # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
-        shapes = [lam for lam in shapes if len(lam) <= z]
-    else:
-        z = _as_fraction(point, "z")
-    p, q = z.numerator, z.denominator
-    terms = [(lam, q**n, content_numerator(lam, p, q)) for lam in shapes]
-    check_poles(z, terms)
+        shapes = [lam for lam in shapes if len(lam) <= p]
+    qn = q**n
+    terms = [(lam, qn, content_numerator(lam, p, q)) for lam in shapes]
+    if 0 in [b for _, _, b in terms]:
+        check_poles(Fraction(p, q), terms)
     return terms, scale
 
 
@@ -188,17 +208,48 @@ def _zonal_sum(table, rho: Partition, terms, scale: int) -> Fraction:
         a *= omega.numerator
         if a:
             b *= omega.denominator
-            num = num * b + hook_dim_doubled(lam) * a * den
+            num = num * b + _hook_dim_doubled(lam) * a * den
             den *= b
     return Fraction(scale * num, matching_count(sum(rho)) * den)
 
 
+@lru_cache(maxsize=POINT_TABLES)
+def _point_cache(
+    n: int, kind: str, p: int, q: int
+) -> tuple[list[tuple[Partition, int, int]], int, dict[Partition, Fraction]]:
+    """The terms and scale of ``_point_terms`` at a key of ``_point_key``, with
+    the dict of the values read so far at that point, filled by its readers.
+    A PoleError leaves nothing stored."""
+    terms, scale = _point_terms(n, kind, p, q)
+    return terms, scale, {}
+
+
 def _point_value(rho: Partition, kind: str, point) -> Fraction:
     """The one body of ``weingarten``, ``weingarten_truncated`` and
-    ``inv_wishart_weingarten``: rho is checked once, then ``_point_terms``."""
+    ``inv_wishart_weingarten``: rho is checked, then the degree and the point;
+    the value is summed only on its first read at that point."""
     rho = check_partition(rho)
-    terms, scale = _point_terms(sum(rho), kind, point)
-    return _zonal_sum(_zonal_table(sum(rho)), rho, terms, scale)
+    key = _point_key(sum(rho), kind, point)
+    terms, scale, values = _point_cache(*key)
+    value = values.get(rho)
+    if value is None:
+        value = values[rho] = _zonal_sum(_zonal_table(key[0]), rho, terms, scale)
+    return value
+
+
+def point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
+    """The stored values {rho: value} at the point of kind "z", "gamma" or "N"
+    for every rho of weight n, the rows not read before summed on one read of
+    ``_zonal_table``.  Callers only read it: ``weingarten_values`` copies it."""
+    key = _point_key(n, kind, point)
+    terms, scale, values = _point_cache(*key)
+    rhos = partitions_of(key[0])
+    if len(values) < len(rhos):
+        table = _zonal_table(key[0])
+        for rho in rhos:
+            if rho not in values:
+                values[rho] = _zonal_sum(table, rho, terms, scale)
+    return values
 
 
 def weingarten(rho: Partition, z) -> Fraction:
@@ -224,15 +275,14 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     """One degree's table at one point: ``weingarten(rho, z)``,
     ``inv_wishart_weingarten(rho, gamma)`` or ``weingarten_truncated(rho, N)``
     for every rho of weight n, in reverse-lex order; exactly one point is given.
-    One list of terms, with its pole check, serves the whole table.
+    A new dict from ``point_table``, so the caller may change it.
     """
     points = [(kind, v) for kind, v in (("z", z), ("gamma", gamma), ("N", N)) if v is not None]
     if len(points) != 1:
         raise ValueError("give exactly one of z, gamma and N")
     n = check_degree(n)
-    terms, scale = _point_terms(n, *points[0])
-    table = _zonal_table(n)
-    return {rho: _zonal_sum(table, rho, terms, scale) for rho in partitions_of(n)}
+    table = point_table(n, *points[0])
+    return {rho: table[rho] for rho in partitions_of(n)}
 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:

@@ -12,9 +12,10 @@ Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
 moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
 C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
 that choice; every moment below has one body for both sides.  The forward
-weights are a plain dict built per call.  Entrywise moments and trace
-products take the forward weight as a factor per loop or cycle, which needs
-no coset types.
+weights are a plain dict built per call; the inverse-Wishart and Haar
+weights are read from ``weingarten.point_table``, the bounded store of
+Weingarten values per point.  Entrywise moments and trace products take the
+forward weight as a factor per loop or cycle, which needs no coset types.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lgamma, log, prod
 from typing import Sequence
 
@@ -45,12 +46,13 @@ from .matchgroup import (
 )
 from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, content_numerator, partitions_of
 from .weingarten import (
+    _point_cache,
     _zonal_sum,
     _zonal_table,
     check_degree,
     check_dimension,
     check_poles,
-    weingarten_values,
+    point_table,
     zonal_eval,
 )
 
@@ -173,9 +175,13 @@ def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fra
     return params.sigma, params.beta
 
 
-@cache
 def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
-    return weingarten_values(n, gamma=gamma)
+    return point_table(n, "gamma", gamma)
+
+
+# the benchmark's inverse-table counters read the point store through these until ROADMAP item 3 step 2
+_inv_wg_table.cache_info = _point_cache.cache_info
+_inv_wg_table.cache_clear = _point_cache.cache_clear
 
 
 def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fraction]:
@@ -183,7 +189,7 @@ def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fr
     (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma.
     Callers check the degree first."""
     if inverse:
-        return _inv_wg_table(n, shape)
+        return point_table(n, "gamma", shape)
     return {rho: (2 * shape) ** len(rho) / 2**n for rho in partitions_of(n)}
 
 
@@ -215,7 +221,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
         return 1.0
     _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
     x, shape = _side(params, n, spec.inverse)
-    weights = _inv_wg_table(n, shape) if spec.inverse else None
+    weights = point_table(n, "gamma", shape) if spec.inverse else None
     labels = [k - 1 for k in spec.indices]
     if weights is None:
         # dividing by a power of two is exact
@@ -342,7 +348,7 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
     c_rho is ``zonal_sum`` at a_lam / b_lam = e_lam omega^lam(mu), e_lam the
     eigenvalue, scaled by M_rho.  At mu = (1^n), omega^lam(mu) = 1 and that
     sum is the coset weight of rho, so c_rho is M_rho times ``_coset_weights``:
-    on the inverse side the cached Weingarten table at gamma, with the same
+    on the inverse side the stored Weingarten table at gamma, with the same
     poles.
     """
     mu, shape = check_partition(mu), _as_fraction(shape, "shape")
@@ -419,11 +425,6 @@ def density(params: WishartParams, w: np.ndarray) -> float:
     return float(np.exp(log_density(params, w)))
 
 
-@cache
-def _haar_wg_values(n: int, N: int) -> dict[Partition, Fraction]:
-    return weingarten_values(n, N=N)
-
-
 def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     """Exact E[O_{i1 j1} ... O_{ik jk}] for a Haar orthogonal N x N matrix.
 
@@ -457,5 +458,5 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
             counts[rho] += mult * c
     if not any(counts.values()):
         return Fraction(0)
-    wg = _haar_wg_values(n, N)
+    wg = point_table(n, "N", N)
     return sum(c * wg[rho] for rho, c in counts.items())

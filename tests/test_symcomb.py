@@ -135,6 +135,18 @@ def test_character_weight_mismatch():
         character((2, 1), (2,))
 
 
+def test_character_and_doubled_hook_dim_check_partitions_after_the_equal_key_was_read():
+    assert character((1, 1), (1, 1)) == 1 and hook_dim_doubled((1, 1)) == 2
+    for lam, rho in (((True, 1), (1, 1)), ((1, 1), (1, True)), ((1, 2), (2,))):
+        with pytest.raises(ValueError, match="partition part"):
+            character(lam, rho)
+    for parts in ((True, 1), (1, 2), (2 + 0j,)):
+        with pytest.raises(ValueError, match="partition part"):
+            hook_dim_doubled(parts)
+    assert character([2, 1], [1, 1, 1]) == character((2, 1), (1, 1, 1)) == 2
+    assert hook_dim_doubled([2, 1]) == hook_dim_doubled((2, 1)) == 9
+
+
 def test_content_product_degree3_factorizations():
     z = Fraction(11, 7)
     assert content_product((3,), z) == z * (z + 2) * (z + 4)

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import wishmom
 from wishmom.matchgroup import (
@@ -29,13 +30,19 @@ from wishmom.symcomb import (
 )
 from wishmom.weingarten import (
     _convolution_kernel,
+    _point_cache,
+    _point_key,
     _point_terms,
+    _zonal_sum,
     _zonal_table,
+    MAX_ZONAL_DEGREE,
+    POINT_TABLES,
     PoleError,
     biinvariant_convolve,
     hecke_unit,
     inv_wishart_weingarten,
     load_table,
+    point_table,
     save_table,
     table_path,
     table_to_json,
@@ -122,7 +129,7 @@ def test_zonal_spherical_checks_its_partitions_after_the_equal_key_was_read():
 
 
 def test_zonal_sum_checks_rho_and_the_weight_of_each_term():
-    terms = _point_terms(2, "z", 5)[0]
+    terms = _point_terms(2, "z", 5, 1)[0]
     assert zonal_sum([1, 1], terms) == zonal_sum((1, 1), terms) == weingarten((1, 1), 5)
     for rho in ((True, 1), (1, 2), ()):
         with pytest.raises(ValueError):
@@ -299,6 +306,126 @@ def test_point_must_be_a_finite_rational(tmp_path):
             assert type(info.value) is ValueError
     assert weingarten_values(2, z=np.float64(2.5)) == weingarten_values(2, z="5/2") == weingarten_values(2, z=Fraction(5, 2))
     assert weingarten_values(2, gamma=4.0) == weingarten_values(2, gamma=4)
+
+
+READERS = {"z": weingarten, "gamma": inv_wishart_weingarten, "N": weingarten_truncated}
+
+
+def test_point_cache_checks_the_point_after_the_equal_valid_point_was_read():
+    for kind, read in READERS.items():
+        assert read((1,), 1) == point_table(1, kind, 1)[(1,)]
+        for call in (lambda: read((1,), True), lambda: point_table(1, kind, True)):
+            with pytest.raises(ValueError, match="(z|gamma) must be a finite rational|N must be a positive integer"):
+                call()
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        point_table(True, "z", 1)
+    with pytest.raises(ValueError, match="point kind must be"):
+        point_table(1, "beta", 1)
+
+
+def test_equal_points_share_one_entry():
+    _point_cache.cache_clear()
+    for z in (2.5, np.float64(2.5), "5/2", Fraction(5, 2)):
+        weingarten((2, 1), z)
+    info = _point_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_a_pole_is_raised_on_every_read_and_never_stored():
+    _point_cache.cache_clear()
+    shapes = []
+    for call in (lambda: weingarten((1, 1, 1, 1), 3), lambda: point_table(4, "z", 3)) * 2:
+        with pytest.raises(PoleError) as info:
+            call()
+        shapes.append(info.value.shapes)
+    assert shapes == [((1, 1, 1, 1),)] * 4
+    assert _point_cache.cache_info().currsize == 0
+
+
+def test_weingarten_values_is_the_callers_own_copy():
+    got = weingarten_values(3, z=7)
+    want = dict(got)
+    got[(3,)] = Fraction(0)
+    got.clear()
+    assert weingarten_values(3, z=7) == want and weingarten((3,), 7) == want[(3,)]
+
+
+def test_point_cache_holds_at_most_point_tables_points():
+    _point_cache.cache_clear()
+    for k in range(POINT_TABLES + 100):
+        point_table(3, "gamma", Fraction(3 * k + 1, 3))  # z = -2 gamma has no integer content, so no pole
+    assert _point_cache.cache_info().currsize == POINT_TABLES
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+def test_point_values_equal_one_sum_over_the_point_terms_in_any_read_order(n):
+    rnd = random.Random(n)
+    rhos = list(partitions_of(n))
+    # four pole-free points of each kind: z, gamma = -z/2, and N in 1..7
+    points = {
+        "z": [pole_free_z(rnd, n) for _ in range(4)],
+        "gamma": [-pole_free_z(rnd, n) / 2 for _ in range(4)],
+        "N": rnd.sample(range(1, 8), 4),
+    }
+    for kind in points:
+        for point in points[kind]:
+            terms, scale = _point_terms(*_point_key(n, kind, point))
+            want = {rho: _zonal_sum(_zonal_table(n), rho, terms, scale) for rho in rhos}
+            # cold: some rows one at a time in shuffled order, then the whole table, then every row again
+            _point_cache.cache_clear()
+            rnd.shuffle(rhos)
+            head = rhos[: rnd.randint(0, len(rhos))]
+            assert {rho: READERS[kind](rho, point) for rho in head} == {rho: want[rho] for rho in head}
+            assert point_table(n, kind, point) == want
+            assert {rho: READERS[kind](rho, point) for rho in rhos} == want
+            # cold: the whole table first, in reverse-lex order
+            _point_cache.cache_clear()
+            got = weingarten_values(n, **{kind: point})
+            assert got == want and list(got) == list(partitions_of(n))
+
+
+def matching_sums(wg, z):
+    """(sum_rho M_rho z^len(rho) wg[rho], sum_rho M_rho wg[rho]) over a degree's table."""
+    return (
+        sum(matching_type_count(rho) * z ** len(rho) * v for rho, v in wg.items()),
+        sum(matching_type_count(rho) * v for rho, v in wg.items()),
+    )
+
+
+def both_routes(n, kind, point):
+    """A degree's table at a cold point read one value at a time, and again as a whole."""
+    _point_cache.cache_clear()
+    one_by_one = {rho: READERS[kind](rho, point) for rho in partitions_of(n)}
+    _point_cache.cache_clear()
+    return one_by_one, weingarten_values(n, **{kind: point})
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+def test_weingarten_row_sums_hold_at_every_degree(n):
+    # (a) one row of Wg * z^kappa = unit: sum_rho M_rho z^len(rho) Wg(rho; z) = 1;
+    # (b) sum_rho M_rho Wg(rho; z) = 1 / prod_{k<n} (z + 2k)
+    rnd = random.Random(50 + n)
+    for z in [pole_free_z(rnd, n) for _ in range(3)]:
+        for wg in both_routes(n, "z", z):
+            assert matching_sums(wg, z) == (1, 1 / prod(z + 2 * k for k in range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+def test_haar_row_sum_holds_at_every_degree_and_dimension(n):
+    # (b) through the truncated table, for every N >= 1: it is E[O_11^2n] / (2n-1)!! for a Haar O
+    for N in range(1, 8):
+        for wg in both_routes(n, "N", N):
+            assert matching_sums(wg, N)[1] == Fraction(1, prod(N + 2 * k for k in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, MAX_ZONAL_DEGREE),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+def test_weingarten_row_sums_at_random_rational_points(n, z):
+    assume(all(content_product(lam, z) != 0 for lam in partitions_of(n)))
+    assert matching_sums(weingarten_values(n, z=z), z) == (1, 1 / prod(z + 2 * k for k in range(n)))
 
 
 def test_inv_wishart_weingarten_golden_tables():
