@@ -18,16 +18,18 @@ Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
 ``zonal_sum`` is that lambda-sum for any integer pairs (a_lam, b_lam) in
 place of 1 / C_lam(z); it also gives the power-trace coefficients of
 ``wishart``; callers that checked rho run its core ``_zonal_sum`` on one
-read of ``_zonal_table``.  At z = p/q, 1 / C_lam(z) = q^n / P_lam with the
-integer P_lam = q^n C_lam(z), shared by the pole check and the sum, which
-becomes one Fraction at the end.  Every Weingarten value is that sum over the
-terms of ``_point_terms``: Wg at z, the inverse-Wishart kernel at
-z = -2*gamma scaled by (-1)^n 2^n, or the shapes with at most N rows at z = N.
+read of ``_zonal_weights``, the integers c_lam / L_rho =
+f^{2 lam} omega^lam(rho) / (2n-1)!!.  At z = p/q, 1 / C_lam(z) = q^n / P_lam
+with the integer P_lam = q^n C_lam(z), one product of p + c q over the box
+contents c, shared by the pole check and the sum, which becomes one Fraction
+at the end.  Every Weingarten value is that sum over the terms of
+``_point_terms``: Wg at z, the inverse-Wishart kernel at z = -2*gamma scaled
+by (-1)^n 2^n, or the shapes with at most N rows at z = N.
 
 Each point's terms are built once and kept, with the values read so far, in
 one store of the last POINT_TABLES points (degree, kind and point), which
 every reader shares: the three per-value functions, ``weingarten_values``
-and ``point_table``, the table the inverse-Wishart and Haar moments of
+and ``_point_table``, the table the inverse-Wishart and Haar moments of
 ``wishart`` read.  A value is summed on its first read at its point; a
 point with a pole is never stored.
 """
@@ -39,7 +41,7 @@ import re
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm, prod
 from numbers import Number
 from pathlib import Path
 from typing import Mapping
@@ -153,12 +155,17 @@ def check_poles(z, terms) -> None:
         raise PoleError(z, poles)
 
 
+@cache
+def _box_contents(n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """(lam, the contents 2j - i of its boxes (i, j), 0-based) for every lam of
+    weight n, in ``partitions_of`` order: P_lam = prod(p + c q)."""
+    return tuple((lam, tuple(2 * j - i for i, row in enumerate(lam) for j in range(row))) for lam in partitions_of(n))
+
+
 def _point_key(n, kind: str, point) -> tuple[int, str, int, int]:
     """(n, kind, p, q) for the point p/q in lowest terms of kind "z", "gamma"
     or "N" (q = 1): the degree is checked first, then the point, so equal
     keys are equal points of one kind.  The key of ``_point_cache``."""
-    if kind not in ("z", "gamma", "N"):
-        raise ValueError(f"point kind must be 'z', 'gamma' or 'N', got {kind!r}")
     n = check_degree(n)
     if kind == "N":
         return n, kind, check_dimension(point), 1
@@ -171,18 +178,21 @@ def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[list[tuple[Partitio
     at z = p/q in lowest terms, for a key of ``_point_key``: the point itself,
     z = -2 gamma with scale (-2)^n, or z = N over the shapes with at most N
     rows.  PoleError names the shapes whose P_lam vanishes."""
-    shapes, scale = partitions_of(n), 1
+    rows, scale = n, 1
     if kind == "gamma":
         # -2 gamma in lowest terms, as gcd(p, q) = 1
         p, q = (-p, q // 2) if q % 2 == 0 else (-2 * p, q)
         scale = (-2) ** n
     elif kind == "N":
         # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
-        shapes = [lam for lam in shapes if len(lam) <= p]
+        rows = p
+    # P_lam is the product of p + c q over the contents c of its boxes: one factor per c serves every shape
+    factor = {c: p + c * q for c in range(1 - n, 2 * n - 1)}
     qn = q**n
-    terms = [(lam, qn, content_numerator(lam, p, q)) for lam in shapes]
-    if 0 in [b for _, _, b in terms]:
-        check_poles(Fraction(p, q), terms)
+    terms = [(lam, qn, prod(map(factor.__getitem__, cs))) for lam, cs in _box_contents(n) if len(lam) <= rows]
+    poles = tuple(lam for lam, _, b in terms if b == 0)
+    if poles:
+        raise PoleError(Fraction(p, q), poles)
     return terms, scale
 
 
@@ -193,24 +203,35 @@ def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
     |rho|, else ValueError."""
     scale = _as_int(scale, "scale")
     rho = check_partition(rho)
-    return _zonal_sum(_zonal_table(check_degree(sum(rho))), rho, terms, scale)
+    return _zonal_sum(_zonal_weights(check_degree(sum(rho))), rho, terms, scale)
 
 
-def _zonal_sum(table, rho: Partition, terms, scale: int) -> Fraction:
-    """``zonal_sum`` over the ``_zonal_table`` of the weight of rho, for callers
-    that checked rho and scale: one table read serves every rho of a degree."""
+@cache
+def _zonal_weights(n: int) -> dict[Partition, tuple[int, dict[Partition, int]]]:
+    """(L, {lam: c_lam}) for every rho of weight n: the integers with
+    f^{2 lam} omega^lam(rho) / (2n-1)!! = c_lam / L, the factors of ``_zonal_sum``."""
+    table, out = _zonal_table(n), {}
+    for rho in partitions_of(n):
+        w = {lam: _hook_dim_doubled(lam) * table[lam][rho] / matching_count(n) for lam in table}
+        den = lcm(*(x.denominator for x in w.values()))
+        out[rho] = den, {lam: x.numerator * (den // x.denominator) for lam, x in w.items()}
+    return out
+
+
+def _zonal_sum(weights, rho: Partition, terms, scale: int) -> Fraction:
+    """``zonal_sum`` over the ``_zonal_weights`` of the weight of rho, for
+    callers that checked rho and scale: one read serves every rho of a degree."""
+    den_rho, row = weights[rho]
     num, den = 0, 1
     for lam, a, b in terms:
         try:
-            omega = table[lam][rho]
+            a *= row[lam]
         except (KeyError, TypeError):
             raise ValueError(f"term shape {lam!r} is not a partition of {sum(rho)}, the weight of {rho}") from None
-        a *= omega.numerator
         if a:
-            b *= omega.denominator
-            num = num * b + _hook_dim_doubled(lam) * a * den
+            num = num * b + a * den
             den *= b
-    return Fraction(scale * num, matching_count(sum(rho)) * den)
+    return Fraction(scale * num, den_rho * den)
 
 
 @lru_cache(maxsize=POINT_TABLES)
@@ -233,22 +254,21 @@ def _point_value(rho: Partition, kind: str, point) -> Fraction:
     terms, scale, values = _point_cache(*key)
     value = values.get(rho)
     if value is None:
-        value = values[rho] = _zonal_sum(_zonal_table(key[0]), rho, terms, scale)
+        value = values[rho] = _zonal_sum(_zonal_weights(key[0]), rho, terms, scale)
     return value
 
 
-def point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
+def _point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
     """The stored values {rho: value} at the point of kind "z", "gamma" or "N"
     for every rho of weight n, the rows not read before summed on one read of
-    ``_zonal_table``.  Callers only read it: ``weingarten_values`` copies it."""
+    ``_zonal_weights``.  The dict is the store's own: the callers in this
+    package only read it, and ``weingarten_values`` hands out a copy."""
     key = _point_key(n, kind, point)
     terms, scale, values = _point_cache(*key)
-    rhos = partitions_of(key[0])
-    if len(values) < len(rhos):
-        table = _zonal_table(key[0])
-        for rho in rhos:
-            if rho not in values:
-                values[rho] = _zonal_sum(table, rho, terms, scale)
+    weights = _zonal_weights(key[0])
+    for rho in partitions_of(key[0]):
+        if rho not in values:
+            values[rho] = _zonal_sum(weights, rho, terms, scale)
     return values
 
 
@@ -275,14 +295,13 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     """One degree's table at one point: ``weingarten(rho, z)``,
     ``inv_wishart_weingarten(rho, gamma)`` or ``weingarten_truncated(rho, N)``
     for every rho of weight n, in reverse-lex order; exactly one point is given.
-    A new dict from ``point_table``, so the caller may change it.
+    A new dict from ``_point_table``, so the caller may change it.
     """
     points = [(kind, v) for kind, v in (("z", z), ("gamma", gamma), ("N", N)) if v is not None]
     if len(points) != 1:
         raise ValueError("give exactly one of z, gamma and N")
-    n = check_degree(n)
-    table = point_table(n, *points[0])
-    return {rho: table[rho] for rho in partitions_of(n)}
+    # reverse-lex is the descending order of the tuples
+    return dict(sorted(_point_table(n, *points[0]).items(), reverse=True))
 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:

@@ -13,7 +13,7 @@ moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
 C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
 that choice; every moment below has one body for both sides.  The forward
 weights are a plain dict built per call; the inverse-Wishart and Haar
-weights are read from ``weingarten.point_table``, the bounded store of
+weights are read from ``weingarten._point_table``, the bounded store of
 Weingarten values per point.  Entrywise moments and trace products take the
 forward weight as a factor per loop or cycle, which needs no coset types.
 
@@ -49,10 +49,11 @@ from .weingarten import (
     _point_cache,
     _zonal_sum,
     _zonal_table,
+    _zonal_weights,
     check_degree,
     check_dimension,
     check_poles,
-    point_table,
+    _point_table,
     zonal_eval,
 )
 
@@ -175,13 +176,8 @@ def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fra
     return params.sigma, params.beta
 
 
-def _inv_wg_table(n: int, gamma: Fraction) -> dict[Partition, Fraction]:
-    return point_table(n, "gamma", gamma)
-
-
-# the benchmark's inverse-table counters read the point store through these until ROADMAP item 3 step 2
-_inv_wg_table.cache_info = _point_cache.cache_info
-_inv_wg_table.cache_clear = _point_cache.cache_clear
+# read by the benchmark's inverse-table counters until ROADMAP item 3 step 2
+_inv_wg_table = _point_cache
 
 
 def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fraction]:
@@ -189,7 +185,7 @@ def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fr
     (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma.
     Callers check the degree first."""
     if inverse:
-        return point_table(n, "gamma", shape)
+        return _point_table(n, "gamma", shape)
     return {rho: (2 * shape) ** len(rho) / 2**n for rho in partitions_of(n)}
 
 
@@ -221,7 +217,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
         return 1.0
     _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
     x, shape = _side(params, n, spec.inverse)
-    weights = point_table(n, "gamma", shape) if spec.inverse else None
+    weights = _point_table(n, "gamma", shape) if spec.inverse else None
     labels = [k - 1 for k in spec.indices]
     if weights is None:
         # dividing by a power of two is exact
@@ -365,7 +361,8 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
         w = table[lam][mu]
         terms.append((lam, a * w.numerator, b * w.denominator))
     check_poles(-2 * shape, terms)
-    return {rho: _zonal_sum(table, rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
+    weights = _zonal_weights(n)
+    return {rho: _zonal_sum(weights, rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
 
 
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:
@@ -458,5 +455,5 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
             counts[rho] += mult * c
     if not any(counts.values()):
         return Fraction(0)
-    wg = point_table(n, "N", N)
+    wg = _point_table(n, "N", N)
     return sum(c * wg[rho] for rho, c in counts.items())
