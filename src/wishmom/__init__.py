@@ -5,4 +5,17 @@ with exact rational coefficients built from orthogonal Weingarten functions,
 plus Monte Carlo samplers that validate every formula.
 """
 
+import importlib
+import sys
+
 __version__ = "0.1.0"
+
+
+def _numpy():
+    """numpy for the numeric modules: the module already in ``sys.modules``, or
+    numpy imported now.  In a CLI process that module is the lazy one
+    ``wishmom.cli`` puts there, which runs numpy on its first attribute read;
+    ``import numpy`` would read its ``__spec__`` and so run it at once."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    return importlib.import_module("numpy")

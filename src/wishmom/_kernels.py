@@ -72,7 +72,9 @@ from __future__ import annotations
 import math
 import threading
 
-import numpy as np
+from . import _numpy
+
+np = _numpy()
 
 # Draws whose eigenvalue ratio is not below this are rejected by the estimator.
 COND_LIMIT = 1e12

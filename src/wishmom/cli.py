@@ -8,12 +8,20 @@ Exit codes: 0 success, 2 usage error (a path that cannot be read or written
 included), 3 math-domain error (pole, non-PD, bad shape parameter), 4
 validation failure.  Matrix indices on the command line are 1-based.
 WW_CACHE_DIR overrides the default table cache location.
+
+The exact commands (wg, haar, table) do not run numpy.  Before it imports
+any package module, this module puts numpy into ``sys.modules`` as a lazy
+module (``_defer_numpy``), and the numeric modules bind that module through
+``wishmom._numpy``; numpy itself runs on the first read of one of its
+attributes, which only moment and validate make.  A process that imports
+the library without this module gets plain numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -22,12 +30,24 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 
-from . import __version__, validate
-from .matchgroup import SizeLimitError
-from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower
-from .weingarten import (
+def _defer_numpy() -> None:
+    """Put numpy into ``sys.modules`` as a module that runs on its first
+    attribute read, unless numpy is imported already (or missing)."""
+    if "numpy" in sys.modules or (spec := importlib.util.find_spec("numpy")) is None:
+        return
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+
+
+_defer_numpy()
+
+from . import __version__, _numpy, validate  # noqa: E402
+from .matchgroup import SizeLimitError  # noqa: E402
+from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower  # noqa: E402
+from .weingarten import (  # noqa: E402
     PoleError,
     cached_tables,
     fraction_json,
@@ -36,8 +56,10 @@ from .weingarten import (
     table_path,
     weingarten_values,
 )
-from .symcomb import _as_fraction, check_partition
-from .wishart import DomainError, WishartParams, gamma_regime, haar_moment
+from .symcomb import _as_fraction, check_partition  # noqa: E402
+from .wishart import DomainError, WishartParams, gamma_regime, haar_moment  # noqa: E402
+
+np = _numpy()
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -283,12 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_errors() -> tuple[type[Exception], ...]:
+    """numpy's LinAlgError once numpy has run (its ``numpy.linalg`` is then
+    imported), else none: reading ``np.linalg`` would run numpy."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (linalg.LinAlgError,) if linalg else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PoleError, DomainError, np.linalg.LinAlgError) as exc:
+    except (PoleError, DomainError, *_linalg_errors()) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except (SizeLimitError, ValueError, OSError) as exc:

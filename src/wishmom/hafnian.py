@@ -18,10 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Integral, Number
 
-import numpy as np
-
+from . import _numpy
 from .matchgroup import check_sum_degree, cycle_type_sums, matching_type_sums
 from .symcomb import _as_fraction, _as_ints
+
+np = _numpy()
 
 
 def _alpha(alpha):

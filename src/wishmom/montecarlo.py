@@ -19,14 +19,14 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import _kernels, wishart
+from . import _kernels, _numpy, wishart
 from ._kernels import COND_LIMIT
 from .matchgroup import matching_type_count
 from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import _zonal_table, check_degree, check_dimension
 from .wishart import DomainError, MomentSpec, WishartParams, _real_matrix
+
+np = _numpy()
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -403,9 +403,12 @@ def _run_streams(
             stacklevel=3,
         )
     base, extra = divmod(sample_count, streams)
+    # built here, not in the lanes: the first read of the CLI's lazy numpy
+    # (wishmom.cli) is not thread-safe before Python 3.12
+    gens = [RngSpec(rng.seed, rng.stream + i).generator() for i in range(streams)]
 
     def run_stream(i: int) -> list[_Acc]:
-        gen = RngSpec(rng.seed, rng.stream + i).generator()
+        gen = gens[i]
         accs = [_Acc() for _ in targets]
         left = base + (1 if i < extra else 0)
         while left > 0:

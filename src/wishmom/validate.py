@@ -14,9 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-import numpy as np
-
-from . import hafnian, montecarlo, wishart
+from . import _numpy, hafnian, montecarlo, wishart
 from .matchgroup import double_coset_size, matching_type_count
 from .symcomb import content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
@@ -30,6 +28,8 @@ from .weingarten import (
     zonal_spherical,
 )
 from .wishart import MomentSpec, WishartParams
+
+np = _numpy()
 
 REL_TOL = 1e-10
 # substreams of every Monte Carlo check: with the seed, they fix its draws

@@ -32,8 +32,7 @@ from functools import cached_property
 from math import lgamma, log, prod
 from typing import Sequence
 
-import numpy as np
-
+from . import _numpy
 from .matchgroup import (
     SizeLimitError,
     _loop_type,
@@ -56,6 +55,8 @@ from .weingarten import (
     _point_table,
     zonal_eval,
 )
+
+np = _numpy()
 
 MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12

@@ -25,13 +25,100 @@ def sigma_csv(tmp_path):
     return str(path)
 
 
+def _fresh(code: str, *args: str, cwd=None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr (newlines as written) of ``python -c code
+    args`` in a fresh interpreter that imports this wishmom."""
+    src = str(Path(wishmom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env, cwd=cwd)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
 def test_cli_import_skips_heavy_modules():
     # scipy is a test-only dependency and numba is not used at all
     code = "import sys, wishmom.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
-    src = str(Path(wishmom.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert _fresh(code)[1].strip() == "[]"
+
+
+# cli.main in a fresh process; the last line of stderr says whether numpy ran
+RUN_MAIN = (
+    "import sys, wishmom.cli; code = wishmom.cli.main(sys.argv[1:]); "
+    "print('numpy ran:', 'numpy._core' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
+
+
+@pytest.mark.parametrize(
+    "argv, prepare, code, numpy_runs",
+    [
+        (["wg", "--n", "4", "--z=17/6"], None, 0, False),
+        (["wg", "--n", "3", "--gamma", "4", "--format", "json"], None, 0, False),
+        (["wg", "--n", "3", "--truncate", "5", "--format", "csv"], None, 0, False),
+        (["haar", "--i", "1,1,2,2", "--j", "2,2,1,1", "--N", "5", "--format", "json"], None, 0, False),
+        (["table", "build", *TABLE], None, 0, False),
+        (["table", "show", *TABLE, "--format", "json"], "built", 0, False),
+        (["table", "list", "--cache-dir", "c"], "built", 0, False),
+        (["wg", "--n", "3", "--z", "2"], None, 3, False),
+        (["wg", "--n", "200", "--z", "3"], None, 2, False),
+        (["table", "build", *TABLE], "directory", 2, False),
+        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, True),
+        (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True),
+        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, True),
+        (["validate", "golden", "--format", "json"], None, 0, True),
+    ],
+    ids=[
+        "wg-z", "wg-gamma", "wg-truncate", "haar", "table-build", "table-show", "table-list",
+        "wg-pole", "wg-past-the-cap", "table-build-onto-a-directory",
+        "moment", "moment-inverse-invariant", "moment-not-pd", "validate-golden",
+    ],
+)
+def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs):
+    # the same command in a fresh process and in this one (numpy loaded), each
+    # in a directory of its own, so relative paths print alike
+    fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
+    for d in (fresh_dir, here_dir):
+        d.mkdir()
+        (d / "s.csv").write_text("2.0,0.3\n0.3,1.5\n")
+        (d / "npd.csv").write_text("1.0,2.0\n2.0,1.0\n")
+        if prepare == "built":
+            monkeypatch.chdir(d)
+            assert main(["table", "build", *TABLE]) == 0
+        elif prepare == "directory":
+            table_path(d / "c", 3, 5).mkdir(parents=True)
+    capsys.readouterr()
+    fresh_code, out, err = _fresh(RUN_MAIN, *argv, cwd=fresh_dir)
+    *err, ran = err.splitlines(keepends=True)
+    assert ran == f"numpy ran: {numpy_runs}\n"
+    monkeypatch.chdir(here_dir)
+    assert main(argv) == fresh_code == code
+    assert capsys.readouterr() == (out, "".join(err))
+
+
+def test_library_import_runs_numpy():
+    code = "import sys, types, wishmom.wishart as w; print(type(w.np) is types.ModuleType, w.np is sys.modules['numpy'], 'numpy._core' in sys.modules)"
+    assert _fresh(code)[1] == "True True True\n"
+
+
+# the first numpy read of a CLI process is a threaded estimate's
+FIRST_READ_IN_THREADS = {
+    "estimate_haar": "estimate_haar([((1, 1), (1, 1))], 3, 2000, RngSpec(1), streams=2, threads={t})",
+    "estimate": "estimate([EntryProduct((1, 2)), TracePower(2)], WishartParams(d=2, beta=6, sigma=[[2.0, 0.3], [0.3, 1.5]]), 2000, RngSpec(1), streams=2, threads={t})",
+}
+
+
+@pytest.mark.parametrize("call", list(FIRST_READ_IN_THREADS))
+def test_threads_after_cli_import_give_the_one_thread_result(call):
+    def run(first_import, threads):
+        rc, out, err = _fresh(
+            f"import {first_import}\n"
+            "from wishmom.montecarlo import EntryProduct, RngSpec, TracePower, estimate, estimate_haar\n"
+            "from wishmom.wishart import WishartParams\n"
+            f"print(repr({FIRST_READ_IN_THREADS[call].format(t=threads)}))"
+        )
+        assert rc == 0, err
+        return out
+
+    assert run("wishmom.cli", 2) == run("numpy", 1)
 
 
 def test_wg_table_values(capsys):

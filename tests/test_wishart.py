@@ -18,11 +18,12 @@ from wishmom.matchgroup import (
     hyperoctahedral,
     kappa,
     label_matchings,
+    matching_type_count,
     matching_type_sums,
 )
 from wishmom.symcomb import Perm, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace
-from wishmom.weingarten import PoleError, inv_wishart_weingarten
+from wishmom.weingarten import MAX_ZONAL_DEGREE, PoleError, inv_wishart_weingarten, zonal_eval, zonal_spherical
 from wishmom.wishart import (
     _log_multigamma,
     DomainError,
@@ -194,6 +195,51 @@ def test_moment_diagonal_power_closed_form(params3, n):
         rising *= params3.beta + j
     want = params3.sigma[0, 0] ** n * float(rising)
     assert moment(params3, MomentSpec((1,) * (2 * n))) == pytest.approx(want, rel=REL_TOL)
+
+
+# d = 1: W ~ Gamma(beta, s), with E[W^n] = s^n (beta)_n and, for n < beta,
+# E[W^-n] = s^-n / prod_{k=1}^n (beta - k).  Every moment kind is one of these.
+D1_SCALE = Fraction(7, 4)
+
+
+def _gamma_moment(beta, n, inverse):
+    if inverse:
+        return D1_SCALE**-n / prod(beta - k for k in range(1, n + 1))
+    return D1_SCALE**n * prod(beta + j for j in range(n))
+
+
+def _d1_params(beta):
+    return WishartParams(d=1, beta=beta, sigma=[[float(D1_SCALE)]])
+
+
+@pytest.mark.parametrize("beta", [Fraction(15, 2), Fraction(9)])
+@pytest.mark.parametrize("n", range(1, MAX_SUM_DEGREE + 1))
+def test_d1_forward_entries_and_trace_products_are_gamma_moments(n, beta):
+    params = _d1_params(beta)
+    want = _gamma_moment(beta, n, False)
+    assert moment(params, MomentSpec((1,) * (2 * n))) == pytest.approx(float(want), rel=REL_TOL)
+    # tr(W s_i) = a_i W for 1x1 factors s_i = [[a_i]]
+    factors = [Fraction(k + 3, 4) for k in range(n)]
+    got = trace_product_moment(params, [np.array([[float(a)]]) for a in factors])
+    assert got == pytest.approx(float(prod(factors) * want), rel=REL_TOL)
+
+
+@pytest.mark.parametrize("beta", [Fraction(15, 2), Fraction(9)])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+def test_d1_moment_kinds_are_gamma_moments(n, inverse, beta):
+    params = _d1_params(beta)
+    want = _gamma_moment(beta, n, inverse)
+    assert moment(params, MomentSpec((1,) * (2 * n), inverse)) == pytest.approx(float(want), rel=REL_TOL)
+    assert trace_power_moment(params, n, inverse) == pytest.approx(float(want), rel=REL_TOL)
+    for part in partitions_of(n):
+        assert power_trace_moment(params, part, inverse) == pytest.approx(float(want), rel=REL_TOL)
+        # Z_lam(w) = Z_lam(1) w^n, zero for two or more rows; the float sum
+        # behind the value cancels terms as large as |M_rho omega^lam(rho)| E
+        z_one = zonal_eval(part, dict.fromkeys(range(1, n + 1), 1))
+        size = sum(matching_type_count(rho) * abs(zonal_spherical(part, rho)) for rho in partitions_of(n))
+        got = invariant_moment(params, part, inverse)
+        assert got == pytest.approx(float(z_one * want), rel=REL_TOL, abs=REL_TOL * float(size * want))
 
 
 def _exact_entrywise(params, indices, inverse):
