@@ -135,24 +135,18 @@ def _hook_dim_doubled(parts: Partition) -> int:
     return hook_dim(doubled(parts))
 
 
-def content_numerator(parts: Partition, p: int, q: int) -> int:
-    """q^|lam| * C_lam(p/q): the integer product over boxes (i, j), 0-based,
-    of p + (2j - i) q.  For p/q in lowest terms it is coprime to q."""
-    out = 1
-    for i, row in enumerate(parts):
-        for c in range(p - i * q, p + (2 * row - i) * q, 2 * q):
-            out *= c
-    return out
-
-
 def content_product(parts: Partition, z):
     """Product over Young-diagram boxes (i, j) of (z + 2j - i - 1), rows/cols 1-based.
 
-    For a rational z = p/q this is content_numerator / q^|lam|, one integer
-    product and one Fraction; an int when q = 1, and 1 for the empty partition.
+    For a rational z = p/q this is the integer product over the boxes of
+    p + (2j - i - 1) q, over q^|lam|: one Fraction; an int when q = 1, and 1
+    for the empty partition.
     """
     p, q = z.numerator, z.denominator
-    num = content_numerator(parts, p, q)
+    num = 1
+    for i, row in enumerate(parts):
+        for c in range(p - i * q, p + (2 * row - i) * q, 2 * q):
+            num *= c
     return num if q == 1 else Fraction(num, q ** sum(parts))
 
 

@@ -16,22 +16,23 @@ convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
 it is evaluated through its expansion over zonal spherical functions,
 Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
 ``zonal_sum`` is that lambda-sum for any integer pairs (a_lam, b_lam) in
-place of 1 / C_lam(z); it also gives the power-trace coefficients of
-``wishart``; callers that checked rho run its core ``_zonal_sum`` on one
-read of ``_zonal_weights``, the integers c_lam / L_rho =
+place of 1 / C_lam(z); callers that checked rho run its core ``_zonal_sum``
+on one read of ``_zonal_weights``, the integers c_lam / L_rho =
 f^{2 lam} omega^lam(rho) / (2n-1)!!.  At z = p/q, 1 / C_lam(z) = q^n / P_lam
 with the integer P_lam = q^n C_lam(z), one product of p + c q over the box
-contents c, shared by the pole check and the sum, which becomes one Fraction
-at the end.  Every Weingarten value is that sum over the terms of
+contents c, and the sum becomes one Fraction at the end.  Every coefficient
+of this module and of ``wishart`` is that sum over the one term list of
 ``_point_terms``: Wg at z, the inverse-Wishart kernel at z = -2*gamma scaled
-by (-1)^n 2^n, or the shapes with at most N rows at z = N.
+by (-1)^n 2^n, the shapes with at most N rows at z = N, or the forward
+eigenvalues C_lam(2 beta) / 2^n at z = 2*beta, whose sum at rho is the
+coset weight (2 beta)^len(rho) / 2^n.  A term with b_lam = 0 is a pole, and
+``check_poles`` is the one place that raises it.
 
-Each point's terms are built once and kept, with the values read so far, in
-one store of the last POINT_TABLES points (degree, kind and point), which
-every reader shares: the three per-value functions, ``weingarten_values``
-and ``_point_table``, the table the inverse-Wishart and Haar moments of
-``wishart`` read.  A value is summed on its first read at its point; a
-point with a pole is never stored.
+Each point's table {rho: value} is summed in one pass and kept in one store
+of the last POINT_TABLES points (degree, kind and point), which every reader
+shares: the three per-value functions, ``weingarten_values`` and
+``_point_table``, the table the moments of ``wishart`` read.  A point with a
+pole is never stored.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ from .symcomb import (
     _hook_dim_doubled,
     centralizer_order,
     check_partition,
-    content_numerator,
     partitions_of,
 )
 
 MAX_ZONAL_DEGREE = 5
 TABLE_SCHEMA = 1
-# points whose terms and values ``_point_cache`` keeps, the least recently read dropped first
+# points whose tables ``_point_cache`` keeps, the least recently read dropped first
 POINT_TABLES = 1024
 
 
@@ -132,14 +132,15 @@ zonal_spherical.cache_clear = _zonal_table.cache_clear
 
 
 def pole_shapes(n: int, z) -> tuple[Partition, ...]:
-    """Shapes of weight n whose content product vanishes at the rational z;
-    SizeLimitError past the tables' degrees (``check_degree``), none at n = 0."""
+    """Shapes of weight n whose content product vanishes at the rational z, the
+    terms of ``_point_terms`` with b = 0; SizeLimitError past the tables'
+    degrees (``check_degree``), none at n = 0."""
     z = _as_fraction(z, "z")
     n = _as_int(n, "degree", 0)
-    if n:
-        check_degree(n)
-    p, q = z.numerator, z.denominator
-    return tuple(lam for lam in partitions_of(n) if content_numerator(lam, p, q) == 0)
+    if not n:
+        return ()
+    _, terms, _ = _point_terms(check_degree(n), "z", z.numerator, z.denominator)
+    return tuple(lam for lam, _, b in terms if b == 0)
 
 
 def check_dimension(N) -> int:
@@ -163,9 +164,9 @@ def _box_contents(n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
 
 
 def _point_key(n, kind: str, point) -> tuple[int, str, int, int]:
-    """(n, kind, p, q) for the point p/q in lowest terms of kind "z", "gamma"
-    or "N" (q = 1): the degree is checked first, then the point, so equal
-    keys are equal points of one kind.  The key of ``_point_cache``."""
+    """(n, kind, p, q) for the point p/q in lowest terms of kind "z", "gamma",
+    "beta" or "N" (q = 1): the degree is checked first, then the point, so
+    equal keys are equal points of one kind.  The key of ``_point_cache``."""
     n = check_degree(n)
     if kind == "N":
         return n, kind, check_dimension(point), 1
@@ -173,16 +174,19 @@ def _point_key(n, kind: str, point) -> tuple[int, str, int, int]:
     return n, kind, x.numerator, x.denominator
 
 
-def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[list[tuple[Partition, int, int]], int]:
-    """The terms (lam, q^n, P_lam = q^n C_lam(z)) and ``zonal_sum`` scale of Wg
-    at z = p/q in lowest terms, for a key of ``_point_key``: the point itself,
-    z = -2 gamma with scale (-2)^n, or z = N over the shapes with at most N
-    rows.  PoleError names the shapes whose P_lam vanishes."""
+def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[Fraction, list[tuple[Partition, int, int]], int]:
+    """(z, terms, scale) of ``zonal_sum`` at a key of ``_point_key``, with
+    z = p/q in lowest terms and P_lam = q^n C_lam(z): the terms (lam, q^n,
+    P_lam) of Wg at the point itself, at z = -2 gamma with scale (-2)^n, or at
+    z = N over the shapes with at most N rows; or (lam, P_lam, (2q)^n), the
+    forward eigenvalues C_lam(2 beta) / 2^n at z = 2 beta.  A term with
+    b = 0 is a pole, for ``check_poles`` to raise."""
     rows, scale = n, 1
-    if kind == "gamma":
-        # -2 gamma in lowest terms, as gcd(p, q) = 1
-        p, q = (-p, q // 2) if q % 2 == 0 else (-2 * p, q)
-        scale = (-2) ** n
+    if kind in ("gamma", "beta"):
+        # 2 beta or -2 gamma in lowest terms, as gcd(p, q) = 1
+        p, q = (p, q // 2) if q % 2 == 0 else (2 * p, q)
+        if kind == "gamma":
+            p, scale = -p, (-2) ** n
     elif kind == "N":
         # no pole: every box (i, j) of a shape with at most N rows has N + 2j - i - 1 >= 1
         rows = p
@@ -190,10 +194,10 @@ def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[list[tuple[Partitio
     factor = {c: p + c * q for c in range(1 - n, 2 * n - 1)}
     qn = q**n
     terms = [(lam, qn, prod(map(factor.__getitem__, cs))) for lam, cs in _box_contents(n) if len(lam) <= rows]
-    poles = tuple(lam for lam, _, b in terms if b == 0)
-    if poles:
-        raise PoleError(Fraction(p, q), poles)
-    return terms, scale
+    if kind == "beta":
+        # the forward eigenvalue C_lam(2 beta) / 2^n = P_lam / (2q)^n
+        terms = [(lam, b, 2**n * a) for lam, a, b in terms]
+    return Fraction(p, q), terms, scale
 
 
 def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
@@ -235,41 +239,29 @@ def _zonal_sum(weights, rho: Partition, terms, scale: int) -> Fraction:
 
 
 @lru_cache(maxsize=POINT_TABLES)
-def _point_cache(
-    n: int, kind: str, p: int, q: int
-) -> tuple[list[tuple[Partition, int, int]], int, dict[Partition, Fraction]]:
-    """The terms and scale of ``_point_terms`` at a key of ``_point_key``, with
-    the dict of the values read so far at that point, filled by its readers.
-    A PoleError leaves nothing stored."""
-    terms, scale = _point_terms(n, kind, p, q)
-    return terms, scale, {}
+def _point_cache(n: int, kind: str, p: int, q: int) -> dict[Partition, Fraction]:
+    """The table {rho: value} for every rho of weight n, in ``partitions_of``
+    order, at a key of ``_point_key``: one pass over the terms of
+    ``_point_terms``.  A PoleError from ``check_poles`` leaves nothing stored."""
+    z, terms, scale = _point_terms(n, kind, p, q)
+    check_poles(z, terms)
+    weights = _zonal_weights(n)
+    return {rho: _zonal_sum(weights, rho, terms, scale) for rho in partitions_of(n)}
+
+
+def _point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
+    """The stored table at the point of kind "z", "gamma", "beta" or "N", the
+    degree and the point checked first.  The dict is the store's own: the
+    callers in this package only read it, and ``weingarten_values`` hands out
+    a copy."""
+    return _point_cache(*_point_key(n, kind, point))
 
 
 def _point_value(rho: Partition, kind: str, point) -> Fraction:
     """The one body of ``weingarten``, ``weingarten_truncated`` and
-    ``inv_wishart_weingarten``: rho is checked, then the degree and the point;
-    the value is summed only on its first read at that point."""
+    ``inv_wishart_weingarten``: rho is checked, then the degree and the point."""
     rho = check_partition(rho)
-    key = _point_key(sum(rho), kind, point)
-    terms, scale, values = _point_cache(*key)
-    value = values.get(rho)
-    if value is None:
-        value = values[rho] = _zonal_sum(_zonal_weights(key[0]), rho, terms, scale)
-    return value
-
-
-def _point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
-    """The stored values {rho: value} at the point of kind "z", "gamma" or "N"
-    for every rho of weight n, the rows not read before summed on one read of
-    ``_zonal_weights``.  The dict is the store's own: the callers in this
-    package only read it, and ``weingarten_values`` hands out a copy."""
-    key = _point_key(n, kind, point)
-    terms, scale, values = _point_cache(*key)
-    weights = _zonal_weights(key[0])
-    for rho in partitions_of(key[0]):
-        if rho not in values:
-            values[rho] = _zonal_sum(weights, rho, terms, scale)
-    return values
+    return _point_table(sum(rho), kind, point)[rho]
 
 
 def weingarten(rho: Partition, z) -> Fraction:
@@ -300,8 +292,7 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
     points = [(kind, v) for kind, v in (("z", z), ("gamma", gamma), ("N", N)) if v is not None]
     if len(points) != 1:
         raise ValueError("give exactly one of z, gamma and N")
-    # reverse-lex is the descending order of the tuples
-    return dict(sorted(_point_table(n, *points[0]).items(), reverse=True))
+    return dict(_point_table(n, *points[0]))
 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:

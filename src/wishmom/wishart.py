@@ -10,12 +10,13 @@ against sigma^-1 instead of sigma, use the shifted shape gamma = beta - (d+1)/2
 instead of beta, and weigh a matching of coset type rho by the inverse-Wishart
 Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
 moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
-C_lam(2 beta) / 2^n).  ``_side``, ``_coset_weights`` and ``_eigenvalue`` make
-that choice; every moment below has one body for both sides.  The forward
-weights are a plain dict built per call; the inverse-Wishart and Haar
-weights are read from ``weingarten._point_table``, the bounded store of
-Weingarten values per point.  Entrywise moments and trace products take the
-forward weight as a factor per loop or cycle, which needs no coset types.
+C_lam(2 beta) / 2^n).  Both sides are one term list,
+``weingarten._point_terms`` of kind "gamma" or "beta", and both tables of
+coset weights are read from ``weingarten._point_table``, the bounded store
+of tables per point, as are the Haar weights; ``_side`` picks the matrix and
+the shape, so every moment below has one body for both sides.  Entrywise
+moments and trace products take the forward weight as a factor per loop or
+cycle, which needs no coset types.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
@@ -43,16 +44,18 @@ from .matchgroup import (
     pair_loops,
     paired_perm,
 )
-from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, content_numerator, partitions_of
+from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import (
     _point_cache,
+    _point_key,
+    _point_table,
+    _point_terms,
     _zonal_sum,
     _zonal_table,
     _zonal_weights,
     check_degree,
     check_dimension,
     check_poles,
-    _point_table,
     zonal_eval,
 )
 
@@ -177,28 +180,8 @@ def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fra
     return params.sigma, params.beta
 
 
-# read by the benchmark's inverse-table counters until ROADMAP item 3 step 2
+# read by the benchmark's inverse-table counters until ROADMAP item 3 step 2; they count every point table
 _inv_wg_table = _point_cache
-
-
-def _coset_weights(n: int, shape: Fraction, inverse: bool) -> dict[Partition, Fraction]:
-    """Weight of a matching of coset type rho in the degree-n matching sum:
-    (2 beta)^len(rho) / 2^n, or the inverse-Wishart Weingarten value at gamma.
-    Callers check the degree first."""
-    if inverse:
-        return _point_table(n, "gamma", shape)
-    return {rho: (2 * shape) ** len(rho) / 2**n for rho in partitions_of(n)}
-
-
-def _eigenvalue(lam: Partition, shape: Fraction, inverse: bool) -> tuple[int, int]:
-    """E[Z_lam(W)] / Z_lam(sigma) = C_lam(2 beta) / 2^n, or, for W^-1 against
-    sigma^-1, (-1)^n 2^n / C_lam(-2 gamma), as integers (a, b) with value a / b:
-    (P, (2q)^n) or ((-2q)^n, P), P = q^n C_lam(p/q); b = 0 marks a pole."""
-    n = sum(lam)
-    z = -2 * shape if inverse else 2 * shape
-    c = content_numerator(lam, z.numerator, z.denominator)
-    s = 2 * z.denominator
-    return ((-s) ** n, c) if inverse else (c, s**n)
 
 
 def moment(params: WishartParams, spec: MomentSpec) -> float:
@@ -302,7 +285,7 @@ def mixed_trace_moment(
     mats = [_real_matrix(m, params.d, "factor") for m in ms]
     g_inv = g.inverse().images
     x, shape = _side(params, n, inverse)
-    weights = _coset_weights(n, shape, inverse)
+    weights = _point_table(n, "gamma" if inverse else "beta", shape)
     total = 0.0
     for seq in label_matchings((0,) * (2 * n)):
         rho = _loop_type([g_inv[s - 1] for s in seq])  # the type of g^-1 m
@@ -326,44 +309,46 @@ def _contract(coeffs: dict[Partition, Fraction], x: np.ndarray, n: int) -> float
 
 
 def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = False) -> float:
-    """E[Z_lam(W^{+-1})] = eigenvalue * Z_lam(sigma^{+-1}), see ``_eigenvalue``.
+    """E[Z_lam(W^{+-1})] = e_lam Z_lam(sigma^{+-1}), the eigenvalue e_lam
+    = C_lam(2 beta) / 2^n, or (-1)^n 2^n / C_lam(-2 gamma), being lam's own
+    term of ``weingarten._point_terms``: a pole only when that term is one.
     Power sums only, no eigendecomposition."""
     lam = check_partition(lam)
     n = sum(lam)
     if lam:  # the empty shape, Z = 1, needs no table
         check_degree(n)
     x, shape = _side(params, n, inverse)
-    a, b = _eigenvalue(lam, shape, inverse)
-    check_poles(-2 * shape, [(lam, a, b)])
-    return a / b * zonal_eval(lam, _power_sums(x, n))
+    if not lam:
+        return 1.0
+    z, terms, scale = _point_terms(*_point_key(n, "gamma" if inverse else "beta", shape))
+    term = next(t for t in terms if t[0] == lam)
+    check_poles(z, [term])
+    _, a, b = term
+    return scale * a / b * zonal_eval(lam, _power_sums(x, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients c_rho with E[p_mu(W^{+-1})] = sum c_rho p_rho(sigma^{+-1}).
 
     ``shape`` is beta on the forward side and gamma on the inverse side.
-    c_rho is ``zonal_sum`` at a_lam / b_lam = e_lam omega^lam(mu), e_lam the
-    eigenvalue, scaled by M_rho.  At mu = (1^n), omega^lam(mu) = 1 and that
-    sum is the coset weight of rho, so c_rho is M_rho times ``_coset_weights``:
-    on the inverse side the stored Weingarten table at gamma, with the same
-    poles.
+    c_rho is ``zonal_sum`` over the terms of ``weingarten._point_terms``, the
+    eigenvalues e_lam, each times omega^lam(mu), scaled by M_rho.  At
+    mu = (1^n), omega^lam(mu) = 1 and that sum is the coset weight of rho, so
+    c_rho is M_rho times the stored table at the point, with the same poles.
     """
     mu, shape = check_partition(mu), _as_fraction(shape, "shape")
     if not mu:
         return {(): 1}
     n = sum(mu)
-    check_degree(n)
+    key = _point_key(n, "gamma" if inverse else "beta", shape)
     if mu == (1,) * n:
-        weights = _coset_weights(n, shape, inverse)
-        return {rho: matching_type_count(rho) * weights[rho] for rho in partitions_of(n)}
-    table, terms = _zonal_table(n), []
-    for lam in partitions_of(n):
-        a, b = _eigenvalue(lam, shape, inverse)
-        w = table[lam][mu]
-        terms.append((lam, a * w.numerator, b * w.denominator))
-    check_poles(-2 * shape, terms)
+        return {rho: matching_type_count(rho) * w for rho, w in _point_cache(*key).items()}
+    z, terms, scale = _point_terms(*key)
+    check_poles(z, terms)
+    omega = _zonal_table(n)
+    terms = [(lam, a * omega[lam][mu].numerator, b * omega[lam][mu].denominator) for lam, a, b in terms]
     weights = _zonal_weights(n)
-    return {rho: _zonal_sum(weights, rho, terms, matching_type_count(rho)) for rho in partitions_of(n)}
+    return {rho: _zonal_sum(weights, rho, terms, scale * matching_type_count(rho)) for rho in partitions_of(n)}
 
 
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:

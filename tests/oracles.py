@@ -122,15 +122,21 @@ def t_contraction_bruteforce(g, x, ms):
 def mixed_trace_moment_termwise(params, g, ms, inverse=False):
     """E[T_g(W^{+-1}; m_1..m_n)] term by term: for every matching m, built as
     a Perm, the coset weight at the union-find type of the product g^-1 m
-    times ``paired_contraction`` at m."""
-    from wishmom.symcomb import Perm
-    from wishmom.wishart import _coset_weights, _side, paired_contraction
+    times ``paired_contraction`` at m.  The weights are built here:
+    (2 beta)^len(rho) / 2^n, or (-2)^n Wg(rho; -2 gamma) by
+    ``weingarten_sum_fractions``."""
+    from wishmom.symcomb import Perm, partitions_of
+    from wishmom.wishart import _side, paired_contraction
 
     n = len(ms)
     mats = [np.asarray(m, dtype=float) for m in ms]
     g_inv = g.inverse()
     x, shape = _side(params, n, inverse)
-    weights = _coset_weights(n, shape, inverse)
+    shapes = partitions_of(n)
+    if inverse:
+        weights = {rho: (-2) ** n * weingarten_sum_fractions(rho, -2 * shape, shapes) for rho in shapes}
+    else:
+        weights = {rho: (2 * shape) ** len(rho) / 2**n for rho in shapes}
     total = 0.0
     for w in matching_words(n):
         p = Perm(w)

@@ -117,7 +117,7 @@ A4 = [[Fraction(0), Fraction(1), Fraction(2), Fraction(-1)],
       [Fraction(2), Fraction(1, 2), Fraction(0), Fraction(1)],
       [Fraction(-1), Fraction(3), Fraction(1), Fraction(0)]]
 M2 = [[Fraction(1), Fraction(2)], [Fraction(-1), Fraction(1, 3)]]
-TERMS = wg._point_terms(2, "z", 5, 1)[0]
+TERMS = wg._point_terms(2, "z", 5, 1)[1]
 GEN = C(np.random.default_rng, 0)
 KNOBS = {"chunk": Int(700), "streams": Int(2), "threads": Int(1)}
 

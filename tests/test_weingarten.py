@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +127,7 @@ def test_zonal_spherical_checks_its_partitions_after_the_equal_key_was_read():
 
 
 def test_zonal_sum_checks_rho_and_the_weight_of_each_term():
-    terms = _point_terms(2, "z", 5, 1)[0]
+    terms = _point_terms(2, "z", 5, 1)[1]
     assert zonal_sum([1, 1], terms) == zonal_sum((1, 1), terms) == weingarten((1, 1), 5)
     for rho in ((True, 1), (1, 2), ()):
         with pytest.raises(ValueError):
@@ -414,6 +414,16 @@ def test_weingarten_row_sums_hold_at_every_degree(n):
     for z in [pole_free_z(rnd, n) for _ in range(3)]:
         for wg in both_routes(n, "z", z):
             assert matching_sums(wg, z) == (1, 1 / prod(z + 2 * k for k in range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+def test_weingarten_leading_term_is_a_signed_catalan_product(n):
+    # z^(2n - len rho) Wg(rho; z) -> prod_i (-1)^(rho_i - 1) Cat(rho_i - 1) as z -> infinity
+    z = Fraction(10**40)
+    for rho in partitions_of(n):
+        want = prod((-1) ** (r - 1) * comb(2 * r - 2, r - 1) // r for r in rho)
+        got = z ** (2 * n - len(rho)) * weingarten(rho, z)
+        assert abs(got - want) < Fraction(1, 10**35)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))

@@ -733,10 +733,40 @@ def test_trace_power_coefficients_degree4():
 @pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), 3])
 def test_forward_coset_weights_are_the_plain_table(beta):
     for n in range(1, 6):
-        got = wishart._coset_weights(n, Fraction(beta), False)
+        got = weingarten._point_table(n, "beta", beta)
         assert list(got) == list(partitions_of(n))
         for rho, w in got.items():
             assert w == Fraction(2 * beta) ** len(rho) / 2**n and type(w) is Fraction
+    if beta == Fraction(1, 2):
+        # z = 2 beta = 1, where P_(1,1) = 0: a zero forward eigenvalue, which is no pole
+        _, terms, _ = weingarten._point_terms(2, "beta", 1, 2)
+        assert [(lam, a) for lam, a, _ in terms] == [((2,), 3), ((1, 1), 0)]
+
+
+def test_forward_mixed_trace_and_trace_power_share_one_store_entry():
+    beta = Fraction(13, 3)
+    p = WishartParams(d=2, beta=beta, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    weingarten._point_cache.cache_clear()
+    mixed_trace_moment(p, Perm((2, 3, 1, 4, 6, 5)), [np.eye(2)] * 3)
+    trace_power_coeffs(3, beta)
+    info = weingarten._point_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_an_invariant_is_a_pole_only_at_its_own_shape():
+    # d = 2, beta = 5/2: gamma = 1 and z = -2 gamma = -2, where C_(2)(z) = z (z + 2)
+    # vanishes and C_(1,1)(z) = z (z - 1) = 6 does not
+    p = WishartParams(d=2, beta=Fraction(5, 2), sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    si = p.sigma_inv
+    z11 = zonal_eval((1, 1), {1: np.trace(si), 2: np.trace(si @ si)})
+    assert invariant_moment(p, (1, 1), True) == pytest.approx(4 / 6 * z11, rel=1e-13)
+    with pytest.raises(PoleError) as info:
+        invariant_moment(p, (2,), True)
+    assert info.value.shapes == ((2,),) and info.value.z == -2
+    for call in (lambda: power_trace_coeffs((1, 1), 1, True), lambda: inv_wishart_weingarten((1, 1), 1)):
+        with pytest.raises(PoleError) as info:
+            call()
+        assert info.value.shapes == ((2,),)
 
 
 def test_trace_power_inverse_display_degree4():
