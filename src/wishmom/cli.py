@@ -9,12 +9,17 @@ included), 3 math-domain error (pole, non-PD, bad shape parameter), 4
 validation failure.  Matrix indices on the command line are 1-based.
 WW_CACHE_DIR overrides the default table cache location.
 
-The exact commands (wg, haar, table) do not run numpy.  Before it imports
-any package module, this module puts numpy into ``sys.modules`` as a lazy
-module (``_defer_numpy``), and the numeric modules bind that module through
+The exact commands (wg, haar, table, moment --entries, --trace-power and
+--power-trace on either side, and validate identities), error exits
+included, do not run numpy: sigma is read as rows of Python floats and those
+moments are contracted against them in Python.  Before it imports any
+package module, this module puts numpy into ``sys.modules`` as a lazy module
+(``_defer_numpy``), and the numeric modules bind that module through
 ``wishmom._numpy``; numpy itself runs on the first read of one of its
-attributes, which only moment and validate make.  A process that imports
-the library without this module gets plain numpy.
+attributes, which only moment --invariant (its power sums are numpy's, see
+``wishart.invariant_moment``), validate golden and validate montecarlo
+make.  A process that imports the library without this module gets plain
+numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def _defer_numpy() -> None:
 
 _defer_numpy()
 
-from . import __version__, _numpy, validate  # noqa: E402
+from . import __version__, validate  # noqa: E402
 from .matchgroup import SizeLimitError  # noqa: E402
 from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower  # noqa: E402
 from .weingarten import (  # noqa: E402
@@ -58,8 +63,6 @@ from .weingarten import (  # noqa: E402
 )
 from .symcomb import _as_fraction, check_partition  # noqa: E402
 from .wishart import DomainError, WishartParams, gamma_regime, haar_moment  # noqa: E402
-
-np = _numpy()
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,8 +95,9 @@ def parse_partition(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}") from exc
 
 
-def read_sigma(path: str) -> np.ndarray:
-    """Parse sigma from CSV (rows of comma-separated decimals) or a JSON array.
+def read_sigma(path: str) -> list[list[float]]:
+    """Parse sigma from CSV (rows of comma-separated decimals) or a JSON array,
+    as a list of rows.
 
     Only the format is checked: every cell is a number (a JSON true or "1.5" is
     not one); WishartParams reads the matrix."""
@@ -107,9 +111,9 @@ def read_sigma(path: str) -> np.ndarray:
             if not all(type(cell) in (int, float) for row in rows for cell in row):
                 raise ValueError("every cell must be a number")
         else:
-            rows = [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line.strip()]
-        return np.asarray(rows, dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            rows = [line.split(",") for line in text.splitlines() if line.strip()]
+        return [[float(cell) for cell in row] for row in rows]
+    except (json.JSONDecodeError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sigma file {path}: {exc}") from exc
 
 
@@ -171,8 +175,7 @@ def cmd_wg(args) -> int:
 
 def cmd_moment(args) -> int:
     sigma = read_sigma(args.sigma)
-    # a scalar sigma has no first axis; WishartParams rejects its shape whatever d is
-    d = sigma.shape[0] if sigma.ndim else 0
+    d = len(sigma)
     params = WishartParams(d=d, beta=args.beta, sigma=sigma)
     picks = [name for name in MOMENT_KINDS if getattr(args, name) is not None]
     if len(picks) != 1:
@@ -305,19 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _linalg_errors() -> tuple[type[Exception], ...]:
-    """numpy's LinAlgError once numpy has run (its ``numpy.linalg`` is then
-    imported), else none: reading ``np.linalg`` would run numpy."""
-    linalg = sys.modules.get("numpy.linalg")
-    return (linalg.LinAlgError,) if linalg else ()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PoleError, DomainError, *_linalg_errors()) as exc:
+    except (PoleError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except (SizeLimitError, ValueError, OSError) as exc:

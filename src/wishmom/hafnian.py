@@ -16,13 +16,12 @@ of M built by ``permanent_embedding``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from numbers import Integral, Number
+from operator import add, mul
 
-from . import _numpy
 from .matchgroup import check_sum_degree, cycle_type_sums, matching_type_sums
 from .symcomb import _as_fraction, _as_ints
-
-np = _numpy()
 
 
 def _alpha(alpha):
@@ -35,36 +34,69 @@ def _alpha(alpha):
     return int(a) if isinstance(alpha, Integral) else a
 
 
-def _square(M) -> int:
-    """The size of the square M, [] being 0 x 0; ValueError for any other
-    shape, or for an entry that is not a number or is a bool."""
-    entries = np.array(M, dtype=object)
-    shape = entries.shape
-    if shape != (0,) and (len(shape) != 2 or shape[0] != shape[1]):
+def _square(M) -> list[list]:
+    """The square M, an ndarray or a list or tuple of rows, as a list of
+    rows, [] being 0 x 0; ValueError for any other shape, or for an entry that
+    is not a number or is a bool."""
+    m = M.tolist() if hasattr(M, "tolist") else M  # an ndarray's entries as Python numbers
+    try:
+        rows = [list(row) for row in m] if isinstance(m, (list, tuple)) else None
+    except TypeError:  # a row that is a scalar
+        rows = None
+    if rows is None or any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    for (p, q), v in np.ndenumerate(entries):
-        if not isinstance(v, Number) or isinstance(v, bool):
-            raise ValueError(f"matrix entry at ({p},{q}) must be a number, got {v!r}")
-    return shape[0]
+    for p, row in enumerate(rows):
+        for q, v in enumerate(row):
+            if not isinstance(v, Number) or isinstance(v, bool):
+                raise ValueError(f"matrix entry at ({p},{q}) must be a number, got {v!r}")
+    return rows
 
 
-def _check_symmetric(A) -> int:
-    m = _square(A)
+class _Block:
+    """A small square matrix of ring entries as a tuple of rows, with the sum
+    and product that ``cycle_type_sums`` takes: the 2x2 blocks of the
+    permutation sums and the 1x1 edges of the alpha-permanent.  X[i, j] reads
+    an entry."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, ij):
+        return self.rows[ij[0]][ij[1]]
+
+    def __matmul__(self, other):
+        cols = tuple(zip(*other.rows))
+        return _Block(tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in self.rows))
+
+    def __add__(self, other):
+        return _Block(tuple(tuple(map(add, a, b)) for a, b in zip(self.rows, other.rows)))
+
+    def __radd__(self, zero):
+        # the 0 a sum starts from
+        return self
+
+
+def _check_symmetric(A) -> list[list]:
+    """``_square`` of A, unless its size is odd or it is not symmetric."""
+    A = _square(A)
+    m = len(A)
     if m % 2:
         raise ValueError("matrix size must be even")
     for p in range(m):
         for q in range(p + 1, m):
             if A[p][q] != A[q][p]:
                 raise ValueError(f"matrix not symmetric at ({p},{q})")
-    return m
+    return A
 
 
 def hafnian_matching(A, alpha):
     """Defining sum over all (2n-1)!! matchings of alpha**kappa * prod A[p][q],
     taken by ``matching_type_sums`` with a factor alpha per loop; exact for
     Fraction and int inputs."""
-    m, alpha = _check_symmetric(A), _alpha(alpha)
-    return matching_type_sums(range(m), A, alpha)
+    A, alpha = _check_symmetric(A), _alpha(alpha)
+    return matching_type_sums(range(len(A)), A, alpha)
 
 
 def hafnian_expand(A, alpha):
@@ -74,7 +106,8 @@ def hafnian_expand(A, alpha):
     on that set because hf_a is invariant under relabelings that permute the
     pairs or swap within a pair.
     """
-    m, alpha = _check_symmetric(A), _alpha(alpha)
+    A, alpha = _check_symmetric(A), _alpha(alpha)
+    m = len(A)
     check_sum_degree(m // 2)
     if m == 0:
         return 1
@@ -111,8 +144,7 @@ def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 def _pair_edges(A):
     """edge(k, l) = A[k, l] J, the 2x2 block of A at pairs k, l (from 0) times
     the antidiagonal unit J, which swaps the block's two columns."""
-    AJ = np.array(A, dtype=object)[:, [q ^ 1 for q in range(len(A))]]
-    return lambda k, l: AJ[2 * k : 2 * k + 2, 2 * l : 2 * l + 2]
+    return lambda k, l: _Block(tuple((A[p][2 * l + 1], A[p][2 * l]) for p in (2 * k, 2 * k + 1)))
 
 
 def cycle_functionals(A, cycle):
@@ -123,7 +155,8 @@ def cycle_functionals(A, cycle):
     X = A[c_r, c_1] J A[c_1, c_2] J ... A[c_{r-1}, c_r] J from the largest
     element c_r gives P_c = tr X, Q_c = X[0, 0] and Q_{c inverse} = X[1, 1].
     """
-    m = _check_symmetric(A)
+    A = _check_symmetric(A)
+    m = len(A)
     c = _canon_cycle(_as_ints(cycle, "cycle element", 1, m // 2))
     if len(set(c)) != len(c):
         raise ValueError(f"not a cycle on 1..{m // 2}: {cycle}")
@@ -139,14 +172,15 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
     alpha**nu * Q_pi, depending on ``variant``; ``cycle_type_sums`` takes it
     from the chains of ``cycle_functionals``, with a factor alpha/2 or alpha
     per cycle."""
-    n, alpha = _check_symmetric(A) // 2, _alpha(alpha)
+    A, alpha = _check_symmetric(A), _alpha(alpha)
+    n = len(A) // 2
     if variant not in ("P", "Q"):
         raise ValueError("variant must be 'P' or 'Q'")
     if n == 0:
         return 1
     if variant == "P":
-        base = Fraction(alpha, 2) if isinstance(alpha, int) else alpha / 2
-        read = np.trace
+        half = Fraction(alpha, 2) if isinstance(alpha, int) else alpha / 2
+        base, read = half, lambda X: X[0, 0] + X[1, 1]
     else:
         base, read = alpha, lambda X: X[0, 0]
     return cycle_type_sums(n, _pair_edges(A), read, base)
@@ -155,15 +189,15 @@ def hafnian_permsum(A, alpha, variant: str = "Q"):
 def alpha_permanent(M, alpha):
     """per_a(M) = sum over S_n of alpha**nu(pi) * prod M[i][pi(i)], taken by
     ``cycle_type_sums`` on 1x1 edges with a factor alpha per cycle."""
-    n, alpha = _square(M), _alpha(alpha)
-    B = np.array(M, dtype=object)
-    return cycle_type_sums(n, lambda i, j: B[i : i + 1, j : j + 1], lambda X: X[0, 0], alpha)
+    M, alpha = _square(M), _alpha(alpha)
+    return cycle_type_sums(len(M), lambda i, j: _Block(((M[i][j],),)), lambda X: X[0, 0], alpha)
 
 
 def permanent_embedding(M) -> list[list]:
     """Interleave M into the 2n x 2n symmetric B with B[2i-1][2j] = M[i][j]
     (1-based) and zero odd-odd / even-even blocks, so hf_a(B) = per_a(M)."""
-    n = _square(M)
+    M = _square(M)
+    n = len(M)
     B = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):

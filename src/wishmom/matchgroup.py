@@ -177,12 +177,13 @@ def cycle_type_sums(n: int, edge, read, factor=None):
     ``factor`` c, the one sum over all pi of c^nu(pi) times that product
     instead, nu the number of cycles (``len(rho)``).
 
-    ``edge`` gives numpy matrices (object arrays keep Fractions exact) and
-    ``read`` is linear, like the trace.  ``cycle[B]`` reads the sum of E_c
-    over the cycles on exactly B, from Held-Karp walks that start at max(B)
-    and take on one smaller point per step, in O(2^n n^2) products; then
-    ``_partition_sums`` splits the n points into cycles, in O(3^n p(n)) per
-    cycle type or O(3^n) with ``factor``.
+    ``edge`` gives square matrices with + and @ (numpy arrays, or the small
+    blocks of exact entries of ``hafnian``) and ``read`` is linear, like the
+    trace.  ``cycle[B]`` reads the sum of E_c over the cycles on exactly B,
+    from Held-Karp walks that start at max(B) and take on one smaller point
+    per step, in O(2^n n^2) products; then ``_partition_sums`` splits the n
+    points into cycles, in O(3^n p(n)) per cycle type or O(3^n) with
+    ``factor``.
     """
     check_sum_degree(n)
     steps = [[edge(i, j) for j in range(n)] for i in range(n)]

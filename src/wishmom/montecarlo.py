@@ -24,7 +24,7 @@ from ._kernels import COND_LIMIT
 from .matchgroup import matching_type_count
 from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import _zonal_table, check_degree, check_dimension
-from .wishart import DomainError, MomentSpec, WishartParams, _real_matrix
+from .wishart import DomainError, MomentSpec, WishartParams, _real_rows
 
 np = _numpy()
 
@@ -207,7 +207,7 @@ class TraceProduct:
     mats: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(_real_matrix(m, None, "trace-product factor") for m in self.mats))
+        object.__setattr__(self, "mats", tuple(np.array(_real_rows(m, None, "trace-product factor")) for m in self.mats))
 
     @property
     def order(self) -> int:

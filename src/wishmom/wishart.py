@@ -21,7 +21,14 @@ cycle, which needs no coset types.
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
 ``weingarten.zonal_sum`` (Weingarten values, power-trace coefficients).  Only
-the contractions against the user-supplied sigma happen in floating point.
+the contractions against the user-supplied sigma happen in floating point,
+and for the entrywise, power-trace and trace-power moments they run on
+Python floats: ``WishartParams`` reads sigma into rows, checks it with a
+Python Cholesky factorisation and takes sigma^-1 from that factor, and the
+power sums tr(x^r) are Python matrix products (d is at most 8 or so, where
+loading numpy costs more than the arithmetic).  Sampling, the invariant,
+mixed and product trace moments and the density stay on numpy, through the
+ndarrays ``WishartParams`` builds on first read.
 """
 
 from __future__ import annotations
@@ -30,7 +37,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lgamma, log, prod
+from itertools import chain
+from math import isfinite, lgamma, log, prod, sqrt
+from numbers import Real
+from operator import mul
 from typing import Sequence
 
 from . import _numpy
@@ -89,68 +99,134 @@ def gamma_regime(gamma: Fraction, n: int) -> str:
     raise DomainError(f"gamma={gamma} must be positive for inverse moments")
 
 
-def _real_matrix(a, d: int | None, name: str) -> np.ndarray:
-    """a as a float array: ValueError unless it is real (numbers, but no bool,
-    complex or text), square, d x d when d is given, and finite."""
+def _shape(m) -> tuple[int, ...]:
+    """The shape of the nested sequences m, read along their first entries."""
+    shape = []
+    while isinstance(m, (list, tuple)):
+        shape.append(len(m))
+        m = m[0] if m else None
+    return tuple(shape)
+
+
+def _real_rows(a, d: int | None, name: str, symmetric: bool = False) -> list[list[float]]:
+    """a, an ndarray or a list or tuple of rows, as rows of Python floats:
+    ValueError unless it is a square matrix of at least one row (d x d when d
+    is given) of real numbers (no bool, complex or text) that are finite.
+    With ``symmetric`` it comes back as (a + a^T) / 2, which leaves a
+    symmetric a unchanged: DomainError unless a is symmetric to
+    SYMMETRY_TOL times max(|a|, 1)."""
+    m = a.tolist() if hasattr(a, "tolist") else a  # an ndarray's entries as Python numbers
     try:
-        m = np.asarray(a)
-        if m.dtype.kind in "iufO":
-            m = np.asarray(m, dtype=float)
-    except (TypeError, ValueError):  # rows of different lengths, or entries that are not numbers
-        raise ValueError(f"{name} must be a real matrix, got {a!r}") from None
-    if m.dtype.kind != "f":
-        raise ValueError(f"{name} must be real, got dtype {m.dtype}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or d not in (None, m.shape[0]):
+        rows = [list(row) for row in m] if isinstance(m, (list, tuple)) else []
+    except TypeError:  # a row that is a scalar
+        rows = []
+    shape = _shape(rows or m)
+    square = len(shape) == 2 and shape[0] == shape[1] and all(len(r) == shape[0] for r in rows)
+    if not square or d not in (None, shape[0]):
         size = "" if d is None else f" of size {d}"
-        raise ValueError(f"{name} must be a square matrix{size}, got shape {m.shape}")
-    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be a square matrix{size}, got shape {getattr(a, 'shape', shape)}")
+    for row in rows:
+        for v in row:
+            if type(v) is not float and (not isinstance(v, Real) or isinstance(v, bool)):
+                raise ValueError(f"{name} must be real, got {v!r}")
+    rows = [[float(v) for v in row] for row in rows]
+    if not all(isfinite(v) for row in rows for v in row):
         raise ValueError(f"{name} has non-finite entries")
-    return m
-
-
-def _symmetric(a, d: int | None, name: str) -> np.ndarray:
-    """``_real_matrix`` symmetrised as (a + a^T) / 2, which leaves a symmetric a
-    unchanged: DomainError unless symmetric to SYMMETRY_TOL times max(|a|, 1)."""
-    m = _real_matrix(a, d, name)
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
+    if not symmetric:
+        return rows
+    cols = list(zip(*rows))
+    scale = max(1.0, *(abs(v) for row in rows for v in row))
+    if max(abs(v - w) for row, col in zip(rows, cols) for v, w in zip(row, col)) > SYMMETRY_TOL * scale:
         raise DomainError(f"{name} is not symmetric")
-    return (m + m.T) / 2
+    return [[(v + w) / 2 for v, w in zip(row, col)] for row, col in zip(rows, cols)]
 
 
-@dataclass
+def _cholesky(a: list[list[float]]) -> list[list[float]] | None:
+    """The lower Cholesky factor of the symmetric a as rows (row i holds
+    columns 0..i), or None when a pivot is not positive, the test LAPACK's
+    potrf makes: a is then not positive definite."""
+    factor: list[list[float]] = []
+    for i, row in enumerate(a):
+        li: list[float] = []
+        for j in range(i):
+            li.append((row[j] - sum(map(mul, li, factor[j]))) / factor[j][j])
+        pivot = row[i] - sum(map(mul, li, li))
+        if not pivot > 0:
+            return None
+        li.append(sqrt(pivot))
+        factor.append(li)
+    return factor
+
+
+def _inverse_from_factor(factor: list[list[float]]) -> list[list[float]]:
+    """a^-1 = L^-T L^-1 as rows, from the Cholesky factor L of a."""
+    d = len(factor)
+    inv_l = [[0.0] * d for _ in range(d)]  # L^-1, by forward substitution
+    for i, li in enumerate(factor):
+        for j in range(i):
+            inv_l[i][j] = -sum(li[k] * inv_l[k][j] for k in range(j, i)) / li[i]
+        inv_l[i][i] = 1.0 / li[i]
+    cols = list(zip(*inv_l))
+    return [[sum(map(mul, ca, cb)) for cb in cols] for ca in cols]
+
+
 class WishartParams:
-    """Dimension, shape and scale of one Wishart law; sigma must be symmetric PD."""
+    """Dimension, shape and scale of one Wishart law; sigma must be symmetric PD.
 
-    d: int
-    beta: Fraction
-    sigma: np.ndarray
+    sigma is read once, into ``sigma_rows``, symmetrised Python floats, and a
+    Python Cholesky factorisation of those rows is the positive-definiteness
+    check; its factor gives ``sigma_inv_rows``.  The entrywise, power-trace
+    and trace-power moments contract against these rows.  ``sigma``,
+    ``sigma_inv`` and ``chol`` are ndarrays built on their first read, for
+    the readers that stay on numpy (sampling, ``invariant_moment``,
+    ``mixed_trace_moment``, ``trace_product_moment``, ``log_density``).
+    """
 
-    def __post_init__(self):
-        self.d = _as_int(self.d, "d", 1)
-        self.beta = _as_fraction(self.beta, "beta")
-        self.sigma = _symmetric(self.sigma, self.d, "sigma")
-        try:
-            self.chol  # the factorisation is the positive-definiteness check
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("sigma is not positive definite") from exc
+    def __init__(self, d: int, beta: Fraction, sigma):
+        self.d = _as_int(d, "d", 1)
+        self.beta = _as_fraction(beta, "beta")
+        self.sigma_rows = _real_rows(sigma, self.d, "sigma", symmetric=True)
+        self._factor = _cholesky(self.sigma_rows)
+        if self._factor is None:
+            raise DomainError("sigma is not positive definite")
         if not admissible_beta(self.beta, self.d):
             raise DomainError(f"beta={self.beta} not admissible for d={self.d}")
+
+    def __eq__(self, other):
+        if not isinstance(other, WishartParams):
+            return NotImplemented
+        return (self.d, self.beta, self.sigma_rows) == (other.d, other.beta, other.sigma_rows)
+
+    def __repr__(self) -> str:
+        return f"WishartParams(d={self.d}, beta={self.beta!r}, sigma={self.sigma_rows!r})"
 
     @property
     def gamma(self) -> Fraction:
         return self.beta - Fraction(self.d + 1, 2)
 
     @cached_property
-    def chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.sigma)
+    def sigma_inv_rows(self) -> list[list[float]]:
+        return _inverse_from_factor(self._factor)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return np.array(self.sigma_rows)
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
-        # inverse through the Cholesky factor; also the PD certificate
-        L = self.chol
-        inv_l = np.linalg.solve(L, np.eye(self.d))
-        return inv_l.T @ inv_l
+        return np.array(self.sigma_inv_rows)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        # The one second factorisation: the samplers scale every draw by this
+        # factor, and LAPACK's blocked potrf may round differently from the
+        # Python factor of the check, so seeded draws stay bit-identical only
+        # with LAPACK's.  A pivot the two round to opposite signs would be the
+        # same DomainError as the check's.
+        try:
+            return np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("sigma is not positive definite") from exc
 
 
 @dataclass(frozen=True)
@@ -170,14 +246,15 @@ class MomentSpec:
         return len(self.indices) // 2
 
 
-def _side(params: WishartParams, n: int, inverse: bool) -> tuple[np.ndarray, Fraction]:
+def _side(params: WishartParams, n: int, inverse: bool) -> tuple[list[list[float]], Fraction]:
     """(sigma, beta) for moments of W; (sigma^-1, gamma) for moments of W^-1,
-    once ``gamma_regime`` has checked gamma > 0 at degree n."""
+    once ``gamma_regime`` has checked gamma > 0 at degree n; the matrix as
+    the rows of ``params``."""
     if inverse:
         gamma = params.gamma
         gamma_regime(gamma, n)
-        return params.sigma_inv, gamma
-    return params.sigma, params.beta
+        return params.sigma_inv_rows, gamma
+    return params.sigma_rows, params.beta
 
 
 # read by the benchmark's inverse-table counters until ROADMAP item 3 step 2; they count every point table
@@ -205,8 +282,8 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     labels = [k - 1 for k in spec.indices]
     if weights is None:
         # dividing by a power of two is exact
-        return matching_type_sums(labels, x.tolist(), float(2 * shape)) / 2**n
-    sums = matching_type_sums(labels, x.tolist())
+        return matching_type_sums(labels, x, float(2 * shape)) / 2**n
+    sums = matching_type_sums(labels, x)
     return sum(float(weights[rho]) * w for rho, w in sums.items())
 
 
@@ -221,7 +298,7 @@ def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) ->
     traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken by
     ``cycle_type_sums`` with the steps i -> j = sigma s_j and a factor beta
     per cycle.  Degree 0 is the empty product, 1.0."""
-    steps = [params.sigma @ _symmetric(s, params.d, "trace-product factor") for s in s_list]
+    steps = [params.sigma @ np.array(_real_rows(s, params.d, "trace-product factor", True)) for s in s_list]
     return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
 
 
@@ -251,9 +328,9 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     """
     if g.size != 2 * len(ms):
         raise ValueError("pattern size must be twice the number of matrices")
-    x = _real_matrix(x, None, "x")
-    mats = [_real_matrix(m, len(x), "factor") for m in ms]
-    return _loop_contraction(g.images, x, mats)
+    x = _real_rows(x, None, "x")
+    mats = [np.array(_real_rows(m, len(x), "factor")) for m in ms]
+    return _loop_contraction(g.images, np.array(x), mats)
 
 
 def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
@@ -282,9 +359,10 @@ def mixed_trace_moment(
         raise ValueError("pattern size must be twice the number of matrices")
     if n == 0:
         return 1.0
-    mats = [_real_matrix(m, params.d, "factor") for m in ms]
+    mats = [np.array(_real_rows(m, params.d, "factor")) for m in ms]
     g_inv = g.inverse().images
-    x, shape = _side(params, n, inverse)
+    _, shape = _side(params, n, inverse)
+    x = params.sigma_inv if inverse else params.sigma
     weights = _point_table(n, "gamma" if inverse else "beta", shape)
     total = 0.0
     for seq in label_matchings((0,) * (2 * n)):
@@ -293,16 +371,31 @@ def mixed_trace_moment(
     return total
 
 
-def _power_sums(x: np.ndarray, n: int) -> dict[int, float]:
-    out = {}
-    acc = np.eye(x.shape[0])
+def _power_sums(x: list[list[float]], n: int) -> dict[int, float]:
+    """tr(x^r), r = 1..n, of the symmetric x given as rows: x^a and x^b are
+    symmetric, so tr(x^(a+b)) sums the entrywise product of x^a and x^b, and
+    the powers up to x^h, h = ceil(n/2), take h - 1 matrix products (in which
+    the rows of x are its columns)."""
+    powers = [x]
+    for _ in range(1, (n + 1) // 2):
+        powers.append([[sum(map(mul, row, col)) for col in x] for row in powers[-1]])
+    flat = [list(chain(*p)) for p in powers]
+    out = {1: sum(row[i] for i, row in enumerate(x))}
+    for r in range(2, n + 1):
+        out[r] = sum(map(mul, flat[r // 2 - 1], flat[r - r // 2 - 1]))
+    return out
+
+
+def _ndarray_power_sums(x: np.ndarray, n: int) -> dict[int, float]:
+    """tr(x^r), r = 1..n, by numpy products, for ``invariant_moment``."""
+    out, acc = {}, np.eye(len(x))
     for r in range(1, n + 1):
         acc = acc @ x
         out[r] = float(np.trace(acc))
     return out
 
 
-def _contract(coeffs: dict[Partition, Fraction], x: np.ndarray, n: int) -> float:
+def _contract(coeffs: dict[Partition, Fraction], x: list[list[float]], n: int) -> float:
     """sum_rho c_rho p_rho(x), from the power sums tr(x^r), r <= n."""
     psums = _power_sums(x, n)
     return sum(float(c) * prod(psums[part] for part in rho) for rho, c in coeffs.items())
@@ -312,19 +405,23 @@ def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = Fals
     """E[Z_lam(W^{+-1})] = e_lam Z_lam(sigma^{+-1}), the eigenvalue e_lam
     = C_lam(2 beta) / 2^n, or (-1)^n 2^n / C_lam(-2 gamma), being lam's own
     term of ``weingarten._point_terms``: a pole only when that term is one.
-    Power sums only, no eigendecomposition."""
+    Power sums only, no eigendecomposition.
+
+    The power sums stay numpy's (``_ndarray_power_sums``): when lam has more
+    parts than d, Z_lam(sigma) is exactly 0 and the float value is rounding
+    noise, and the benchmark's reference outputs record numpy's noise there
+    (E[Z_(1,1,1,1)(W)] at d = 3 is -2.9e-06), which Python sums do not
+    reproduce.  ROADMAP item 8 has the follow-up."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if lam:  # the empty shape, Z = 1, needs no table
-        check_degree(n)
-    x, shape = _side(params, n, inverse)
-    if not lam:
+    if not lam:  # the empty shape, Z = 1, on either side, whatever gamma is
         return 1.0
+    n = check_degree(sum(lam))
+    _, shape = _side(params, n, inverse)
     z, terms, scale = _point_terms(*_point_key(n, "gamma" if inverse else "beta", shape))
     term = next(t for t in terms if t[0] == lam)
     check_poles(z, [term])
     _, a, b = term
-    return scale * a / b * zonal_eval(lam, _power_sums(x, n))
+    return scale * a / b * zonal_eval(lam, _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
@@ -354,9 +451,9 @@ def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) ->
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:
     """E[prod_i tr((W^{+-1})^{mu_i})] with exact coefficients on p_rho(sigma^{+-1})."""
     mu = check_partition(mu)
-    n = sum(mu)
-    if mu:  # the empty product, p_() = 1, needs no table
-        check_degree(n)
+    if not mu:  # the empty product, p_() = 1, on either side, whatever gamma is
+        return 1.0
+    n = check_degree(sum(mu))
     x, shape = _side(params, n, inverse)
     return _contract(power_trace_coeffs(mu, shape, inverse), x, n)
 
@@ -389,7 +486,7 @@ def log_density(params: WishartParams, w: np.ndarray) -> float:
     beta = float(params.beta)
     if params.beta <= Fraction(d - 1, 2):
         raise DomainError(f"density requires beta > (d-1)/2, got beta={params.beta}")
-    w = _symmetric(w, d, "w")
+    w = np.array(_real_rows(w, d, "w", True))
     try:
         np.linalg.cholesky(w)
     except np.linalg.LinAlgError as exc:

@@ -61,25 +61,38 @@ TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
         (["wg", "--n", "3", "--z", "2"], None, 3, False),
         (["wg", "--n", "200", "--z", "3"], None, 2, False),
         (["table", "build", *TABLE], "directory", 2, False),
-        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, True),
+        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, False),
         (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True),
-        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, True),
+        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, False),
         (["validate", "golden", "--format", "json"], None, 0, True),
+        (["moment", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False),
+        (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False),
+        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False),
+        (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False),
+        (["validate", "identities", "--n", "3"], None, 0, False),
     ],
     ids=[
         "wg-z", "wg-gamma", "wg-truncate", "haar", "table-build", "table-show", "table-list",
         "wg-pole", "wg-past-the-cap", "table-build-onto-a-directory",
         "moment", "moment-inverse-invariant", "moment-not-pd", "validate-golden",
+        "moment-trace-power", "moment-inverse-power-trace", "moment-not-symmetric", "moment-ragged-sigma",
+        "validate-identities",
     ],
 )
 def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs):
-    # the same command in a fresh process and in this one (numpy loaded), each
-    # in a directory of its own, so relative paths print alike
+    # numpy runs only for moment --invariant (its power sums stay numpy's)
+    # and the validate suites that sample or compare float matrices (golden
+    # here; montecarlo too): the other moment kinds, every error exit of
+    # moment and validate identities are Python throughout.  The same command
+    # runs in a fresh process and in this one (numpy loaded), each in a
+    # directory of its own, so relative paths print alike
     fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
     for d in (fresh_dir, here_dir):
         d.mkdir()
         (d / "s.csv").write_text("2.0,0.3\n0.3,1.5\n")
         (d / "npd.csv").write_text("1.0,2.0\n2.0,1.0\n")
+        (d / "asym.csv").write_text("1.0,0.5\n0.2,1.0\n")
+        (d / "ragged.csv").write_text("1.0,0.1\n0.1\n")
         if prepare == "built":
             monkeypatch.chdir(d)
             assert main(["table", "build", *TABLE]) == 0

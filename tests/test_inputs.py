@@ -2,7 +2,7 @@
 
 Integers (degrees, dimensions, counts, indices, seeds) are read by
 ``symcomb._as_int``, rationals (beta, gamma, z, alpha) by
-``symcomb._as_fraction`` and real matrices by ``wishart._real_matrix``.  The
+``symcomb._as_fraction`` and real matrices by ``wishart._real_rows``.  The
 fuzz test puts one bad input into one argument position of a valid call of a
 public function of ``weingarten``, ``wishart``, ``hafnian`` or ``montecarlo``.
 With warnings raised as errors, the call must either behave as on the equal
@@ -33,7 +33,7 @@ from numbers import Number
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wishmom import hafnian as hf
 from wishmom import montecarlo as mc
@@ -474,3 +474,61 @@ def test_a_numpy_int_is_read_as_a_python_int():
     assert wg.inv_wishart_weingarten((2, 1), np.uint8(7)) == wg.inv_wishart_weingarten((2, 1), 7)
     assert ws.power_trace_coeffs((2, 1), np.uint8(7), True) == ws.power_trace_coeffs((2, 1), 7, True)
     assert hf.hafnian_matching(A4, np.uint8(200)) == hf.hafnian_matching(A4, 200)
+
+
+def _symmetric_with_spectrum(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q, symmetrised."""
+    d = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    m = q @ np.diag(eigenvalues) @ q.T
+    return (m + m.T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    smallest=st.floats(-6, -2),
+    others=st.lists(st.floats(0, 2), min_size=1, max_size=5),
+    signs=st.sampled_from(((1, 1), (-1, 1), (1, -1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sigma_is_accepted_exactly_when_lapack_factors_it(smallest, others, signs, seed):
+    # the Python Cholesky of the check against LAPACK's, on matrices whose
+    # smallest eigenvalue is at least 1e-8 max|eigenvalue| or at most -1e-8
+    # max: one eigenvalue of 1e-6..1e-2 and others of 1..100, with the small
+    # one or one large one negated, or neither
+    eigenvalues = [signs[0] * 10.0**smallest, signs[1] * 10.0 ** others[0], *(10.0**e for e in others[1:])]
+    sigma = _symmetric_with_spectrum(eigenvalues, seed)
+    eig = np.linalg.eigvalsh(sigma)
+    top = np.abs(eig).max()
+    assume(top > 0 and (eig[0] >= 1e-8 * top or eig[0] <= -1e-8 * top))
+    try:
+        want = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        want = None
+    try:
+        p = ws.WishartParams(d=len(sigma), beta=len(sigma) + 1, sigma=sigma)
+    except ws.DomainError as exc:
+        assert want is None and str(exc) == "sigma is not positive definite"
+        return
+    assert want is not None
+    assert np.array_equal(p.sigma, sigma) and np.array_equal(p.chol, want) and np.array_equal(p.chol, np.linalg.cholesky(p.sigma))
+
+
+def test_matrix_entries_numpy_used_to_convert_are_refused():
+    # bools, numpy bools, Decimals and numeric strings in an object array were
+    # converted to floats by numpy; a number is now a real number and not a bool
+    from decimal import Decimal
+
+    for bad in ([[2.0, False], [False, 1.5]], [[2.0, np.False_], [np.False_, 1.5]],
+                [[Decimal("2"), Decimal("0.3")], [Decimal("0.3"), Decimal("1.5")]],
+                np.array([["2.0", "0.3"], ["0.3", "1.5"]], dtype=object)):
+        with pytest.raises(ValueError, match="sigma must be real") as info:
+            ws.WishartParams(d=2, beta=3, sigma=bad)
+        assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match=r"x must be a square matrix, got shape \(0, 0\)"):
+        ws.paired_contraction(Perm(()), np.zeros((0, 0)), [])
+    # ints, Fractions, tuples, rows given as arrays and float32 arrays are read as floats
+    want = ws.WishartParams(d=2, beta=3, sigma=np.array([[2.0, 0.5], [0.5, 1.5]]))
+    for good in ([[2, Fraction(1, 2)], [Fraction(1, 2), 1.5]], ((2.0, 0.5), (0.5, 1.5)),
+                 [np.array([2.0, 0.5]), np.array([0.5, 1.5])], np.array([[2, 0.5], [0.5, 1.5]], dtype=np.float32)):
+        assert ws.WishartParams(d=2, beta=3, sigma=good) == want

@@ -88,7 +88,8 @@ def test_params_validation():
 
 
 def test_params_factor_sigma_once(monkeypatch):
-    # the positive-definiteness check is the Cholesky factor that chol and sigma_inv then read
+    # the positive-definiteness check and sigma_inv are a Python Cholesky
+    # factor; LAPACK factors sigma once, on the first read of chol
     calls = []
     factor = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or factor(a))
@@ -1026,9 +1027,13 @@ def _shape(p, inverse):
          "trace_product", "mixed_trace"],
 )
 def test_degree0_is_the_empty_product(params3, call, want, inverse):
-    assert params3.gamma > 0
-    got = call(params3, inverse)
-    assert type(got) is type(want) and got == want
+    # every kind returns the empty product before it reads the side, so the
+    # inverse side gives it too where gamma <= 0 rules out every other degree
+    below = WishartParams(d=3, beta=Fraction(1, 2), sigma=params3.sigma)
+    assert params3.gamma > 0 and below.gamma == Fraction(-3, 2)
+    for p in (params3, below):
+        got = call(p, inverse)
+        assert type(got) is type(want) and got == want
 
 
 @pytest.fixture(scope="module")
