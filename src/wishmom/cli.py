@@ -9,17 +9,21 @@ included), 3 math-domain error (pole, non-PD, bad shape parameter), 4
 validation failure.  Matrix indices on the command line are 1-based.
 WW_CACHE_DIR overrides the default table cache location.
 
-The exact commands (wg, haar, table, moment --entries, --trace-power and
---power-trace on either side, and validate identities), error exits
-included, do not run numpy: sigma is read as rows of Python floats and those
-moments are contracted against them in Python.  Before it imports any
-package module, this module puts numpy into ``sys.modules`` as a lazy module
-(``_defer_numpy``), and the numeric modules bind that module through
-``wishmom._numpy``; numpy itself runs on the first read of one of its
-attributes, which only moment --invariant (its power sums are numpy's, see
-``wishart.invariant_moment``), validate golden and validate montecarlo
-make.  A process that imports the library without this module gets plain
-numpy.
+Each command runs only the modules it uses.  Before it imports any package
+module, this module puts numpy, ``_kernels``, ``hafnian``, ``wishart``,
+``montecarlo`` and ``validate`` into ``sys.modules`` as lazy modules
+(``_defer``): each is there, and set on its package, but runs only on the
+first read of one of its attributes.  The commands read those modules'
+attributes only inside themselves, so wg and table, error exits included,
+run none of them, haar runs ``wishart``, moment ``wishart`` and
+``montecarlo`` (for the kind's ``target``) and validate what its suite
+reads.
+numpy, which the numeric modules bind through ``wishmom._numpy``, runs only
+for moment --invariant (its power sums are numpy's, see
+``wishart.invariant_moment``), validate golden and validate montecarlo:
+every other exact command reads sigma as rows of Python floats and
+contracts its moments against them in Python.  A process that imports the
+library without this module gets plain modules.
 """
 
 from __future__ import annotations
@@ -36,23 +40,32 @@ from fractions import Fraction
 from pathlib import Path
 
 
-def _defer_numpy() -> None:
-    """Put numpy into ``sys.modules`` as a module that runs on its first
-    attribute read, unless numpy is imported already (or missing)."""
-    if "numpy" in sys.modules or (spec := importlib.util.find_spec("numpy")) is None:
+def _defer(name: str) -> None:
+    """Put module ``name`` into ``sys.modules`` as a module that runs on its
+    first attribute read, unless it is imported already (or missing).
+
+    A submodule is also set on its package: ``from . import name`` then takes
+    that attribute, where the import system would read the module's
+    ``__spec__`` and so run it at once."""
+    if name in sys.modules or (spec := importlib.util.find_spec(name)) is None:
         return
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], attr, module)
 
 
-_defer_numpy()
+for _name in ("numpy", "wishmom._kernels", "wishmom.hafnian", "wishmom.wishart", "wishmom.montecarlo", "wishmom.validate"):
+    _defer(_name)
 
-from . import __version__, validate  # noqa: E402
+from . import __version__, montecarlo, validate, wishart  # noqa: E402
 from .matchgroup import SizeLimitError  # noqa: E402
-from .montecarlo import EntryProduct, Invariant, PowerTrace, TracePower  # noqa: E402
+from .symcomb import _as_fraction, check_partition  # noqa: E402
 from .weingarten import (  # noqa: E402
+    DomainError,
     PoleError,
     cached_tables,
     fraction_json,
@@ -61,8 +74,6 @@ from .weingarten import (  # noqa: E402
     table_path,
     weingarten_values,
 )
-from .symcomb import _as_fraction, check_partition  # noqa: E402
-from .wishart import DomainError, WishartParams, gamma_regime, haar_moment  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,13 +163,14 @@ def emit_table(args, command: str, options: dict, values: dict[tuple[int, ...], 
     emit(args, command, options, rows, [f"{rho}: {v}" for rho, v in values.items()])
 
 
-# moment kind, named as its flag's dest -> (its class, built from the flag's
-# value and --inverse, and the formula name in the report)
+# moment kind, named as its flag's dest -> (the name of its class in
+# ``montecarlo``, built from the flag's value and --inverse, and the formula
+# name in the report); a name, so that only ``moment`` runs ``montecarlo``
 MOMENT_KINDS = {
-    "entries": (EntryProduct, "entrywise-matching-sum"),
-    "trace_power": (TracePower, "trace-power-sum"),
-    "power_trace": (PowerTrace, "power-trace-sum"),
-    "invariant": (Invariant, "invariant-zonal"),
+    "entries": ("EntryProduct", "entrywise-matching-sum"),
+    "trace_power": ("TracePower", "trace-power-sum"),
+    "power_trace": ("PowerTrace", "power-trace-sum"),
+    "invariant": ("Invariant", "invariant-zonal"),
 }
 
 
@@ -176,15 +188,15 @@ def cmd_wg(args) -> int:
 def cmd_moment(args) -> int:
     sigma = read_sigma(args.sigma)
     d = len(sigma)
-    params = WishartParams(d=d, beta=args.beta, sigma=sigma)
+    params = wishart.WishartParams(d=d, beta=args.beta, sigma=sigma)
     picks = [name for name in MOMENT_KINDS if getattr(args, name) is not None]
     if len(picks) != 1:
         raise ValueError("pick exactly one of --entries, --trace-power, --power-trace, --invariant")
     [flag] = picks
-    cls, formula = MOMENT_KINDS[flag]
-    kind = cls(getattr(args, flag), args.inverse)
+    cls_name, formula = MOMENT_KINDS[flag]
+    kind = getattr(montecarlo, cls_name)(getattr(args, flag), args.inverse)
     value = float(kind.target(params))
-    regime = gamma_regime(params.gamma, kind.order) if args.inverse else None
+    regime = wishart.gamma_regime(params.gamma, kind.order) if args.inverse else None
     options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": flag, "inverse": args.inverse}
     # the JSON report writes the tuple-valued flags as lists
     options |= {name: getattr(args, name) for name in MOMENT_KINDS}
@@ -197,7 +209,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    value = haar_moment(args.i, args.j, args.N)
+    value = wishart.haar_moment(args.i, args.j, args.N)
     emit(args, "haar", {"i": list(args.i), "j": list(args.j), "N": args.N}, [{"value": value}], [f"value: {value}"])
     return EXIT_OK
 

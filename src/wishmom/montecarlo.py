@@ -13,11 +13,10 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _kernels, _numpy, wishart
 from ._kernels import COND_LIMIT
@@ -25,6 +24,9 @@ from .matchgroup import matching_type_count
 from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import _zonal_table, check_degree, check_dimension
 from .wishart import DomainError, MomentSpec, WishartParams, _real_rows
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 np = _numpy()
 
@@ -358,6 +360,8 @@ def _pairwise_merge(per_stream: list[list[_Acc]]) -> list[_Acc]:
 # Every estimate runs its streams on one pool of worker threads, built on
 # first use and kept, so that a call starts no thread and each worker keeps
 # its workspace (``_kernels._scratch``) from one call to the next.
+# concurrent.futures is imported there too: a one-lane estimate, and every
+# CLI command but validate montecarlo, never needs it.
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 _pool_pid = 0
@@ -370,6 +374,8 @@ def _workers(lanes: int) -> ThreadPoolExecutor:
     its threads, and would wait forever on what it submits.  A replaced pool
     is dropped, not shut down, so a call still submitting to it runs; its
     workers exit once it is garbage-collected."""
+    from concurrent.futures import ThreadPoolExecutor
+
     global _pool, _pool_size, _pool_pid
     with _pool_lock:
         if _pool is None or _pool_size < lanes or _pool_pid != os.getpid():
@@ -423,6 +429,8 @@ def _run_streams(
         return [run_stream(i) for i in range(j, streams, lanes)]
 
     if lanes > 1:
+        from concurrent.futures import wait
+
         pool = _workers(lanes)
         futures = [pool.submit(run_lane, j) for j in range(lanes)]
         wait(futures)  # every lane ends before an error is raised

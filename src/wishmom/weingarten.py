@@ -73,6 +73,13 @@ TABLE_SCHEMA = 1
 POINT_TABLES = 1024
 
 
+class DomainError(ValueError):
+    """Parameter outside the mathematical domain (non-PD, bad beta/gamma, ...).
+
+    Raised by ``wishart`` and ``montecarlo``; it lives here, beside
+    ``PoleError``, so that catching both runs neither of those modules."""
+
+
 class PoleError(ValueError):
     """Evaluation point makes some C_lambda vanish; carries the offending shapes."""
 

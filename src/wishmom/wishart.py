@@ -56,6 +56,7 @@ from .matchgroup import (
 )
 from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import (
+    DomainError,
     _point_cache,
     _point_key,
     _point_table,
@@ -73,10 +74,6 @@ np = _numpy()
 
 MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12
-
-
-class DomainError(ValueError):
-    """Parameter outside the mathematical domain (non-PD, bad beta/gamma, ...)."""
 
 
 def admissible_beta(beta: Fraction, d: int) -> bool:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wishmom
+from wishmom import montecarlo
 from wishmom.cli import MOMENT_KINDS, main
 from wishmom.matchgroup import matching_type_count
 from wishmom.montecarlo import EntryProduct, Invariant, PowerTrace, RngSpec, TracePower, estimate
@@ -40,46 +41,61 @@ def test_cli_import_skips_heavy_modules():
     assert _fresh(code)[1].strip() == "[]"
 
 
-# cli.main in a fresh process; the last line of stderr says whether numpy ran
+# the package modules wishmom.cli defers; a deferred module that has run is
+# a plain module again (reading its type does not run it)
+DEFERRED = ("_kernels", "hafnian", "montecarlo", "validate", "wishart")
+RAN = (
+    "import sys, types; "
+    f"print('modules ran:', [m for m in {DEFERRED!r} if type(sys.modules.get('wishmom.' + m)) is types.ModuleType], file=sys.stderr)"
+)
+# cli.main in a fresh process; the last two lines of stderr say whether numpy
+# ran and which deferred modules did
 RUN_MAIN = (
     "import sys, wishmom.cli; code = wishmom.cli.main(sys.argv[1:]); "
-    "print('numpy ran:', 'numpy._core' in sys.modules, file=sys.stderr); sys.exit(code)"
+    f"print('numpy ran:', 'numpy._core' in sys.modules, file=sys.stderr); {RAN}; sys.exit(code)"
 )
 TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
+# the deferred modules each command runs: wg and table none, error exits
+# included; haar wishart; moment montecarlo (which runs _kernels) for the
+# kind's target, or only wishart when sigma or beta is refused; validate
+# what its suite reads
+NONE, WISHART, MOMENT = [], ["wishart"], ["_kernels", "montecarlo", "wishart"]
 
 
 @pytest.mark.parametrize(
-    "argv, prepare, code, numpy_runs",
+    "argv, prepare, code, numpy_runs, modules_run",
     [
-        (["wg", "--n", "4", "--z=17/6"], None, 0, False),
-        (["wg", "--n", "3", "--gamma", "4", "--format", "json"], None, 0, False),
-        (["wg", "--n", "3", "--truncate", "5", "--format", "csv"], None, 0, False),
-        (["haar", "--i", "1,1,2,2", "--j", "2,2,1,1", "--N", "5", "--format", "json"], None, 0, False),
-        (["table", "build", *TABLE], None, 0, False),
-        (["table", "show", *TABLE, "--format", "json"], "built", 0, False),
-        (["table", "list", "--cache-dir", "c"], "built", 0, False),
-        (["wg", "--n", "3", "--z", "2"], None, 3, False),
-        (["wg", "--n", "200", "--z", "3"], None, 2, False),
-        (["table", "build", *TABLE], "directory", 2, False),
-        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, False),
-        (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True),
-        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, False),
-        (["validate", "golden", "--format", "json"], None, 0, True),
-        (["moment", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False),
-        (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False),
-        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False),
-        (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False),
-        (["validate", "identities", "--n", "3"], None, 0, False),
+        (["wg", "--n", "4", "--z=17/6"], None, 0, False, NONE),
+        (["wg", "--n", "3", "--gamma", "4", "--format", "json"], None, 0, False, NONE),
+        (["wg", "--n", "3", "--truncate", "5", "--format", "csv"], None, 0, False, NONE),
+        (["haar", "--i", "1,1,2,2", "--j", "2,2,1,1", "--N", "5", "--format", "json"], None, 0, False, WISHART),
+        (["table", "build", *TABLE], None, 0, False, NONE),
+        (["table", "show", *TABLE, "--format", "json"], "built", 0, False, NONE),
+        (["table", "list", "--cache-dir", "c"], "built", 0, False, NONE),
+        (["wg", "--n", "3", "--z", "2"], None, 3, False, NONE),
+        (["wg", "--n", "200", "--z", "3"], None, 2, False, NONE),
+        (["table", "build", *TABLE], "directory", 2, False, NONE),
+        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, False, MOMENT),
+        (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True, MOMENT),
+        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, False, WISHART),
+        (["validate", "golden", "--format", "json"], None, 0, True, ["validate", "wishart"]),
+        (["moment", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False, MOMENT),
+        (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False, MOMENT),
+        (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False, WISHART),
+        (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False, WISHART),
+        (["validate", "identities", "--n", "3"], None, 0, False, ["hafnian", "validate", "wishart"]),
+        (["moment", "--entries", "1,1", "--beta", "1/4", "--sigma", "s.csv"], None, 3, False, WISHART),
+        (["table", "build", "--n", "3", "--cache-dir", "c"], None, 2, False, NONE),
     ],
     ids=[
         "wg-z", "wg-gamma", "wg-truncate", "haar", "table-build", "table-show", "table-list",
         "wg-pole", "wg-past-the-cap", "table-build-onto-a-directory",
         "moment", "moment-inverse-invariant", "moment-not-pd", "validate-golden",
         "moment-trace-power", "moment-inverse-power-trace", "moment-not-symmetric", "moment-ragged-sigma",
-        "validate-identities",
+        "validate-identities", "moment-inadmissible-beta", "table-build-without-z",
     ],
 )
-def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs):
+def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs, modules_run):
     # numpy runs only for moment --invariant (its power sums stay numpy's)
     # and the validate suites that sample or compare float matrices (golden
     # here; montecarlo too): the other moment kinds, every error exit of
@@ -100,8 +116,9 @@ def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, mon
             table_path(d / "c", 3, 5).mkdir(parents=True)
     capsys.readouterr()
     fresh_code, out, err = _fresh(RUN_MAIN, *argv, cwd=fresh_dir)
-    *err, ran = err.splitlines(keepends=True)
-    assert ran == f"numpy ran: {numpy_runs}\n"
+    *err, numpy_ran, modules_ran = err.splitlines(keepends=True)
+    assert numpy_ran == f"numpy ran: {numpy_runs}\n"
+    assert modules_ran == f"modules ran: {modules_run}\n"
     monkeypatch.chdir(here_dir)
     assert main(argv) == fresh_code == code
     assert capsys.readouterr() == (out, "".join(err))
@@ -121,17 +138,45 @@ FIRST_READ_IN_THREADS = {
 
 @pytest.mark.parametrize("call", list(FIRST_READ_IN_THREADS))
 def test_threads_after_cli_import_give_the_one_thread_result(call):
+    # after the CLI import, montecarlo, wishart and _kernels run on their
+    # first read too, right before the threaded estimate; so does numpy, on
+    # the estimate's first draw
     def run(first_import, threads):
         rc, out, err = _fresh(
             f"import {first_import}\n"
+            f"{RAN}\n"
             "from wishmom.montecarlo import EntryProduct, RngSpec, TracePower, estimate, estimate_haar\n"
             "from wishmom.wishart import WishartParams\n"
             f"print(repr({FIRST_READ_IN_THREADS[call].format(t=threads)}))"
         )
         assert rc == 0, err
-        return out
+        return out, err
 
-    assert run("wishmom.cli", 2) == run("numpy", 1)
+    (two, ran), (one, _) = run("wishmom.cli", 2), run("numpy", 1)
+    assert ran == "modules ran: []\n"
+    assert two == one
+
+
+def test_cli_import_binds_every_module_the_recorder_wraps():
+    # perfbench's Recorder.install wraps functions in these modules, and its
+    # self-test compares the bindings of every wishmom module in sys.modules
+    # before and after: each must be there after the CLI import, the deferred
+    # ones unrun and set on the package
+    code = (
+        "import sys, types, wishmom, wishmom.cli; "
+        "mods = ['_kernels', 'hafnian', 'matchgroup', 'montecarlo', 'validate', 'weingarten', 'wishart']; "
+        "print([m for m in mods if sys.modules.get('wishmom.' + m) is not getattr(wishmom, m, None)], "
+        f"[m for m in {DEFERRED!r} if type(sys.modules['wishmom.' + m]) is types.ModuleType])"
+    )
+    assert _fresh(code)[1] == "[] []\n"
+
+
+def test_domain_error_is_one_class():
+    # the CLI catches weingarten's; moment-not-pd and moment-inadmissible-beta
+    # above exit 3 through it
+    from wishmom import weingarten, wishart
+
+    assert wishart.DomainError is weingarten.DomainError is montecarlo.DomainError
 
 
 def test_wg_table_values(capsys):
@@ -369,7 +414,8 @@ def test_every_moment_kind_is_its_class(tmp_path, capsys, flag, degree, inverse)
     path = tmp_path / "s.csv"
     path.write_text("\n".join(",".join(map(str, row)) for row in SIGMA3) + "\n")
     params = WishartParams(d=3, beta=Fraction(19, 2), sigma=SIGMA3)
-    cls, formula = MOMENT_KINDS[flag]
+    cls_name, formula = MOMENT_KINDS[flag]
+    cls = getattr(montecarlo, cls_name)
     arg = KIND_ARGS[cls][degree - 1]
     kind = cls(arg, inverse)
     assert kind.order == degree
