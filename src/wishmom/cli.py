@@ -15,13 +15,12 @@ module, this module puts numpy, ``_kernels``, ``hafnian``, ``wishart``,
 (``_defer``): each is there, and set on its package, but runs only on the
 first read of one of its attributes.  The commands read those modules'
 attributes only inside themselves, so wg and table, error exits included,
-run none of them, haar runs ``wishart``, moment ``wishart`` and
-``montecarlo`` (for the kind's ``target``) and validate what its suite
-reads.
+run none of them, haar and moment run ``wishart`` alone and validate what
+its suite reads.
 numpy, which the numeric modules bind through ``wishmom._numpy``, runs only
 for moment --invariant (its power sums are numpy's, see
-``wishart.invariant_moment``), validate golden and validate montecarlo:
-every other exact command reads sigma as rows of Python floats and
+``wishart.invariant_moment``) and validate montecarlo: every other exact
+command, validate golden included, reads sigma as rows of Python floats and
 contracts its moments against them in Python.  A process that imports the
 library without this module gets plain modules.
 """
@@ -61,7 +60,7 @@ def _defer(name: str) -> None:
 for _name in ("numpy", "wishmom._kernels", "wishmom.hafnian", "wishmom.wishart", "wishmom.montecarlo", "wishmom.validate"):
     _defer(_name)
 
-from . import __version__, montecarlo, validate, wishart  # noqa: E402
+from . import __version__, validate, wishart  # noqa: E402
 from .matchgroup import SizeLimitError  # noqa: E402
 from .symcomb import _as_fraction, check_partition  # noqa: E402
 from .weingarten import (  # noqa: E402
@@ -163,14 +162,13 @@ def emit_table(args, command: str, options: dict, values: dict[tuple[int, ...], 
     emit(args, command, options, rows, [f"{rho}: {v}" for rho, v in values.items()])
 
 
-# moment kind, named as its flag's dest -> (the name of its class in
-# ``montecarlo``, built from the flag's value and --inverse, and the formula
-# name in the report); a name, so that only ``moment`` runs ``montecarlo``
+# moment kind, named as its flag's dest and as ``wishart.MomentKind`` names
+# it -> the formula name in the report
 MOMENT_KINDS = {
-    "entries": ("EntryProduct", "entrywise-matching-sum"),
-    "trace_power": ("TracePower", "trace-power-sum"),
-    "power_trace": ("PowerTrace", "power-trace-sum"),
-    "invariant": ("Invariant", "invariant-zonal"),
+    "entries": "entrywise-matching-sum",
+    "trace_power": "trace-power-sum",
+    "power_trace": "power-trace-sum",
+    "invariant": "invariant-zonal",
 }
 
 
@@ -193,8 +191,8 @@ def cmd_moment(args) -> int:
     if len(picks) != 1:
         raise ValueError("pick exactly one of --entries, --trace-power, --power-trace, --invariant")
     [flag] = picks
-    cls_name, formula = MOMENT_KINDS[flag]
-    kind = getattr(montecarlo, cls_name)(getattr(args, flag), args.inverse)
+    formula = MOMENT_KINDS[flag]
+    kind = wishart.MomentKind(flag, getattr(args, flag), args.inverse)
     value = float(kind.target(params))
     regime = wishart.gamma_regime(params.gamma, kind.order) if args.inverse else None
     options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": flag, "inverse": args.inverse}

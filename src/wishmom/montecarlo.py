@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from . import _kernels, _numpy, wishart
 from ._kernels import COND_LIMIT
 from .matchgroup import matching_type_count
-from .symcomb import Partition, _as_int, _as_ints, check_partition, partitions_of
+from .symcomb import Partition, _as_int, _as_ints, partitions_of
 from .weingarten import _zonal_table, check_degree, check_dimension
-from .wishart import DomainError, MomentSpec, WishartParams, _real_rows
+from .wishart import DomainError, WishartParams, _real_rows
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -63,8 +63,17 @@ class SampleStats:
 
 
 # ------------------------------------------------------------- descriptors
-# One class per moment kind, with its exact target and its per-draw values;
-# ``wishmom moment`` computes through the same classes.
+# One class per moment kind, with its exact target and its per-draw values.
+# The exact half of each kind that ``wishmom moment`` also prints (its
+# argument check, degree and target) is ``wishart.MomentKind``.
+
+
+def _pair(desc, field: str, kind: str) -> None:
+    """Pair the descriptor ``desc`` with the exact half of its kind,
+    ``wishart.MomentKind``, and keep its argument ``field`` as that reads it."""
+    exact = wishart.MomentKind(kind, getattr(desc, field), desc.inverse)
+    object.__setattr__(desc, "_exact", exact)
+    object.__setattr__(desc, field, exact.arg)
 
 
 def _power_traces(mats: np.ndarray, top: int) -> dict[int, np.ndarray]:
@@ -89,11 +98,11 @@ class EntryProduct:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", MomentSpec(self.indices).indices)
+        _pair(self, "indices", "entries")
 
     @property
     def order(self) -> int:
-        return len(self.indices) // 2
+        return self._exact.order
 
     @property
     def label(self) -> str:
@@ -102,7 +111,7 @@ class EntryProduct:
         return "*".join(pairs)
 
     def target(self, params: WishartParams) -> float:
-        return wishart.moment(params, MomentSpec(self.indices, inverse=self.inverse))
+        return self._exact.target(params)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         out = np.ones(mats.shape[0])
@@ -119,18 +128,18 @@ class TracePower:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "power", _as_int(self.power, "power"))
+        _pair(self, "power", "trace_power")
 
     @property
     def order(self) -> int:
-        return self.power
+        return self._exact.order
 
     @property
     def label(self) -> str:
         return f"tr({'Winv' if self.inverse else 'W'})^{self.power}"
 
     def target(self, params: WishartParams) -> float:
-        return wishart.trace_power_moment(params, self.power, inverse=self.inverse)
+        return self._exact.target(params)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         return np.einsum("mii->m", mats) ** self.power
@@ -144,18 +153,18 @@ class PowerTrace:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", check_partition(self.mu))
+        _pair(self, "mu", "power_trace")
 
     @property
     def order(self) -> int:
-        return sum(self.mu)
+        return self._exact.order
 
     @property
     def label(self) -> str:
         return f"p_{self.mu}({'Winv' if self.inverse else 'W'})"
 
     def target(self, params: WishartParams) -> float:
-        return wishart.power_trace_moment(params, self.mu, inverse=self.inverse)
+        return self._exact.target(params)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         out = np.ones(mats.shape[0])
@@ -173,18 +182,18 @@ class Invariant:
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", check_partition(self.lam))
+        _pair(self, "lam", "invariant")
 
     @property
     def order(self) -> int:
-        return sum(self.lam)
+        return self._exact.order
 
     @property
     def label(self) -> str:
         return f"Z_{self.lam}({'Winv' if self.inverse else 'W'})"
 
     def target(self, params: WishartParams) -> float:
-        return wishart.invariant_moment(params, self.lam, inverse=self.inverse)
+        return self._exact.target(params)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         # sum_rho M_rho omega^lam(rho) p_rho with float coefficients: the

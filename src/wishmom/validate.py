@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 
 from . import _numpy, hafnian, montecarlo, wishart
 from .matchgroup import double_coset_size, matching_type_count
@@ -67,6 +68,21 @@ def _rand_pd(rng: np.random.Generator, d: int) -> np.ndarray:
     return a @ a.T + d * np.eye(d)
 
 
+def _gram(a: list[list[float]]) -> list[list[float]]:
+    """a a^T of the rows a; a^2 when a is symmetric."""
+    return [[sum(map(mul, ai, aj)) for aj in a] for ai in a]
+
+
+def _rand_pd_rows(rnd: random.Random, d: int) -> list[list[float]]:
+    """``_rand_pd`` drawn by ``rnd``, as rows of Python floats."""
+    a = [[rnd.gauss(0.0, 1.0) for _ in range(d)] for _ in range(d)]
+    return [[v + d * (i == j) for j, v in enumerate(row)] for i, row in enumerate(_gram(a))]
+
+
+def _all_close(a: list[list[float]], b: list[list[float]]) -> bool:
+    return all(_close(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def entrywise_power_trace(params: WishartParams, mu, inverse: bool = False) -> float:
     """Assemble E[prod tr((W^{+-1})^mu_i)] purely from entrywise moments by
     expanding every trace into index cycles."""
@@ -89,8 +105,11 @@ def entrywise_power_trace(params: WishartParams, mu, inverse: bool = False) -> f
 
 
 def golden_suite(seed: int = 0) -> list[dict]:
+    """The explicit low-degree values: rational points drawn from
+    random.Random(seed), the sigma matrices of the numeric displays from
+    random.Random(seed + 1).  No numpy runs."""
     rnd = random.Random(seed)
-    rng = np.random.default_rng(seed + 1)
+    sigma_rnd = random.Random(seed + 1)
     out: list[dict] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -202,24 +221,22 @@ def golden_suite(seed: int = 0) -> list[dict]:
     # numeric low-degree moment displays at d in {2, 3}; gamma > 3 clears every pole
     # of the inverse formulas through degree 4
     for d in (2, 3):
-        sig = _rand_pd(rng, d)
         gamma = Fraction(rnd.randint(13, 24), 4)
         beta = gamma + Fraction(d + 1, 2)
-        params = WishartParams(d=d, beta=beta, sigma=sig)
+        params = WishartParams(d=d, beta=beta, sigma=_rand_pd_rows(sigma_rnd, d))
         bf = float(beta)
-        gam = params.gamma
-        gf = float(gam)
-        si = params.sigma_inv
+        gf = float(params.gamma)
+        sig, si = params.sigma_rows, params.sigma_inv_rows
 
         ok = all(
-            _close(wishart.moment(params, MomentSpec((i, j))), bf * sig[i - 1, j - 1])
+            _close(wishart.moment(params, MomentSpec((i, j))), bf * sig[i - 1][j - 1])
             for i in range(1, d + 1)
             for j in range(1, d + 1)
         )
         check(f"E[W_ij] = beta sigma_ij (d={d})", ok)
 
         ok = all(
-            _close(wishart.inverse_moment(params, MomentSpec((i, j), inverse=True)), si[i - 1, j - 1] / gf)
+            _close(wishart.inverse_moment(params, MomentSpec((i, j), inverse=True)), si[i - 1][j - 1] / gf)
             for i in range(1, d + 1)
             for j in range(1, d + 1)
         )
@@ -229,9 +246,9 @@ def golden_suite(seed: int = 0) -> list[dict]:
         for k in product(range(1, d + 1), repeat=4):
             got = wishart.moment(params, MomentSpec(k))
             want = (
-                bf * bf * sig[k[0] - 1, k[1] - 1] * sig[k[2] - 1, k[3] - 1]
-                + bf / 2 * sig[k[0] - 1, k[2] - 1] * sig[k[1] - 1, k[3] - 1]
-                + bf / 2 * sig[k[0] - 1, k[3] - 1] * sig[k[1] - 1, k[2] - 1]
+                bf * bf * sig[k[0] - 1][k[1] - 1] * sig[k[2] - 1][k[3] - 1]
+                + bf / 2 * sig[k[0] - 1][k[2] - 1] * sig[k[1] - 1][k[3] - 1]
+                + bf / 2 * sig[k[0] - 1][k[3] - 1] * sig[k[1] - 1][k[2] - 1]
             )
             ok &= _close(got, want)
         check(f"degree-2 entrywise moment display (d={d})", ok)
@@ -241,33 +258,31 @@ def golden_suite(seed: int = 0) -> list[dict]:
         for k in product(range(1, d + 1), repeat=4):
             got = wishart.inverse_moment(params, MomentSpec(k, inverse=True))
             want = (
-                (2 * gf - 1) * si[k[0] - 1, k[1] - 1] * si[k[2] - 1, k[3] - 1]
-                + si[k[0] - 1, k[2] - 1] * si[k[1] - 1, k[3] - 1]
-                + si[k[0] - 1, k[3] - 1] * si[k[1] - 1, k[2] - 1]
+                (2 * gf - 1) * si[k[0] - 1][k[1] - 1] * si[k[2] - 1][k[3] - 1]
+                + si[k[0] - 1][k[2] - 1] * si[k[1] - 1][k[3] - 1]
+                + si[k[0] - 1][k[3] - 1] * si[k[1] - 1][k[2] - 1]
             ) / den
             ok &= _close(got, want)
         check(f"degree-2 inverse entrywise display (d={d})", ok)
 
-        m2 = np.array(
-            [
-                [sum(wishart.moment(params, MomentSpec((i, k, k, j))) for k in range(1, d + 1)) for j in range(1, d + 1)]
-                for i in range(1, d + 1)
-            ]
-        )
-        want = (bf**2 + bf / 2) * sig @ sig + bf / 2 * np.trace(sig) * sig
-        check(f"E[W^2] display (d={d})", bool(np.allclose(m2, want, rtol=REL_TOL)))
+        m2 = [
+            [sum(wishart.moment(params, MomentSpec((i, k, k, j))) for k in range(1, d + 1)) for j in range(1, d + 1)]
+            for i in range(1, d + 1)
+        ]
+        tr, ss = sum(sig[i][i] for i in range(d)), _gram(sig)
+        want = [[(bf**2 + bf / 2) * ss[i][j] + bf / 2 * tr * sig[i][j] for j in range(d)] for i in range(d)]
+        check(f"E[W^2] display (d={d})", _all_close(m2, want))
 
-        im2 = np.array(
+        im2 = [
             [
-                [
-                    sum(wishart.inverse_moment(params, MomentSpec((i, k, k, j), inverse=True)) for k in range(1, d + 1))
-                    for j in range(1, d + 1)
-                ]
-                for i in range(1, d + 1)
+                sum(wishart.inverse_moment(params, MomentSpec((i, k, k, j), inverse=True)) for k in range(1, d + 1))
+                for j in range(1, d + 1)
             ]
-        )
-        want = (2 * gf * si @ si + np.trace(si) * si) / den
-        check(f"E[Winv^2] display (d={d})", bool(np.allclose(im2, want, rtol=REL_TOL)))
+            for i in range(1, d + 1)
+        ]
+        tr, ss = sum(si[i][i] for i in range(d)), _gram(si)
+        want = [[(2 * gf * ss[i][j] + tr * si[i][j]) / den for j in range(d)] for i in range(d)]
+        check(f"E[Winv^2] display (d={d})", _all_close(im2, want))
 
         for mu in partitions_of(3):
             got = wishart.power_trace_moment(params, mu)

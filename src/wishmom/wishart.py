@@ -26,19 +26,18 @@ and for the entrywise, power-trace and trace-power moments they run on
 Python floats: ``WishartParams`` reads sigma into rows, checks it with a
 Python Cholesky factorisation and takes sigma^-1 from that factor, and the
 power sums tr(x^r) are Python matrix products (d is at most 8 or so, where
-loading numpy costs more than the arithmetic).  Sampling, the invariant,
-mixed and product trace moments and the density stay on numpy, through the
-ndarrays ``WishartParams`` builds on first read.
+loading numpy costs more than the arithmetic), as is the density.
+Sampling and the invariant, mixed and product trace moments stay on numpy,
+through the ndarrays ``WishartParams`` builds on first read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import isfinite, lgamma, log, prod, sqrt
+from math import exp, isfinite, lgamma, log, pi, prod, sqrt
 from numbers import Real
 from operator import mul
 from typing import Sequence
@@ -173,10 +172,10 @@ class WishartParams:
     sigma is read once, into ``sigma_rows``, symmetrised Python floats, and a
     Python Cholesky factorisation of those rows is the positive-definiteness
     check; its factor gives ``sigma_inv_rows``.  The entrywise, power-trace
-    and trace-power moments contract against these rows.  ``sigma``,
-    ``sigma_inv`` and ``chol`` are ndarrays built on their first read, for
-    the readers that stay on numpy (sampling, ``invariant_moment``,
-    ``mixed_trace_moment``, ``trace_product_moment``, ``log_density``).
+    and trace-power moments and ``log_density`` read these rows.
+    ``sigma``, ``sigma_inv`` and ``chol`` are ndarrays built on their first
+    read, for the readers that stay on numpy (sampling,
+    ``invariant_moment``, ``mixed_trace_moment``, ``trace_product_moment``).
     """
 
     def __init__(self, d: int, beta: Fraction, sigma):
@@ -226,17 +225,37 @@ class WishartParams:
             raise DomainError("sigma is not positive definite") from exc
 
 
-@dataclass(frozen=True)
 class MomentSpec:
-    """Index list k_1..k_2n (1-based) of an entrywise product moment."""
+    """Index list k_1..k_2n (1-based) of an entrywise product moment: an
+    immutable value, equal to and hashed as the (indices, inverse) pair."""
 
-    indices: tuple[int, ...]
-    inverse: bool = False
+    __slots__ = ("indices", "inverse")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", _as_ints(self.indices, "index", 1))
-        if len(self.indices) % 2:
+    def __init__(self, indices: Sequence[int], inverse: bool = False):
+        indices = _as_ints(indices, "index", 1)
+        if len(indices) % 2:
             raise ValueError("index list must have even length")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "inverse", inverse)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r}: a MomentSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not MomentSpec:
+            return NotImplemented
+        return (self.indices, self.inverse) == (other.indices, other.inverse)
+
+    def __hash__(self) -> int:
+        return hash((self.indices, self.inverse))
+
+    def __repr__(self) -> str:
+        return f"MomentSpec(indices={self.indices!r}, inverse={self.inverse!r})"
+
+    def __reduce__(self):
+        return MomentSpec, (self.indices, self.inverse)
 
     @property
     def degree(self) -> int:
@@ -472,34 +491,69 @@ def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> 
     return power_trace_moment(params, (1,) * n, inverse)
 
 
+# The exact half of each moment kind of ``MomentKind``: its argument checked,
+# its degree, and its moment E[f(W^{+-1})] at (params, argument, inverse).
+_KINDS = {
+    "entries": (lambda k: MomentSpec(k).indices, lambda k: len(k) // 2, lambda p, k, inv: moment(p, MomentSpec(k, inv))),
+    "trace_power": (lambda n: _as_int(n, "power"), lambda n: n, trace_power_moment),
+    "power_trace": (check_partition, sum, power_trace_moment),
+    "invariant": (check_partition, sum, invariant_moment),
+}
+
+
+class MomentKind:
+    """E[f(W)] or E[f(W^-1)] for one kind of f at one argument: "entries"
+    (an index list k, f a product of entries as in ``moment``),
+    "trace_power" (n, f = (tr x)^n), "power_trace" (a partition mu, f =
+    p_mu(x)) or "invariant" (a partition lam, f = Z_lam(x)), the names of
+    the ``wishmom moment`` flags.  The argument is checked and kept as read
+    in ``arg``; ``order`` is the degree of f and ``target`` its exact
+    moment.  montecarlo's descriptors pair it with their sampled values."""
+
+    __slots__ = ("kind", "arg", "inverse", "order")
+
+    def __init__(self, kind: str, arg, inverse: bool = False):
+        check, degree, _ = _KINDS[kind]
+        self.kind, self.arg, self.inverse = kind, check(arg), inverse
+        self.order = degree(self.arg)
+
+    def target(self, params: WishartParams) -> float:
+        return _KINDS[self.kind][2](params, self.arg, self.inverse)
+
+
 def _log_multigamma(a: float, d: int) -> float:
     """log Gamma_d(a) = d(d-1)/4 log(pi) + sum_{j<d} log Gamma(a - j/2)."""
-    return d * (d - 1) / 4 * log(np.pi) + sum(lgamma(a - j / 2) for j in range(d))
+    return d * (d - 1) / 4 * log(pi) + sum(lgamma(a - j / 2) for j in range(d))
 
 
-def log_density(params: WishartParams, w: np.ndarray) -> float:
-    """Log density at a symmetric positive definite d x d w; needs beta > (d-1)/2."""
+def _log_det(factor: list[list[float]]) -> float:
+    """log det a = 2 sum_i log L_ii, from the Cholesky factor L of a."""
+    return 2 * sum(log(row[-1]) for row in factor)
+
+
+def log_density(params: WishartParams, w) -> float:
+    """Log density at a symmetric positive definite d x d w; needs beta > (d-1)/2.
+
+    The log determinants come from Python Cholesky factors and tr(sigma^-1 w)
+    from ``sigma_inv_rows``; no numpy runs."""
     d = params.d
     beta = float(params.beta)
     if params.beta <= Fraction(d - 1, 2):
         raise DomainError(f"density requires beta > (d-1)/2, got beta={params.beta}")
-    w = np.array(_real_rows(w, d, "w", True))
-    try:
-        np.linalg.cholesky(w)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("w is not positive definite") from exc
-    _, logdet_sigma = np.linalg.slogdet(params.sigma)
-    _, logdet_w = np.linalg.slogdet(w)
+    w = _real_rows(w, d, "w", True)
+    factor = _cholesky(w)
+    if factor is None:
+        raise DomainError("w is not positive definite")
     return (
         -_log_multigamma(beta, d)
-        - beta * logdet_sigma
-        + (beta - (d + 1) / 2) * logdet_w
-        - float(np.sum(params.sigma_inv * w))
+        - beta * _log_det(params._factor)
+        + (beta - (d + 1) / 2) * _log_det(factor)
+        - sum(map(mul, chain(*params.sigma_inv_rows), chain(*w)))
     )
 
 
-def density(params: WishartParams, w: np.ndarray) -> float:
-    return float(np.exp(log_density(params, w)))
+def density(params: WishartParams, w) -> float:
+    return exp(log_density(params, w))
 
 
 def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import wishmom
-from wishmom import montecarlo
+from wishmom import montecarlo, wishart
 from wishmom.cli import MOMENT_KINDS, main
 from wishmom.matchgroup import matching_type_count
 from wishmom.montecarlo import EntryProduct, Invariant, PowerTrace, RngSpec, TracePower, estimate
 from wishmom.symcomb import partitions_of
-from wishmom.validate import REL_TOL, entrywise_power_trace
+from wishmom.validate import REL_TOL, entrywise_power_trace, golden_suite
 from wishmom.weingarten import load_table, table_path, table_to_json, weingarten_values, zonal_spherical
 from wishmom.wishart import MomentSpec, WishartParams, inverse_moment, moment, trace_power_moment
 
@@ -56,10 +56,8 @@ RUN_MAIN = (
 )
 TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
 # the deferred modules each command runs: wg and table none, error exits
-# included; haar wishart; moment montecarlo (which runs _kernels) for the
-# kind's target, or only wishart when sigma or beta is refused; validate
-# what its suite reads
-NONE, WISHART, MOMENT = [], ["wishart"], ["_kernels", "montecarlo", "wishart"]
+# included; haar and moment wishart; validate what its suite reads
+NONE, WISHART = [], ["wishart"]
 
 
 @pytest.mark.parametrize(
@@ -75,12 +73,12 @@ NONE, WISHART, MOMENT = [], ["wishart"], ["_kernels", "montecarlo", "wishart"]
         (["wg", "--n", "3", "--z", "2"], None, 3, False, NONE),
         (["wg", "--n", "200", "--z", "3"], None, 2, False, NONE),
         (["table", "build", *TABLE], "directory", 2, False, NONE),
-        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, False, MOMENT),
-        (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True, MOMENT),
+        (["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
+        (["moment", "--inverse", "--invariant", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, True, WISHART),
         (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "npd.csv"], None, 3, False, WISHART),
-        (["validate", "golden", "--format", "json"], None, 0, True, ["validate", "wishart"]),
-        (["moment", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False, MOMENT),
-        (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False, MOMENT),
+        (["validate", "golden", "--format", "json"], None, 0, False, ["validate", "wishart"]),
+        (["moment", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
+        (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False, WISHART),
         (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False, WISHART),
         (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False, WISHART),
         (["validate", "identities", "--n", "3"], None, 0, False, ["hafnian", "validate", "wishart"]),
@@ -97,11 +95,11 @@ NONE, WISHART, MOMENT = [], ["wishart"], ["_kernels", "montecarlo", "wishart"]
 )
 def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs, modules_run):
     # numpy runs only for moment --invariant (its power sums stay numpy's)
-    # and the validate suites that sample or compare float matrices (golden
-    # here; montecarlo too): the other moment kinds, every error exit of
-    # moment and validate identities are Python throughout.  The same command
-    # runs in a fresh process and in this one (numpy loaded), each in a
-    # directory of its own, so relative paths print alike
+    # and validate montecarlo, which samples: the other moment kinds, every
+    # error exit of moment and validate golden and identities are Python
+    # throughout.  The same command runs in a fresh process and in this one
+    # (numpy loaded), each in a directory of its own, so relative paths
+    # print alike
     fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
     for d in (fresh_dir, here_dir):
         d.mkdir()
@@ -122,6 +120,23 @@ def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, mon
     monkeypatch.chdir(here_dir)
     assert main(argv) == fresh_code == code
     assert capsys.readouterr() == (out, "".join(err))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["haar", "--i", "1,1,2,2", "--j", "2,2,1,1", "--N", "5"], ["moment", "--entries", "1,2,1,2", "--beta", "9", "--sigma", "s.csv"]],
+    ids=["haar", "moment-entries"],
+)
+def test_exact_cli_process_imports_no_dataclasses(tmp_path, argv):
+    # the modules a bare interpreter starts with, a site hook's included, do not count
+    (tmp_path / "s.csv").write_text("2.0,0.3\n0.3,1.5\n")
+    code = (
+        "import sys; bare = set(sys.modules); import wishmom.cli; code = wishmom.cli.main(sys.argv[1:]); "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare))); sys.exit(code)"
+    )
+    rc, out, err = _fresh(code, *argv, cwd=tmp_path)
+    assert rc == 0, err
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_library_import_runs_numpy():
@@ -383,12 +398,13 @@ def test_moment_trace_power_is_power_trace_of_ones(sigma_csv, capsys, inverse):
     assert (tp["config"]["options"]["trace_power"], pt["config"]["options"]["power_trace"]) == (4, [1, 1, 1, 1])
 
 
-# the value of each --<kind> flag at degrees 1, 2 and 3, as the library reads it
+# the descriptor class of each moment kind, and the value of its flag at
+# degrees 1, 2 and 3, as the library reads it
 KIND_ARGS = {
-    EntryProduct: [(1, 2), (1, 2, 3, 3), (1, 1, 2, 3, 2, 3)],
-    TracePower: [1, 2, 3],
-    PowerTrace: [(1,), (2,), (2, 1)],
-    Invariant: [(1,), (1, 1), (2, 1)],
+    "entries": (EntryProduct, [(1, 2), (1, 2, 3, 3), (1, 1, 2, 3, 2, 3)]),
+    "trace_power": (TracePower, [1, 2, 3]),
+    "power_trace": (PowerTrace, [(1,), (2,), (2, 1)]),
+    "invariant": (Invariant, [(1,), (1, 1), (2, 1)]),
 }
 SIGMA3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
 
@@ -409,26 +425,36 @@ def _assembled(kind, params):
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("flag", list(MOMENT_KINDS))
-def test_every_moment_kind_is_its_class(tmp_path, capsys, flag, degree, inverse):
+def test_every_moment_kind_is_its_class(tmp_path, monkeypatch, capsys, flag, degree, inverse):
     # d = 3, gamma = 15/2 > 3: every inverse moment of degree <= 3 exists and can be estimated
     path = tmp_path / "s.csv"
     path.write_text("\n".join(",".join(map(str, row)) for row in SIGMA3) + "\n")
     params = WishartParams(d=3, beta=Fraction(19, 2), sigma=SIGMA3)
-    cls_name, formula = MOMENT_KINDS[flag]
-    cls = getattr(montecarlo, cls_name)
-    arg = KIND_ARGS[cls][degree - 1]
+    cls, args = KIND_ARGS[flag]
+    arg = args[degree - 1]
     kind = cls(arg, inverse)
     assert kind.order == degree
+    # the degrees passed to gamma_regime, the formulas' own calls first and the CLI's last
+    degrees = []
+    monkeypatch.setattr(wishart, "gamma_regime", lambda gamma, n: degrees.append(n) or "standard")
     value = ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg)
     argv = ["moment", f"--{flag.replace('_', '-')}", value, "--beta", "19/2", "--sigma", str(path), "--format", "json"]
     assert main(argv + ["--inverse"] * inverse) == 0
+    assert degrees[-1:] == ([degree] if inverse else [])
+    monkeypatch.undo()
     [row] = json.loads(capsys.readouterr().out)["results"]
     target = float(kind.target(params))
-    assert (row["value"], row["formula"]) == (target, formula)
+    assert (row["value"], row["formula"]) == (target, MOMENT_KINDS[flag])
     if cls is not EntryProduct:
         assert target == pytest.approx(_assembled(kind, params), rel=REL_TOL)
     one, two = (estimate([kind], params, 20_000, RngSpec(11), streams=2, threads=t) for t in (1, 2))
     assert one == two and abs(one[0].zscore) < 5, one
+
+
+@pytest.mark.parametrize("cls", [EntryProduct, TracePower, PowerTrace, Invariant, montecarlo.TraceProduct])
+def test_descriptor_classes_define_target_and_values(cls):
+    # perfbench's Recorder.install wraps both methods through each class's own vars()
+    assert {"target", "values"} <= vars(cls).keys()
 
 
 def test_moment_option_conflicts(sigma_csv):
@@ -510,6 +536,16 @@ def test_moment_sigma_json(tmp_path, capsys):
 def test_haar_command(capsys):
     assert main(["haar", "--i", "1,1,2,2", "--j", "1,1,2,2", "--N", "3"]) == 0
     assert "2/15" in capsys.readouterr().out
+
+
+def test_validate_golden_passes_its_42_rows_at_every_seed(capsys):
+    for seed in range(20):
+        rows = golden_suite(seed)
+        assert len(rows) == 42 and all(r["passed"] for r in rows), (seed, [r for r in rows if not r["passed"]])
+    # the report the benchmark's cli pool checks
+    assert main(["validate", "golden", "--seed", "217", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [len(results), all(r["passed"] for r in results)] == [42, True]
 
 
 def test_validate_identities(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -865,6 +867,55 @@ def test_log_density_checks_w_as_sigma_is_checked():
         with pytest.raises(err, match=match) as info:
             log_density(p, bad)
         assert type(info.value) is err
+
+
+def _numpy_log_density(params, w):
+    """The log density by numpy's determinants, and its four terms."""
+    d, beta = params.d, float(params.beta)
+    w = np.array(w)
+    terms = (
+        -_log_multigamma(beta, d),
+        -beta * np.linalg.slogdet(params.sigma)[1],
+        (beta - (d + 1) / 2) * np.linalg.slogdet(w)[1],
+        -float(np.sum(params.sigma_inv * w)),
+    )
+    return sum(terms), terms
+
+
+def test_log_density_matches_numpy_determinants():
+    # the Python Cholesky factors give the log determinants: not bit-identical
+    # to numpy's, but within 1e-15 relative to the sum of the terms' sizes
+    rng = np.random.default_rng(23)
+    for case in range(1200):
+        d = 1 + case % 8
+        a, b = rng.normal(size=(2, d, d))
+        sigma, w = a @ a.T + 0.5 * np.eye(d), b @ b.T + 0.5 * np.eye(d)
+        p = WishartParams(d=d, beta=Fraction(int(rng.integers(d, 4 * d + 9)), 2), sigma=sigma)
+        want, terms = _numpy_log_density(p, (w + w.T) / 2)
+        got = log_density(p, w)
+        assert abs(got - want) <= 1e-15 * sum(map(abs, terms)), (d, got, want)
+        assert density(p, w) == pytest.approx(np.exp(want), rel=1e-13)
+
+
+def test_moment_spec_is_an_immutable_value():
+    spec = MomentSpec((1, 2.0, 2, 1), inverse=True)
+    assert spec == MomentSpec([1, 2, 2, 1], True) and hash(spec) == hash(MomentSpec((1, 2, 2, 1), True))
+    assert spec != MomentSpec((1, 2, 2, 1)) and spec != MomentSpec((1, 2, 1, 2), True)
+    assert spec != ((1, 2, 2, 1), True) and len({spec, MomentSpec((1, 2, 2, 1), True)}) == 1
+    assert repr(spec) == "MomentSpec(indices=(1, 2, 2, 1), inverse=True)"
+    assert spec.degree == 2 and MomentSpec(()).degree == 0
+    for name in ("indices", "inverse", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, (1, 1))
+    with pytest.raises(AttributeError):
+        del spec.indices
+    assert spec.indices == (1, 2, 2, 1) and spec.inverse is True
+    assert pickle.loads(pickle.dumps(spec)) == copy.deepcopy(spec) == spec
+    for bad in ((0, 1), (1, -2), (1, 2, 3)):
+        with pytest.raises(ValueError, match="index must be a positive integer|index list must have even length"):
+            MomentSpec(bad)
+    with pytest.raises(ValueError, match="^index list must have even length$"):
+        MomentSpec((1, 2, 3))
 
 
 def test_non_integral_indices_raise():
