@@ -194,7 +194,8 @@ def cmd_moment(args) -> int:
     formula = MOMENT_KINDS[flag]
     kind = wishart.MomentKind(flag, getattr(args, flag), args.inverse)
     value = float(kind.target(params))
-    regime = wishart.gamma_regime(params.gamma, kind.order) if args.inverse else None
+    # the empty product of degree 0 is 1 for any gamma, and has no regime
+    regime = wishart.gamma_regime(params.gamma, kind.order) if args.inverse and kind.order else None
     options = {"sigma": args.sigma, "d": d, "beta": str(params.beta), "kind": flag, "inverse": args.inverse}
     # the JSON report writes the tuple-valued flags as lists
     options |= {name: getattr(args, name) for name in MOMENT_KINDS}

@@ -25,14 +25,14 @@ of this module and of ``wishart`` is that sum over the one term list of
 ``_point_terms``: Wg at z, the inverse-Wishart kernel at z = -2*gamma scaled
 by (-1)^n 2^n, the shapes with at most N rows at z = N, or the forward
 eigenvalues C_lam(2 beta) / 2^n at z = 2*beta, whose sum at rho is the
-coset weight (2 beta)^len(rho) / 2^n.  A term with b_lam = 0 is a pole, and
-``check_poles`` is the one place that raises it.
+coset weight (2 beta)^len(rho) / 2^n; with each term times omega^lam(mu)
+the power-trace coefficients of p_mu over M_rho.  A term with b_lam = 0 is
+a pole, and ``check_poles`` is the one place that raises it.
 
-Each point's table {rho: value} is summed in one pass and kept in one store
-of the last POINT_TABLES points (degree, kind and point), which every reader
+Each table {rho: value} is summed in one pass and kept in one store of the
+last POINT_TABLES tables (degree, kind, point and mu), which every reader
 shares: the three per-value functions, ``weingarten_values`` and
-``_point_table``, the table the moments of ``wishart`` read.  A point with a
-pole is never stored.
+``_point_table``, every table of ``wishart``.  A pole is never stored.
 """
 
 from __future__ import annotations
@@ -246,22 +246,37 @@ def _zonal_sum(weights, rho: Partition, terms, scale: int) -> Fraction:
 
 
 @lru_cache(maxsize=POINT_TABLES)
-def _point_cache(n: int, kind: str, p: int, q: int) -> dict[Partition, Fraction]:
+def _point_cache(n: int, kind: str, p: int, q: int, mu: Partition | None) -> dict[Partition, Fraction]:
     """The table {rho: value} for every rho of weight n, in ``partitions_of``
-    order, at a key of ``_point_key``: one pass over the terms of
-    ``_point_terms``.  A PoleError from ``check_poles`` leaves nothing stored."""
+    order, at a key of ``_point_key`` and a partition mu of n, None for (1^n):
+    one pass over the terms of ``_point_terms``, each times omega^lam(mu),
+    which is 1 at (1^n).  A PoleError from ``check_poles`` stores nothing."""
     z, terms, scale = _point_terms(n, kind, p, q)
     check_poles(z, terms)
+    omega, mu = _zonal_table(n), mu or (1,) * n
+    terms = [(lam, a * omega[lam][mu].numerator, b * omega[lam][mu].denominator) for lam, a, b in terms]
     weights = _zonal_weights(n)
     return {rho: _zonal_sum(weights, rho, terms, scale) for rho in partitions_of(n)}
 
 
-def _point_table(n: int, kind: str, point) -> dict[Partition, Fraction]:
-    """The stored table at the point of kind "z", "gamma", "beta" or "N", the
-    degree and the point checked first.  The dict is the store's own: the
-    callers in this package only read it, and ``weingarten_values`` hands out
-    a copy."""
-    return _point_cache(*_point_key(n, kind, point))
+def _point_table(n: int, kind: str, point, mu: Partition | None = None) -> dict[Partition, Fraction]:
+    """The stored table at the point of kind "z", "gamma", "beta" or "N" and
+    the partition mu of n, the degree and the point checked first.  The dict
+    is the store's own: the callers in this package only read it, and
+    ``weingarten_values`` hands out a copy."""
+    key = _point_key(n, kind, point)
+    # (1^n), the one partition of n with n parts, shares the entry of mu = None
+    return _point_cache(*key, None if mu is None or len(mu) == key[0] else mu)
+
+
+def _point_eigenvalue(lam: Partition, kind: str, point) -> Fraction:
+    """The eigenvalue of Z_lam, lam checked, at the point of kind "gamma" or
+    "beta": lam's own term of ``_point_terms`` times the scale, a PoleError
+    only when that term is a pole."""
+    z, terms, scale = _point_terms(*_point_key(sum(lam), kind, point))
+    [term] = [t for t in terms if t[0] == lam]
+    check_poles(z, [term])
+    return Fraction(scale * term[1], term[2])
 
 
 def _point_value(rho: Partition, kind: str, point) -> Fraction:

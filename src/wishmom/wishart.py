@@ -10,17 +10,17 @@ against sigma^-1 instead of sigma, use the shifted shape gamma = beta - (d+1)/2
 instead of beta, and weigh a matching of coset type rho by the inverse-Wishart
 Weingarten value instead of (2 beta)^len(rho) / 2^n (on zonal and trace
 moments: the eigenvalue (-1)^n 2^n / C_lam(-2 gamma) instead of
-C_lam(2 beta) / 2^n).  Both sides are one term list,
-``weingarten._point_terms`` of kind "gamma" or "beta", and both tables of
-coset weights are read from ``weingarten._point_table``, the bounded store
-of tables per point, as are the Haar weights; ``_side`` picks the matrix and
-the shape, so every moment below has one body for both sides.  Entrywise
-moments and trace products take the forward weight as a factor per loop or
-cycle, which needs no coset types.
+C_lam(2 beta) / 2^n).  Every table, the coset weights of both sides, the
+power-trace coefficients at any mu over M_rho and the Haar weights, is read
+from ``weingarten._point_table``, the bounded store per point and mu, and
+one shape's eigenvalue from ``weingarten._point_eigenvalue``; ``_side``
+picks the matrix and the shape, so every moment below has one body for both
+sides.  Entrywise moments and trace products take the forward weight as a
+factor per loop or cycle, which needs no coset types.
 
 Two engines give every exact coefficient: sums over matchings per coset type
-(``matching_type_sums``: entrywise and Haar moments) and the lambda-sum of
-``weingarten.zonal_sum`` (Weingarten values, power-trace coefficients).  Only
+(``matching_type_sums``: entrywise and Haar moments) and the lambda-sum
+behind that store (Weingarten values, power-trace coefficients).  Only
 the contractions against the user-supplied sigma happen in floating point,
 and for the entrywise, power-trace and trace-power moments they run on
 Python floats: ``WishartParams`` reads sigma into rows, checks it with a
@@ -53,19 +53,14 @@ from .matchgroup import (
     pair_loops,
     paired_perm,
 )
-from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition, partitions_of
+from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition
 from .weingarten import (
     DomainError,
     _point_cache,
-    _point_key,
+    _point_eigenvalue,
     _point_table,
-    _point_terms,
-    _zonal_sum,
-    _zonal_table,
-    _zonal_weights,
     check_degree,
     check_dimension,
-    check_poles,
     zonal_eval,
 )
 
@@ -419,49 +414,37 @@ def _contract(coeffs: dict[Partition, Fraction], x: list[list[float]], n: int) -
 
 def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = False) -> float:
     """E[Z_lam(W^{+-1})] = e_lam Z_lam(sigma^{+-1}), the eigenvalue e_lam
-    = C_lam(2 beta) / 2^n, or (-1)^n 2^n / C_lam(-2 gamma), being lam's own
-    term of ``weingarten._point_terms``: a pole only when that term is one.
+    = C_lam(2 beta) / 2^n, or (-1)^n 2^n / C_lam(-2 gamma), read by
+    ``weingarten._point_eigenvalue``: a pole only when lam's own term is one.
     Power sums only, no eigendecomposition.
 
     The power sums stay numpy's (``_ndarray_power_sums``): when lam has more
     parts than d, Z_lam(sigma) is exactly 0 and the float value is rounding
     noise, and the benchmark's reference outputs record numpy's noise there
     (E[Z_(1,1,1,1)(W)] at d = 3 is -2.9e-06), which Python sums do not
-    reproduce.  ROADMAP item 8 has the follow-up."""
+    reproduce.  ROADMAP items 6 and 19 (step 2) have the follow-up."""
     lam = check_partition(lam)
     if not lam:  # the empty shape, Z = 1, on either side, whatever gamma is
         return 1.0
     n = check_degree(sum(lam))
     _, shape = _side(params, n, inverse)
-    z, terms, scale = _point_terms(*_point_key(n, "gamma" if inverse else "beta", shape))
-    term = next(t for t in terms if t[0] == lam)
-    check_poles(z, [term])
-    _, a, b = term
-    return scale * a / b * zonal_eval(lam, _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
+    e = _point_eigenvalue(lam, "gamma" if inverse else "beta", shape)
+    return e * zonal_eval(lam, _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients c_rho with E[p_mu(W^{+-1})] = sum c_rho p_rho(sigma^{+-1}).
 
     ``shape`` is beta on the forward side and gamma on the inverse side.
-    c_rho is ``zonal_sum`` over the terms of ``weingarten._point_terms``, the
-    eigenvalues e_lam, each times omega^lam(mu), scaled by M_rho.  At
-    mu = (1^n), omega^lam(mu) = 1 and that sum is the coset weight of rho, so
-    c_rho is M_rho times the stored table at the point, with the same poles.
+    c_rho is M_rho times the stored table of the point and mu,
+    ``weingarten._point_table``: the sum over lam of the eigenvalues e_lam
+    times omega^lam(mu), which at mu = (1^n) is the coset weight of rho.
     """
     mu, shape = check_partition(mu), _as_fraction(shape, "shape")
     if not mu:
         return {(): 1}
-    n = sum(mu)
-    key = _point_key(n, "gamma" if inverse else "beta", shape)
-    if mu == (1,) * n:
-        return {rho: matching_type_count(rho) * w for rho, w in _point_cache(*key).items()}
-    z, terms, scale = _point_terms(*key)
-    check_poles(z, terms)
-    omega = _zonal_table(n)
-    terms = [(lam, a * omega[lam][mu].numerator, b * omega[lam][mu].denominator) for lam, a, b in terms]
-    weights = _zonal_weights(n)
-    return {rho: _zonal_sum(weights, rho, terms, scale * matching_type_count(rho)) for rho in partitions_of(n)}
+    table = _point_table(sum(mu), "gamma" if inverse else "beta", shape, mu)
+    return {rho: matching_type_count(rho) * c for rho, c in table.items()}
 
 
 def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = False) -> float:

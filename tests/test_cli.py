@@ -371,10 +371,26 @@ def test_moment_inverse_reports_regime(sigma_csv, capsys):
     assert value == pytest.approx(inverse_moment(params, MomentSpec((1, 1), inverse=True)), rel=1e-12)
 
 
-@pytest.mark.parametrize("inverse", [[], ["--inverse"]])
-def test_moment_trace_power_zero_is_one(sigma_csv, capsys, inverse):
-    assert main(["moment", *inverse, "--trace-power", "0", "--beta", "9", "--sigma", sigma_csv, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == 1.0
+@pytest.mark.parametrize(
+    "inverse, beta, sigma",
+    [
+        ([], "9", "2.0,0.3\n0.3,1.5\n"),
+        (["--inverse"], "9", "2.0,0.3\n0.3,1.5\n"),
+        # gamma = 1/2 - 2 = -3/2: the empty product needs no positive gamma, and has no regime
+        (["--inverse"], "1/2", "2.0,0.3,0.1\n0.3,1.5,0.2\n0.1,0.2,1.0\n"),
+    ],
+    ids=["inverse0", "inverse1", "inverse2"],
+)
+def test_moment_trace_power_zero_is_one(tmp_path, capsys, inverse, beta, sigma):
+    path = tmp_path / "s.csv"
+    path.write_text(sigma)
+    argv = ["moment", *inverse, "--trace-power", "0", "--beta", beta, "--sigma", str(path)]
+    assert main([*argv, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert (row["value"], row["gamma_regime"]) == (1.0, None)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("value: 1\n") and "regime" not in out
 
 
 def test_moment_trace_power(sigma_csv, capsys):

@@ -51,6 +51,7 @@ from wishmom.weingarten import (
     zonal_spherical,
     zonal_sum,
 )
+from wishmom.wishart import power_trace_coeffs
 
 from oracles import content_product_boxwise, solve_exact, weingarten_sum_fractions, zonal_spherical_at
 
@@ -325,16 +326,27 @@ def test_equal_points_share_one_entry():
         weingarten((2, 1), z)
     info = _point_cache.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    # the table at a general mu is one more entry, and the second read of it a hit
+    assert power_trace_coeffs((2, 1), Fraction(5, 2)) == power_trace_coeffs((2, 1), 2.5)
+    info = _point_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
 def test_a_pole_is_raised_on_every_read_and_never_stored():
     _point_cache.cache_clear()
     shapes = []
-    for call in (lambda: weingarten((1, 1, 1, 1), 3), lambda: _point_table(4, "z", 3)) * 2:
+    reads = (
+        lambda: weingarten((1, 1, 1, 1), 3),
+        lambda: _point_table(4, "z", 3),
+        # z = -2 gamma = 3 again, at a general mu and at (1^4)
+        lambda: power_trace_coeffs((2, 1, 1), Fraction(-3, 2), inverse=True),
+        lambda: power_trace_coeffs((1, 1, 1, 1), Fraction(-3, 2), inverse=True),
+    )
+    for call in reads * 2:
         with pytest.raises(PoleError) as info:
             call()
         shapes.append(info.value.shapes)
-    assert shapes == [((1, 1, 1, 1),)] * 4
+    assert shapes == [((1, 1, 1, 1),)] * 8
     assert _point_cache.cache_info().currsize == 0
 
 

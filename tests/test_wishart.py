@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -350,8 +351,7 @@ def test_entrywise_far_past_the_cap_raises_without_enumerating(monkeypatch):
         assert n <= MAX_SUM_DEGREE, f"partitions_of({n}) listed"
         return partitions_of(n)
 
-    for module in (wishart, weingarten):
-        monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+    _patch_partitions_of(monkeypatch, no_large_partitions)
     p = WishartParams(d=2, beta=9, sigma=np.eye(2))
     with pytest.raises(ValueError, match="degree <= 10"):
         moment(p, MomentSpec((1, 2) * 200))
@@ -986,8 +986,16 @@ def _refuse_large_partitions(monkeypatch):
         assert n <= 10, f"partitions_of({n}) listed"
         return listed(n)
 
-    for module in (wishart, weingarten, montecarlo):
-        monkeypatch.setattr(module, "partitions_of", no_large_partitions)
+    _patch_partitions_of(monkeypatch, no_large_partitions)
+
+
+def _patch_partitions_of(monkeypatch, replacement):
+    """Bind replacement in place of ``partitions_of`` in every loaded wishmom
+    module that binds it, whichever modules those are."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wishmom") and getattr(module, "partitions_of", None) is partitions_of:
+            monkeypatch.setattr(module, "partitions_of", replacement)
+    assert weingarten.partitions_of is replacement
 
 
 def _zeros(m):
