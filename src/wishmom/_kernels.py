@@ -72,9 +72,7 @@ from __future__ import annotations
 import math
 import threading
 
-from . import _numpy
-
-np = _numpy()
+import numpy as np
 
 # Draws whose eigenvalue ratio is not below this are rejected by the estimator.
 COND_LIMIT = 1e12

@@ -10,19 +10,16 @@ validation failure.  Matrix indices on the command line are 1-based.
 WW_CACHE_DIR overrides the default table cache location.
 
 Each command runs only the modules it uses.  Before it imports any package
-module, this module puts numpy, ``_kernels``, ``hafnian``, ``wishart``,
+module, this module puts ``_kernels``, ``hafnian``, ``wishart``,
 ``montecarlo`` and ``validate`` into ``sys.modules`` as lazy modules
-(``_defer``): each is there, and set on its package, but runs only on the
+(``_defer``): each is there, and set on the package, but runs only on the
 first read of one of its attributes.  The commands read those modules'
 attributes only inside themselves, so wg and table, error exits included,
 run none of them, haar and moment run ``wishart`` alone and validate what
-its suite reads.
-numpy, which the numeric modules bind through ``wishmom._numpy``, runs only
+its suite reads.  numpy is imported where arrays are made, so it runs only
 for moment --invariant (its power sums are numpy's, see
-``wishart.invariant_moment``) and validate montecarlo: every other exact
-command, validate golden included, reads sigma as rows of Python floats and
-contracts its moments against them in Python.  A process that imports the
-library without this module gets plain modules.
+``wishart.invariant_moment``) and validate montecarlo.  A process that
+imports the library without this module gets plain modules.
 """
 
 from __future__ import annotations
@@ -40,24 +37,24 @@ from pathlib import Path
 
 
 def _defer(name: str) -> None:
-    """Put module ``name`` into ``sys.modules`` as a module that runs on its
-    first attribute read, unless it is imported already (or missing).
+    """Put package module ``name`` into ``sys.modules`` as a module that runs on
+    its first attribute read, unless it is imported already.
 
-    A submodule is also set on its package: ``from . import name`` then takes
+    The module is also set on the package: ``from . import name`` then takes
     that attribute, where the import system would read the module's
     ``__spec__`` and so run it at once."""
-    if name in sys.modules or (spec := importlib.util.find_spec(name)) is None:
+    if name in sys.modules:
         return
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     package, _, attr = name.rpartition(".")
-    if package:
-        setattr(sys.modules[package], attr, module)
+    setattr(sys.modules[package], attr, module)
 
 
-for _name in ("numpy", "wishmom._kernels", "wishmom.hafnian", "wishmom.wishart", "wishmom.montecarlo", "wishmom.validate"):
+for _name in ("wishmom._kernels", "wishmom.hafnian", "wishmom.wishart", "wishmom.montecarlo", "wishmom.validate"):
     _defer(_name)
 
 from . import __version__, validate, wishart  # noqa: E402

@@ -18,7 +18,9 @@ from fractions import Fraction
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import _kernels, _numpy, wishart
+import numpy as np
+
+from . import _kernels, wishart
 from ._kernels import COND_LIMIT
 from .matchgroup import matching_type_count
 from .symcomb import Partition, _as_int, _as_ints, partitions_of
@@ -27,8 +29,6 @@ from .wishart import DomainError, WishartParams, _real_rows
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
-
-np = _numpy()
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -418,12 +418,9 @@ def _run_streams(
             stacklevel=3,
         )
     base, extra = divmod(sample_count, streams)
-    # built here, not in the lanes: the first read of the CLI's lazy numpy
-    # (wishmom.cli) is not thread-safe before Python 3.12
-    gens = [RngSpec(rng.seed, rng.stream + i).generator() for i in range(streams)]
 
     def run_stream(i: int) -> list[_Acc]:
-        gen = gens[i]
+        gen = RngSpec(rng.seed, rng.stream + i).generator()
         accs = [_Acc() for _ in targets]
         left = base + (1 if i < extra else 0)
         while left > 0:

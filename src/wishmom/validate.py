@@ -14,8 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 from operator import mul
+from typing import TYPE_CHECKING
 
-from . import _numpy, hafnian, montecarlo, wishart
+from . import hafnian, montecarlo, wishart
 from .matchgroup import double_coset_size, matching_type_count
 from .symcomb import content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
@@ -30,7 +31,8 @@ from .weingarten import (
 )
 from .wishart import MomentSpec, WishartParams
 
-np = _numpy()
+if TYPE_CHECKING:
+    import numpy as np
 
 REL_TOL = 1e-10
 # substreams of every Monte Carlo check: with the seed, they fix its draws
@@ -64,6 +66,8 @@ def _pole_free_gamma(rnd: random.Random, n: int) -> Fraction:
 
 
 def _rand_pd(rng: np.random.Generator, d: int) -> np.ndarray:
+    import numpy as np
+
     a = rng.normal(size=(d, d))
     return a @ a.T + d * np.eye(d)
 
@@ -389,6 +393,8 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[dict]:
 
 
 def montecarlo_suite(samples: int = 100_000, seed: int = 42, threads: int = 1) -> list[dict]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out: list[dict] = []
     stats: list[montecarlo.SampleStats] = []

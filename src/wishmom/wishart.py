@@ -28,7 +28,9 @@ Python Cholesky factorisation and takes sigma^-1 from that factor, and the
 power sums tr(x^r) are Python matrix products (d is at most 8 or so, where
 loading numpy costs more than the arithmetic), as is the density.
 Sampling and the invariant, mixed and product trace moments stay on numpy,
-through the ndarrays ``WishartParams`` builds on first read.
+through the ndarrays ``WishartParams`` builds on first read.  Each function
+that makes an array imports numpy itself, so importing this module, or
+computing a moment on the rows, loads no numpy.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from itertools import chain
 from math import exp, isfinite, lgamma, log, pi, prod, sqrt
 from numbers import Real
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import _numpy
 from .matchgroup import (
     SizeLimitError,
     _loop_type,
@@ -64,7 +65,8 @@ from .weingarten import (
     zonal_eval,
 )
 
-np = _numpy()
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12
@@ -201,10 +203,14 @@ class WishartParams:
 
     @cached_property
     def sigma(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.sigma_rows)
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.sigma_inv_rows)
 
     @cached_property
@@ -214,6 +220,8 @@ class WishartParams:
         # Python factor of the check, so seeded draws stay bit-identical only
         # with LAPACK's.  A pivot the two round to opposite signs would be the
         # same DomainError as the check's.
+        import numpy as np
+
         try:
             return np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError as exc:
@@ -309,6 +317,8 @@ def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) ->
     traces tr(sigma s_{c1} sigma s_{c2} ...) along cycles, taken by
     ``cycle_type_sums`` with the steps i -> j = sigma s_j and a factor beta
     per cycle.  Degree 0 is the empty product, 1.0."""
+    import numpy as np
+
     steps = [params.sigma @ np.array(_real_rows(s, params.d, "trace-product factor", True)) for s in s_list]
     return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
 
@@ -337,6 +347,8 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
     of ``pair_loops(g.images)``: a base pair entered at its row slot adds m_k,
     one entered at its column slot adds m_k transposed, and x links them.
     """
+    import numpy as np
+
     if g.size != 2 * len(ms):
         raise ValueError("pattern size must be twice the number of matrices")
     x = _real_rows(x, None, "x")
@@ -353,7 +365,7 @@ def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.nda
             m = ms[(s - 1) // 2]
             word = word @ x
             word = word @ (m if s % 2 else m.T)
-        total *= np.trace(word @ x)
+        total *= (word @ x).trace()
     return total
 
 
@@ -363,6 +375,8 @@ def mixed_trace_moment(
     """E[T_g(W^{+-1}; m_1..m_n)] as a sum over the matching words m of the
     paired contractions of sigma^{+-1}, each weighted by the coset weight of
     the type of g^-1 m.  Degree 0 is the empty product, 1.0."""
+    import numpy as np
+
     n = len(ms)
     if n > MAX_MIXED_DEGREE:
         raise SizeLimitError(f"mixed trace moments support n <= {MAX_MIXED_DEGREE}")
@@ -399,6 +413,8 @@ def _power_sums(x: list[list[float]], n: int) -> dict[int, float]:
 
 def _ndarray_power_sums(x: np.ndarray, n: int) -> dict[int, float]:
     """tr(x^r), r = 1..n, by numpy products, for ``invariant_moment``."""
+    import numpy as np
+
     out, acc = {}, np.eye(len(x))
     for r in range(1, n + 1):
         acc = acc @ x
@@ -460,7 +476,7 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
 def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
     """Exact coefficients with E[(tr W^{+-1})^n] = sum c_rho p_rho(sigma^{+-1}):
     ``power_trace_coeffs`` at mu = (1^n)."""
-    n, shape = _as_int(n, "degree"), _as_fraction(shape, "shape")
+    n, shape = _as_int(n, "degree", 0), _as_fraction(shape, "shape")
     if n:  # the degree is checked before (1,) * n is built
         check_degree(n)
     return power_trace_coeffs((1,) * n, shape, inverse)
@@ -468,7 +484,7 @@ def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[P
 
 def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> float:
     """E[(tr W)^n] or E[(tr W^-1)^n]: ``power_trace_moment`` at mu = (1^n)."""
-    n = _as_int(n, "degree")
+    n = _as_int(n, "degree", 0)
     if n:  # the degree is checked before (1,) * n is built
         check_degree(n)
     return power_trace_moment(params, (1,) * n, inverse)
@@ -478,7 +494,7 @@ def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> 
 # its degree, and its moment E[f(W^{+-1})] at (params, argument, inverse).
 _KINDS = {
     "entries": (lambda k: MomentSpec(k).indices, lambda k: len(k) // 2, lambda p, k, inv: moment(p, MomentSpec(k, inv))),
-    "trace_power": (lambda n: _as_int(n, "power"), lambda n: n, trace_power_moment),
+    "trace_power": (lambda n: _as_int(n, "power", 0), lambda n: n, trace_power_moment),
     "power_trace": (check_partition, sum, power_trace_moment),
     "invariant": (check_partition, sum, invariant_moment),
 }

@@ -49,10 +49,10 @@ RAN = (
     f"print('modules ran:', [m for m in {DEFERRED!r} if type(sys.modules.get('wishmom.' + m)) is types.ModuleType], file=sys.stderr)"
 )
 # cli.main in a fresh process; the last two lines of stderr say whether numpy
-# ran and which deferred modules did
+# was imported and which deferred modules ran
 RUN_MAIN = (
     "import sys, wishmom.cli; code = wishmom.cli.main(sys.argv[1:]); "
-    f"print('numpy ran:', 'numpy._core' in sys.modules, file=sys.stderr); {RAN}; sys.exit(code)"
+    f"print('numpy ran:', 'numpy' in sys.modules, file=sys.stderr); {RAN}; sys.exit(code)"
 )
 TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
 # the deferred modules each command runs: wg and table none, error exits
@@ -139,12 +139,66 @@ def test_exact_cli_process_imports_no_dataclasses(tmp_path, argv):
     assert out.splitlines()[-1] == "[]"
 
 
-def test_library_import_runs_numpy():
-    code = "import sys, types, wishmom.wishart as w; print(type(w.np) is types.ModuleType, w.np is sys.modules['numpy'], 'numpy._core' in sys.modules)"
-    assert _fresh(code)[1] == "True True True\n"
+def test_numpy_is_imported_where_arrays_are_made():
+    # the exact modules bind no numpy, and a moment on sigma's rows makes no
+    # array; the first read of sigma's ndarray does, and so does montecarlo,
+    # which samples, on import
+    exact = (
+        "import sys, wishmom.wishart, wishmom.weingarten, wishmom.hafnian, wishmom.matchgroup, wishmom.symcomb\n"
+        "from wishmom.wishart import MomentSpec, WishartParams, moment\n"
+        "steps = ['numpy' in sys.modules]\n"
+        "params = WishartParams(d=2, beta=9, sigma=[[2.0, 0.3], [0.3, 1.5]])\n"
+        "moment(params, MomentSpec((1, 2, 2, 1)))\n"
+        "steps.append('numpy' in sys.modules)\n"
+        "params.sigma\n"
+        "print(*steps, 'numpy' in sys.modules)"
+    )
+    assert _fresh(exact)[1] == "False False True\n"
+    assert _fresh("import sys, wishmom.montecarlo; print('numpy' in sys.modules)")[1] == "True\n"
 
 
-# the first numpy read of a CLI process is a threaded estimate's
+FIRST_IMPORT_IN_THREADS = """
+import sys, threading
+import wishmom.wishart as w
+assert "numpy" not in sys.modules
+
+def run():
+    params = w.WishartParams(d=2, beta=6, sigma=[[2.0, 0.3], [0.3, 1.5]])
+    s = [[1.0, 0.2], [0.2, 0.5]]
+    return w.trace_product_moment(params, [s, s, s]), w.invariant_moment(params, (2, 1)), w.invariant_moment(params, (2, 1), True)
+
+start, out = threading.Barrier(4), [None] * 4
+
+def lane(i):
+    start.wait()
+    out[i] = run()
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=lane, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in threads)
+print(out == [run()] * 4, "numpy" in sys.modules)
+"""
+
+
+def test_a_first_numpy_import_on_four_threads_gives_the_one_thread_result():
+    # numpy is imported inside the functions that make arrays, so here four
+    # threads make the process's first numpy import at once; a plain import
+    # is safe on threads, where a lazy module's first read is not before
+    # Python 3.12
+    rc, out, err = _fresh(FIRST_IMPORT_IN_THREADS)
+    assert rc == 0, err
+    assert out == "True True\n"
+
+
+# a threaded estimate right after the CLI import
 FIRST_READ_IN_THREADS = {
     "estimate_haar": "estimate_haar([((1, 1), (1, 1))], 3, 2000, RngSpec(1), streams=2, threads={t})",
     "estimate": "estimate([EntryProduct((1, 2)), TracePower(2)], WishartParams(d=2, beta=6, sigma=[[2.0, 0.3], [0.3, 1.5]]), 2000, RngSpec(1), streams=2, threads={t})",
@@ -153,9 +207,10 @@ FIRST_READ_IN_THREADS = {
 
 @pytest.mark.parametrize("call", list(FIRST_READ_IN_THREADS))
 def test_threads_after_cli_import_give_the_one_thread_result(call):
-    # after the CLI import, montecarlo, wishart and _kernels run on their
-    # first read too, right before the threaded estimate; so does numpy, on
-    # the estimate's first draw
+    # after the CLI import, the package modules are lazy: montecarlo, and
+    # with it wishart, _kernels and numpy, run on the first read of
+    # montecarlo, right before the threaded estimate, whose lanes then build
+    # their generators from real modules
     def run(first_import, threads):
         rc, out, err = _fresh(
             f"import {first_import}\n"
@@ -289,6 +344,9 @@ def test_degree5_moments_and_degree6_usage_error(sigma_csv, capsys):
     assert main(["haar", "--i", ",".join("1" * 12), "--j", ",".join("1" * 12), "--N", "3"]) == 2
     assert main(["moment", "--power-trace", "3,3", "--beta", "9", "--sigma", sigma_csv]) == 2
     assert main(["moment", "--trace-power", "6", "--beta", "9", "--sigma", sigma_csv]) == 2
+    capsys.readouterr()
+    assert main(["moment", "--trace-power", "-1", "--beta", "9", "--sigma", sigma_csv]) == 2
+    assert capsys.readouterr().err == "error: power must be an integer >= 0, got -1\n"
 
 
 def _wg_output(argv, capsys):

@@ -408,6 +408,20 @@ def test_descriptors_read_their_integers_and_matrices():
             mc.TraceProduct([np.eye(2) + 1j * np.ones((2, 2))])
 
 
+def test_a_negative_trace_power_is_a_bad_argument_not_a_size_limit():
+    # construction refuses it before any order is read, the direct calls
+    # before the degree cap is checked
+    for call, match in (
+        (lambda: mc.TracePower(-1), "power must be an integer >= 0, got -1"),
+        (lambda: ws.MomentKind("trace_power", -1, True), "power must be an integer >= 0, got -1"),
+        (lambda: ws.trace_power_moment(P2, -1), "degree must be an integer >= 0, got -1"),
+        (lambda: ws.trace_power_coeffs(-1, 3), "degree must be an integer >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize(
     "bad, match",
     [
