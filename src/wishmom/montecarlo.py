@@ -22,9 +22,8 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
-from .matchgroup import matching_type_count
-from .symcomb import Partition, _as_int, _as_ints, partitions_of
-from .weingarten import _zonal_table, check_degree, check_dimension
+from .symcomb import Partition, _as_int, _as_ints
+from .weingarten import _contract, _zonal_coeffs, check_dimension
 from .wishart import DomainError, WishartParams, _real_rows
 
 if TYPE_CHECKING:
@@ -70,10 +69,12 @@ class SampleStats:
 
 def _pair(desc, field: str, kind: str) -> None:
     """Pair the descriptor ``desc`` with the exact half of its kind,
-    ``wishart.MomentKind``, and keep its argument ``field`` as that reads it."""
+    ``wishart.MomentKind``, keep its argument ``field`` as that reads it and
+    take its ``order``."""
     exact = wishart.MomentKind(kind, getattr(desc, field), desc.inverse)
     object.__setattr__(desc, "_exact", exact)
     object.__setattr__(desc, field, exact.arg)
+    object.__setattr__(desc, "order", exact.order)
 
 
 def _power_traces(mats: np.ndarray, top: int) -> dict[int, np.ndarray]:
@@ -99,10 +100,6 @@ class EntryProduct:
 
     def __post_init__(self):
         _pair(self, "indices", "entries")
-
-    @property
-    def order(self) -> int:
-        return self._exact.order
 
     @property
     def label(self) -> str:
@@ -131,10 +128,6 @@ class TracePower:
         _pair(self, "power", "trace_power")
 
     @property
-    def order(self) -> int:
-        return self._exact.order
-
-    @property
     def label(self) -> str:
         return f"tr({'Winv' if self.inverse else 'W'})^{self.power}"
 
@@ -154,10 +147,6 @@ class PowerTrace:
 
     def __post_init__(self):
         _pair(self, "mu", "power_trace")
-
-    @property
-    def order(self) -> int:
-        return self._exact.order
 
     @property
     def label(self) -> str:
@@ -185,10 +174,6 @@ class Invariant:
         _pair(self, "lam", "invariant")
 
     @property
-    def order(self) -> int:
-        return self._exact.order
-
-    @property
     def label(self) -> str:
         return f"Z_{self.lam}({'Winv' if self.inverse else 'W'})"
 
@@ -196,19 +181,12 @@ class Invariant:
         return self._exact.target(params)
 
     def values(self, mats: np.ndarray) -> np.ndarray:
-        # sum_rho M_rho omega^lam(rho) p_rho with float coefficients: the
-        # Fractions of ``zonal_eval`` would make object arrays
+        # the exact contraction of ``zonal_eval`` on float coefficients: a
+        # Fraction times an array would make an object array
         if not self.lam:
             return np.ones(mats.shape[0])
-        omega = _zonal_table(check_degree(self.order))[self.lam]
-        traces = _power_traces(mats, self.order)
-        out = np.zeros(mats.shape[0])
-        for rho in partitions_of(self.order):
-            term = float(matching_type_count(rho) * omega[rho])
-            for part in rho:
-                term = term * traces[part]
-            out += term
-        return out
+        coeffs = {rho: float(c) for rho, c in _zonal_coeffs(self.lam).items()}
+        return _contract(coeffs, _power_traces(mats, self.order))
 
 
 @dataclass(frozen=True)
@@ -219,10 +197,7 @@ class TraceProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "mats", tuple(np.array(_real_rows(m, None, "trace-product factor")) for m in self.mats))
-
-    @property
-    def order(self) -> int:
-        return len(self.mats)
+        object.__setattr__(self, "order", len(self.mats))
 
     @property
     def label(self) -> str:

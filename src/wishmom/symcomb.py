@@ -160,7 +160,7 @@ class Perm:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(images)
+        imgs = _as_ints(images, "permutation image")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a bijection of 1..{len(imgs)}: {imgs}")
         object.__setattr__(self, "images", imgs)

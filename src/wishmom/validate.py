@@ -17,7 +17,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from . import hafnian, montecarlo, wishart
-from .matchgroup import double_coset_size, matching_type_count
+from .matchgroup import double_coset_size
 from .symcomb import content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
     biinvariant_convolve,
@@ -27,6 +27,7 @@ from .weingarten import (
     pole_shapes,
     weingarten,
     weingarten_values,
+    zonal_eval,
     zonal_spherical,
 )
 from .wishart import MomentSpec, WishartParams
@@ -348,8 +349,7 @@ def identities_suite(n_max: int = 4, seed: int = 0) -> list[dict]:
         for z2 in (_pole_free_z(rnd, n), _pole_free_z(rnd, n)):
             ok = True
             for lam in partitions_of(n):
-                s = sum(matching_type_count(r) * zonal_spherical(lam, r) * z2 ** len(r) for r in partitions_of(n))
-                ok &= s == content_product(lam, z2)
+                ok &= zonal_eval(lam, dict.fromkeys(range(1, n + 1), z2)) == content_product(lam, z2)
             for rho in partitions_of(n):
                 s = Fraction(2**n * factorial(n), factorial(2 * n)) * sum(
                     hook_dim_doubled(l) * zonal_spherical(l, rho) * content_product(l, z2)

@@ -373,34 +373,50 @@ def biinvariant_convolve(
     return {rho: sum((w * f1[t1] * f2[t2] for t1, t2, w in rows), Fraction(0)) for rho, rows in kernel.items()}
 
 
+def _contract(coeffs: Mapping[Partition, object], pvals: Mapping[int, object]):
+    """sum_rho c_rho p_rho1 p_rho2 ..., each term multiplied left to right from
+    c_rho and added to a total that starts at 0: exact on Fractions, float on
+    floats, and elementwise on numpy arrays of power sums."""
+    total = 0
+    for rho, c in coeffs.items():
+        term = c
+        for part in rho:
+            term = term * pvals[part]
+        total = total + term
+    return total
+
+
+def _zonal_coeffs(lam: Partition) -> dict[Partition, Fraction]:
+    """{rho: M_rho omega^lam(rho)}, in ``partitions_of`` order, for the checked
+    partition lam of weight 1..MAX_ZONAL_DEGREE: Z_lam = sum_rho of that times p_rho."""
+    n = check_degree(sum(lam))
+    omega = _zonal_table(n)[lam]
+    return {rho: matching_type_count(rho) * omega[rho] for rho in partitions_of(n)}
+
+
 def zonal_eval(lam: Partition, pvals: Mapping[int, object]):
     """Zonal polynomial of shape lam evaluated at given power sums.
 
-    pvals maps r -> value of the r-th power sum for r = 1..n; the result is
-    the sum over rho of M_rho * omega(lam, rho) * prod pvals, M_rho the
-    number of matchings of coset type rho (``matching_type_count``).
-    Each value is a number and not a bool, as ``hafnian`` reads matrix
-    entries; exact when the inputs are exact.
+    pvals is a mapping r -> value of the r-th power sum for r = 1..n, each a
+    number and not a bool, as ``hafnian`` reads matrix entries; the result,
+    exact when the inputs are, is ``_contract`` of ``_zonal_coeffs``: the sum
+    over rho of M_rho * omega(lam, rho) * prod pvals, M_rho the number of
+    matchings of coset type rho (``matching_type_count``).
     """
     lam = check_partition(lam) if lam else ()
     n = sum(lam)
     if n == 0:
         return Fraction(1)
     check_degree(n)
+    if not isinstance(pvals, Mapping):
+        raise ValueError(f"power sums must be a mapping r -> value, got {type(pvals).__name__}")
     missing = [r for r in range(1, n + 1) if r not in pvals]
     if missing:
         raise ValueError(f"missing power-sum values for r={missing}")
     for r in range(1, n + 1):
         if not isinstance(pvals[r], Number) or isinstance(pvals[r], bool):
             raise ValueError(f"power-sum value for r={r} must be a number, got {pvals[r]!r}")
-    omega = _zonal_table(n)[lam]
-    total = 0
-    for rho in partitions_of(n):
-        term = matching_type_count(rho) * omega[rho]
-        for part in rho:
-            term = term * pvals[part]
-        total = total + term
-    return total
+    return _contract(_zonal_coeffs(lam), pvals)
 
 
 def fraction_json(f: Fraction) -> dict:

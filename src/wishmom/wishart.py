@@ -21,10 +21,12 @@ factor per loop or cycle, which needs no coset types.
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum
 behind that store (Weingarten values, power-trace coefficients).  Only
-the contractions against the user-supplied sigma happen in floating point,
-and for the entrywise, power-trace and trace-power moments they run on
-Python floats: ``WishartParams`` reads sigma into rows, checks it with a
-Python Cholesky factorisation and takes sigma^-1 from that factor, and the
+the contractions against the user-supplied sigma happen in floating point
+(``weingarten._contract`` of the power-trace, trace-power and invariant
+coefficients against the power sums tr(x^r)), and for the entrywise,
+power-trace and trace-power moments they run on Python floats:
+``WishartParams`` reads sigma into rows, checks it with a Python Cholesky
+factorisation and takes sigma^-1 from that factor, and the
 power sums tr(x^r) are Python matrix products (d is at most 8 or so, where
 loading numpy costs more than the arithmetic), as is the density.
 Sampling and the invariant, mixed and product trace moments stay on numpy,
@@ -39,7 +41,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import exp, isfinite, lgamma, log, pi, prod, sqrt
+from math import exp, isfinite, lgamma, log, pi, sqrt
 from numbers import Real
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -57,12 +59,13 @@ from .matchgroup import (
 from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition
 from .weingarten import (
     DomainError,
+    _contract,
     _point_cache,
     _point_eigenvalue,
     _point_table,
+    _zonal_coeffs,
     check_degree,
     check_dimension,
-    zonal_eval,
 )
 
 if TYPE_CHECKING:
@@ -422,12 +425,6 @@ def _ndarray_power_sums(x: np.ndarray, n: int) -> dict[int, float]:
     return out
 
 
-def _contract(coeffs: dict[Partition, Fraction], x: list[list[float]], n: int) -> float:
-    """sum_rho c_rho p_rho(x), from the power sums tr(x^r), r <= n."""
-    psums = _power_sums(x, n)
-    return sum(float(c) * prod(psums[part] for part in rho) for rho, c in coeffs.items())
-
-
 def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = False) -> float:
     """E[Z_lam(W^{+-1})] = e_lam Z_lam(sigma^{+-1}), the eigenvalue e_lam
     = C_lam(2 beta) / 2^n, or (-1)^n 2^n / C_lam(-2 gamma), read by
@@ -445,7 +442,7 @@ def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = Fals
     n = check_degree(sum(lam))
     _, shape = _side(params, n, inverse)
     e = _point_eigenvalue(lam, "gamma" if inverse else "beta", shape)
-    return e * zonal_eval(lam, _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
+    return e * _contract(_zonal_coeffs(lam), _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
 
 
 def power_trace_coeffs(mu: Partition, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:
@@ -470,7 +467,7 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
         return 1.0
     n = check_degree(sum(mu))
     x, shape = _side(params, n, inverse)
-    return _contract(power_trace_coeffs(mu, shape, inverse), x, n)
+    return _contract(power_trace_coeffs(mu, shape, inverse), _power_sums(x, n))
 
 
 def trace_power_coeffs(n: int, shape: Fraction, inverse: bool = False) -> dict[Partition, Fraction]:

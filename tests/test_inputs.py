@@ -15,7 +15,7 @@ its rational), and a bool has none.
 
 Not fuzzed, as they take none of the three kinds: flags (``inverse``,
 ``transposed``), choices (``method``, ``variant``), objects the library builds
-(``Perm``, ``SampleStats``, tables of values {rho: value}, JSON text), and the
+(``SampleStats``, tables of values {rho: value}, JSON text), and the
 (lam, a, b) terms of ``zonal_sum``.  The matrices of ``hafnian`` are matrices
 over any ring of numbers, complex and IEEE ones included, read by
 ``hafnian._square``, and the power sums of ``zonal_eval`` are numbers of any
@@ -39,6 +39,7 @@ from wishmom import hafnian as hf
 from wishmom import montecarlo as mc
 from wishmom import weingarten as wg
 from wishmom import wishart as ws
+from wishmom.matchgroup import coset_type
 from wishmom.symcomb import Perm
 
 
@@ -420,6 +421,22 @@ def test_a_negative_trace_power_is_a_bad_argument_not_a_size_limit():
         with pytest.raises(ValueError, match=match) as info:
             call()
         assert type(info.value) is ValueError
+
+
+def test_permutation_images_are_read_as_integers():
+    # images were kept as given: 2.0 passed the bijection check and raised
+    # TypeError at the first list index, True passed as 1, and numpy ints
+    # came back out of cycles()
+    g = Perm((2.0, 1.0))
+    assert g.images == (2, 1) and all(type(v) is int for v in g.images)
+    assert g.inverse() == Perm((2, 1))
+    assert coset_type(Perm((2.0, 1.0, 4.0, 3.0))) == coset_type(Perm((2, 1, 4, 3)))
+    assert ws.mixed_trace_moment(P2, g, [np.eye(2)]) == ws.mixed_trace_moment(P2, Perm((2, 1)), [np.eye(2)])
+    cycles = Perm(np.array([2, 1])).cycles()
+    assert cycles == [(1, 2)] and all(type(v) is int for c in cycles for v in c)
+    for bad in ((True, 2), (1.5, 1), (2, 1 + 0j), ("2", "1"), (None, 1)):
+        with pytest.raises(ValueError, match="permutation image must be an integer"):
+            Perm(bad)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,24 @@ def test_invariant_values_are_the_zonal_polynomial(params):
         psums = [{r: np.trace(np.linalg.matrix_power(w, r)) for r in range(1, sum(lam) + 1)} for w in mats]
         assert Invariant(lam).values(mats) == pytest.approx([float(zonal_eval(lam, p)) for p in psums], rel=1e-12)
     assert (Invariant((2, 1), inverse=True).label, Invariant((2, 1)).order) == ("Z_(2, 1)(Winv)", 3)
+
+
+def test_replace_re_pairs_a_descriptor_with_its_order():
+    # order is set where the descriptor is paired with its exact half, so a
+    # dataclasses.replace, which runs __post_init__ again, reads the new argument
+    cases = [
+        (EntryProduct((1, 2)), {"indices": (1, 1, 2, 2)}, 2),
+        (TracePower(1), {"power": 3}, 3),
+        (PowerTrace((2,)), {"mu": [2, 1, 1]}, 4),
+        (Invariant((1,), inverse=True), {"lam": (3, 2)}, 5),
+        (TraceProduct([np.eye(2)]), {"mats": [np.eye(2)] * 3}, 3),
+    ]
+    for desc, change, order in cases:
+        new = replace(desc, **change)
+        assert new.order == order and desc.order != order
+    assert replace(PowerTrace((2,)), mu=[2, 1, 1]).mu == (2, 1, 1)
+    with pytest.raises(ValueError):
+        replace(TracePower(1), power=-1)
 
 
 def test_sampler_paths_agree_in_distribution():

@@ -654,6 +654,15 @@ def test_zonal_eval_power_sums_are_numbers():
     assert zonal_eval((2,), {1: 1j, 2: Fraction(1, 2)}) == 0
 
 
+def test_zonal_eval_power_sums_are_a_mapping():
+    # a list passed the membership test r in pvals and was read by position:
+    # zonal_eval((1,), [1, 5]) gave 5
+    for bad in ([1, 5], (1, 5), np.array([1.0, 5.0]), "15"):
+        with pytest.raises(ValueError, match="power sums must be a mapping"):
+            zonal_eval((1,), bad)
+    assert zonal_eval((), [1, 5]) == 1  # the empty shape reads no power sum
+
+
 # the file of the table at n = 2, z = 5, as every earlier release wrote it
 TABLE_N2_Z5 = (
     '{\n  "n": 2,\n  "z": {\n    "num": "5",\n    "den": "1"\n  },\n  "entries": [\n    {\n      "rho": [\n'
