@@ -2,12 +2,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wishmom import matchgroup
 from wishmom.matchgroup import (
     MAX_SUM_DEGREE,
     SizeLimitError,
@@ -16,7 +17,6 @@ from wishmom.matchgroup import (
     cycle_type_sums,
     double_coset_size,
     hyperoctahedral,
-    is_hyperoctahedral,
     iter_matchings_with_type,
     kappa,
     label_matchings,
@@ -27,7 +27,7 @@ from wishmom.matchgroup import (
     pair_loops,
     paired_perm,
 )
-from wishmom.symcomb import Perm, centralizer_order, cycle_type, partitions_of
+from wishmom.symcomb import Perm, centralizer_order, cycle_type, multiplicities, partitions_of
 
 from oracles import (
     coset_type_union_find,
@@ -180,7 +180,7 @@ def test_hyperoctahedral_matches_coset_type_filter():
     # independent characterization: H_n is exactly the identity coset type class
     brute = {g for g in all_perms(4) if coset_type(g) == (1, 1)}
     assert set(hyperoctahedral(2)) == brute
-    assert all(is_hyperoctahedral(g) for g in hyperoctahedral(3))
+    assert all(coset_type(g) == (1, 1, 1) for g in hyperoctahedral(3))
 
 
 def test_double_coset_sizes_n2():
@@ -345,3 +345,59 @@ def test_cycle_type_sums_count_each_conjugacy_class(n):
     one = np.ones((1, 1), dtype=object)
     sums = cycle_type_sums(n, lambda i, j: one, lambda X: X[0, 0])
     assert sums == {rho: factorial(n) // centralizer_order(rho) for rho in partitions_of(n)}
+
+
+@pytest.mark.parametrize("n", range(MAX_SUM_DEGREE + 1))
+def test_split_stage_lists_every_set_partition_once(n):
+    # unit blocks count the splits: the Bell number B_n in all, and
+    # n! / (prod rho_i! prod_k m_k(rho)!) set partitions of each type rho
+    bell = [1]
+    for m in range(n):
+        bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
+    unit = [1] * (1 << n)
+    total = matchgroup._partition_sums(n, unit, 1)
+    assert type(total) is int and total == bell[n]
+    per_type = {
+        rho: factorial(n) // (prod(map(factorial, rho)) * prod(map(factorial, multiplicities(rho).values())))
+        for rho in partitions_of(n)
+    }
+    assert matchgroup._partition_sums(n, unit) == per_type
+
+
+def _float_sums(n):
+    rnd = random.Random(n)
+    x = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            x[i][j] = x[j][i] = rnd.uniform(-1, 1)
+    labels = [rnd.randrange(3) for _ in range(2 * n)]
+    edges = [[np.array([[rnd.uniform(-1, 1)]]) for _ in range(n)] for _ in range(n)]
+    return repr((
+        matching_type_sums(labels, x),
+        matching_type_sums(labels, x, 0.7),
+        cycle_type_sums(n, lambda i, j: edges[i][j], np.trace),
+        cycle_type_sums(n, lambda i, j: edges[i][j], np.trace, 0.7),
+    ))
+
+
+def test_dp_structure_cache_holds_structure_only():
+    # the results of a degree do not depend on which degrees ran before it:
+    # the same bits and dict order whether its structure was cold or warm
+    structure = matchgroup._dp_structure
+    order = [7, 3, MAX_SUM_DEGREE, 3]
+    structure.cache_clear()
+    forward = [_float_sums(n) for n in order]
+    structure.cache_clear()
+    backward = [_float_sums(n) for n in reversed(order)]
+    assert forward == backward[::-1]
+    for n in range(MAX_SUM_DEGREE + 1):
+        matching_type_sums([0] * (2 * n), [[1]])
+        cycle_type_sums(n, lambda i, j: np.ones((1, 1)), np.trace)
+    held = structure.cache_info().currsize
+    assert held <= MAX_SUM_DEGREE
+    over = MAX_SUM_DEGREE + 1
+    with pytest.raises(SizeLimitError):
+        matching_type_sums([0] * (2 * over), [[1]])
+    with pytest.raises(SizeLimitError):
+        cycle_type_sums(over, lambda i, j: np.ones((1, 1)), np.trace)
+    assert structure.cache_info().currsize == held
