@@ -21,10 +21,13 @@ from typing import Iterator, Sequence
 
 from .symcomb import Partition, Perm, centralizer_order, check_partition, partitions_of
 
-MAX_HYPEROCT_DEGREE = 5
 # the most pairs (matching sums, alpha-hafnians) or points (permutation sums)
-# an exact sum may take; its subset DPs hold 2^n tables and take O(3^n) splits
+# an exact sum may take; its subset DPs hold 2^n tables and take O(3^n) splits.
+# ``weingarten.check_degree`` holds every route that lists nothing to it too.
 MAX_SUM_DEGREE = 10
+# the most pairs of a route that lists words: the (2n-1)!! matchings, 945 at
+# n = 5 and 654,729,075 at n = 10, or the 2^n n! elements of H_n
+MAX_LISTED_DEGREE = 5
 
 
 class SizeLimitError(ValueError):
@@ -44,6 +47,14 @@ def matching_count(n: int) -> int:
     for k in range(2 * n - 1, 0, -2):
         out *= k
     return out
+
+
+def check_listed_degree(n: int) -> None:
+    """SizeLimitError unless 1 <= n <= MAX_LISTED_DEGREE, for the routes that
+    list the words of n pairs (``label_matchings``, ``hyperoctahedral``);
+    checked before any word is listed."""
+    if not 1 <= n <= MAX_LISTED_DEGREE:
+        raise SizeLimitError(f"routes that list words support 1 <= n <= {MAX_LISTED_DEGREE}, got {n}")
 
 
 def label_matchings(labels: Sequence) -> Iterator[tuple[int, ...]]:
@@ -311,8 +322,7 @@ def hyperoctahedral(n: int) -> tuple[Perm, ...]:
     """All 2^n n! elements of H_n inside S_{2n}, in sorted one-line order: a
     permutation pi of the base pairs, sending pair k to pair pi(k), with the
     two slots crossed wherever the flip bit f_k is set."""
-    if not 1 <= n <= MAX_HYPEROCT_DEGREE:
-        raise SizeLimitError(f"hyperoctahedral enumeration supports 1 <= n <= {MAX_HYPEROCT_DEGREE}, got {n}")
+    check_listed_degree(n)
     elements = (
         Perm(v for k, f in zip(pi, flips) for v in (2 * k + 1 + f, 2 * k + 2 - f))
         for pi in permutations(range(n))

@@ -17,11 +17,10 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from . import hafnian, montecarlo, wishart
-from .matchgroup import double_coset_size
-from .symcomb import content_product, hook_dim_doubled, partitions_of
+from .matchgroup import check_listed_degree, double_coset_size
+from .symcomb import _as_int, content_product, hook_dim_doubled, partitions_of
 from .weingarten import (
     biinvariant_convolve,
-    check_degree,
     hecke_unit,
     inv_wishart_weingarten,
     pole_shapes,
@@ -313,8 +312,10 @@ def golden_suite(seed: int = 0) -> list[dict]:
 def identities_suite(n_max: int = 4, seed: int = 0) -> list[dict]:
     """Exact identities of the convolution algebra at degrees 1..n_max (the
     full-group kernel at n <= 3, the reduced one above), then hafnian checks.
-    SizeLimitError unless 1 <= n_max <= MAX_ZONAL_DEGREE."""
-    n_max = check_degree(n_max)
+    The reduced kernel lists matching words, so n_max is held to
+    ``check_listed_degree`` before any degree runs."""
+    n_max = _as_int(n_max, "degree")
+    check_listed_degree(n_max)
     rnd = random.Random(seed)
     out: list[dict] = []
 

@@ -49,8 +49,11 @@ from typing import Mapping
 
 from . import __version__
 from .matchgroup import (
+    MAX_SUM_DEGREE,
     SizeLimitError,
     _loop_type,
+    check_listed_degree,
+    check_sum_degree,
     coset_representative,
     label_matchings,
     matching_count,
@@ -67,7 +70,6 @@ from .symcomb import (
     partitions_of,
 )
 
-MAX_ZONAL_DEGREE = 5
 TABLE_SCHEMA = 1
 # points whose tables ``_point_cache`` keeps, the least recently read dropped first
 POINT_TABLES = 1024
@@ -91,10 +93,13 @@ class PoleError(ValueError):
 
 def check_degree(n) -> int:
     """n as an int: ValueError unless it is an integer (``symcomb._as_int``),
-    SizeLimitError unless 1 <= n <= MAX_ZONAL_DEGREE, the degrees the tables cover."""
+    SizeLimitError unless 1 <= n and, with ``matchgroup.check_sum_degree``'s
+    message, n <= MAX_SUM_DEGREE.  The degree check of every route that lists
+    nothing: the tables, the zonal functions and every moment read from them."""
     k = _as_int(n, "degree")
-    if not 1 <= k <= MAX_ZONAL_DEGREE:
-        raise SizeLimitError(f"zonal machinery supports 1 <= n <= {MAX_ZONAL_DEGREE}, got {k}")
+    if k < 1:
+        raise SizeLimitError(f"degree must be at least 1, got {k}")
+    check_sum_degree(k)
     return k
 
 
@@ -140,8 +145,8 @@ zonal_spherical.cache_clear = _zonal_table.cache_clear
 
 def pole_shapes(n: int, z) -> tuple[Partition, ...]:
     """Shapes of weight n whose content product vanishes at the rational z, the
-    terms of ``_point_terms`` with b = 0; SizeLimitError past the tables'
-    degrees (``check_degree``), none at n = 0."""
+    terms of ``_point_terms`` with b = 0; SizeLimitError past
+    MAX_SUM_DEGREE (``check_degree``), none at n = 0."""
     z = _as_fraction(z, "z")
     n = _as_int(n, "degree", 0)
     if not n:
@@ -319,7 +324,7 @@ def weingarten_values(n: int, *, z=None, gamma=None, N=None) -> dict[Partition, 
 
 def hecke_unit(n: int) -> dict[Partition, Fraction]:
     """Unit of the convolution algebra: (2^n n!)^-1 on H_n, zero elsewhere;
-    SizeLimitError past the tables' degrees (``check_degree``), {(): 1} at n = 0."""
+    SizeLimitError past MAX_SUM_DEGREE (``check_degree``), {(): 1} at n = 0."""
     n = _as_int(n, "degree", 0)
     if n:
         check_degree(n)
@@ -361,12 +366,13 @@ def biinvariant_convolve(
 ) -> dict[Partition, Fraction]:
     """Convolution (f1 * f2)(g) = sum over g' of f1(g g'^-1) f2(g') of two
     functions on S_{2n} invariant under H_n on both sides, each given as its
-    table {rho: value} over exactly the coset types ``partitions_of(n)``."""
+    table {rho: value} over exactly the coset types ``partitions_of(n)``; the
+    kernel lists matching words, so n is held to ``check_listed_degree``."""
     # (1^n) is the longest type; as p(n) >= n, no table with fewer keys needs partitions_of(n)
     n = max(map(len, f1), default=0)
     if n > len(f1) or set(f1) != set(partitions_of(n)) or set(f2) != set(f1):
         raise ValueError("f1 and f2 must each cover exactly the partitions of one n")
-    check_degree(n)
+    check_listed_degree(n)
     if method not in ("reduced", "full"):
         raise ValueError("method must be 'reduced' or 'full'")
     kernel = _convolution_kernel(n, method == "full")
@@ -388,7 +394,7 @@ def _contract(coeffs: Mapping[Partition, object], pvals: Mapping[int, object]):
 
 def _zonal_coeffs(lam: Partition) -> dict[Partition, Fraction]:
     """{rho: M_rho omega^lam(rho)}, in ``partitions_of`` order, for the checked
-    partition lam of weight 1..MAX_ZONAL_DEGREE: Z_lam = sum_rho of that times p_rho."""
+    partition lam of weight 1..MAX_SUM_DEGREE: Z_lam = sum_rho of that times p_rho."""
     n = check_degree(sum(lam))
     omega = _zonal_table(n)[lam]
     return {rho: matching_type_count(rho) * omega[rho] for rho in partitions_of(n)}
@@ -479,7 +485,7 @@ def load_table(cache_dir: str | Path, n: int, z) -> dict[Partition, Fraction] | 
     callers rebuild it.  The generator and version of its provenance are not read."""
     n, z = _as_int(n, "degree"), _as_fraction(z, "z")
     # weingarten_values makes no table outside the supported degrees
-    if not 1 <= n <= MAX_ZONAL_DEGREE:
+    if not 1 <= n <= MAX_SUM_DEGREE:
         return None
     try:
         doc = json.loads(table_path(cache_dir, n, z).read_text())

@@ -47,8 +47,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .matchgroup import (
-    SizeLimitError,
     _loop_type,
+    check_listed_degree,
     cycle_type_sums,
     label_matchings,
     matching_type_count,
@@ -71,7 +71,6 @@ from .weingarten import (
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_MIXED_DEGREE = 5
 SYMMETRY_TOL = 1e-12
 
 
@@ -168,6 +167,8 @@ def _inverse_from_factor(factor: list[list[float]]) -> list[list[float]]:
 
 class WishartParams:
     """Dimension, shape and scale of one Wishart law; sigma must be symmetric PD.
+    An immutable value, so that nothing read from it, ``gamma`` or the inverse
+    side included, goes stale.
 
     sigma is read once, into ``sigma_rows``, symmetrised Python floats, and a
     Python Cholesky factorisation of those rows is the positive-definiteness
@@ -179,14 +180,24 @@ class WishartParams:
     """
 
     def __init__(self, d: int, beta: Fraction, sigma):
-        self.d = _as_int(d, "d", 1)
-        self.beta = _as_fraction(beta, "beta")
-        self.sigma_rows = _real_rows(sigma, self.d, "sigma", symmetric=True)
-        self._factor = _cholesky(self.sigma_rows)
-        if self._factor is None:
+        d, beta = _as_int(d, "d", 1), _as_fraction(beta, "beta")
+        rows = _real_rows(sigma, d, "sigma", symmetric=True)
+        factor = _cholesky(rows)
+        if factor is None:
             raise DomainError("sigma is not positive definite")
-        if not admissible_beta(self.beta, self.d):
-            raise DomainError(f"beta={self.beta} not admissible for d={self.d}")
+        if not admissible_beta(beta, d):
+            raise DomainError(f"beta={beta} not admissible for d={d}")
+        fields = {"d": d, "beta": beta, "gamma": beta - Fraction(d + 1, 2), "sigma_rows": rows, "_factor": factor}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r}: a WishartParams is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return WishartParams, (self.d, self.beta, self.sigma_rows)
 
     def __eq__(self, other):
         if not isinstance(other, WishartParams):
@@ -195,10 +206,6 @@ class WishartParams:
 
     def __repr__(self) -> str:
         return f"WishartParams(d={self.d}, beta={self.beta!r}, sigma={self.sigma_rows!r})"
-
-    @property
-    def gamma(self) -> Fraction:
-        return self.beta - Fraction(self.d + 1, 2)
 
     @cached_property
     def sigma_inv_rows(self) -> list[list[float]]:
@@ -381,8 +388,8 @@ def mixed_trace_moment(
     import numpy as np
 
     n = len(ms)
-    if n > MAX_MIXED_DEGREE:
-        raise SizeLimitError(f"mixed trace moments support n <= {MAX_MIXED_DEGREE}")
+    if n:  # the sum lists the matching words
+        check_listed_degree(n)
     if g.size != 2 * n:
         raise ValueError("pattern size must be twice the number of matrices")
     if n == 0:
@@ -574,7 +581,7 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     n = k // 2
     if n == 0:
         return Fraction(1)
-    check_degree(n)
+    check_listed_degree(n)  # the column matchings are listed
     rows = set(i_idx)
     delta = {a: {b: int(a == b) for b in rows} for a in rows}
     # the n pairing equal column indices, grouped by the row labels they give

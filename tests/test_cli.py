@@ -312,7 +312,7 @@ def test_wg_far_past_the_cap_exits_without_enumerating(point, monkeypatch, capsy
         if name.startswith("wishmom") and getattr(module, "partitions_of", None) is listed:
             monkeypatch.setattr(module, "partitions_of", no_large_partitions)
     assert main(["wg", "--n", "200", *point]) == 2
-    assert "1 <= n <= 5, got 200" in capsys.readouterr().err
+    assert "degree <= 10 (pairs or points), got 200" in capsys.readouterr().err
 
 
 def test_moment_invariant_far_past_the_cap_exits_without_enumerating(sigma_csv, monkeypatch, capsys):
@@ -331,19 +331,25 @@ def test_moment_invariant_far_past_the_cap_exits_without_enumerating(sigma_csv, 
     for kind in ("--invariant", "--power-trace"):
         for side in ([], ["--inverse"]):
             assert main(["moment", kind, "200", "--beta", "3", "--sigma", sigma_csv, *side]) == 2
-            assert "1 <= n <= 5, got 200" in capsys.readouterr().err
+            assert "degree <= 10 (pairs or points), got 200" in capsys.readouterr().err
     assert main(["moment", "--trace-power", "200", "--beta", "3", "--sigma", sigma_csv]) == 2
 
 
 def test_degree5_moments_and_degree6_usage_error(sigma_csv, capsys):
+    # haar lists the column matchings and stops at degree 5; the moments list
+    # nothing and stop at degree 10
     assert main(["haar", "--i", ",".join("1" * 10), "--j", ",".join("1" * 10), "--N", "3"]) == 0
     assert "value: 1/11" in capsys.readouterr().out
     assert main(["moment", "--inverse", "--power-trace", "3,2", "--beta", "9", "--sigma", sigma_csv]) == 0
     assert main(["moment", "--trace-power", "5", "--beta", "9", "--sigma", sigma_csv]) == 0
     capsys.readouterr()
     assert main(["haar", "--i", ",".join("1" * 12), "--j", ",".join("1" * 12), "--N", "3"]) == 2
-    assert main(["moment", "--power-trace", "3,3", "--beta", "9", "--sigma", sigma_csv]) == 2
-    assert main(["moment", "--trace-power", "6", "--beta", "9", "--sigma", sigma_csv]) == 2
+    assert capsys.readouterr().err == "error: routes that list words support 1 <= n <= 5, got 6\n"
+    assert main(["moment", "--inverse", "--power-trace", "6,4", "--beta", "25/2", "--sigma", sigma_csv]) == 0
+    assert main(["moment", "--trace-power", "10", "--beta", "9", "--sigma", sigma_csv]) == 0
+    capsys.readouterr()
+    assert main(["moment", "--power-trace", "6,5", "--beta", "9", "--sigma", sigma_csv]) == 2
+    assert main(["moment", "--trace-power", "11", "--beta", "9", "--sigma", sigma_csv]) == 2
     capsys.readouterr()
     assert main(["moment", "--trace-power", "-1", "--beta", "9", "--sigma", sigma_csv]) == 2
     assert capsys.readouterr().err == "error: power must be an integer >= 0, got -1\n"
@@ -644,7 +650,8 @@ def test_validate_identities_rejects_degrees_outside_the_tables(capsys, n):
     assert main(["validate", "identities", "--n", n]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: zonal machinery supports 1 <= n <= 5, got {n}\n"
+    # the reduced convolution kernel lists matching words, so --n has the listing limit
+    assert captured.err == f"error: routes that list words support 1 <= n <= 5, got {n}\n"
 
 
 def test_validate_montecarlo_small(capsys):

@@ -147,7 +147,7 @@ def test_weingarten_values_checks_its_arguments():
     for point in ({}, {"z": 3, "gamma": 3}, {"z": 3, "N": 3}, {"gamma": 3, "N": 3}):
         with pytest.raises(ValueError, match="exactly one"):
             weingarten_values(2, **point)
-    for n in (0, 6, 200, -1):
+    for n in (0, 11, 200, -1):
         with pytest.raises(SizeLimitError):
             weingarten_values(n, z=3)
     with pytest.raises(ValueError, match="N must be a positive integer"):
@@ -157,9 +157,11 @@ def test_weingarten_values_checks_its_arguments():
 def test_pole_shapes_and_check_degree_are_public():
     assert pole_shapes(2, Fraction(1)) == ((1, 1),)
     assert pole_shapes(3, Fraction(1, 2)) == ()
-    check_degree(5)
-    with pytest.raises(ValueError):
-        check_degree(6)
+    assert check_degree(10) == 10
+    with pytest.raises(SizeLimitError, match="^exact sums support degree <= 10 \\(pairs or points\\), got 11$"):
+        check_degree(11)
+    with pytest.raises(SizeLimitError, match="^degree must be at least 1, got 0$"):
+        check_degree(0)
     assert not hasattr(wg_module, "_pole_shapes") and not hasattr(wg_module, "_check_degree")
 
 
@@ -176,15 +178,15 @@ def test_non_integral_or_nonpositive_N_raises(N):
 def test_every_entry_point_checks_the_degree_before_the_point():
     for point in ("abc", None, float("nan")):
         for call in (
-            lambda: weingarten((6,), point),
-            lambda: inv_wishart_weingarten((6,), point),
-            lambda: weingarten_truncated((6,), point),
-            lambda: weingarten_values(6, gamma=point if point is not None else "abc"),
+            lambda: weingarten((11,), point),
+            lambda: inv_wishart_weingarten((11,), point),
+            lambda: weingarten_truncated((11,), point),
+            lambda: weingarten_values(11, gamma=point if point is not None else "abc"),
         ):
             with pytest.raises(SizeLimitError):
                 call()
     # inside the degree range a bad point keeps its own error
-    for n in range(1, 6):
+    for n in range(1, 11):
         rho = partitions_of(n)[0]
         for call in (weingarten, inv_wishart_weingarten):
             for bad in ("abc", None):

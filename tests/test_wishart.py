@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.special import multigammaln
 from wishmom import montecarlo, weingarten, wishart
 from wishmom.hafnian import alpha_permanent, hafnian_expand, hafnian_matching, hafnian_permsum, permanent_embedding
 from wishmom.matchgroup import (
+    MAX_LISTED_DEGREE,
     MAX_SUM_DEGREE,
     SizeLimitError,
     coset_type,
@@ -24,9 +26,9 @@ from wishmom.matchgroup import (
     matching_type_count,
     matching_type_sums,
 )
-from wishmom.symcomb import Perm, partitions_of
-from wishmom.validate import REL_TOL, entrywise_power_trace
-from wishmom.weingarten import MAX_ZONAL_DEGREE, PoleError, inv_wishart_weingarten, zonal_eval, zonal_spherical
+from wishmom.symcomb import Perm, content_product, partitions_of
+from wishmom.validate import REL_TOL, entrywise_power_trace, identities_suite
+from wishmom.weingarten import PoleError, inv_wishart_weingarten, zonal_eval, zonal_spherical
 from wishmom.wishart import (
     _log_multigamma,
     DomainError,
@@ -228,11 +230,14 @@ def test_d1_forward_entries_and_trace_products_are_gamma_moments(n, beta):
     assert got == pytest.approx(float(prod(factors) * want), rel=REL_TOL)
 
 
-@pytest.mark.parametrize("beta", [Fraction(15, 2), Fraction(9)])
+# gamma = beta - 1 > n - 1 at every n <= MAX_SUM_DEGREE, and neither point is a
+# pole there: the contents c of a shape of weight 10 satisfy -9 <= c <= 18
+@pytest.mark.parametrize("beta", [Fraction(25, 2), Fraction(12)])
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-@pytest.mark.parametrize("n", range(1, MAX_ZONAL_DEGREE + 1))
+@pytest.mark.parametrize("n", range(1, MAX_SUM_DEGREE + 1))
 def test_d1_moment_kinds_are_gamma_moments(n, inverse, beta):
     params = _d1_params(beta)
+    assert gamma_regime(params.gamma, n) == "standard"
     want = _gamma_moment(beta, n, inverse)
     assert moment(params, MomentSpec((1,) * (2 * n), inverse)) == pytest.approx(float(want), rel=REL_TOL)
     assert trace_power_moment(params, n, inverse) == pytest.approx(float(want), rel=REL_TOL)
@@ -243,7 +248,7 @@ def test_d1_moment_kinds_are_gamma_moments(n, inverse, beta):
         z_one = zonal_eval(part, dict.fromkeys(range(1, n + 1), 1))
         size = sum(matching_type_count(rho) * abs(zonal_spherical(part, rho)) for rho in partitions_of(n))
         got = invariant_moment(params, part, inverse)
-        assert got == pytest.approx(float(z_one * want), rel=REL_TOL, abs=REL_TOL * float(size * want))
+        assert got == pytest.approx(float(z_one * want), rel=REL_TOL, abs=REL_TOL * float(size * abs(want)))
 
 
 def _exact_entrywise(params, indices, inverse):
@@ -299,6 +304,58 @@ def test_forward_moment_matches_exact_evaluation_up_to_the_cap(n):
         assert abs(moment(p, MomentSpec(idx)) - want) <= 1e-13 * abs(want), (d, idx)
 
 
+@pytest.mark.parametrize("n", [7, 8, MAX_SUM_DEGREE])
+def test_inverse_moment_matches_exact_evaluation_up_to_the_cap(n):
+    # the float Weingarten weights of the per-type sums against the same sums
+    # in Fractions on the same float sigma^-1; beta = n + d + k/3 keeps
+    # gamma > n - 1, so no shape is a pole
+    rng = np.random.default_rng(90 + n)
+    for d in (2, 3, 4):
+        beta = n + d + Fraction(int(rng.integers(1, 9)), 3)
+        p = WishartParams(d=d, beta=beta, sigma=rand_pd(rng, d))
+        assert gamma_regime(p.gamma, n) == "standard"
+        idx = tuple(int(k) for k in rng.integers(1, d + 1, size=2 * n))
+        want = _exact_entrywise(p, idx, True)
+        assert abs(moment(p, MomentSpec(idx, inverse=True)) - want) <= 1e-13 * abs(want), (d, idx)
+
+
+def _exact_power_sums(rows, n):
+    """tr(x^r), r = 1..n, in Fractions of the float entries of x."""
+    x = [[Fraction(v) for v in row] for row in rows]
+    out, power = {}, x
+    for r in range(1, n + 1):
+        out[r] = sum(power[i][i] for i in range(len(x)))
+        power = [[sum(map(mul, row, col)) for col in zip(*x)] for row in power]
+    return out
+
+
+@pytest.mark.parametrize("n", [7, 8, MAX_SUM_DEGREE])
+def test_power_traces_and_invariants_match_exact_evaluation_up_to_the_cap(n):
+    # the float contractions against the same exact coefficients on the exact
+    # power sums of the same float sigma^{+-1}, in the standard regime
+    rng = np.random.default_rng(110 + n)
+    rnd = random.Random(n)
+    for d in (2, 3, 4):
+        p = WishartParams(d=d, beta=n + d + Fraction(int(rng.integers(1, 9)), 3), sigma=rand_pd(rng, d))
+        for inverse in (False, True):
+            shape = p.gamma if inverse else p.beta
+            ps = _exact_power_sums(p.sigma_inv_rows if inverse else p.sigma_rows, n)
+            for mu in rnd.sample(partitions_of(n), 3):
+                coeffs = power_trace_coeffs(mu, shape, inverse)
+                want = sum(c * prod(ps[r] for r in rho) for rho, c in coeffs.items())
+                assert abs(power_trace_moment(p, mu, inverse) - want) <= 1e-13 * abs(want), (d, mu, inverse)
+            # Z_lam(x) is a signed sum whose terms can exceed it by far (6800-fold
+            # at lam = (3, 3, 3), d = 3, n = 9), so bound the error by their size
+            for lam in rnd.sample([lam for lam in partitions_of(n) if len(lam) <= d], 2):
+                if inverse:
+                    e = (-1) ** n * 2**n / content_product(lam, -2 * shape)
+                else:
+                    e = content_product(lam, 2 * shape) / 2**n
+                terms = [c * prod(ps[r] for r in rho) for rho, c in weingarten._zonal_coeffs(lam).items()]
+                got = invariant_moment(p, lam, inverse)
+                assert abs(got - e * sum(terms)) <= 1e-15 * abs(e) * sum(map(abs, terms)), (d, lam, inverse)
+
+
 def test_inverse_moment_is_the_per_type_weingarten_sum_bit_for_bit():
     # the inverse side keeps the per-type sums, contracted in partition order
     rng = np.random.default_rng(41)
@@ -329,13 +386,18 @@ def test_moment_of_inverse_spec_is_inverse_moment():
 @pytest.mark.parametrize("n", [6, 11])
 def test_entrywise_error_classes(n):
     idx = (1, 2) * n
-    # gamma = beta - 2: -1/2 and 0 are not positive, 7/3 is
+    # gamma = beta - 2: -1/2 and 0 are not positive, 7/3 is, and runs in the
+    # analytic continuation up to MAX_SUM_DEGREE
     for beta, inverse, cls in (
         (Fraction(3, 2), True, DomainError),
         (2, True, DomainError),
-        (Fraction(13, 3), True, SizeLimitError),
+        (Fraction(13, 3), True, SizeLimitError if n > MAX_SUM_DEGREE else None),
     ):
         p = WishartParams(d=3, beta=beta, sigma=np.eye(3))
+        if cls is None:
+            assert gamma_regime(p.gamma, n) == "analytic-continuation"
+            assert np.isfinite(moment(p, MomentSpec(idx, inverse=inverse)))
+            continue
         with pytest.raises(cls) as info:
             moment(p, MomentSpec(idx, inverse=inverse))
         assert type(info.value) is cls
@@ -640,7 +702,7 @@ def test_mixed_trace_equals_termwise_oracle(n, inverse):
 
 
 def test_mixed_trace_degree_cap(params3):
-    with pytest.raises(SizeLimitError, match="mixed trace moments support n <= 5"):
+    with pytest.raises(SizeLimitError, match="^routes that list words support 1 <= n <= 5, got 6$"):
         mixed_trace_moment(params3, Perm.identity(12), [np.eye(3)] * 6)
 
 
@@ -918,6 +980,47 @@ def test_moment_spec_is_an_immutable_value():
         MomentSpec((1, 2, 3))
 
 
+def test_wishart_params_is_an_immutable_value():
+    p = WishartParams(d=2, beta=3, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    forward, inverse = (moment(p, MomentSpec((1, 1), inv)) for inv in (False, True))
+    for name, value in (
+        ("sigma_rows", [[1.0, 0.0], [0.0, 1.0]]),
+        ("beta", Fraction(1, 10)),
+        ("d", 3),
+        ("gamma", Fraction(9)),
+        ("sigma_inv_rows", [[1.0, 0.0], [0.0, 1.0]]),
+        ("other", 1),
+    ):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    # a sigma that reached the forward side but not the cached sigma^-1 was a
+    # silently wrong inverse moment: now neither side can change
+    assert moment(p, MomentSpec((1, 1))) == forward == 6.0
+    assert moment(p, MomentSpec((1, 1), True)) == inverse
+    assert p.beta == 3 and p.sigma_rows == [[2.0, 0.3], [0.3, 1.5]]
+    fresh = WishartParams(d=2, beta=3, sigma=p.sigma_rows)
+    assert p == fresh and repr(p) == repr(fresh) == "WishartParams(d=2, beta=Fraction(3, 1), sigma=[[2.0, 0.3], [0.3, 1.5]])"
+    assert p != WishartParams(d=2, beta=4, sigma=p.sigma_rows) and p.__eq__((2, 3)) is NotImplemented
+
+
+def test_wishart_params_pickles_and_computes_gamma_once():
+    p = WishartParams(d=3, beta=Fraction(17, 3), sigma=np.array(CANCELLING_SIGMA)[:3, :3])
+    assert p.gamma == Fraction(11, 3) and type(p.gamma) is Fraction
+    # gamma is stored once, not rebuilt on each read
+    assert p.gamma is p.gamma and "gamma" in vars(p)
+    # cached reads are not part of the value
+    assert p.sigma_inv_rows and p.chol.shape == (3, 3)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and repr(q) == repr(p) and q.gamma == p.gamma
+        assert q.sigma_inv_rows == p.sigma_inv_rows and np.array_equal(q.chol, p.chol)
+        spec = MomentSpec((1, 2, 3, 1), True)
+        assert moment(q, spec) == moment(p, spec)
+        with pytest.raises(AttributeError):
+            q.beta = 4
+
+
 def test_non_integral_indices_raise():
     with pytest.raises(ValueError, match="row index must be an integer in 1..2"):
         haar_moment((1.5, 1), (1, 1), 2)
@@ -1026,6 +1129,36 @@ def test_every_exact_sum_refuses_past_the_one_limit(route, n, monkeypatch):
     assert str(info.value) == f"exact sums support degree <= {MAX_SUM_DEGREE} (pairs or points), got {n}"
 
 
+LISTED_ROUTES = {
+    "haar_moment": lambda n: haar_moment((1,) * (2 * n), (1,) * (2 * n), 3),
+    "biinvariant_convolve": lambda n: weingarten.biinvariant_convolve(*[dict.fromkeys(partitions_of(n), Fraction(1))] * 2),
+    "identities_suite": lambda n: identities_suite(n),
+    "mixed_trace_moment": lambda n: mixed_trace_moment(
+        WishartParams(d=2, beta=9, sigma=np.eye(2)), Perm.identity(2 * n), [np.eye(2)] * n
+    ),
+    "hyperoctahedral": hyperoctahedral,
+}
+
+
+@pytest.mark.parametrize("n", [MAX_LISTED_DEGREE + 1, MAX_SUM_DEGREE - 1])
+@pytest.mark.parametrize("route", LISTED_ROUTES.values(), ids=LISTED_ROUTES.keys())
+def test_every_listing_route_refuses_past_the_one_listing_limit(route, n, monkeypatch):
+    # one message from matchgroup, raised before any word is listed: at n = 6
+    # every index of haar_moment equal gives 10,395 column matchings, at n = 9
+    # the reduced kernel would list 34,459,425 words
+    def refuse(labels):
+        raise AssertionError(f"label_matchings listed {len(labels)} labels")
+
+    for module in (wishart, weingarten):
+        monkeypatch.setattr(module, "label_matchings", refuse)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        route(n)
+    assert time.perf_counter() - start < 0.5
+    assert type(info.value) is SizeLimitError
+    assert str(info.value) == f"routes that list words support 1 <= n <= {MAX_LISTED_DEGREE}, got {n}"
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_coefficients_far_past_the_cap_raise_without_enumerating(inverse, monkeypatch):
     _refuse_large_partitions(monkeypatch)
@@ -1055,7 +1188,7 @@ def test_tables_far_past_the_cap_raise_without_listing_partitions(monkeypatch):
             call(200)
         assert time.perf_counter() - start < 0.5
         with pytest.raises(SizeLimitError):
-            call(weingarten.MAX_ZONAL_DEGREE + 1)
+            call(MAX_SUM_DEGREE + 1)
     assert weingarten.hecke_unit(0) == {(): 1}
     assert weingarten.pole_shapes(0, 3) == ()
     assert montecarlo.Invariant(()).values(mats).tolist() == [1.0] * 3
@@ -1119,12 +1252,15 @@ def test_haar_moment_degree5_single_entry_power():
         assert haar_moment((1,) * 10, (1,) * 10, N) == want
 
 
-def test_degree6_past_the_tables_raises(params2_gamma_above_4):
+def test_each_route_raises_one_past_its_limit(params2_gamma_above_4):
+    # power traces list nothing and stop past MAX_SUM_DEGREE; haar_moment lists
+    # the column matchings and stops past MAX_LISTED_DEGREE
     p = params2_gamma_above_4
+    over = MAX_SUM_DEGREE + 1
     for inverse in (False, True):
-        with pytest.raises(SizeLimitError):
-            power_trace_moment(p, (3, 3), inverse)
-        with pytest.raises(SizeLimitError):
-            trace_power_moment(p, 6, inverse)
-    with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=f"degree <= {MAX_SUM_DEGREE} "):
+            power_trace_moment(p, (6, over - 6), inverse)
+        with pytest.raises(SizeLimitError, match=f"degree <= {MAX_SUM_DEGREE} "):
+            trace_power_moment(p, over, inverse)
+    with pytest.raises(SizeLimitError, match=f"1 <= n <= {MAX_LISTED_DEGREE}, got 6"):
         haar_moment((1,) * 12, (1,) * 12, 3)
