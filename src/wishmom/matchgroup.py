@@ -6,15 +6,20 @@ m(1) < m(3) < ... < m(2n-1); this word is the one matching format.
 the matching's coset representative in S_{2n}.  The image pairs
 {g(2k-1), g(2k)} of g in S_{2n} and the base pairs {2k-1, 2k} together form a
 graph in which every slot has one edge of each kind, so it splits into loops.
-``pair_loops`` is the one walk over those loops; the coset type of g is the
-partition of n formed by the number of base pairs in each loop, and the trace
-words of ``wishart.paired_contraction`` follow the same walk.
+``pair_loops`` is the walk over those loops that the trace words of
+``wishart.paired_contraction`` follow.  The coset type of g is the partition
+of n formed by the number of base pairs in each loop; ``_pairing_type``
+reads it, and the loop type of any two pairings, off their partner arrays.
+Relabelled by g, the type of g^-1 m is the loop type of m's pairs against
+g's image pairs, so ``_word_table`` keeps each degree's matching words with
+their partner arrays and loops, and the routes that list words build no
+relabelled word per matching.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Sequence
@@ -90,10 +95,7 @@ def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
     lists the slot through which it enters each base pair, in walk order, so
     len(slots) is the number of base pairs on the loop.
     """
-    partner = [0] * (len(pairing) + 1)
-    for a, b in zip(pairing[::2], pairing[1::2]):
-        partner[a] = b
-        partner[b] = a
+    partner = _partners(pairing)
     seen = [False] * (len(pairing) // 2 + 1)
     for k0 in range(1, len(seen)):
         if seen[k0]:
@@ -108,8 +110,59 @@ def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
         yield k0, slots
 
 
+def _partners(pairing: Sequence[int]) -> list[int]:
+    """The partner array of the pairs {pairing[2k-2], pairing[2k-1]}: entry s
+    is the slot paired with slot s (entry 0 unused)."""
+    partner = [0] * (len(pairing) + 1)
+    for a, b in zip(pairing[::2], pairing[1::2]):
+        partner[a] = b
+        partner[b] = a
+    return partner
+
+
+def _pairing_type(a: Sequence[int], b: Sequence[int]) -> Partition:
+    """The loop type of two pairings of the slots 1..2n given as partner
+    arrays: the pairs of a per loop of the graph whose edges are the pairs of
+    a and of b, sorted descending.  Each step of the walk takes one pair of a
+    and then one of b."""
+    seen = [False] * len(a)
+    sizes = []
+    for start in range(1, len(a)):
+        if seen[start]:
+            continue
+        size = 0
+        s = start
+        while True:
+            t = a[s]
+            seen[s] = seen[t] = True
+            size += 1
+            s = b[t]
+            if s == start:
+                break
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
+
+
 def _loop_type(pairing: Sequence[int]) -> Partition:
-    return tuple(sorted((len(slots) for _, slots in pair_loops(pairing)), reverse=True))
+    """The coset type of a one-line word: its pairs against the base pairs."""
+    return _pairing_type(_partners(pairing), _partners(range(1, len(pairing) + 1)))
+
+
+@lru_cache(maxsize=MAX_LISTED_DEGREE)
+def _word_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], Partition, tuple[tuple[int, ...], ...]], ...]:
+    """Every ``label_matchings((0,) * 2n)`` word, in that order, as (word,
+    partner array, coset type, loops), the loops those of ``pair_loops(word)``
+    as their entry slots (the first is 2 k0 - 1).  These depend on n alone, so
+    they are built once per degree and process; the check comes first, so
+    the cache holds at most MAX_LISTED_DEGREE degrees (945 words at n = 5)."""
+    check_listed_degree(n)
+    base = _partners(range(1, 2 * n + 1))
+    table = []
+    for word in label_matchings((0,) * (2 * n)):
+        partner = _partners(word)
+        loops = tuple(tuple(slots) for _, slots in pair_loops(word))
+        table.append((word, tuple(partner), _pairing_type(partner, base), loops))
+    return tuple(table)
 
 
 @cache

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations
@@ -52,10 +53,12 @@ from .matchgroup import (
     MAX_SUM_DEGREE,
     SizeLimitError,
     _loop_type,
+    _pairing_type,
+    _partners,
+    _word_table,
     check_listed_degree,
     check_sum_degree,
     coset_representative,
-    label_matchings,
     matching_count,
     matching_type_count,
 )
@@ -339,25 +342,28 @@ def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Parti
     g' = h^-1 in sum_g' f1(g_rho g'^-1) f2(g'), a coset type being invariant
     under inversion.
 
-    The reduced kernel runs over the (2n-1)!! matching words with weight
-    |H_n|, one per left coset h H_n; the full kernel runs over every word of
-    S_{2n} with weight 1 and is kept only as a small-degree oracle.
+    The reduced kernel runs over the (2n-1)!! matching words of
+    ``_word_table`` with weight |H_n|, one per left coset h H_n, and reads
+    type(g_rho h) as the loop type of h's pairs against g_rho^-1's image
+    pairs.  The full kernel runs over every word of S_{2n} with weight 1,
+    typing each relabelled word g_rho h, and is kept only as a small-degree
+    oracle.
     """
     if full:
         if n > 3:
             raise SizeLimitError("full-group convolution supports n <= 3")
-        words, weight = permutations(range(1, 2 * n + 1)), 1
+        typed, weight = [(h, _loop_type(h)) for h in permutations(range(1, 2 * n + 1))], 1
     else:
-        words, weight = label_matchings((0,) * (2 * n)), 2**n * factorial(n)
-    typed = [(h, _loop_type(h)) for h in words]
+        table, weight = _word_table(n), 2**n * factorial(n)
     out = {}
     for rho in partitions_of(n):
-        g = coset_representative(rho).images
-        hist: dict[tuple[Partition, Partition], int] = {}
-        for h, t2 in typed:
-            key = (_loop_type([g[s - 1] for s in h]), t2)
-            hist[key] = hist.get(key, 0) + weight
-        out[rho] = tuple((t1, t2, w) for (t1, t2), w in sorted(hist.items()))
+        g = coset_representative(rho)
+        if full:
+            keys = ((_loop_type([g.images[s - 1] for s in h]), t2) for h, t2 in typed)
+        else:
+            g_pairs = _partners(g.inverse().images)
+            keys = ((_pairing_type(partner, g_pairs), t2) for _, partner, t2, _ in table)
+        out[rho] = tuple((t1, t2, w * weight) for (t1, t2), w in sorted(Counter(keys).items()))
     return out
 
 

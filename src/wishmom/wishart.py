@@ -47,7 +47,9 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .matchgroup import (
-    _loop_type,
+    _pairing_type,
+    _partners,
+    _word_table,
     check_listed_degree,
     cycle_type_sums,
     label_matchings,
@@ -172,11 +174,12 @@ class WishartParams:
 
     sigma is read once, into ``sigma_rows``, symmetrised Python floats, and a
     Python Cholesky factorisation of those rows is the positive-definiteness
-    check; its factor gives ``sigma_inv_rows``.  The entrywise, power-trace
-    and trace-power moments and ``log_density`` read these rows.
-    ``sigma``, ``sigma_inv`` and ``chol`` are ndarrays built on their first
-    read, for the readers that stay on numpy (sampling,
-    ``invariant_moment``, ``mixed_trace_moment``, ``trace_product_moment``).
+    check; its factor gives ``sigma_inv_rows``.  Both are tuples of tuples.
+    The entrywise, power-trace and trace-power moments and ``log_density``
+    read these rows.  ``sigma``, ``sigma_inv`` and ``chol`` are read-only
+    ndarrays built on their first read, for the readers that stay on numpy
+    (sampling, ``invariant_moment``, ``mixed_trace_moment``,
+    ``trace_product_moment``).
     """
 
     def __init__(self, d: int, beta: Fraction, sigma):
@@ -187,7 +190,8 @@ class WishartParams:
             raise DomainError("sigma is not positive definite")
         if not admissible_beta(beta, d):
             raise DomainError(f"beta={beta} not admissible for d={d}")
-        fields = {"d": d, "beta": beta, "gamma": beta - Fraction(d + 1, 2), "sigma_rows": rows, "_factor": factor}
+        gamma = beta - Fraction(d + 1, 2)
+        fields = {"d": d, "beta": beta, "gamma": gamma, "sigma_rows": _frozen(rows), "_factor": factor}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -205,23 +209,19 @@ class WishartParams:
         return (self.d, self.beta, self.sigma_rows) == (other.d, other.beta, other.sigma_rows)
 
     def __repr__(self) -> str:
-        return f"WishartParams(d={self.d}, beta={self.beta!r}, sigma={self.sigma_rows!r})"
+        return f"WishartParams(d={self.d}, beta={self.beta!r}, sigma={[list(row) for row in self.sigma_rows]!r})"
 
     @cached_property
-    def sigma_inv_rows(self) -> list[list[float]]:
-        return _inverse_from_factor(self._factor)
+    def sigma_inv_rows(self) -> tuple[tuple[float, ...], ...]:
+        return _frozen(_inverse_from_factor(self._factor))
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.sigma_rows)
+        return _read_only(self.sigma_rows)
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.sigma_inv_rows)
+        return _read_only(self.sigma_inv_rows)
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -233,9 +233,22 @@ class WishartParams:
         import numpy as np
 
         try:
-            return np.linalg.cholesky(self.sigma)
+            return _read_only(np.linalg.cholesky(self.sigma))
         except np.linalg.LinAlgError as exc:
             raise DomainError("sigma is not positive definite") from exc
+
+
+def _frozen(rows: list[list[float]]) -> tuple[tuple[float, ...], ...]:
+    return tuple(map(tuple, rows))
+
+
+def _read_only(a) -> np.ndarray:
+    """a as a new ndarray that refuses writes."""
+    import numpy as np
+
+    out = np.array(a)
+    out.flags.writeable = False
+    return out
 
 
 class MomentSpec:
@@ -363,18 +376,28 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
         raise ValueError("pattern size must be twice the number of matrices")
     x = _real_rows(x, None, "x")
     mats = [np.array(_real_rows(m, len(x), "factor")) for m in ms]
-    return _loop_contraction(g.images, np.array(x), mats)
+    loops = [slots for _, slots in pair_loops(g.images)]
+    return _loop_contraction(loops, np.array(x), _slot_factors(mats))
 
 
-def _loop_contraction(pairing: Sequence[int], x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
-    """``paired_contraction`` on a one-line word of length 2 len(ms)."""
+def _slot_factors(ms: Sequence[np.ndarray]) -> list:
+    """Entry s (from 1) is the factor a loop adds on entering base pair
+    (s + 1) // 2 at slot s: m_k at its row slot 2k-1, m_k.T at 2k."""
+    factors = [None]
+    for m in ms:
+        factors += (m, m.T)
+    return factors
+
+
+def _loop_contraction(loops: Sequence[Sequence[int]], x: np.ndarray, factors: Sequence[np.ndarray]) -> float:
+    """The product, left to right from 1.0, of tr(f_1 x f_2 x ... f_L x) over
+    the loops, each given by its entry slots s_1..s_L, f_i = factors[s_i]."""
     total = 1.0
-    for k0, slots in pair_loops(pairing):
-        word = ms[k0 - 1]
+    for slots in loops:
+        word = factors[slots[0]]
         for s in slots[1:]:
-            m = ms[(s - 1) // 2]
             word = word @ x
-            word = word @ (m if s % 2 else m.T)
+            word = word @ factors[s]
         total *= (word @ x).trace()
     return total
 
@@ -384,7 +407,9 @@ def mixed_trace_moment(
 ) -> float:
     """E[T_g(W^{+-1}; m_1..m_n)] as a sum over the matching words m of the
     paired contractions of sigma^{+-1}, each weighted by the coset weight of
-    the type of g^-1 m.  Degree 0 is the empty product, 1.0."""
+    the type of g^-1 m, added in word order.  Relabelled by g, that type is
+    the loop type of m's pairs against g's image pairs, read off the partner
+    arrays of ``_word_table``.  Degree 0 is the empty product, 1.0."""
     import numpy as np
 
     n = len(ms)
@@ -394,15 +419,14 @@ def mixed_trace_moment(
         raise ValueError("pattern size must be twice the number of matrices")
     if n == 0:
         return 1.0
-    mats = [np.array(_real_rows(m, params.d, "factor")) for m in ms]
-    g_inv = g.inverse().images
+    factors = _slot_factors([np.array(_real_rows(m, params.d, "factor")) for m in ms])
+    g_pairs = _partners(g.images)
     _, shape = _side(params, n, inverse)
     x = params.sigma_inv if inverse else params.sigma
-    weights = _point_table(n, "gamma" if inverse else "beta", shape)
+    weights = {rho: float(w) for rho, w in _point_table(n, "gamma" if inverse else "beta", shape).items()}
     total = 0.0
-    for seq in label_matchings((0,) * (2 * n)):
-        rho = _loop_type([g_inv[s - 1] for s in seq])  # the type of g^-1 m
-        total += float(weights[rho]) * _loop_contraction(seq, x, mats)
+    for _, partner, _, loops in _word_table(n):
+        total += weights[_pairing_type(partner, g_pairs)] * _loop_contraction(loops, x, factors)
     return total
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from wishmom import matchgroup
 from wishmom.matchgroup import (
+    MAX_LISTED_DEGREE,
     MAX_SUM_DEGREE,
     SizeLimitError,
     coset_representative,
@@ -158,6 +159,48 @@ def test_pair_loops_worked_example():
     # enters pairs 1, 4 and 2 at slots 1, 7 and 4; pair 3 closes on itself
     assert list(pair_loops((1, 3, 2, 7, 4, 8, 5, 6))) == [(1, [1, 7, 4]), (3, [5])]
     assert list(pair_loops(())) == []
+
+
+def check_type_walk(g, table):
+    # relabelled by g, the type of g^-1 m is the loop type of m's pairs
+    # against g's image pairs {g(2k-1), g(2k)}
+    g_pairs = matchgroup._partners(g.images)
+    g_inv = g.inverse()
+    for word, partner, _, _ in table:
+        assert matchgroup._pairing_type(partner, g_pairs) == coset_type_union_find(g_inv * Perm(word))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type_walk_of_two_pairings_is_the_type_of_g_inverse_m_on_all_of_s2n(n):
+    table = matchgroup._word_table(n)
+    for g in all_perms(2 * n):
+        check_type_walk(g, table)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_type_walk_of_two_pairings_at_random_g(n):
+    rnd = random.Random(n)
+    for _ in range(3 if n == 5 else 20):
+        images = list(range(1, 2 * n + 1))
+        rnd.shuffle(images)
+        check_type_walk(Perm(images), matchgroup._word_table(n))
+
+
+def test_word_table_holds_each_listed_degree_in_label_matchings_order():
+    table = matchgroup._word_table
+    assert table.cache_info().maxsize == MAX_LISTED_DEGREE
+    for n in range(1, MAX_LISTED_DEGREE + 1):
+        rows = table(n)
+        assert [word for word, *_ in rows] == all_words(n)
+        for word, partner, rho, loops in rows:
+            assert [partner[s] for s in word] == [word[i ^ 1] for i in range(2 * n)]
+            assert loops == tuple(tuple(slots) for _, slots in pair_loops(word))
+            assert rho == coset_type_union_find(Perm(word))
+        assert table(n) is rows
+    for n in (0, MAX_LISTED_DEGREE + 1):
+        with pytest.raises(SizeLimitError, match="routes that list words"):
+            table(n)
+    assert table.cache_info().currsize <= MAX_LISTED_DEGREE
 
 
 def test_kappa_equals_type_length_for_matchings():

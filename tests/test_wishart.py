@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import multigammaln
 
-from wishmom import montecarlo, weingarten, wishart
+from wishmom import matchgroup, montecarlo, weingarten, wishart
 from wishmom.hafnian import alpha_permanent, hafnian_expand, hafnian_matching, hafnian_permsum, permanent_embedding
 from wishmom.matchgroup import (
     MAX_LISTED_DEGREE,
@@ -701,6 +701,21 @@ def test_mixed_trace_equals_termwise_oracle(n, inverse):
         assert mixed_trace_moment(params, g, ms, inverse) == want
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [4, 5])
+def test_mixed_trace_equals_termwise_oracle_in_the_continuation(n, d):
+    # pole-free gamma <= n - 1, where the inverse weights are the analytic continuation
+    rng = np.random.default_rng(10 * n + d)
+    for gamma in (Fraction(1, 3), Fraction(3, 2), Fraction(5, 2)):
+        assert gamma_regime(gamma, n) == "analytic-continuation"
+        params = WishartParams(d=d, beta=gamma + Fraction(d + 1, 2), sigma=rand_pd(rng, d))
+        g = Perm(rng.permutation(2 * n) + 1)
+        ms = [rng.normal(size=(d, d)) for _ in range(n)]
+        for inverse in (False, True):
+            want = mixed_trace_moment_termwise(params, g, ms, inverse)
+            assert mixed_trace_moment(params, g, ms, inverse) == want
+
+
 def test_mixed_trace_degree_cap(params3):
     with pytest.raises(SizeLimitError, match="^routes that list words support 1 <= n <= 5, got 6$"):
         mixed_trace_moment(params3, Perm.identity(12), [np.eye(3)] * 6)
@@ -999,10 +1014,35 @@ def test_wishart_params_is_an_immutable_value():
     # silently wrong inverse moment: now neither side can change
     assert moment(p, MomentSpec((1, 1))) == forward == 6.0
     assert moment(p, MomentSpec((1, 1), True)) == inverse
-    assert p.beta == 3 and p.sigma_rows == [[2.0, 0.3], [0.3, 1.5]]
+    assert p.beta == 3 and p.sigma_rows == ((2.0, 0.3), (0.3, 1.5))
     fresh = WishartParams(d=2, beta=3, sigma=p.sigma_rows)
     assert p == fresh and repr(p) == repr(fresh) == "WishartParams(d=2, beta=Fraction(3, 1), sigma=[[2.0, 0.3], [0.3, 1.5]])"
     assert p != WishartParams(d=2, beta=4, sigma=p.sigma_rows) and p.__eq__((2, 3)) is NotImplemented
+
+
+def test_wishart_params_contents_refuse_writes():
+    # a write into sigma_rows after an inverse moment once moved the forward
+    # side (E[W11] at beta = 3 from 6.0 to 3.0) and left a stale sigma^-1
+    p = WishartParams(d=2, beta=3, sigma=np.array([[2.0, 0.3], [0.3, 1.5]]))
+    forward, inverse = (moment(p, MomentSpec((1, 1), inv)) for inv in (False, True))
+    for rows in (p.sigma_rows, p.sigma_inv_rows):
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        with pytest.raises(TypeError):
+            rows[0][0] = 1.0
+        with pytest.raises(TypeError):
+            rows[0] = (1.0, 0.0)
+    for name in ("sigma", "sigma_inv", "chol"):
+        a = getattr(p, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+        assert getattr(p, name) is a
+    assert np.array_equal(p.sigma, [[2.0, 0.3], [0.3, 1.5]])
+    assert moment(p, MomentSpec((1, 1))) == forward == 6.0
+    assert moment(p, MomentSpec((1, 1), True)) == inverse
+    # the arrays are still ordinary inputs to numpy
+    assert np.array_equal(p.sigma @ p.sigma_inv, np.array(p.sigma) @ np.array(p.sigma_inv))
 
 
 def test_wishart_params_pickles_and_computes_gamma_once():
@@ -1149,7 +1189,7 @@ def test_every_listing_route_refuses_past_the_one_listing_limit(route, n, monkey
     def refuse(labels):
         raise AssertionError(f"label_matchings listed {len(labels)} labels")
 
-    for module in (wishart, weingarten):
+    for module in (wishart, matchgroup):
         monkeypatch.setattr(module, "label_matchings", refuse)
     start = time.perf_counter()
     with pytest.raises(SizeLimitError) as info:
