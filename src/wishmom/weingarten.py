@@ -354,7 +354,7 @@ def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Parti
             raise SizeLimitError("full-group convolution supports n <= 3")
         typed, weight = [(h, _loop_type(h)) for h in permutations(range(1, 2 * n + 1))], 1
     else:
-        table, weight = _word_table(n), 2**n * factorial(n)
+        table, weight = _word_table(n)[0], 2**n * factorial(n)
     out = {}
     for rho in partitions_of(n):
         g = coset_representative(rho)

@@ -14,9 +14,11 @@ C_lam(2 beta) / 2^n).  Every table, the coset weights of both sides, the
 power-trace coefficients at any mu over M_rho and the Haar weights, is read
 from ``weingarten._point_table``, the bounded store per point and mu, and
 one shape's eigenvalue from ``weingarten._point_eigenvalue``; ``_side``
-picks the matrix and the shape, so every moment below has one body for both
-sides.  Entrywise moments and trace products take the forward weight as a
-factor per loop or cycle, which needs no coset types.
+picks the matrix and the shape, and refuses gamma <= 0, so every moment
+below has one body for both sides.  Entrywise moments and trace products
+take the forward weight as a factor per loop or cycle, which needs no coset
+types.  ``mixed_trace_moment`` forms each distinct loop's trace word once
+per call, from the loop list of ``matchgroup._word_table``.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum
@@ -288,13 +290,15 @@ class MomentSpec:
         return len(self.indices) // 2
 
 
-def _side(params: WishartParams, n: int, inverse: bool) -> tuple[list[list[float]], Fraction]:
+def _side(params: WishartParams, inverse: bool) -> tuple[list[list[float]], Fraction]:
     """(sigma, beta) for moments of W; (sigma^-1, gamma) for moments of W^-1,
-    once ``gamma_regime`` has checked gamma > 0 at degree n; the matrix as
-    the rows of ``params``."""
+    DomainError unless gamma > 0; the matrix as the rows of ``params``.
+    Callers return degree 0 first, so at degree n >= 1 this is the test of
+    ``gamma_regime`` without its argument checks."""
     if inverse:
         gamma = params.gamma
-        gamma_regime(gamma, n)
+        if not gamma > 0:
+            raise DomainError(f"gamma={gamma} must be positive for inverse moments")
         return params.sigma_inv_rows, gamma
     return params.sigma_rows, params.beta
 
@@ -319,7 +323,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     if n == 0:
         return 1.0
     _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
-    x, shape = _side(params, n, spec.inverse)
+    x, shape = _side(params, spec.inverse)
     weights = _point_table(n, "gamma", shape) if spec.inverse else None
     labels = [k - 1 for k in spec.indices]
     if weights is None:
@@ -409,7 +413,16 @@ def mixed_trace_moment(
     paired contractions of sigma^{+-1}, each weighted by the coset weight of
     the type of g^-1 m, added in word order.  Relabelled by g, that type is
     the loop type of m's pairs against g's image pairs, read off the partner
-    arrays of ``_word_table``.  Degree 0 is the empty product, 1.0."""
+    arrays of ``_word_table``.
+
+    Each contraction is a product of loop traces, and the table lists the
+    degree's distinct loops parents first, so each loop's trace word is
+    formed once per call, from its parent's: word = (parent word @ x) @ f_s
+    (f_s alone with no parent), and the loop's value is (word @ x).trace().
+    These are the operations of ``_loop_contraction`` in its order, and each
+    word's loop values are multiplied left to right from 1.0, so every value
+    is the one a loop-by-loop contraction gives.  Degree 0 is the empty
+    product, 1.0."""
     import numpy as np
 
     n = len(ms)
@@ -421,12 +434,20 @@ def mixed_trace_moment(
         return 1.0
     factors = _slot_factors([np.array(_real_rows(m, params.d, "factor")) for m in ms])
     g_pairs = _partners(g.images)
-    _, shape = _side(params, n, inverse)
+    _, shape = _side(params, inverse)
     x = params.sigma_inv if inverse else params.sigma
     weights = {rho: float(w) for rho, w in _point_table(n, "gamma" if inverse else "beta", shape).items()}
+    words, loops = _word_table(n)
+    closed = []  # (loop word) @ x per loop
+    for parent, s in loops:
+        closed.append((factors[s] if parent < 0 else closed[parent] @ factors[s]) @ x)
+    traces = [c.trace() for c in closed]
     total = 0.0
-    for _, partner, _, loops in _word_table(n):
-        total += weights[_pairing_type(partner, g_pairs)] * _loop_contraction(loops, x, factors)
+    for _, partner, _, ids in words:
+        term = 1.0
+        for i in ids:
+            term *= traces[i]
+        total += weights[_pairing_type(partner, g_pairs)] * term
     return total
 
 
@@ -471,7 +492,7 @@ def invariant_moment(params: WishartParams, lam: Partition, inverse: bool = Fals
     if not lam:  # the empty shape, Z = 1, on either side, whatever gamma is
         return 1.0
     n = check_degree(sum(lam))
-    _, shape = _side(params, n, inverse)
+    _, shape = _side(params, inverse)
     e = _point_eigenvalue(lam, "gamma" if inverse else "beta", shape)
     return e * _contract(_zonal_coeffs(lam), _ndarray_power_sums(params.sigma_inv if inverse else params.sigma, n))
 
@@ -497,7 +518,7 @@ def power_trace_moment(params: WishartParams, mu: Partition, inverse: bool = Fal
     if not mu:  # the empty product, p_() = 1, on either side, whatever gamma is
         return 1.0
     n = check_degree(sum(mu))
-    x, shape = _side(params, n, inverse)
+    x, shape = _side(params, inverse)
     return _contract(power_trace_coeffs(mu, shape, inverse), _power_sums(x, n))
 
 

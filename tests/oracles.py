@@ -131,7 +131,7 @@ def mixed_trace_moment_termwise(params, g, ms, inverse=False):
     n = len(ms)
     mats = [np.asarray(m, dtype=float) for m in ms]
     g_inv = g.inverse()
-    x, shape = _side(params, n, inverse)
+    x, shape = _side(params, inverse)
     shapes = partitions_of(n)
     if inverse:
         weights = {rho: (-2) ** n * weingarten_sum_fractions(rho, -2 * shape, shapes) for rho in shapes}

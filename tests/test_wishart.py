@@ -144,6 +144,25 @@ def test_gamma_regime():
         gamma_regime(Fraction(-1), 1)
 
 
+@pytest.mark.parametrize("beta", [Fraction(3, 2), 2])
+def test_every_inverse_route_refuses_gamma_at_most_0_with_the_gamma_regime_message(beta):
+    # d = 3: gamma = beta - 2 is -1/2 or 0
+    p = WishartParams(d=3, beta=beta, sigma=np.eye(3))
+    with pytest.raises(DomainError) as want:
+        gamma_regime(p.gamma, 1)
+    calls = [
+        lambda: moment(p, MomentSpec((1, 2), inverse=True)),
+        lambda: invariant_moment(p, (1,), True),
+        lambda: power_trace_moment(p, (2, 1), True),
+        lambda: trace_power_moment(p, 2, True),
+        lambda: mixed_trace_moment(p, Perm((2, 1)), [np.eye(3)], True),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == str(want.value) == f"gamma={p.gamma} must be positive for inverse moments"
+
+
 def test_moment_degree1(params3):
     b = float(params3.beta)
     for i, j in product(range(1, 4), repeat=2):
