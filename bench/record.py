@@ -2,19 +2,21 @@
 and a head revision, written to one ``BENCH_<name>.json``.
 
     python3 bench/record.py --name mixed_loops --base HEAD~1 --head HEAD \\
-        --pairs exact-coefficients=10 --pairs cli=2 --seconds 20
+        --pairs exact-coefficients=10 --pairs cli=2
 
-Run from the root of a git checkout of wishmom.  Each revision is exported
-with ``git archive`` into ``.bench_tmp/<commit>`` (git-ignored); ``--head``
-may be omitted to measure the working tree itself.  For each workload, pair
-k runs ``perfbench/run.py --trace 0 --seed <seed + k>`` once per side, each
-from its own root, the base first in even pairs and the head first in odd
-ones.  The last line a run prints is its JSON report.  Every run is kept;
-per metric the file holds each side's median and quartiles, the head's
-change against the base median and the pairs the head won, ties counting
-for neither (better and bound are read from the base's ``BENCHMARK.json``).
-``PYTHONDONTWRITEBYTECODE`` is fixed for both sides (perfbench does not pin
-it) and recorded with the machine, the method and the commits.
+Run from the root of a git checkout of wishmom.  Both revisions are
+commits, each exported with ``git archive`` into ``.bench_tmp/<commit>``
+(git-ignored) and removed afterwards.  The base's ``BENCHMARK.json`` gives
+the run length, the workloads and the gates (each end-to-end metric's
+better direction and bound), which the file keeps.  For each workload,
+pair k runs ``perfbench/run.py --trace 0 --seed <seed + k>`` once per
+side, each from its own export, the base first in even pairs and the head
+first in odd ones.  The last line a run prints is its JSON report.  Every
+run is kept; per metric the file holds each side's median and quartiles,
+the head's change against the base median and the pairs the head won, ties
+counting for neither.  ``PYTHONDONTWRITEBYTECODE`` is fixed for both sides
+(perfbench does not pin it) and recorded with the machine, the run's argv
+template and the commits.
 
 Standard library only; it imports nothing from wishmom.
 """
@@ -44,31 +46,34 @@ def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def revision(root: Path, rev: str | None) -> dict:
-    """What a side measures: a commit (and its ``src`` tree, which names the
-    measured code whatever the commit message), or the working tree."""
-    if rev is None:
-        dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
-        return {"rev": "working tree", "commit": git(root, "rev-parse", "HEAD"), "dirty": dirty}
+def revision(root: Path, rev: str) -> dict:
+    """What a side measures: a commit, and its ``src`` tree, which names the
+    measured code whatever the commit message."""
     commit = git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
-    return {"rev": rev, "commit": commit, "src_tree": git(root, "rev-parse", f"{commit}:src"), "dirty": False}
+    return {"rev": rev, "commit": commit, "src_tree": git(root, "rev-parse", f"{commit}:src")}
 
 
-def export(root: Path, commit: str) -> Path:
-    """The files of ``commit`` under the git-ignored scratch directory."""
-    dest = root / SCRATCH / commit
+def export(root: Path, commit: str, dest: Path) -> None:
+    """The files of ``commit`` into ``dest``, emptied first."""
     if dest.is_dir():
         shutil.rmtree(dest)
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
-    return dest
+
+
+def command(seconds: float) -> list[str]:
+    """The argv of every run, with ``{workload}`` and ``{seed}`` left for
+    ``run_side`` to fill in."""
+    return [sys.executable, "perfbench/run.py", "--workload", "{workload}", "--seed", "{seed}",
+            "--seconds", str(seconds), "--trace", "0"]
 
 
 def parse_run(stdout: str) -> dict:
     """The report of one ``perfbench/run.py --trace 0`` run: its last line,
     a JSON object with ``metrics`` {name: {"value", "unit"}}, and the numpy
-    version from its ``env:`` line.  ValueError if that line is missing."""
+    version from its ``env:`` line.  ValueError if that line is missing or
+    lacks a field read here."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("perfbench printed nothing")
@@ -80,13 +85,16 @@ def parse_run(stdout: str) -> dict:
         raise ValueError("the JSON report has no metrics")
     env = next((line for line in lines if line.startswith("env: ")), "")
     fields = dict(item.split("=", 1) for item in env[5:].split() if "=" in item)
-    return {
-        "correct": bool(report["correct"]),
-        "attempted": int(report["attempted"]),
-        "failed": int(report["failed"]),
-        "metrics": {name: float(m["value"]) for name, m in report["metrics"].items()},
-        "numpy": fields.get("numpy"),
-    }
+    try:
+        return {
+            "correct": bool(report["correct"]),
+            "attempted": int(report["attempted"]),
+            "failed": int(report["failed"]),
+            "metrics": {name: float(m["value"]) for name, m in report["metrics"].items()},
+            "numpy": fields.get("numpy"),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"the JSON report lacks a field: {exc!r}") from exc
 
 
 def quartiles(values: list[float]) -> dict:
@@ -121,9 +129,8 @@ def summarise(runs: list[dict], gates: dict) -> dict:
     return out
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_side(root: Path, template: list[str], workload: str, seed: int, env: dict) -> dict:
+    cmd = [{"{workload}": workload, "{seed}": str(seed)}.get(arg, arg) for arg in template]
     start = time.monotonic()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     row = {"exit": proc.returncode, "wall_s": round(time.monotonic() - start, 3)}
@@ -157,9 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--name", required=True, help="the file written is BENCH_<name>.json at the root")
     ap.add_argument("--base", default="HEAD~1", help="base revision (default: the parent of HEAD)")
-    ap.add_argument("--head", default=None, help="head revision (default: the working tree)")
+    ap.add_argument("--head", default="HEAD", help="head revision (default: HEAD)")
     ap.add_argument("--pairs", action="append", default=[], help="WORKLOAD=K; repeat per workload")
-    ap.add_argument("--seconds", type=float, default=None, help="timed phase per run (default: BENCHMARK.json)")
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair k runs seed + k")
     args = ap.parse_args(argv)
 
@@ -168,28 +174,30 @@ def main(argv: list[str] | None = None) -> int:
         print("bench/record.py: run from the root of a wishmom git checkout", file=sys.stderr)
         return 2
     sides = {"base": revision(root, args.base), "head": revision(root, args.head)}
-    roots = {side: export(root, info["commit"]) if info["rev"] != "working tree" else root
-             for side, info in sides.items()}
-    spec = json.loads((roots["base"] / "BENCHMARK.json").read_text())
+    spec = json.loads(git(root, "show", f"{sides['base']['commit']}:BENCHMARK.json"))
     gates = {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     pairs = parse_pairs(args.pairs, workloads)
     if not pairs:
         print("bench/record.py: give at least one --pairs WORKLOAD=K", file=sys.stderr)
         return 2
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    template = command(spec["run_seconds"])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE=DONT_WRITE_BYTECODE)
 
+    roots: dict[str, Path] = {}
     rows = {}
     numpy = None
     try:
+        for side, info in sides.items():
+            roots[side] = root / SCRATCH / info["commit"]
+            export(root, info["commit"], roots[side])
         for workload, k in pairs.items():
             runs = []
             for pair in range(k):
                 seed = args.seed + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = dict(pair=pair, side=side, seed=seed, **run_side(roots[side], workload, seed, seconds, env))
+                    run = dict(pair=pair, side=side, seed=seed, **run_side(roots[side], template, workload, seed, env))
                     numpy = numpy or run.get("numpy")
                     runs.append(run)
                     value = (run.get("metrics") or {}).get("ops_per_s")
@@ -197,9 +205,8 @@ def main(argv: list[str] | None = None) -> int:
             operations = {side: [r.get("attempted") for r in runs if r["side"] == side] for side in SIDES}
             rows[workload] = {"pairs": k, "runs": runs, "operations": operations, "summary": summarise(runs, gates)}
     finally:
-        for side, path in roots.items():
-            if path != root:
-                shutil.rmtree(path, ignore_errors=True)
+        for path in roots.values():
+            shutil.rmtree(path, ignore_errors=True)
         try:
             (root / SCRATCH).rmdir()
         except OSError:
@@ -210,12 +217,13 @@ def main(argv: list[str] | None = None) -> int:
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "machine": dict(machine(), numpy=numpy),
         "method": {
-            "command": ["python3", "perfbench/run.py", "--trace", "0"],
-            "seconds": seconds,
+            "command": template,
+            "seconds": spec["run_seconds"],
             "seeds": {w: [args.seed + p for p in range(k)] for w, k in pairs.items()},
             "order": "alternating: base first in even pairs, head first in odd pairs",
             "PYTHONDONTWRITEBYTECODE": DONT_WRITE_BYTECODE,
         },
+        "gates": gates,
         "base": sides["base"],
         "head": sides["head"],
         "workloads": rows,

@@ -93,9 +93,15 @@ def gamma_regime(gamma: Fraction, n: int) -> str:
     gamma, n = _as_fraction(gamma, "gamma"), _as_int(n, "degree")
     if gamma > n - 1:
         return "standard"
-    if gamma > 0:
-        return "analytic-continuation"
-    raise DomainError(f"gamma={gamma} must be positive for inverse moments")
+    _require_positive_gamma(gamma)
+    return "analytic-continuation"
+
+
+def _require_positive_gamma(gamma: Fraction) -> None:
+    """The one refusal of moments of W^-1 at degree n >= 1: DomainError
+    unless gamma > 0."""
+    if not gamma > 0:
+        raise DomainError(f"gamma={gamma} must be positive for inverse moments")
 
 
 def _shape(m) -> tuple[int, ...]:
@@ -293,13 +299,11 @@ class MomentSpec:
 def _side(params: WishartParams, inverse: bool) -> tuple[list[list[float]], Fraction]:
     """(sigma, beta) for moments of W; (sigma^-1, gamma) for moments of W^-1,
     DomainError unless gamma > 0; the matrix as the rows of ``params``.
-    Callers return degree 0 first, so at degree n >= 1 this is the test of
-    ``gamma_regime`` without its argument checks."""
+    Callers return degree 0 first, so at degree n >= 1 this refuses what
+    ``gamma_regime`` refuses, with its message."""
     if inverse:
-        gamma = params.gamma
-        if not gamma > 0:
-            raise DomainError(f"gamma={gamma} must be positive for inverse moments")
-        return params.sigma_inv_rows, gamma
+        _require_positive_gamma(params.gamma)
+        return params.sigma_inv_rows, params.gamma
     return params.sigma_rows, params.beta
 
 
