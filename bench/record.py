@@ -151,11 +151,15 @@ def machine() -> dict:
 
 
 def parse_pairs(specs: list[str], workloads: list[str]) -> dict[str, int]:
+    """{workload: K} from the WORKLOAD=K specs; SystemExit for a spec that is
+    malformed or names a workload a second time."""
     pairs = {}
     for spec in specs:
         name, _, k = spec.partition("=")
-        if name not in workloads or not k.isdigit() or int(k) < 1:
-            raise SystemExit(f"bench/record.py: --pairs wants WORKLOAD=K with K >= 1 and WORKLOAD in {workloads}")
+        if name not in workloads or name in pairs or not (k.isascii() and k.isdigit()) or int(k) < 1:
+            raise SystemExit(
+                f"bench/record.py: --pairs wants WORKLOAD=K with K >= 1, each WORKLOAD once and in {workloads}"
+            )
         pairs[name] = int(k)
     return pairs
 

@@ -6,10 +6,11 @@ m(1) < m(3) < ... < m(2n-1); this word is the one matching format.
 the matching's coset representative in S_{2n}.  The image pairs
 {g(2k-1), g(2k)} of g in S_{2n} and the base pairs {2k-1, 2k} together form a
 graph in which every slot has one edge of each kind, so it splits into loops.
-``pair_loops`` is the walk over those loops that the trace words of
-``wishart.paired_contraction`` follow.  The coset type of g is the partition
-of n formed by the number of base pairs in each loop; ``_pairing_type``
-reads it, and the loop type of any two pairings, off their partner arrays.
+``pair_loops`` walks those loops and yields each one's entry slots, which
+the trace words of ``wishart.paired_contraction`` follow.  The coset type of
+g is the partition of n formed by the number of base pairs in each loop, so
+len(coset_type(g)) is the number of loops; ``_pairing_type`` reads
+the type, and the loop type of any two pairings, off their partner arrays.
 Relabelled by g, the type of g^-1 m is the loop type of m's pairs against
 g's image pairs, so ``_word_table`` keeps each degree's matching words with
 their partner arrays, and the routes that list words build no relabelled
@@ -87,16 +88,16 @@ def label_matchings(labels: Sequence) -> Iterator[tuple[int, ...]]:
     yield from rec(tuple(range(1, len(labels) + 1)))
 
 
-def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+def pair_loops(pairing: Sequence[int]) -> Iterator[list[int]]:
     """Walk the loops of the graph on the slots 1..2n whose edges are the base
     pairs {2k-1, 2k} and the pairs {pairing[2k-2], pairing[2k-1]}; ``pairing``
     is a one-line word such as ``Perm.images`` or a ``label_matchings`` word.
 
-    Yields (k0, slots) per loop, in increasing order of k0, the lowest base
+    Yields each loop's entry slots, in increasing order of k0, the lowest base
     pair on the loop.  The walk enters pair k0 at slot 2k0-1, leaves it at 2k0,
-    and then follows one pairing edge and one base pair at a time; ``slots``
-    lists the slot through which it enters each base pair, in walk order, so
-    len(slots) is the number of base pairs on the loop.
+    and then follows one pairing edge and one base pair at a time; the slots
+    are those through which it enters each base pair, in walk order, so the
+    first is 2k0-1 and their number is the number of base pairs on the loop.
     """
     partner = _partners(pairing)
     seen = [False] * (len(pairing) // 2 + 1)
@@ -110,7 +111,7 @@ def pair_loops(pairing: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
             slots.append(s)
             seen[(s + 1) // 2] = True
             s = partner[s + 1 if s % 2 else s - 1]  # leave through the pair's other slot
-        yield k0, slots
+        yield slots
 
 
 def _partners(pairing: Sequence[int]) -> list[int]:
@@ -179,7 +180,7 @@ def _word_table(n: int) -> tuple[tuple[_WordRow, ...], tuple[tuple[int, int], ..
     for word in label_matchings((0,) * (2 * n)):
         partner = _partners(word)
         word_loops = []
-        for _, slots in pair_loops(word):
+        for slots in pair_loops(word):
             parent = -1
             for size in range(1, len(slots) + 1):
                 prefix = tuple(slots[:size])
@@ -390,11 +391,6 @@ def coset_type(g: Perm) -> Partition:
     if g.size % 2:
         raise ValueError("coset type needs an even-sized ground set")
     return _loop_type(g.images)
-
-
-def kappa(g: Perm) -> int:
-    """Number of loops of the pairing graph; the length of the coset type."""
-    return len(coset_type(g))
 
 
 @cache

@@ -258,21 +258,11 @@ def sample_wishart_batch(
     return _kernels.vectors_gram(chol2, _normals(gen, (count, d, int(2 * params.beta))))
 
 
-def sample_wishart(params: WishartParams, rng: RngSpec, method: str = "auto") -> np.ndarray:
-    """One Wishart draw from a fresh generator at the given RngSpec."""
-    return sample_wishart_batch(params, 1, rng.generator(), method)[0]
-
-
 def sample_haar_batch(N: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-orthogonal N x N matrices, stacked as (count, N, N)."""
+    """``count`` Haar-orthogonal N x N matrices, stacked as (count, N, N):
+    each the Q of a Gaussian matrix G = QR whose R has a positive diagonal."""
     N, count = check_dimension(N), _as_int(count, "count", 0)
     return _kernels.haar_orthogonalize(_normals(gen, (count, N, N)), N)
-
-
-def sample_haar_orthogonal(N: int, rng: RngSpec) -> np.ndarray:
-    """One Haar-orthogonal N x N matrix: the Q of a Gaussian matrix G = QR
-    whose R has a positive diagonal."""
-    return sample_haar_batch(N, 1, rng.generator())[0]
 
 
 # ------------------------------------------------------------ accumulation

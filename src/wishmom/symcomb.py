@@ -200,25 +200,6 @@ class Perm:
             inv[v - 1] = i
         return Perm(inv)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition, fixed points included; each cycle starts at its
-        smallest element, cycles ordered by that element."""
-        imgs = self.images
-        seen = [False] * len(imgs)
-        out = []
-        for start in range(1, len(imgs) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            v = imgs[start - 1]
-            while v != start:
-                cyc.append(v)
-                seen[v - 1] = True
-                v = imgs[v - 1]
-            out.append(tuple(cyc))
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
@@ -227,11 +208,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm{self.images}"
-
-
-def cycle_type(pi: Perm) -> Partition:
-    """Sorted cycle lengths of pi as a partition of its ground-set size."""
-    return tuple(sorted((len(c) for c in pi.cycles()), reverse=True))
 
 
 def character(lam: Partition, rho: Partition) -> int:

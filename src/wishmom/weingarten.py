@@ -15,19 +15,20 @@ The Weingarten function Wg(rho; z) is the deg-n rational function whose
 convolution against z**kappa inverts to (2^n n!)^2 times the algebra unit;
 it is evaluated through its expansion over zonal spherical functions,
 Wg(rho; z) = sum_lam f^{2 lam} omega^lam(rho) / (C_lam(z) (2n-1)!!).
-``zonal_sum`` is that lambda-sum for any integer pairs (a_lam, b_lam) in
-place of 1 / C_lam(z); callers that checked rho run its core ``_zonal_sum``
-on one read of ``_zonal_weights``, the integers c_lam / L_rho =
-f^{2 lam} omega^lam(rho) / (2n-1)!!.  At z = p/q, 1 / C_lam(z) = q^n / P_lam
-with the integer P_lam = q^n C_lam(z), one product of p + c q over the box
-contents c, and the sum becomes one Fraction at the end.  Every coefficient
-of this module and of ``wishart`` is that sum over the one term list of
-``_point_terms``: Wg at z, the inverse-Wishart kernel at z = -2*gamma scaled
+``_zonal_sum`` is that lambda-sum over integer pairs (a_lam, b_lam) in place
+of 1 / C_lam(z), on one read of ``_zonal_weights``, the integers
+c_lam / L_rho = f^{2 lam} omega^lam(rho) / (2n-1)!!; the pairs are the terms
+of ``_point_terms`` and stay inside this module.  At z = p/q,
+1 / C_lam(z) = q^n / P_lam with the integer P_lam = q^n C_lam(z), one
+product of p + c q over the box contents c, and the sum becomes one Fraction
+at the end.  Every coefficient of this module and of ``wishart`` is that sum
+over the one term list of ``_point_terms``: Wg at z, the inverse-Wishart
+kernel at z = -2*gamma scaled
 by (-1)^n 2^n, the shapes with at most N rows at z = N, or the forward
 eigenvalues C_lam(2 beta) / 2^n at z = 2*beta, whose sum at rho is the
 coset weight (2 beta)^len(rho) / 2^n; with each term times omega^lam(mu)
 the power-trace coefficients of p_mu over M_rho.  A term with b_lam = 0 is
-a pole, and ``check_poles`` is the one place that raises it.
+a pole, and ``_check_poles`` is the one place that raises it.
 
 Each table {rho: value} is summed in one pass and kept in one store of the
 last POINT_TABLES tables (degree, kind, point and mu), which every reader
@@ -163,9 +164,9 @@ def check_dimension(N) -> int:
     return _as_int(N, "N", 1)
 
 
-def check_poles(z, terms) -> None:
-    """PoleError at the rational z naming every shape of the (lam, a, b) terms with b = 0."""
-    z = _as_fraction(z, "z")
+def _check_poles(z: Fraction, terms) -> None:
+    """PoleError at z, the Fraction of ``_point_terms``, naming every shape of
+    its (lam, a, b) terms with b = 0."""
     poles = tuple(lam for lam, _, b in terms if b == 0)
     if poles:
         raise PoleError(z, poles)
@@ -190,12 +191,12 @@ def _point_key(n, kind: str, point) -> tuple[int, str, int, int]:
 
 
 def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[Fraction, list[tuple[Partition, int, int]], int]:
-    """(z, terms, scale) of ``zonal_sum`` at a key of ``_point_key``, with
+    """(z, terms, scale) of ``_zonal_sum`` at a key of ``_point_key``, with
     z = p/q in lowest terms and P_lam = q^n C_lam(z): the terms (lam, q^n,
     P_lam) of Wg at the point itself, at z = -2 gamma with scale (-2)^n, or at
     z = N over the shapes with at most N rows; or (lam, P_lam, (2q)^n), the
     forward eigenvalues C_lam(2 beta) / 2^n at z = 2 beta.  A term with
-    b = 0 is a pole, for ``check_poles`` to raise."""
+    b = 0 is a pole, for ``_check_poles`` to raise."""
     rows, scale = n, 1
     if kind in ("gamma", "beta"):
         # 2 beta or -2 gamma in lowest terms, as gcd(p, q) = 1
@@ -215,16 +216,6 @@ def _point_terms(n: int, kind: str, p: int, q: int) -> tuple[Fraction, list[tupl
     return Fraction(p, q), terms, scale
 
 
-def zonal_sum(rho: Partition, terms, scale: int = 1) -> Fraction:
-    """scale / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) a_lam / b_lam over
-    the (lam, a_lam, b_lam) terms, in integers (b_lam != 0), normalised once:
-    Wg(rho; z) at a_lam / b_lam = 1 / C_lam(z).  Every lam is a partition of
-    |rho|, else ValueError."""
-    scale = _as_int(scale, "scale")
-    rho = check_partition(rho)
-    return _zonal_sum(_zonal_weights(check_degree(sum(rho))), rho, terms, scale)
-
-
 @cache
 def _zonal_weights(n: int) -> dict[Partition, tuple[int, dict[Partition, int]]]:
     """(L, {lam: c_lam}) for every rho of weight n: the integers with
@@ -238,15 +229,15 @@ def _zonal_weights(n: int) -> dict[Partition, tuple[int, dict[Partition, int]]]:
 
 
 def _zonal_sum(weights, rho: Partition, terms, scale: int) -> Fraction:
-    """``zonal_sum`` over the ``_zonal_weights`` of the weight of rho, for
-    callers that checked rho and scale: one read serves every rho of a degree."""
+    """scale / (2n-1)!! * sum_lam f^{2 lam} omega^lam(rho) a_lam / b_lam over
+    the (lam, a_lam, b_lam) terms of ``_point_terms`` (b_lam != 0), in
+    integers normalised once, from the ``_zonal_weights`` of the weight of
+    rho: one read serves every rho of a degree.  Wg(rho; z) at
+    a_lam / b_lam = 1 / C_lam(z)."""
     den_rho, row = weights[rho]
     num, den = 0, 1
     for lam, a, b in terms:
-        try:
-            a *= row[lam]
-        except (KeyError, TypeError):
-            raise ValueError(f"term shape {lam!r} is not a partition of {sum(rho)}, the weight of {rho}") from None
+        a *= row[lam]
         if a:
             num = num * b + a * den
             den *= b
@@ -258,9 +249,9 @@ def _point_cache(n: int, kind: str, p: int, q: int, mu: Partition | None) -> dic
     """The table {rho: value} for every rho of weight n, in ``partitions_of``
     order, at a key of ``_point_key`` and a partition mu of n, None for (1^n):
     one pass over the terms of ``_point_terms``, each times omega^lam(mu),
-    which is 1 at (1^n).  A PoleError from ``check_poles`` stores nothing."""
+    which is 1 at (1^n).  A PoleError from ``_check_poles`` stores nothing."""
     z, terms, scale = _point_terms(n, kind, p, q)
-    check_poles(z, terms)
+    _check_poles(z, terms)
     omega, mu = _zonal_table(n), mu or (1,) * n
     terms = [(lam, a * omega[lam][mu].numerator, b * omega[lam][mu].denominator) for lam, a, b in terms]
     weights = _zonal_weights(n)
@@ -283,7 +274,7 @@ def _point_eigenvalue(lam: Partition, kind: str, point) -> Fraction:
     only when that term is a pole."""
     z, terms, scale = _point_terms(*_point_key(sum(lam), kind, point))
     [term] = [t for t in terms if t[0] == lam]
-    check_poles(z, [term])
+    _check_poles(z, [term])
     return Fraction(scale * term[1], term[2])
 
 

@@ -58,7 +58,6 @@ from .matchgroup import (
     matching_type_count,
     matching_type_sums,
     pair_loops,
-    paired_perm,
 )
 from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition
 from .weingarten import (
@@ -354,22 +353,6 @@ def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) ->
     return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
 
 
-def trace_pattern_perm(pi: Perm, transposed: Sequence[bool]) -> Perm:
-    """The S_{2n} pattern whose paired contraction reproduces the trace word
-    R_pi with the flagged factors transposed: pair swaps at the flagged slots
-    composed with the paired lift of pi."""
-    n = pi.size
-    if len(transposed) != n:
-        raise ValueError("one transpose flag per matrix")
-    swap = {}
-    for i, t in enumerate(transposed, start=1):
-        if t:
-            swap[2 * i - 1] = 2 * i
-            swap[2 * i] = 2 * i - 1
-    base = paired_perm(pi)
-    return Perm(swap.get(v, v) for v in base.images)
-
-
 def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
     """T_g(x; m_1..m_n): contract m_k row/col indices at slots (2k-1, 2k)
     against symmetric-x links between slots g(2i-1) and g(2i).
@@ -384,8 +367,7 @@ def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> floa
         raise ValueError("pattern size must be twice the number of matrices")
     x = _real_rows(x, None, "x")
     mats = [np.array(_real_rows(m, len(x), "factor")) for m in ms]
-    loops = [slots for _, slots in pair_loops(g.images)]
-    return _loop_contraction(loops, np.array(x), _slot_factors(mats))
+    return _loop_contraction(list(pair_loops(g.images)), np.array(x), _slot_factors(mats))
 
 
 def _slot_factors(ms: Sequence[np.ndarray]) -> list:

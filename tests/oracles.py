@@ -204,6 +204,11 @@ def permutation_cycles(images):
     return cycles
 
 
+def permutation_cycle_type(pi):
+    """The cycle lengths of the Perm pi, sorted descending."""
+    return tuple(sorted((len(c) for c in permutation_cycles([v - 1 for v in pi.images])), reverse=True))
+
+
 def cycle_type_sums_enumerative(n, edge, read):
     """Per cycle type, the sum over every one of the n! permutations pi of
     that type of prod read(E_c), E_c = edge(c0, c1) @ edge(c1, c2) @ ... @
@@ -308,13 +313,13 @@ def zonal_spherical_at(lam, g):
     from math import factorial
 
     from wishmom.matchgroup import hyperoctahedral
-    from wishmom.symcomb import character, cycle_type, doubled
+    from wishmom.symcomb import character, doubled
 
     n = sum(lam)
     if g.size != 2 * n:
         raise ValueError("permutation size must be 2n")
     lam2 = doubled(lam)
-    total = sum(character(lam2, cycle_type(g * zeta)) for zeta in hyperoctahedral(n))
+    total = sum(character(lam2, permutation_cycle_type(g * zeta)) for zeta in hyperoctahedral(n))
     return Fraction(total, 2**n * factorial(n))
 
 

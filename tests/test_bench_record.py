@@ -55,6 +55,24 @@ def test_parse_run_refuses_output_without_a_report(stdout):
         record.parse_run(stdout)
 
 
+WORKLOADS = ["exact-entrywise", "exact-coefficients", "montecarlo", "cli"]
+
+
+def test_parse_pairs_reads_one_count_per_workload():
+    assert record.parse_pairs(["cli=2", "montecarlo=10"], WORKLOADS) == {"cli": 2, "montecarlo": 10}
+    assert record.parse_pairs([], WORKLOADS) == {}
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [["gpu=2"], ["cli=0"], ["cli=two"], ["cli="], ["cli"], ["cli=\u00b2"], ["cli=2", "cli=3"], ["cli=2", "cli=2"]],
+    ids=["unknown-workload", "zero", "not-digits", "empty-count", "no-count", "superscript", "repeated", "repeated-equal"],
+)
+def test_parse_pairs_refuses_a_malformed_or_repeated_spec(specs):
+    with pytest.raises(SystemExit, match="--pairs wants WORKLOAD=K with K >= 1, each WORKLOAD once"):
+        record.parse_pairs(specs, WORKLOADS)
+
+
 def _run(pair, side, ops, rss):
     return {"pair": pair, "side": side, "metrics": {"ops_per_s": ops, "peak_rss_mb": rss}}
 

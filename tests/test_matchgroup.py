@@ -19,7 +19,6 @@ from wishmom.matchgroup import (
     double_coset_size,
     hyperoctahedral,
     iter_matchings_with_type,
-    kappa,
     label_matchings,
     matching_count,
     matching_type_count,
@@ -28,7 +27,7 @@ from wishmom.matchgroup import (
     pair_loops,
     paired_perm,
 )
-from wishmom.symcomb import Perm, centralizer_order, cycle_type, multiplicities, partitions_of
+from wishmom.symcomb import Perm, centralizer_order, multiplicities, partitions_of
 
 from oracles import (
     coset_type_union_find,
@@ -36,6 +35,7 @@ from oracles import (
     keyed_sum,
     matching_count_recursive,
     matching_type_sums_enumerative,
+    permutation_cycle_type,
 )
 
 
@@ -102,7 +102,6 @@ def test_coset_type_worked_examples():
     assert coset_type(Perm((7, 1, 6, 3, 2, 8, 4, 5))) == (2, 2)
     m = Perm((1, 3, 2, 7, 4, 8, 5, 6))  # the matching {1,3}, {2,7}, {4,8}, {5,6}
     assert coset_type(m) == (3, 1)
-    assert kappa(m) == 2
 
 
 def test_coset_type_identity():
@@ -132,14 +131,15 @@ def test_coset_type_equals_union_find(images):
 def check_loops(images):
     n = len(images) // 2
     loops = list(pair_loops(images))
-    pairs = [(s + 1) // 2 for _, slots in loops for s in slots]
+    pairs = [(s + 1) // 2 for slots in loops for s in slots]
     assert sorted(pairs) == list(range(1, n + 1))  # every base pair once
-    assert sum(len(slots) for _, slots in loops) == n
-    starts = [k0 for k0, _ in loops]
+    assert sum(len(slots) for slots in loops) == n
+    starts = [(slots[0] + 1) // 2 for slots in loops]
     assert starts == sorted(starts)
-    for k0, slots in loops:
-        assert slots[0] == 2 * k0 - 1 and min((s + 1) // 2 for s in slots) == k0
-    assert sorted((len(slots) for _, slots in loops), reverse=True) == list(coset_type(Perm(images)))
+    for slots in loops:
+        # each loop is entered at the odd slot of its lowest base pair
+        assert slots[0] % 2 == 1 and min((s + 1) // 2 for s in slots) == (slots[0] + 1) // 2
+    assert sorted((len(slots) for slots in loops), reverse=True) == list(coset_type(Perm(images)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -156,8 +156,9 @@ def test_pair_loops_cover_every_base_pair_once(images):
 
 def test_pair_loops_worked_example():
     # pairing {1,3}, {2,7}, {4,8}, {5,6}: the walk 1 -> 2 -> 7 -> 8 -> 4 -> 3 -> 1
-    # enters pairs 1, 4 and 2 at slots 1, 7 and 4; pair 3 closes on itself
-    assert list(pair_loops((1, 3, 2, 7, 4, 8, 5, 6))) == [(1, [1, 7, 4]), (3, [5])]
+    # enters pairs 1, 4 and 2 at slots 1, 7 and 4; pair 3 closes on itself,
+    # entered at its odd slot 5
+    assert list(pair_loops((1, 3, 2, 7, 4, 8, 5, 6))) == [[1, 7, 4], [5]]
     assert list(pair_loops(())) == []
 
 
@@ -204,7 +205,7 @@ def test_word_table_holds_each_listed_degree_in_label_matchings_order():
         assert [word for word, *_ in rows] == all_words(n)
         for word, partner, rho, ids in rows:
             assert [partner[s] for s in word] == [word[i ^ 1] for i in range(2 * n)]
-            assert tuple(loop_slots(loops, i) for i in ids) == tuple(tuple(slots) for _, slots in pair_loops(word))
+            assert tuple(loop_slots(loops, i) for i in ids) == tuple(map(tuple, pair_loops(word)))
             assert rho == coset_type_union_find(Perm(word))
         assert table(n) is entry
     for n in (0, MAX_LISTED_DEGREE + 1):
@@ -250,7 +251,8 @@ def test_kappa_equals_type_length_for_matchings():
     for n in (1, 2, 3, 4):
         for w in all_words(n):
             t = coset_type(Perm(w))
-            assert kappa(Perm(w)) == len(t)
+            # kappa, the number of loops, is the length of the coset type
+            assert len(list(pair_loops(w))) == len(t)
     for pairs, t in matchings_with_type(4):
         assert coset_type(Perm(x for pair in pairs for x in pair)) == t
 
@@ -326,7 +328,7 @@ def test_coset_representative_checks_its_partition_after_the_equal_key_was_read(
 def test_paired_perm_carries_cycle_type_to_coset_type():
     for images in permutations(range(1, 5)):
         pi = Perm(images)
-        assert coset_type(paired_perm(pi)) == cycle_type(pi)
+        assert coset_type(paired_perm(pi)) == permutation_cycle_type(pi)
 
 
 def test_streaming_matches_cached():

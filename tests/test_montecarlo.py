@@ -15,8 +15,7 @@ from wishmom.montecarlo import (
     TraceProduct,
     estimate,
     estimate_haar,
-    sample_haar_orthogonal,
-    sample_wishart,
+    sample_haar_batch,
     sample_wishart_batch,
 )
 from wishmom.weingarten import zonal_eval
@@ -170,7 +169,7 @@ def test_threads_up_to_streams_do_not_warn(params):
 
 def test_sample_wishart_is_symmetric_pd(params):
     for method in ("bartlett", "vectors"):  # beta=5/2 admits both paths
-        w = sample_wishart(params, RngSpec(1), method)
+        w = sample_wishart_batch(params, 1, RngSpec(1).generator(), method)[0]
         assert np.allclose(w, w.T)
         np.linalg.cholesky(w)
 
@@ -298,7 +297,7 @@ def test_inverse_gamma_margin_guard():
 
 def test_haar_sample_orthogonal():
     for N in (2, 3, 5):
-        O = sample_haar_orthogonal(N, RngSpec(4))
+        O = sample_haar_batch(N, 1, RngSpec(4).generator())[0]
         assert np.allclose(O.T @ O, np.eye(N), atol=1e-12)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wishmom.matchgroup import coset_type, paired_perm
 from wishmom.symcomb import (
     Perm,
     centralizer_order,
@@ -12,7 +13,6 @@ from wishmom.symcomb import (
     check_partition,
     conjugate,
     content_product,
-    cycle_type,
     doubled,
     hook_dim,
     hook_dim_doubled,
@@ -57,13 +57,15 @@ def test_check_partition_takes_numbers_equal_to_ints_as_ints():
 
 
 def test_cycle_type_worked_example():
-    # one-line (5,6,1,4,3,2) decomposes into a 3-cycle, a 2-cycle and a fixed point
-    assert cycle_type(Perm((5, 6, 1, 4, 3, 2))) == (3, 2, 1)
+    # the library reads the cycle type of pi as the coset type of its paired
+    # lift; one-line (5,6,1,4,3,2) decomposes into a 3-cycle, a 2-cycle and a
+    # fixed point
+    assert coset_type(paired_perm(Perm((5, 6, 1, 4, 3, 2)))) == (3, 2, 1)
 
 
 def test_cycle_type_identity_and_full_cycle():
-    assert cycle_type(Perm.identity(4)) == (1, 1, 1, 1)
-    assert cycle_type(Perm((2, 3, 4, 5, 1))) == (5,)
+    assert coset_type(paired_perm(Perm.identity(4))) == (1, 1, 1, 1)
+    assert coset_type(paired_perm(Perm((2, 3, 4, 5, 1)))) == (5,)
 
 
 def test_perm_validation_and_group_ops():
@@ -77,7 +79,7 @@ def test_perm_validation_and_group_ops():
 
 @given(st.permutations(list(range(1, 8))))
 def test_cycle_type_is_partition_of_size(images):
-    t = cycle_type(Perm(images))
+    t = coset_type(paired_perm(Perm(images)))
     assert sum(t) == len(images)
     assert all(a >= b for a, b in zip(t, t[1:]))
 

@@ -33,7 +33,6 @@ from wishmom.symcomb import (
 from wishmom.weingarten import (
     _convolution_kernel,
     _point_cache,
-    _point_terms,
     _zonal_table,
     POINT_TABLES,
     PoleError,
@@ -50,7 +49,6 @@ from wishmom.weingarten import (
     weingarten_values,
     zonal_eval,
     zonal_spherical,
-    zonal_sum,
 )
 from wishmom.wishart import power_trace_coeffs
 
@@ -126,18 +124,6 @@ def test_zonal_spherical_checks_its_partitions_after_the_equal_key_was_read():
         with pytest.raises(ValueError, match="partition part"):
             zonal_spherical(lam, rho)
     assert zonal_spherical([2, 1], [1, 1, 1]) == zonal_spherical((2, 1), (1, 1, 1)) == 1
-
-
-def test_zonal_sum_checks_rho_and_the_weight_of_each_term():
-    terms = _point_terms(2, "z", 5, 1)[1]
-    assert zonal_sum([1, 1], terms) == zonal_sum((1, 1), terms) == weingarten((1, 1), 5)
-    for rho in ((True, 1), (1, 2), ()):
-        with pytest.raises(ValueError):
-            zonal_sum(rho, terms)
-    with pytest.raises(ValueError, match=r"term shape \(2,\) is not a partition of 3"):
-        zonal_sum((2, 1), terms)
-    with pytest.raises(ValueError, match=r"term shape \[2\] is not a partition of 2"):
-        zonal_sum((1, 1), [([2], 1, 1)])
 
 
 def test_zonal_well_defined_on_double_cosets():

@@ -21,10 +21,10 @@ from wishmom.matchgroup import (
     SizeLimitError,
     coset_type,
     hyperoctahedral,
-    kappa,
     label_matchings,
     matching_type_count,
     matching_type_sums,
+    paired_perm,
 )
 from wishmom.symcomb import Perm, content_product, partitions_of
 from wishmom.validate import REL_TOL, entrywise_power_trace, identities_suite
@@ -46,13 +46,23 @@ from wishmom.wishart import (
     paired_contraction,
     power_trace_coeffs,
     power_trace_moment,
-    trace_pattern_perm,
     trace_power_coeffs,
     trace_power_moment,
     trace_product_moment,
 )
 
-from oracles import mixed_trace_moment_termwise, t_contraction_bruteforce, trace_product_enumerative
+from oracles import mixed_trace_moment_termwise, permutation_cycles, t_contraction_bruteforce, trace_product_enumerative
+
+
+def trace_pattern_perm(pi, transposed):
+    """The S_{2n} pattern whose paired contraction reproduces the trace word
+    R_pi with the flagged factors transposed: pair swaps at the flagged slots
+    composed with the paired lift of pi."""
+    swap = {}
+    for i, t in enumerate(transposed, start=1):
+        if t:
+            swap[2 * i - 1], swap[2 * i] = 2 * i, 2 * i - 1
+    return Perm(swap.get(v, v) for v in paired_perm(pi).images)
 
 
 def rand_pd(rng, d):
@@ -641,7 +651,7 @@ def test_paired_contraction_of_identities_counts_loops(n):
     for d in (1, 2, 3):
         eye = np.eye(d)
         for g in perms:
-            assert paired_contraction(g, eye, [eye] * n) == d ** kappa(g)
+            assert paired_contraction(g, eye, [eye] * n) == d ** len(coset_type(g))
 
 
 def test_trace_pattern_matches_trace_words():
@@ -660,10 +670,10 @@ def test_trace_pattern_matches_trace_words():
             signs = [rnd.random() < 0.5 for _ in range(n)]
             g = trace_pattern_perm(pi, signs)
             direct = 1.0
-            for cyc in pi.cycles():
+            for cyc in permutation_cycles([v - 1 for v in pi.images]):
                 word = np.eye(d)
                 for c in cyc:
-                    word = word @ x @ (ms[c - 1].T if signs[c - 1] else ms[c - 1])
+                    word = word @ x @ (ms[c].T if signs[c] else ms[c])
                 direct *= np.trace(word)
             assert paired_contraction(g, x, ms) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
