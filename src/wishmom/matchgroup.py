@@ -429,7 +429,7 @@ def paired_perm(pi: Perm) -> Perm:
     n = pi.size
     imgs = [0] * (2 * n)
     for j in range(1, n + 1):
-        imgs[2 * j - 2] = 2 * pi(j) - 1
+        imgs[2 * j - 2] = 2 * pi.images[j - 1] - 1
         imgs[2 * j - 1] = 2 * j
     return Perm(imgs)
 

@@ -218,12 +218,8 @@ class TraceProduct:
 
 def _resolve_method(params: WishartParams, method: str) -> str:
     two_beta = 2 * params.beta
-    if method == "auto":
-        if two_beta > params.d - 1:
-            return "bartlett"
-        if two_beta.denominator == 1:
-            return "vectors"
-        raise DomainError("no sampler: need 2*beta > d-1 (Bartlett) or integer 2*beta")
+    if method == "auto":  # an admissible beta has 2 beta > d - 1 or an integer 2 beta
+        return "bartlett" if two_beta > params.d - 1 else "vectors"
     if method == "bartlett":
         if not two_beta > params.d - 1:
             raise DomainError(f"Bartlett path needs 2*beta > d-1, got beta={params.beta}")

@@ -150,34 +150,63 @@ def content_product(parts: Partition, z):
     return num if q == 1 else Fraction(num, q ** sum(parts))
 
 
-class Perm:
+class _Value:
+    """An immutable value: every set and delete is refused, and equality,
+    hashing and the repr go by the class's ``_fields``.  Pickles and copies
+    are built by the constructor from them, which checks them again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Perm(_Value):
     """A permutation of {1, ..., m} in one-line notation.
 
     ``images[i-1]`` is the image of i.  Composition is the usual left action:
     ``(p * q)(i) == p(q(i))``.
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images: Iterable[int]):
         imgs = _as_ints(images, "permutation image")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a bijection of 1..{len(imgs)}: {imgs}")
         object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_hash", hash(imgs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
 
     @classmethod
     def identity(cls, m: int) -> "Perm":
-        return cls(range(1, m + 1))
+        return cls(range(1, _as_int(m, "permutation size", 0) + 1))
 
     @classmethod
     def from_cycles(cls, m: int, cycles: Iterable[Iterable[int]]) -> "Perm":
+        m = _as_int(m, "permutation size", 0)
         imgs = list(range(1, m + 1))
         for cyc in cycles:
-            cyc = list(cyc)
+            cyc = _as_ints(cyc, "cycle entry", 1, m)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 imgs[a - 1] = b
         return cls(imgs)
@@ -187,9 +216,11 @@ class Perm:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
+        return self.images[_as_int(i, "point", 1, self.size) - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
+        if not isinstance(other, Perm):
+            return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch")
         return Perm(self.images[j - 1] for j in other.images)
@@ -199,12 +230,6 @@ class Perm:
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
         return Perm(inv)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Perm{self.images}"

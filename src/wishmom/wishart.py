@@ -59,7 +59,7 @@ from .matchgroup import (
     matching_type_sums,
     pair_loops,
 )
-from .symcomb import Partition, Perm, _as_fraction, _as_int, _as_ints, check_partition
+from .symcomb import Partition, Perm, _Value, _as_fraction, _as_int, _as_ints, check_partition
 from .weingarten import (
     DomainError,
     _contract,
@@ -174,10 +174,10 @@ def _inverse_from_factor(factor: list[list[float]]) -> list[list[float]]:
     return [[sum(map(mul, ca, cb)) for cb in cols] for ca in cols]
 
 
-class WishartParams:
+class WishartParams(_Value):
     """Dimension, shape and scale of one Wishart law; sigma must be symmetric PD.
-    An immutable value, so that nothing read from it, ``gamma`` or the inverse
-    side included, goes stale.
+    An immutable value of (d, beta, sigma_rows), so that nothing read from
+    it, ``gamma`` or the inverse side included, goes stale.
 
     sigma is read once, into ``sigma_rows``, symmetrised Python floats, and a
     Python Cholesky factorisation of those rows is the positive-definiteness
@@ -188,6 +188,8 @@ class WishartParams:
     (sampling, ``invariant_moment``, ``mixed_trace_moment``,
     ``trace_product_moment``).
     """
+
+    _fields = ("d", "beta", "sigma_rows")
 
     def __init__(self, d: int, beta: Fraction, sigma):
         d, beta = _as_int(d, "d", 1), _as_fraction(beta, "beta")
@@ -201,19 +203,6 @@ class WishartParams:
         fields = {"d": d, "beta": beta, "gamma": gamma, "sigma_rows": _frozen(rows), "_factor": factor}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot set or delete {name!r}: a WishartParams is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return WishartParams, (self.d, self.beta, self.sigma_rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, WishartParams):
-            return NotImplemented
-        return (self.d, self.beta, self.sigma_rows) == (other.d, other.beta, other.sigma_rows)
 
     def __repr__(self) -> str:
         return f"WishartParams(d={self.d}, beta={self.beta!r}, sigma={[list(row) for row in self.sigma_rows]!r})"
@@ -258,11 +247,11 @@ def _read_only(a) -> np.ndarray:
     return out
 
 
-class MomentSpec:
+class MomentSpec(_Value):
     """Index list k_1..k_2n (1-based) of an entrywise product moment: an
     immutable value, equal to and hashed as the (indices, inverse) pair."""
 
-    __slots__ = ("indices", "inverse")
+    __slots__ = _fields = ("indices", "inverse")
 
     def __init__(self, indices: Sequence[int], inverse: bool = False):
         indices = _as_ints(indices, "index", 1)
@@ -270,25 +259,6 @@ class MomentSpec:
             raise ValueError("index list must have even length")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "inverse", inverse)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot set or delete {name!r}: a MomentSpec is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not MomentSpec:
-            return NotImplemented
-        return (self.indices, self.inverse) == (other.indices, other.inverse)
-
-    def __hash__(self) -> int:
-        return hash((self.indices, self.inverse))
-
-    def __repr__(self) -> str:
-        return f"MomentSpec(indices={self.indices!r}, inverse={self.inverse!r})"
-
-    def __reduce__(self):
-        return MomentSpec, (self.indices, self.inverse)
 
     @property
     def degree(self) -> int:
@@ -535,21 +505,26 @@ _KINDS = {
 }
 
 
-class MomentKind:
+class MomentKind(_Value):
     """E[f(W)] or E[f(W^-1)] for one kind of f at one argument: "entries"
     (an index list k, f a product of entries as in ``moment``),
     "trace_power" (n, f = (tr x)^n), "power_trace" (a partition mu, f =
     p_mu(x)) or "invariant" (a partition lam, f = Z_lam(x)), the names of
     the ``wishmom moment`` flags.  The argument is checked and kept as read
     in ``arg``; ``order`` is the degree of f and ``target`` its exact
-    moment.  montecarlo's descriptors pair it with their sampled values."""
+    moment.  An immutable value of (kind, arg, inverse).  montecarlo's
+    descriptors pair it with their sampled values."""
 
     __slots__ = ("kind", "arg", "inverse", "order")
+    _fields = ("kind", "arg", "inverse")
 
     def __init__(self, kind: str, arg, inverse: bool = False):
         check, degree, _ = _KINDS[kind]
-        self.kind, self.arg, self.inverse = kind, check(arg), inverse
-        self.order = degree(self.arg)
+        arg = check(arg)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "order", degree(arg))
 
     def target(self, params: WishartParams) -> float:
         return _KINDS[self.kind][2](params, self.arg, self.inverse)

@@ -89,6 +89,13 @@ def test_expand_hand_reduction_with_zeros():
     assert hafnian_expand(A, al) == al**2 * A[0][1] * A[2][3] + al * A[0][2] * A[1][3]
 
 
+def test_permsum_refuses_a_variant_other_than_p_or_q():
+    A = rand_sym(random.Random(5), 4)
+    for bad in ("p", "R", "", None):
+        with pytest.raises(ValueError, match="^variant must be 'P' or 'Q'$"):
+            hafnian_permsum(A, 2, bad)
+
+
 def test_permsum_degree2_split():
     # identity contributes (a/2)^2 P(1)P(2), the transposition (a/2) P(12)
     rnd = random.Random(2)

@@ -4,7 +4,8 @@ Integers (degrees, dimensions, counts, indices, seeds) are read by
 ``symcomb._as_int``, rationals (beta, gamma, z, alpha) by
 ``symcomb._as_fraction`` and real matrices by ``wishart._real_rows``.  The
 fuzz test puts one bad input into one argument position of a valid call of a
-public function of ``weingarten``, ``wishart``, ``hafnian`` or ``montecarlo``.
+public function of ``weingarten``, ``wishart``, ``hafnian`` or ``montecarlo``,
+or of the integer-taking calls of ``symcomb.Perm``.
 With warnings raised as errors, the call must either behave as on the equal
 valid input (the same value, or the same exception) or raise ValueError;
 DomainError, SizeLimitError and PoleError are subclasses.  Equal is as Python
@@ -143,6 +144,10 @@ CASES = {
     "table_to_json": _call(wg.table_to_json, Int(2), Rat(5), wg.weingarten_values(2, z=5)),
     "table_path": _call(wg.table_path, "cache", Int(2), Rat(5)),
     "load_table": _call(wg.load_table, "no-such-cache-dir", Int(2), Rat(5)),
+    # symcomb
+    "Perm.identity": _call(Perm.identity, Int(3)),
+    "Perm.from_cycles": _call(Perm.from_cycles, Int(4), [ints(1, 3), ints(2, 4)]),
+    "Perm.__call__": _call(Perm((2, 3, 1)), Int(2)),
     # wishart
     "admissible_beta": _call(ws.admissible_beta, Rat(Fraction(5, 2)), Int(3)),
     "gamma_regime": _call(ws.gamma_regime, Rat(Fraction(3, 2)), Int(2)),
@@ -432,6 +437,29 @@ def test_permutation_images_are_read_as_integers():
     for bad in ((True, 2), (1.5, 1), (2, 1 + 0j), ("2", "1"), (None, 1)):
         with pytest.raises(ValueError, match="permutation image must be an integer"):
             Perm(bad)
+
+
+
+def test_permutation_sizes_points_and_cycles_are_read_as_integers():
+    # a point was a list index: p(0) was p(3) and p(-1) p(2), p(4) an
+    # IndexError; cycles and sizes were used as given
+    p = Perm([2, 3, 1])
+    assert [p(1), p(2.0), p(np.int64(3))] == [2, 3, 1]
+    for bad in (0, -1, 4, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match=r"^point must be an integer in 1\.\.3, got "):
+            p(bad)
+    assert Perm.from_cycles(3, [(1, 2.0)]) == Perm.from_cycles(3.0, [(1, 2)]) == Perm([2, 1, 3])
+    assert Perm.from_cycles(np.int64(3), [(np.int64(3), 1)]) == Perm([3, 2, 1])
+    for cycle in ((1, 5), (0, 1), (1, 1.5), (1, True)):
+        with pytest.raises(ValueError, match=r"^cycle entry must be an integer in 1\.\.3, got "):
+            Perm.from_cycles(3, [cycle])
+    for call in (lambda m: Perm.from_cycles(m, []), Perm.identity):
+        for bad in (-1, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match=r"^permutation size must be an integer >= 0, got "):
+                call(bad)
+        assert call(2.0) == call(np.int64(2)) == Perm([1, 2]) and call(0) == Perm(())
+    with pytest.raises(TypeError):
+        p * [1, 2, 3]
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,55 @@ def test_sampler_method_guards():
     assert w.shape == (4, 3, 3)
 
 
+def test_auto_method_draws_what_the_path_it_picks_draws():
+    # an admissible beta below the Bartlett range has 2 beta an integer, so
+    # auto always finds a sampler: vectors at d = 3, beta = 1, Bartlett at 5/2
+    for beta, path in ((1, "vectors"), (Fraction(5, 2), "bartlett")):
+        p = WishartParams(d=3, beta=beta, sigma=np.eye(3) + 0.2)
+        auto = sample_wishart_batch(p, 50, RngSpec(4, 1).generator())
+        assert np.array_equal(auto, sample_wishart_batch(p, 50, RngSpec(4, 1).generator(), path))
+        descs = [EntryProduct((1, 2, 2, 3)), TracePower(2)]
+        for a, b in zip(estimate(descs, p, 3000, RngSpec(9)), estimate(descs, p, 3000, RngSpec(9), method=path)):
+            assert (a.count, a.mean, a.stderr, a.zscore) == (b.count, b.mean, b.stderr, b.zscore)
+
+
+def test_an_unknown_sampling_method_is_a_value_error(params):
+    for call in (
+        lambda: sample_wishart_batch(params, 4, RngSpec(0).generator(), "gibbs"),
+        lambda: estimate([EntryProduct((1, 1))], params, 2000, RngSpec(0), method="Auto"),
+    ):
+        with pytest.raises(ValueError, match="unknown sampling method") as info:
+            call()
+        assert type(info.value) is ValueError
+
+
+def test_empty_and_all_rejected_chunks_count_only_their_rejections():
+    values = np.array([0.5, 1.25, -2.0, 3.5])
+    acc = montecarlo._Acc()
+    acc.add_chunk(values[:3], rejected=1)
+    before = (acc.count, acc.mean, acc.m2)
+    acc.add_chunk(np.array([]), rejected=4)  # a chunk whose draws were all rejected
+    acc.merge(montecarlo._Acc(rejected=2))  # a stream that kept nothing
+    assert (acc.count, acc.mean, acc.m2) == before and acc.rejected == 7
+    # an empty accumulator takes the other's sums as they are
+    empty = montecarlo._Acc(rejected=3)
+    empty.merge(acc)
+    assert (empty.count, empty.mean, empty.m2, empty.rejected) == (*before, 10)
+    # and the chunk after the empty ones merges as it would have without them
+    acc.add_chunk(values[3:])
+    plain = montecarlo._Acc()
+    plain.add_chunk(values[:3])
+    plain.add_chunk(values[3:])
+    assert (acc.count, acc.mean, acc.m2) == (plain.count, plain.mean, plain.m2)
+
+
+def test_finalize_of_at_most_one_value_has_no_standard_error():
+    for count, mean, target, z in ((1, 2.0, 2.0, 0.0), (1, 2.0, 1.0, float("inf")), (0, 0.0, 0.0, 0.0)):
+        stats = montecarlo._finalize(montecarlo._Acc(count=count, mean=mean, rejected=5), target, "x")
+        assert (stats.count, stats.mean, stats.stderr, stats.zscore) == (count, mean, 0.0, z)
+        assert (stats.target, stats.rejected, stats.label) == (target, 5, "x")
+
+
 def test_estimator_zscores_sane(params):
     descs = [
         EntryProduct((1, 2)),

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import importlib
+import pickle
+import pkgutil
 from fractions import Fraction
 from math import factorial
 
@@ -5,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wishmom
 from wishmom.matchgroup import coset_type, paired_perm
+from wishmom.montecarlo import EntryProduct
 from wishmom.symcomb import (
     Perm,
+    _Value,
     centralizer_order,
     character,
     check_partition,
@@ -18,6 +26,7 @@ from wishmom.symcomb import (
     hook_dim_doubled,
     partitions_of,
 )
+from wishmom.wishart import MomentKind, MomentSpec, WishartParams
 
 from oracles import forward_differences, partitions_bruteforce
 
@@ -34,6 +43,12 @@ def test_partitions_reverse_lex_order():
 @pytest.mark.parametrize("n", range(7))
 def test_partition_counts(n):
     assert len(partitions_of(n)) == PARTITION_COUNTS[n]
+
+
+def test_partitions_of_a_negative_number_is_a_value_error():
+    for n in (-1, -4):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            partitions_of(n)
 
 
 def test_partitions_match_bruteforce_enumeration():
@@ -75,6 +90,16 @@ def test_perm_validation_and_group_ops():
     assert p * p.inverse() == Perm.identity(3)
     assert (p * p)(1) == p(p(1))
     assert Perm.from_cycles(4, [(1, 3), (2, 4)]) == Perm((3, 4, 1, 2))
+
+
+def test_perm_products_take_perms_of_one_size():
+    p = Perm((2, 3, 1))
+    for a, b in ((p, Perm((2, 1))), (Perm(()), p)):
+        with pytest.raises(ValueError, match="^size mismatch$"):
+            a * b
+    # a product with anything but a Perm is left to the other operand
+    assert p.__mul__([1, 2, 3]) is NotImplemented and p.__mul__((2, 3, 1)) is NotImplemented
+    assert p * Perm((1, 2, 3)) == p and Perm(()) * Perm(()) == Perm(())
 
 
 @given(st.permutations(list(range(1, 8))))
@@ -168,3 +193,83 @@ def test_content_product_is_monic_of_degree_weight():
                 diffs = forward_differences(diffs)
             assert diffs[0] == factorial(n)
             assert forward_differences(diffs) == [0]
+
+
+# ------------------------------------------------ one immutability mechanism
+
+
+def _wishmom_classes():
+    for info in pkgutil.iter_modules(wishmom.__path__):
+        module = importlib.import_module(f"wishmom.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def _writes_own_setattr(cls) -> bool:
+    """Whether cls or a base of wishmom's defines ``__setattr__`` (those of
+    exceptions and ``threading.local`` are Python's)."""
+    return any("__setattr__" in vars(c) for c in cls.__mro__ if c.__module__.startswith("wishmom"))
+
+
+def test_every_class_that_refuses_writes_is_a_dataclass_or_a_value():
+    refusing = {cls for cls in _wishmom_classes() if _writes_own_setattr(cls) and not dataclasses.is_dataclass(cls)}
+    assert {_Value, Perm, MomentSpec, MomentKind, WishartParams} <= refusing
+    assert all(issubclass(cls, _Value) for cls in refusing), refusing
+
+
+VALUES = [
+    Perm((2, 1, 3)),
+    Perm(()),
+    MomentSpec((1, 2, 2, 1), inverse=True),
+    MomentKind("power_trace", (2, 1), True),
+    MomentKind("entries", (1, 2, 2, 1)),
+    WishartParams(d=2, beta=Fraction(7, 2), sigma=[[2.0, 0.3], [0.3, 1.5]]),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_a_value_refuses_every_write(value):
+    cls = type(value)
+    names = {*cls._fields, *getattr(cls, "__slots__", ()), *getattr(value, "__dict__", ()), "other"}
+    for name in names:
+        message = f"^cannot set or delete '{name}': a {cls.__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+    assert cls(*value._values()) == value
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_a_value_copies_pickles_and_hashes_by_its_fields(value):
+    cls = type(value)
+    assert value.__reduce__() == (cls, value._values())
+    for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value), cls(*value._values())):
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+        assert hash(other) == hash(value) and len({other, value}) == 1
+    assert value.__eq__(value._values()) is NotImplemented and value != value._values()
+
+
+def test_values_differ_by_any_field_and_only_by_fields():
+    sigma = [[2.0, 0.3], [0.3, 1.5]]
+    p = WishartParams(d=2, beta=3, sigma=sigma)
+    assert p.sigma_inv_rows and p.chol is not None  # cached reads are not part of the value
+    assert p == WishartParams(d=2, beta=3, sigma=sigma) and {p: 1}[WishartParams(2, 3, np.array(sigma))] == 1
+    assert p != WishartParams(d=2, beta=4, sigma=sigma) and p != WishartParams(d=2, beta=3, sigma=np.eye(2))
+    kind = MomentKind("trace_power", 2)
+    assert kind.order == 2 and kind == MomentKind("trace_power", 2.0) and hash(kind) == hash(MomentKind("trace_power", 2))
+    assert kind != MomentKind("trace_power", 2, True) and kind != MomentKind("power_trace", (1, 1))
+    assert repr(kind) == "MomentKind(kind='trace_power', arg=2, inverse=False)"
+    assert repr(Perm((2, 1, 3))) == "Perm(2, 1, 3)" and repr(Perm((1,))) == "Perm(1,)"
+    assert Perm((2, 1)) != MomentSpec((2, 1)) and Perm((1, 2)) != Perm((1, 2, 3))
+
+
+def test_a_descriptor_cannot_move_its_exact_target_to_the_inverse_side():
+    # the exact half was a plain object: setting its inverse flag turned the
+    # target of E[W_11] into E[W^-1_11] while the descriptor still read forward
+    params = WishartParams(d=2, beta=3, sigma=np.eye(2))
+    desc = EntryProduct((1, 1))
+    with pytest.raises(AttributeError, match="a MomentKind is immutable"):
+        desc._exact.inverse = True
+    assert desc.inverse is False and desc.target(params) == 3.0

@@ -604,6 +604,19 @@ def test_trace_product_rejects_factors_that_are_not_d_by_d(params3, shape):
         trace_product_moment(params3, [np.eye(3), np.ones(shape)])
 
 
+def test_a_pattern_not_twice_the_number_of_matrices_is_a_value_error():
+    params, f = WishartParams(d=2, beta=3, sigma=np.eye(2)), [[1.0, 0.2], [0.4, 0.5]]
+    for g, ms in ((Perm((2, 1)), [f, f]), (Perm((3, 1, 2, 4)), [f]), (Perm((1, 2)), []), (Perm(()), [f])):
+        for call in (
+            lambda: paired_contraction(g, np.eye(2), ms),
+            lambda: mixed_trace_moment(params, g, ms),
+            lambda: mixed_trace_moment(params, g, ms, inverse=True),
+        ):
+            with pytest.raises(ValueError, match="^pattern size must be twice the number of matrices$"):
+                call()
+    assert mixed_trace_moment(params, Perm(()), []) == paired_contraction(Perm(()), np.eye(2), []) == 1.0
+
+
 def test_paired_contraction_against_bruteforce():
     rng = np.random.default_rng(3)
     d = 2
