@@ -14,7 +14,6 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -67,16 +66,6 @@ class SampleStats:
 # argument check, degree and target) is ``wishart.MomentKind``.
 
 
-def _pair(desc, field: str, kind: str) -> None:
-    """Pair the descriptor ``desc`` with the exact half of its kind,
-    ``wishart.MomentKind``, keep its argument ``field`` as that reads it and
-    take its ``order``."""
-    exact = wishart.MomentKind(kind, getattr(desc, field), desc.inverse)
-    object.__setattr__(desc, "_exact", exact)
-    object.__setattr__(desc, field, exact.arg)
-    object.__setattr__(desc, "order", exact.order)
-
-
 def _power_traces(mats: np.ndarray, top: int) -> dict[int, np.ndarray]:
     """tr(W^r) of each draw, for r = 1..top (and r = 1 when top is 0)."""
     # tr(W^r) contracts W^(r-1) against W, so the top power is never formed.
@@ -91,24 +80,41 @@ def _power_traces(mats: np.ndarray, top: int) -> dict[int, np.ndarray]:
     return traces
 
 
+class _Paired:
+    """A descriptor paired with the exact half of its kind: the MomentKind
+    named by the class-level ``_kind``, at the field named by ``_arg``.  The
+    field keeps the argument as MomentKind reads it, ``order`` is copied and
+    ``dataclasses.replace`` pairs again; the label is ``_label(arg=...,
+    w="W" or "Winv")``.  Each class binds ``target = _Paired.target`` itself,
+    as perfbench's spans wrap ``vars(cls)["target"]``; ROADMAP item 3 step 2
+    removes those lines."""
+
+    def __post_init__(self):
+        exact = wishart.MomentKind(self._kind, getattr(self, self._arg), self.inverse)
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, self._arg, exact.arg)
+        object.__setattr__(self, "order", exact.order)
+
+    @property
+    def label(self) -> str:
+        return self._label(arg=self._exact.arg, w="Winv" if self.inverse else "W")
+
+    def target(self, params: WishartParams) -> float:
+        return self._exact.target(params)
+
+
 @dataclass(frozen=True)
-class EntryProduct:
+class EntryProduct(_Paired):
     """Product of matrix entries W^{+-1}[k1,k2] * W^{+-1}[k3,k4] * ..."""
 
     indices: tuple[int, ...]
     inverse: bool = False
+    _kind, _arg = "entries", "indices"
+    target = _Paired.target
 
-    def __post_init__(self):
-        _pair(self, "indices", "entries")
-
-    @property
-    def label(self) -> str:
-        w = "Winv" if self.inverse else "W"
-        pairs = [f"{w}[{self.indices[i]},{self.indices[i+1]}]" for i in range(0, len(self.indices), 2)]
-        return "*".join(pairs)
-
-    def target(self, params: WishartParams) -> float:
-        return self._exact.target(params)
+    @staticmethod
+    def _label(arg: tuple[int, ...], w: str) -> str:
+        return "*".join(f"{w}[{a},{b}]" for a, b in zip(arg[::2], arg[1::2]))
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         out = np.ones(mats.shape[0])
@@ -118,42 +124,26 @@ class EntryProduct:
 
 
 @dataclass(frozen=True)
-class TracePower:
+class TracePower(_Paired):
     """(tr W^{+-1})**n."""
 
     power: int
     inverse: bool = False
-
-    def __post_init__(self):
-        _pair(self, "power", "trace_power")
-
-    @property
-    def label(self) -> str:
-        return f"tr({'Winv' if self.inverse else 'W'})^{self.power}"
-
-    def target(self, params: WishartParams) -> float:
-        return self._exact.target(params)
+    _kind, _arg, _label = "trace_power", "power", "tr({w})^{arg}".format
+    target = _Paired.target
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         return np.einsum("mii->m", mats) ** self.power
 
 
 @dataclass(frozen=True)
-class PowerTrace:
+class PowerTrace(_Paired):
     """prod_i tr((W^{+-1})**mu_i)."""
 
     mu: Partition
     inverse: bool = False
-
-    def __post_init__(self):
-        _pair(self, "mu", "power_trace")
-
-    @property
-    def label(self) -> str:
-        return f"p_{self.mu}({'Winv' if self.inverse else 'W'})"
-
-    def target(self, params: WishartParams) -> float:
-        return self._exact.target(params)
+    _kind, _arg, _label = "power_trace", "mu", "p_{arg}({w})".format
+    target = _Paired.target
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         out = np.ones(mats.shape[0])
@@ -164,21 +154,13 @@ class PowerTrace:
 
 
 @dataclass(frozen=True)
-class Invariant:
+class Invariant(_Paired):
     """Z_lam(W^{+-1}), the zonal polynomial of shape lam."""
 
     lam: Partition
     inverse: bool = False
-
-    def __post_init__(self):
-        _pair(self, "lam", "invariant")
-
-    @property
-    def label(self) -> str:
-        return f"Z_{self.lam}({'Winv' if self.inverse else 'W'})"
-
-    def target(self, params: WishartParams) -> float:
-        return self._exact.target(params)
+    _kind, _arg, _label = "invariant", "lam", "Z_{arg}({w})".format
+    target = _Paired.target
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         # the exact contraction of ``zonal_eval`` on float coefficients: a
@@ -354,20 +336,9 @@ def _workers(lanes: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def _run_streams(
-    draw_chunk: Callable[[np.random.Generator, int, list[_Acc]], None], targets: list[float],
-    labels: list[str], sample_count: int, rng: RngSpec, chunk: int, streams: int, threads: int,
-) -> list[SampleStats]:
-    """Split ``sample_count`` draws over RngSpec(seed, stream + i), i < streams,
-    calling ``draw_chunk(gen, m, accs)`` with at most ``chunk`` draws at a time;
-    merge the streams pairwise in order, so the thread count never changes
-    results.  Each stream runs on one thread, so ``threads > streams`` leaves
-    threads unused and warns.
-
-    The streams run in ``min(threads, streams)`` lanes: lane j runs streams
-    j, j + lanes, ... in order, so at most ``threads`` of them run at once.
-    One lane runs on the calling thread, more on the worker pool.
-    """
+def _read_run(sample_count, chunk, streams, threads) -> tuple[int, int, int, int]:
+    """The counts of an estimate, read before its first target.  Each stream
+    runs on one thread, so ``threads > streams`` warns at the caller."""
     sample_count = _as_int(sample_count, "sample_count", 1000)
     streams = _as_int(streams, "streams", 1)
     chunk = _as_int(chunk, "chunk", 1)
@@ -378,6 +349,22 @@ def _run_streams(
             RuntimeWarning,
             stacklevel=3,
         )
+    return sample_count, chunk, streams, threads
+
+
+def _run_streams(
+    draw_chunk: Callable[[np.random.Generator, int, list[_Acc]], None], targets: list[float],
+    labels: list[str], sample_count: int, rng: RngSpec, chunk: int, streams: int, threads: int,
+) -> list[SampleStats]:
+    """Split ``sample_count`` draws over RngSpec(seed, stream + i), i < streams,
+    calling ``draw_chunk(gen, m, accs)`` with at most ``chunk`` draws at a time;
+    merge the streams pairwise in order, so the thread count never changes
+    results.  The counts are those ``_read_run`` returned.
+
+    The streams run in ``min(threads, streams)`` lanes: lane j runs streams
+    j, j + lanes, ... in order, so at most ``threads`` of them run at once.
+    One lane runs on the calling thread, more on the worker pool.
+    """
     base, extra = divmod(sample_count, streams)
 
     def run_stream(i: int) -> list[_Acc]:
@@ -424,29 +411,36 @@ def estimate(
     Inverse-moment descriptors additionally require gamma > order, one unit
     beyond the existence threshold, so the empirical variance is usable;
     near-singular draws (condition above 1e12) are rejected and counted.
+
+    The arguments are refused in this order, each before any target is
+    computed or any draw made: the gamma margin of the inverse descriptors,
+    the counts (``sample_count``, ``streams``, ``chunk``, ``threads``), then
+    ``method`` against ``params``.  A descriptor's own refusal comes last,
+    from its ``target``.
     """
     descriptors = list(descriptors)
-    need_inverse = any(getattr(d, "inverse", False) for d in descriptors)
-    if need_inverse:
-        gamma = params.gamma
-        worst = max(d.order for d in descriptors if getattr(d, "inverse", False))
-        if not gamma > Fraction(worst):
+    inverse = [getattr(d, "inverse", False) for d in descriptors]  # TraceProduct has none
+    if any(inverse):
+        worst = max(d.order for d, inv in zip(descriptors, inverse) if inv)
+        if not params.gamma > worst:
             raise DomainError(
-                f"inverse-moment estimation needs gamma > n, got gamma={gamma} for degree {worst}"
+                f"inverse-moment estimation needs gamma > n, got gamma={params.gamma} for degree {worst}"
             )
+    sample_count, chunk, streams, threads = _read_run(sample_count, chunk, streams, threads)
+    method = _resolve_method(params, method)
     targets = [float(d.target(params)) for d in descriptors]
 
     def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
         W = sample_wishart_batch(params, m, gen, method)
         Winv = None
         rejected = 0
-        if need_inverse:
+        if any(inverse):
             inv, cond = _kernels.inverse_and_cond(W)
             mask = cond < COND_LIMIT
             rejected = int(m - mask.sum())
             Winv = inv[mask] if rejected else inv
-        for desc, acc in zip(descriptors, accs):
-            if getattr(desc, "inverse", False):
+        for desc, on_inverse, acc in zip(descriptors, inverse, accs):
+            if on_inverse:
                 acc.add_chunk(desc.values(Winv), rejected=rejected)
             else:
                 acc.add_chunk(desc.values(W))
@@ -468,6 +462,7 @@ def estimate_haar(
     exact Weingarten-sum value."""
     N = check_dimension(N)
     pairs = [(_as_ints(i, "row index", 1, N), _as_ints(j, "column index", 1, N)) for i, j in index_pairs]
+    sample_count, chunk, streams, threads = _read_run(sample_count, chunk, streams, threads)
     targets = [float(wishart.haar_moment(i, j, N)) for i, j in pairs]
     labels = [f"prod O[{i},{j}]" for i, j in pairs]
     k = max((b for _, j_idx in pairs for b in j_idx), default=0)

@@ -1,11 +1,12 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wishmom import montecarlo
+from wishmom import montecarlo, wishart
+from wishmom.matchgroup import SizeLimitError
 from wishmom.montecarlo import (
     EntryProduct,
     Invariant,
@@ -96,6 +97,85 @@ def test_estimator_knobs_must_be_integers(params, no_draws, knob, bad):
         with pytest.raises(ValueError, match=f"{knob} must be {rule}, got") as info:
             call()
         assert type(info.value) is ValueError
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    # a refused argument must be refused before any exact target or draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a target or drew samples before refusing an argument")
+
+    monkeypatch.setattr(wishart.MomentKind, "target", refuse)
+    monkeypatch.setattr(wishart, "trace_product_moment", refuse)
+    monkeypatch.setattr(wishart, "haar_moment", refuse)
+    monkeypatch.setattr(montecarlo, "sample_wishart_batch", refuse)
+    monkeypatch.setattr(montecarlo._kernels, "haar_orthogonalize", refuse)
+
+
+_COUNT_REFUSALS = [
+    (dict(sample_count=999), "sample_count must be an integer >= 1000, got 999"),
+    (dict(sample_count=-1), "sample_count must be an integer >= 1000, got -1"),
+    (dict(sample_count=1000.5), "sample_count must be an integer >= 1000, got 1000.5"),
+    (dict(streams=0), "streams must be a positive integer, got 0"),
+    (dict(chunk=0), "chunk must be a positive integer, got 0"),
+    (dict(threads=0), "threads must be a positive integer, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "beta, bad, error, message",
+    [(9, kw, ValueError, msg) for kw, msg in _COUNT_REFUSALS]
+    + [(9, dict(method="Auto"), ValueError, "unknown sampling method 'Auto'"),
+       (1, dict(method="bartlett"), DomainError, "Bartlett path needs 2*beta > d-1, got beta=1"),
+       (Fraction(7, 4), dict(method="vectors"), DomainError, "integer path needs integer 2*beta, got beta=7/4")],
+)
+def test_estimate_refuses_before_any_target_or_draw(no_work, beta, bad, error, message):
+    p = WishartParams(d=3, beta=beta, sigma=np.eye(3) + 0.2)
+    descs = [EntryProduct((1, 2, 2, 3)), TraceProduct((np.eye(3),))]
+    if p.gamma > 2:  # at gamma <= 0 the gamma margin of an inverse descriptor is refused first
+        descs.append(TracePower(2, inverse=True))
+    kw = {**dict(sample_count=2000, streams=2, chunk=1000, threads=1), **bad}
+    with pytest.raises(error) as info:
+        estimate(descs, p, rng=RngSpec(0), **kw)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, message", _COUNT_REFUSALS)
+def test_estimate_haar_refuses_before_any_target_or_draw(no_work, bad, message):
+    kw = {**dict(sample_count=2000, streams=2, chunk=1000, threads=1), **bad}
+    with pytest.raises(ValueError) as info:
+        estimate_haar([((1, 1), (1, 1)), ((1, 2), (2, 1))], 3, rng=RngSpec(0), **kw)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_a_bad_count_or_method_is_refused_before_a_target_refuses():
+    p = WishartParams(d=3, beta=9, sigma=np.eye(3) + 0.2)
+    # TracePower(11) is built, and its target refuses the degree
+    with pytest.raises(SizeLimitError):
+        estimate([TracePower(11)], p, 2000, RngSpec(0))
+    with pytest.raises(ValueError, match="index must be an integer in 1..3, got 4"):
+        estimate([EntryProduct((1, 4))], p, 2000, RngSpec(0))
+    for descs in ([TracePower(11)], [EntryProduct((1, 4))], [EntryProduct((1, 2))]):
+        with pytest.raises(ValueError, match="sample_count must be"):
+            estimate(descs, p, 999, RngSpec(0), method="Auto")
+        with pytest.raises(ValueError, match="unknown sampling method 'Auto'"):
+            estimate(descs, p, 2000, RngSpec(0), method="Auto")
+    with pytest.raises(DomainError, match="Bartlett path needs"):
+        estimate([TracePower(11)], WishartParams(d=3, beta=1, sigma=np.eye(3)), 2000, RngSpec(0), method="bartlett")
+    six = ((1,) * 12, (1,) * 12)  # degree 6: haar_moment refuses to list its matchings
+    with pytest.raises(SizeLimitError):
+        estimate_haar([six], 3, 2000, RngSpec(0))
+    with pytest.raises(ValueError, match="streams must be"):
+        estimate_haar([six], 3, 2000, RngSpec(0), streams=0)
+
+
+def test_the_unused_threads_warning_points_at_the_caller(params):
+    calls = (lambda: estimate([EntryProduct((1, 2))], params, 2000, RngSpec(0), streams=1, threads=2),
+             lambda: estimate_haar([((1,), (1,))], 2, 2000, RngSpec(0), streams=1, threads=2))
+    for call in calls:
+        with pytest.warns(RuntimeWarning, match="threads=2 exceeds streams=1") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_rngspec_takes_integers_only():
@@ -218,6 +298,28 @@ def test_invariant_values_are_the_zonal_polynomial(params):
         psums = [{r: np.trace(np.linalg.matrix_power(w, r)) for r in range(1, sum(lam) + 1)} for w in mats]
         assert Invariant(lam).values(mats) == pytest.approx([float(zonal_eval(lam, p)) for p in psums], rel=1e-12)
     assert (Invariant((2, 1), inverse=True).label, Invariant((2, 1)).order) == ("Z_(2, 1)(Winv)", 3)
+
+
+def test_labels_reprs_and_fields_of_every_descriptor():
+    # recorded before the paired kinds shared one base, which adds no field
+    cases = [
+        (EntryProduct((1, 2, 2, 1)), "W[1,2]*W[2,1]", "EntryProduct(indices=(1, 2, 2, 1), inverse=False)"),
+        (EntryProduct([1, 1], True), "Winv[1,1]", "EntryProduct(indices=(1, 1), inverse=True)"),
+        (EntryProduct(()), "", "EntryProduct(indices=(), inverse=False)"),
+        (TracePower(3), "tr(W)^3", "TracePower(power=3, inverse=False)"),
+        (TracePower(2, True), "tr(Winv)^2", "TracePower(power=2, inverse=True)"),
+        (PowerTrace((2, 1)), "p_(2, 1)(W)", "PowerTrace(mu=(2, 1), inverse=False)"),
+        (PowerTrace([3, 1, 1], True), "p_(3, 1, 1)(Winv)", "PowerTrace(mu=(3, 1, 1), inverse=True)"),
+        (PowerTrace(()), "p_()(W)", "PowerTrace(mu=(), inverse=False)"),
+        (Invariant((2, 1)), "Z_(2, 1)(W)", "Invariant(lam=(2, 1), inverse=False)"),
+        (Invariant((1, 1), True), "Z_(1, 1)(Winv)", "Invariant(lam=(1, 1), inverse=True)"),
+        (TraceProduct([np.eye(2)] * 2), "prod tr(W s_i), n=2", None),
+    ]
+    for desc, label, text in cases:
+        assert desc.label == label and (text is None or repr(desc) == text)
+    want = {EntryProduct: ["indices", "inverse"], TracePower: ["power", "inverse"], PowerTrace: ["mu", "inverse"],
+            Invariant: ["lam", "inverse"], TraceProduct: ["mats"]}
+    assert {cls: [f.name for f in fields(cls)] for cls in want} == want
 
 
 def test_replace_re_pairs_a_descriptor_with_its_order():
