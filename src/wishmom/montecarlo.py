@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
+from .matchgroup import check_sum_degree
 from .symcomb import Partition, _as_int, _as_ints
 from .weingarten import _contract, _zonal_coeffs, check_dimension
 from .wishart import DomainError, WishartParams, _real_rows
@@ -98,6 +99,9 @@ class _Paired:
     @property
     def label(self) -> str:
         return self._label(arg=self._exact.arg, w="Winv" if self.inverse else "W")
+
+    def check(self, params: WishartParams) -> None:
+        self._exact.check(params)
 
     def target(self, params: WishartParams) -> float:
         return self._exact.target(params)
@@ -184,6 +188,13 @@ class TraceProduct:
     @property
     def label(self) -> str:
         return f"prod tr(W s_i), n={len(self.mats)}"
+
+    def check(self, params: WishartParams) -> None:
+        """The refusals of ``target``, in its order: each factor against d,
+        then the degree."""
+        for s in self.mats:
+            _real_rows(s, params.d, "trace-product factor", True)
+        check_sum_degree(len(self.mats))
 
     def target(self, params: WishartParams) -> float:
         return wishart.trace_product_moment(params, list(self.mats))
@@ -414,9 +425,10 @@ def estimate(
 
     The arguments are refused in this order, each before any target is
     computed or any draw made: the gamma margin of the inverse descriptors,
-    the counts (``sample_count``, ``streams``, ``chunk``, ``threads``), then
-    ``method`` against ``params``.  A descriptor's own refusal comes last,
-    from its ``target``.
+    the counts (``sample_count``, ``streams``, ``chunk``, ``threads``),
+    ``method`` against ``params``, then each descriptor's ``check`` against
+    ``params`` (an index past d, a degree past the cap, a trace-product
+    factor that is not a symmetric d x d matrix).
     """
     descriptors = list(descriptors)
     inverse = [getattr(d, "inverse", False) for d in descriptors]  # TraceProduct has none
@@ -428,6 +440,8 @@ def estimate(
             )
     sample_count, chunk, streams, threads = _read_run(sample_count, chunk, streams, threads)
     method = _resolve_method(params, method)
+    for d in descriptors:
+        d.check(params)
     targets = [float(d.target(params)) for d in descriptors]
 
     def draw_chunk(gen: np.random.Generator, m: int, accs: list[_Acc]) -> None:
@@ -459,10 +473,14 @@ def estimate_haar(
     threads: int = 1,
 ) -> list[SampleStats]:
     """Estimate E[prod O[i_k, j_k]] for each (i, j) pair list against the
-    exact Weingarten-sum value."""
+    exact Weingarten-sum value.  N, the index pairs, the counts and then each
+    pair's lengths (``wishart._haar_degree``) are refused before the first
+    ``haar_moment``."""
     N = check_dimension(N)
     pairs = [(_as_ints(i, "row index", 1, N), _as_ints(j, "column index", 1, N)) for i, j in index_pairs]
     sample_count, chunk, streams, threads = _read_run(sample_count, chunk, streams, threads)
+    for i_idx, j_idx in pairs:
+        wishart._haar_degree(i_idx, j_idx)
     targets = [float(wishart.haar_moment(i, j, N)) for i, j in pairs]
     labels = [f"prod O[{i},{j}]" for i, j in pairs]
     k = max((b for _, j_idx in pairs for b in j_idx), default=0)

@@ -497,11 +497,13 @@ def trace_power_moment(params: WishartParams, n: int, inverse: bool = False) -> 
 
 # The exact half of each moment kind of ``MomentKind``: its argument checked,
 # its degree, and its moment E[f(W^{+-1})] at (params, argument, inverse).
+# Each moment is looked up in this module when it is computed, so a wrapper
+# set on the module attribute runs.
 _KINDS = {
     "entries": (lambda k: MomentSpec(k).indices, lambda k: len(k) // 2, lambda p, k, inv: moment(p, MomentSpec(k, inv))),
-    "trace_power": (lambda n: _as_int(n, "power", 0), lambda n: n, trace_power_moment),
-    "power_trace": (check_partition, sum, power_trace_moment),
-    "invariant": (check_partition, sum, invariant_moment),
+    "trace_power": (lambda n: _as_int(n, "power", 0), lambda n: n, lambda p, n, inv: trace_power_moment(p, n, inv)),
+    "power_trace": (check_partition, sum, lambda p, mu, inv: power_trace_moment(p, mu, inv)),
+    "invariant": (check_partition, sum, lambda p, lam, inv: invariant_moment(p, lam, inv)),
 }
 
 
@@ -511,8 +513,9 @@ class MomentKind(_Value):
     "trace_power" (n, f = (tr x)^n), "power_trace" (a partition mu, f =
     p_mu(x)) or "invariant" (a partition lam, f = Z_lam(x)), the names of
     the ``wishmom moment`` flags.  The argument is checked and kept as read
-    in ``arg``; ``order`` is the degree of f and ``target`` its exact
-    moment.  An immutable value of (kind, arg, inverse).  montecarlo's
+    in ``arg``; ``order`` is the degree of f, ``target`` its exact moment
+    and ``check`` the refusals of ``target`` that read no table.  An
+    immutable value of (kind, arg, inverse).  montecarlo's
     descriptors pair it with their sampled values."""
 
     __slots__ = ("kind", "arg", "inverse", "order")
@@ -525,6 +528,15 @@ class MomentKind(_Value):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "order", degree(arg))
+
+    def check(self, params: WishartParams) -> None:
+        """Refuse, with ``target``'s error, an index past ``params.d`` or a
+        degree past the cap, before any table is built.  gamma is not read:
+        gamma <= 0 on the inverse side stays ``target``'s refusal."""
+        if self.order:
+            if self.kind == "entries":
+                _as_int(max(self.arg), "index", 1, params.d)
+            check_degree(self.order)
 
     def target(self, params: WishartParams) -> float:
         return _KINDS[self.kind][2](params, self.arg, self.inverse)
@@ -565,6 +577,20 @@ def density(params: WishartParams, w) -> float:
     return exp(log_density(params, w))
 
 
+def _haar_degree(i_idx: Sequence[int], j_idx: Sequence[int]) -> int | None:
+    """The degree of a Haar moment, len / 2, or None for an odd length, whose
+    moment is exactly 0: ValueError unless the index lists have equal
+    length, and ``check_listed_degree``, as the column matchings are listed."""
+    if len(i_idx) != len(j_idx):
+        raise ValueError("row and column index lists must have equal length")
+    if len(i_idx) % 2:
+        return None
+    n = len(i_idx) // 2
+    if n:
+        check_listed_degree(n)
+    return n
+
+
 def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     """Exact E[O_{i1 j1} ... O_{ik jk}] for a Haar orthogonal N x N matrix.
 
@@ -579,15 +605,11 @@ def haar_moment(i_idx: Sequence[int], j_idx: Sequence[int], N: int) -> Fraction:
     N = check_dimension(N)
     i_idx = _as_ints(i_idx, "row index", 1, N)
     j_idx = _as_ints(j_idx, "column index", 1, N)
-    if len(i_idx) != len(j_idx):
-        raise ValueError("row and column index lists must have equal length")
-    k = len(i_idx)
-    if k % 2:
+    n = _haar_degree(i_idx, j_idx)
+    if n is None:
         return Fraction(0)
-    n = k // 2
     if n == 0:
         return Fraction(1)
-    check_listed_degree(n)  # the column matchings are listed
     rows = set(i_idx)
     delta = {a: {b: int(a == b) for b in rows} for a in rows}
     # the n pairing equal column indices, grouped by the row labels they give

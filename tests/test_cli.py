@@ -48,11 +48,13 @@ RAN = (
     "import sys, types; "
     f"print('modules ran:', [m for m in {DEFERRED!r} if type(sys.modules.get('wishmom.' + m)) is types.ModuleType], file=sys.stderr)"
 )
-# cli.main in a fresh process; the last two lines of stderr say whether numpy
-# was imported and which deferred modules ran
+# cli.main in a fresh process; the last three lines of stderr say whether
+# numpy and the thread-pool module were imported and which deferred modules ran
 RUN_MAIN = (
     "import sys, wishmom.cli; code = wishmom.cli.main(sys.argv[1:]); "
-    f"print('numpy ran:', 'numpy' in sys.modules, file=sys.stderr); {RAN}; sys.exit(code)"
+    "print('numpy ran:', 'numpy' in sys.modules, file=sys.stderr); "
+    "print('pool imported:', 'concurrent.futures' in sys.modules, file=sys.stderr); "
+    f"{RAN}; sys.exit(code)"
 )
 TABLE = ["--n", "3", "--z", "5", "--cache-dir", "c"]
 # the deferred modules each command runs: wg and table none, error exits
@@ -81,9 +83,12 @@ NONE, WISHART = [], ["wishart"]
         (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False, WISHART),
         (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False, WISHART),
         (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False, WISHART),
-        (["validate", "identities", "--n", "3"], None, 0, False, ["hafnian", "validate", "wishart"]),
+        (["validate", "identities", "--n", "4"], None, 0, False, ["hafnian", "validate", "wishart"]),
         (["moment", "--entries", "1,1", "--beta", "1/4", "--sigma", "s.csv"], None, 3, False, WISHART),
         (["table", "build", "--n", "3", "--cache-dir", "c"], None, 2, False, NONE),
+        (["moment", "--inverse", "--entries", "1,2,2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
+        (["moment", "--inverse", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
+        (["moment", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
     ],
     ids=[
         "wg-z", "wg-gamma", "wg-truncate", "haar", "table-build", "table-show", "table-list",
@@ -91,13 +96,15 @@ NONE, WISHART = [], ["wishart"]
         "moment", "moment-inverse-invariant", "moment-not-pd", "validate-golden",
         "moment-trace-power", "moment-inverse-power-trace", "moment-not-symmetric", "moment-ragged-sigma",
         "validate-identities", "moment-inadmissible-beta", "table-build-without-z",
+        "moment-inverse-entries", "moment-inverse-trace-power", "moment-power-trace",
     ],
 )
 def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs, modules_run):
     # numpy runs only for moment --invariant (its power sums stay numpy's)
     # and validate montecarlo, which samples: the other moment kinds, every
     # error exit of moment and validate golden and identities are Python
-    # throughout.  The same command runs in a fresh process and in this one
+    # throughout.  No command here samples, so none imports the thread-pool
+    # module.  The same command runs in a fresh process and in this one
     # (numpy loaded), each in a directory of its own, so relative paths
     # print alike
     fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
@@ -114,8 +121,9 @@ def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, mon
             table_path(d / "c", 3, 5).mkdir(parents=True)
     capsys.readouterr()
     fresh_code, out, err = _fresh(RUN_MAIN, *argv, cwd=fresh_dir)
-    *err, numpy_ran, modules_ran = err.splitlines(keepends=True)
+    *err, numpy_ran, pool_imported, modules_ran = err.splitlines(keepends=True)
     assert numpy_ran == f"numpy ran: {numpy_runs}\n"
+    assert pool_imported == "pool imported: False\n"
     assert modules_ran == f"modules ran: {modules_run}\n"
     monkeypatch.chdir(here_dir)
     assert main(argv) == fresh_code == code
@@ -225,6 +233,55 @@ def test_threads_after_cli_import_give_the_one_thread_result(call):
     (two, ran), (one, _) = run("wishmom.cli", 2), run("numpy", 1)
     assert ran == "modules ran: []\n"
     assert two == one
+
+
+# refused calls of estimate and estimate_haar, each refusal listed after
+# targets that would build tables (degree 10 on both sides, a degree-5 Haar
+# moment), with the class and message it raises
+REFUSALS = {
+    "estimate(deg10, p, 999, rng)": "ValueError: sample_count must be an integer >= 1000, got 999",
+    "estimate(deg10, p, 2000, rng, streams=0)": "ValueError: streams must be a positive integer, got 0",
+    "estimate(deg10, p, 2000, rng, method='Auto')": "ValueError: unknown sampling method 'Auto'",
+    "estimate(deg10 + [EntryProduct((1, 4))], p, 2000, rng)": "ValueError: index must be an integer in 1..3, got 4",
+    "estimate(deg10 + [TracePower(11)], p, 2000, rng)":
+        "wishmom.matchgroup.SizeLimitError: exact sums support degree <= 10 (pairs or points), got 11",
+    "estimate(deg10 + [TraceProduct([np.eye(2)])], p, 2000, rng)":
+        "ValueError: trace-product factor must be a square matrix of size 3, got shape (2, 2)",
+    "estimate(deg10 + [TraceProduct([np.eye(3)] * 11)], p, 2000, rng)":
+        "wishmom.matchgroup.SizeLimitError: exact sums support degree <= 10 (pairs or points), got 11",
+    "estimate_haar([deg5, ((1, 2), (1,))], 3, 2000, rng)": "ValueError: row and column index lists must have equal length",
+    "estimate_haar([deg5, ((1,) * 12, (1,) * 12)], 3, 2000, rng)":
+        "wishmom.matchgroup.SizeLimitError: routes that list words support 1 <= n <= 5, got 6",
+}
+REFUSE = """
+import sys
+from fractions import Fraction
+import numpy as np
+from wishmom.matchgroup import _dp_structure
+from wishmom.montecarlo import EntryProduct, RngSpec, TracePower, TraceProduct, estimate, estimate_haar
+from wishmom.weingarten import _point_cache, _zonal_table
+from wishmom.wishart import WishartParams
+
+p, rng = WishartParams(d=3, beta=Fraction(25, 2), sigma=np.eye(3) + 0.2), RngSpec(0)
+deg10, deg5 = [EntryProduct([1 + k % 3 for k in range(20)]), TracePower(10, inverse=True)], ((1,) * 10, (1,) * 10)
+for call in sys.argv[1:]:
+    try:
+        eval(call)
+        print("no refusal")
+    except Exception as exc:
+        cls = type(exc)
+        print(cls.__qualname__ if cls.__module__ == "builtins" else f"{cls.__module__}.{cls.__qualname__}", exc, sep=": ")
+print([f.cache_info().currsize for f in (_dp_structure, _point_cache, _zonal_table)])
+"""
+
+
+def test_estimates_refuse_before_any_table_is_built():
+    # every count, method, descriptor and Haar pair is read before the first
+    # target, so in a fresh process no DP structure, point table or zonal
+    # table is built before the refusal
+    rc, out, err = _fresh(REFUSE, *REFUSALS)
+    assert rc == 0, err
+    assert out.splitlines() == [*REFUSALS.values(), "[0, 0, 0]"]
 
 
 def test_cli_import_binds_every_module_the_recorder_wraps():
@@ -486,6 +543,9 @@ KIND_ARGS = {
     "power_trace": (PowerTrace, [(1,), (2,), (2, 1)]),
     "invariant": (Invariant, [(1,), (1, 1), (2, 1)]),
 }
+# the wishart function that computes each kind
+KIND_MOMENTS = {"entries": "moment", "trace_power": "trace_power_moment", "power_trace": "power_trace_moment",
+                "invariant": "invariant_moment"}
 SIGMA3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
 
 
@@ -517,10 +577,14 @@ def test_every_moment_kind_is_its_class(tmp_path, monkeypatch, capsys, flag, deg
     # the degrees passed to gamma_regime: the CLI's one call, as the formulas test gamma > 0 themselves
     degrees = []
     monkeypatch.setattr(wishart, "gamma_regime", lambda gamma, n: degrees.append(n) or "standard")
+    # the moment is read from the module when it is computed, so a wrapper set there runs
+    computed, moment_of = [], getattr(wishart, KIND_MOMENTS[flag])
+    monkeypatch.setattr(wishart, KIND_MOMENTS[flag], lambda *args: computed.append(args) or moment_of(*args))
     value = ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg)
     argv = ["moment", f"--{flag.replace('_', '-')}", value, "--beta", "19/2", "--sigma", str(path), "--format", "json"]
     assert main(argv + ["--inverse"] * inverse) == 0
     assert degrees == ([degree] if inverse else [])
+    assert len(computed) == 1
     monkeypatch.undo()
     [row] = json.loads(capsys.readouterr().out)["results"]
     target = float(kind.target(params))
@@ -632,6 +696,10 @@ def test_validate_identities(capsys):
     assert main(["validate", "identities", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+    # the report size the benchmark's cli pool relies on
+    assert main(["validate", "identities", "--n", "3", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [len(results), all(r["passed"] for r in results)] == [20, True]
 
 
 def test_validate_identities_runs_every_degree_it_is_given(capsys):
@@ -717,6 +785,9 @@ def test_table_build_and_list_write_to_out(tmp_path, capsys):
         assert main(["table", *action, "--cache-dir", cache, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text() == want
+    assert main(["table", "build", "--n", "3", "--z", "5", "--cache-dir", cache, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["results"] == [{"status": "built", "path": str(table_path(cache, 3, 5))}]
 
 
 def test_table_list_shows_only_table_files(tmp_path, capsys):

@@ -28,6 +28,7 @@ from wishmom.matchgroup import (
     paired_perm,
 )
 from wishmom.symcomb import Perm, centralizer_order, multiplicities, partitions_of
+from wishmom.wishart import MomentSpec, WishartParams, moment
 
 from oracles import (
     coset_type_union_find,
@@ -478,6 +479,13 @@ def test_dp_structure_cache_holds_structure_only():
     structure.cache_clear()
     backward = [_float_sums(n) for n in reversed(order)]
     assert forward == backward[::-1]
+    # so do keyed Fraction sums and a forward moment at the cap
+    x = [[Fraction(1 + i + j, 1 + i * j % 3) for j in range(3)] for i in range(3)]
+    labels = [k % 3 for k in range(2 * MAX_SUM_DEGREE)]
+    params = WishartParams(d=3, beta=Fraction(7, 2), sigma=np.eye(3) + 0.2)
+    structure.cache_clear()
+    cold, warm = [(matching_type_sums(labels, x), moment(params, MomentSpec([k + 1 for k in labels]))) for _ in range(2)]
+    assert cold == warm and repr(cold) == repr(warm)
     for n in range(MAX_SUM_DEGREE + 1):
         matching_type_sums([0] * (2 * n), [[1]])
         cycle_type_sums(n, lambda i, j: np.ones((1, 1)), np.trace)

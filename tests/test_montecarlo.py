@@ -150,7 +150,7 @@ def test_estimate_haar_refuses_before_any_target_or_draw(no_work, bad, message):
 
 def test_a_bad_count_or_method_is_refused_before_a_target_refuses():
     p = WishartParams(d=3, beta=9, sigma=np.eye(3) + 0.2)
-    # TracePower(11) is built, and its target refuses the degree
+    # TracePower(11) is built, and its check refuses the degree
     with pytest.raises(SizeLimitError):
         estimate([TracePower(11)], p, 2000, RngSpec(0))
     with pytest.raises(ValueError, match="index must be an integer in 1..3, got 4"):
@@ -202,31 +202,50 @@ def test_thread_count_does_not_change_results(params):
     assert a[0].mean == b[0].mean and a[0].stderr == b[0].stderr
 
 
-def _estimate_path(path, threads):
-    rng, kw = RngSpec(11), dict(streams=2, threads=threads, chunk=1500)
-    if path == "haar":
-        return estimate_haar([((1, 1), (1, 1)), ((1, 2), (1, 2))], 3, 4000, rng, **kw)
-    if path == "haar_last_column":
-        return estimate_haar([((3, 3), (8, 8)), ((1, 1, 2, 2), (1, 8, 1, 8))], 8, 4000, rng, **kw)
-    if path == "haar_degree0":
-        return estimate_haar([((), ()), ((1, 1), (2, 2))], 3, 4000, rng, **kw)
-    if path == "inverse":
-        p6 = WishartParams(d=3, beta=6, sigma=np.diag([2.0, 1.0, 0.5]) + 0.1)
-        return estimate([EntryProduct((1, 1), inverse=True), TracePower(2, inverse=True)], p6, 4000, rng, **kw)
-    p = WishartParams(d=3, beta=Fraction(5, 2), sigma=np.diag([2.0, 1.0, 0.5]) + 0.1)
-    if path == "power_trace":
-        return estimate([PowerTrace((3, 1))], p, 4000, rng, **kw)
-    return estimate([EntryProduct((1, 2)), TracePower(2)], p, 4000, rng, method=path, **kw)
+_SIGMA3 = np.diag([2.0, 1.0, 0.5]) + 0.1
+_P_DIAG = WishartParams(d=3, beta=Fraction(5, 2), sigma=_SIGMA3)
+_P8_VECTORS = WishartParams(d=8, beta=8, sigma=np.eye(8) + 0.3)
+_KW = dict(streams=2, chunk=1500)
+# path -> estimate at a thread count; the 20,000-draw cases also keep every |z| < 5
+_PATHS = {
+    "bartlett": lambda t: estimate([EntryProduct((1, 2)), TracePower(2)], _P_DIAG, 4000, RngSpec(11), method="bartlett",
+                                   threads=t, **_KW),
+    "vectors": lambda t: estimate([EntryProduct((1, 2)), TracePower(2)], _P_DIAG, 4000, RngSpec(11), method="vectors",
+                                  threads=t, **_KW),
+    "inverse": lambda t: estimate([EntryProduct((1, 1), inverse=True), TracePower(2, inverse=True)],
+                                  WishartParams(d=3, beta=6, sigma=_SIGMA3), 4000, RngSpec(11), threads=t, **_KW),
+    "power_trace": lambda t: estimate([PowerTrace((3, 1))], _P_DIAG, 4000, RngSpec(11), threads=t, **_KW),
+    "haar": lambda t: estimate_haar([((1, 1), (1, 1)), ((1, 2), (1, 2))], 3, 4000, RngSpec(11), threads=t, **_KW),
+    "haar_last_column": lambda t: estimate_haar([((3, 3), (8, 8)), ((1, 1, 2, 2), (1, 8, 1, 8))], 8, 4000, RngSpec(11),
+                                                threads=t, **_KW),
+    "haar_degree0": lambda t: estimate_haar([((), ()), ((1, 1), (2, 2))], 3, 4000, RngSpec(11), threads=t, **_KW),
+    # Haar draws orthogonalized up to column 8 of 8
+    "haar_last_column 20000": lambda t: estimate_haar([((3, 3), (8, 8)), ((1, 1, 2, 2), (1, 8, 1, 8))], 8, 20_000,
+                                                      RngSpec(6), streams=2, threads=t),
+    # the batched Cholesky inverse at d = 8 and d = 2
+    **{f"inverse d={d} 20000": lambda t, d=d, beta=beta: estimate(
+        [EntryProduct((1, 1), True), EntryProduct((1, 2, 1, 2), True), TracePower(2, True), PowerTrace((2,), True)],
+        WishartParams(d=d, beta=beta, sigma=np.eye(d) + 0.3), 20_000, RngSpec(7), streams=2, threads=t)
+       for d, beta in ((8, 10), (2, 6))},
+    # zonal invariants Z_lambda of W and of W^-1
+    "invariant 20000": lambda t: estimate([Invariant((2, 1)), Invariant((1, 1), True)],
+                                          WishartParams(d=3, beta=Fraction(19, 2), sigma=_SIGMA3), 20_000,
+                                          RngSpec(8), streams=2, threads=t),
+    # the blocked Gram kernels on chunks of 1000 draws, two blocks each at d = 8, p = 16
+    "vectors d=8 chunk=1000 20000": lambda t: estimate([EntryProduct((1, 2, 3, 4)), TracePower(2)], _P8_VECTORS, 20_000,
+                                                       RngSpec(9), method="vectors", chunk=1000, streams=2, threads=t),
+    "bartlett d=3 chunk=1000 20000": lambda t: estimate(
+        [EntryProduct((1, 2)), TracePower(2), PowerTrace((2, 1))], WishartParams(d=3, beta=2.5, sigma=_SIGMA3),
+        20_000, RngSpec(9), method="bartlett", chunk=1000, streams=2, threads=t),
+}
 
 
-@pytest.mark.parametrize(
-    "path", ["bartlett", "vectors", "inverse", "power_trace", "haar", "haar_last_column", "haar_degree0"]
-)
+@pytest.mark.parametrize("path", list(_PATHS))
 def test_every_sampling_path_is_thread_invariant(path):
-    one, two = _estimate_path(path, 1), _estimate_path(path, 2)
-    for a, b in zip(one, two):
-        assert a.count == b.count and a.rejected == b.rejected
-        assert a.mean == b.mean and a.stderr == b.stderr
+    one, two = _PATHS[path](1), _PATHS[path](2)
+    assert one == two
+    if path.endswith(" 20000"):
+        assert all(abs(s.zscore) < 5 for s in one), one
 
 
 def test_unused_threads_warn_without_changing_results(params):
@@ -450,6 +469,9 @@ def test_haar_sample_orthogonal():
     for N in (2, 3, 5):
         O = sample_haar_batch(N, 1, RngSpec(4).generator())[0]
         assert np.allclose(O.T @ O, np.eye(N), atol=1e-12)
+    # a batch through the batched Gram-Schmidt kernel
+    Q = sample_haar_batch(8, 20_000, np.random.default_rng(5))
+    assert np.abs(np.einsum("mik,mil->mkl", Q, Q) - np.eye(8)).max() <= 1e-13
 
 
 def test_haar_estimates(params):
@@ -473,7 +495,6 @@ def test_trace_product_descriptor_is_forward_only():
     assert stat.count == 2000 and stat.rejected == 0 and stat.target == 3  # E[W] = beta sigma
 
 
-_SIGMA3 = np.diag([2.0, 1.0, 0.5]) + 0.1
 # (count, rejected, mean.hex(), stderr.hex()) per descriptor, recorded with
 # the whole-batch Gram kernels (numpy 2.4, OpenBLAS 0.3.31, x86-64): the
 # blocked kernels must give the same seeded estimates bit for bit
