@@ -21,7 +21,6 @@ import numpy as np
 
 from . import _kernels, wishart
 from ._kernels import COND_LIMIT
-from .matchgroup import check_sum_degree
 from .symcomb import Partition, _as_int, _as_ints
 from .weingarten import _contract, _zonal_coeffs, check_dimension
 from .wishart import DomainError, WishartParams, _real_rows
@@ -190,11 +189,8 @@ class TraceProduct:
         return f"prod tr(W s_i), n={len(self.mats)}"
 
     def check(self, params: WishartParams) -> None:
-        """The refusals of ``target``, in its order: each factor against d,
-        then the degree."""
-        for s in self.mats:
-            _real_rows(s, params.d, "trace-product factor", True)
-        check_sum_degree(len(self.mats))
+        """The refusals of ``target`` that read no table, in its order."""
+        wishart._trace_product_factors(params, self.mats)
 
     def target(self, params: WishartParams) -> float:
         return wishart.trace_product_moment(params, list(self.mats))

@@ -53,6 +53,7 @@ from .matchgroup import (
     _partners,
     _word_table,
     check_listed_degree,
+    check_sum_degree,
     cycle_type_sums,
     label_matchings,
     matching_type_count,
@@ -295,7 +296,7 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
     n = spec.degree
     if n == 0:
         return 1.0
-    _as_int(max(spec.indices), "index", 1, params.d)  # MomentSpec read them as positive ints
+    _check_indices(params, spec.indices)
     x, shape = _side(params, spec.inverse)
     weights = _point_table(n, "gamma", shape) if spec.inverse else None
     labels = [k - 1 for k in spec.indices]
@@ -304,6 +305,12 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
         return matching_type_sums(labels, x, float(2 * shape)) / 2**n
     sums = matching_type_sums(labels, x)
     return sum(float(weights[rho]) * w for rho, w in sums.items())
+
+
+def _check_indices(params: WishartParams, indices: Sequence[int]) -> None:
+    """``moment``'s first refusal: ValueError unless every index of a
+    nonempty list is at most d (``MomentSpec`` read them as positive ints)."""
+    _as_int(max(indices), "index", 1, params.d)
 
 
 def inverse_moment(params: WishartParams, spec: MomentSpec) -> float:
@@ -319,8 +326,17 @@ def trace_product_moment(params: WishartParams, s_list: Sequence[np.ndarray]) ->
     per cycle.  Degree 0 is the empty product, 1.0."""
     import numpy as np
 
-    steps = [params.sigma @ np.array(_real_rows(s, params.d, "trace-product factor", True)) for s in s_list]
+    steps = [params.sigma @ np.array(s) for s in _trace_product_factors(params, s_list)]
     return float(cycle_type_sums(len(steps), lambda i, j: steps[j], np.trace, float(params.beta)))
+
+
+def _trace_product_factors(params: WishartParams, s_list: Sequence) -> list[list[list[float]]]:
+    """The factors of ``trace_product_moment``, each read as a symmetric
+    d x d matrix, then their number checked against the cap: its refusals
+    that read no table."""
+    factors = [_real_rows(s, params.d, "trace-product factor", True) for s in s_list]
+    check_sum_degree(len(factors))
+    return factors
 
 
 def paired_contraction(g: Perm, x: np.ndarray, ms: Sequence[np.ndarray]) -> float:
@@ -535,7 +551,7 @@ class MomentKind(_Value):
         gamma <= 0 on the inverse side stays ``target``'s refusal."""
         if self.order:
             if self.kind == "entries":
-                _as_int(max(self.arg), "index", 1, params.d)
+                _check_indices(params, self.arg)
             check_degree(self.order)
 
     def target(self, params: WishartParams) -> float:

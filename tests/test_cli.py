@@ -83,12 +83,13 @@ NONE, WISHART = [], ["wishart"]
         (["moment", "--inverse", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv", "--format", "json"], None, 0, False, WISHART),
         (["moment", "--entries", "1,1", "--beta", "9", "--sigma", "asym.csv"], None, 3, False, WISHART),
         (["moment", "--invariant", "2", "--beta", "9", "--sigma", "ragged.csv"], None, 2, False, WISHART),
-        (["validate", "identities", "--n", "4"], None, 0, False, ["hafnian", "validate", "wishart"]),
+        (["validate", "identities", "--n", "3"], None, 0, False, ["hafnian", "validate", "wishart"]),
         (["moment", "--entries", "1,1", "--beta", "1/4", "--sigma", "s.csv"], None, 3, False, WISHART),
         (["table", "build", "--n", "3", "--cache-dir", "c"], None, 2, False, NONE),
         (["moment", "--inverse", "--entries", "1,2,2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
         (["moment", "--inverse", "--trace-power", "3", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
         (["moment", "--power-trace", "2,1", "--beta", "9", "--sigma", "s.csv"], None, 0, False, WISHART),
+        (["validate", "identities", "--n", "4"], None, 0, False, ["hafnian", "validate", "wishart"]),
     ],
     ids=[
         "wg-z", "wg-gamma", "wg-truncate", "haar", "table-build", "table-show", "table-list",
@@ -96,7 +97,7 @@ NONE, WISHART = [], ["wishart"]
         "moment", "moment-inverse-invariant", "moment-not-pd", "validate-golden",
         "moment-trace-power", "moment-inverse-power-trace", "moment-not-symmetric", "moment-ragged-sigma",
         "validate-identities", "moment-inadmissible-beta", "table-build-without-z",
-        "moment-inverse-entries", "moment-inverse-trace-power", "moment-power-trace",
+        "moment-inverse-entries", "moment-inverse-trace-power", "moment-power-trace", "validate-identities-n4",
     ],
 )
 def test_fresh_cli_process_runs_numpy_only_for_moment_and_validate(tmp_path, monkeypatch, capsys, argv, prepare, code, numpy_runs, modules_run):
