@@ -34,6 +34,8 @@ Each table {rho: value} is summed in one pass and kept in one store of the
 last POINT_TABLES tables (degree, kind, point and mu), which every reader
 shares: the three per-value functions, ``weingarten_values`` and
 ``_point_table``, every table of ``wishart``.  A pole is never stored.
+Each stored table keeps its float view beside it (``_Table.floats``), made
+on its first read, for the moments of ``wishart`` that weigh in floats.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import permutations
 from math import factorial, lcm, prod
 from numbers import Number
@@ -244,8 +246,20 @@ def _zonal_sum(weights, rho: Partition, terms, scale: int) -> Fraction:
     return Fraction(scale * num, den_rho * den)
 
 
+class _Table(dict):
+    """A stored table {rho: Fraction} of ``_point_cache``.  ``floats`` is its
+    float view, {rho: float(value)} in the same order, made on its first read
+    and kept in the same store entry, for the moments that weigh in floats.
+    A value past the float range raises OverflowError there, as its float()
+    does, and nothing is kept."""
+
+    @cached_property
+    def floats(self) -> dict[Partition, float]:
+        return {rho: float(v) for rho, v in self.items()}
+
+
 @lru_cache(maxsize=POINT_TABLES)
-def _point_cache(n: int, kind: str, p: int, q: int, mu: Partition | None) -> dict[Partition, Fraction]:
+def _point_cache(n: int, kind: str, p: int, q: int, mu: Partition | None) -> _Table:
     """The table {rho: value} for every rho of weight n, in ``partitions_of``
     order, at a key of ``_point_key`` and a partition mu of n, None for (1^n):
     one pass over the terms of ``_point_terms``, each times omega^lam(mu),
@@ -255,14 +269,14 @@ def _point_cache(n: int, kind: str, p: int, q: int, mu: Partition | None) -> dic
     omega, mu = _zonal_table(n), mu or (1,) * n
     terms = [(lam, a * omega[lam][mu].numerator, b * omega[lam][mu].denominator) for lam, a, b in terms]
     weights = _zonal_weights(n)
-    return {rho: _zonal_sum(weights, rho, terms, scale) for rho in partitions_of(n)}
+    return _Table((rho, _zonal_sum(weights, rho, terms, scale)) for rho in partitions_of(n))
 
 
-def _point_table(n: int, kind: str, point, mu: Partition | None = None) -> dict[Partition, Fraction]:
+def _point_table(n: int, kind: str, point, mu: Partition | None = None) -> _Table:
     """The stored table at the point of kind "z", "gamma", "beta" or "N" and
     the partition mu of n, the degree and the point checked first.  The dict
-    is the store's own: the callers in this package only read it, and
-    ``weingarten_values`` hands out a copy."""
+    is the store's own: the callers in this package only read it (and its
+    ``floats``), and ``weingarten_values`` hands out a plain copy."""
     key = _point_key(n, kind, point)
     # (1^n), the one partition of n with n parts, shares the entry of mu = None
     return _point_cache(*key, None if mu is None or len(mu) == key[0] else mu)

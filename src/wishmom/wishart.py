@@ -17,8 +17,13 @@ one shape's eigenvalue from ``weingarten._point_eigenvalue``; ``_side``
 picks the matrix and the shape, and refuses gamma <= 0, so every moment
 below has one body for both sides.  Entrywise moments and trace products
 take the forward weight as a factor per loop or cycle, which needs no coset
-types.  ``mixed_trace_moment`` forms each distinct loop's trace word once
-per call, from the loop list of ``matchgroup._word_table``.
+types.  The moments that weigh in floats (inverse entrywise and mixed
+trace moments) read the float view the store keeps beside each table.
+``mixed_trace_moment`` forms each distinct loop's trace word once per call,
+from the loop list of ``matchgroup._word_table``: below degree 4 loop by
+loop and word by word, from it on in lockstep, with one stacked numpy
+product per loop depth and one vectorised walk for the types of all words,
+over arrays built once per degree (``_lockstep_table``), and the same bits.
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import exp, isfinite, lgamma, log, pi, sqrt
 from numbers import Real
@@ -49,6 +54,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .matchgroup import (
+    MAX_LISTED_DEGREE,
     _pairing_type,
     _partners,
     _word_table,
@@ -60,7 +66,7 @@ from .matchgroup import (
     matching_type_sums,
     pair_loops,
 )
-from .symcomb import Partition, Perm, _Value, _as_fraction, _as_int, _as_ints, check_partition
+from .symcomb import Partition, Perm, _Value, _as_fraction, _as_int, _as_ints, check_partition, partitions_of
 from .weingarten import (
     DomainError,
     _contract,
@@ -298,13 +304,13 @@ def moment(params: WishartParams, spec: MomentSpec) -> float:
         return 1.0
     _check_indices(params, spec.indices)
     x, shape = _side(params, spec.inverse)
-    weights = _point_table(n, "gamma", shape) if spec.inverse else None
+    weights = _point_table(n, "gamma", shape).floats if spec.inverse else None
     labels = [k - 1 for k in spec.indices]
     if weights is None:
         # dividing by a power of two is exact
         return matching_type_sums(labels, x, float(2 * shape)) / 2**n
     sums = matching_type_sums(labels, x)
-    return sum(float(weights[rho]) * w for rho, w in sums.items())
+    return sum(weights[rho] * w for rho, w in sums.items())
 
 
 def _check_indices(params: WishartParams, indices: Sequence[int]) -> None:
@@ -385,7 +391,8 @@ def mixed_trace_moment(
     paired contractions of sigma^{+-1}, each weighted by the coset weight of
     the type of g^-1 m, added in word order.  Relabelled by g, that type is
     the loop type of m's pairs against g's image pairs, read off the partner
-    arrays of ``_word_table``.
+    arrays of ``_word_table``.  The weights are the float view of the
+    stored table of the point.
 
     Each contraction is a product of loop traces, and the table lists the
     degree's distinct loops parents first, so each loop's trace word is
@@ -393,7 +400,10 @@ def mixed_trace_moment(
     (f_s alone with no parent), and the loop's value is (word @ x).trace().
     These are the operations of ``_loop_contraction`` in its order, and each
     word's loop values are multiplied left to right from 1.0, so every value
-    is the one a loop-by-loop contraction gives.  Degree 0 is the empty
+    is the one a loop-by-loop contraction gives.  Below degree
+    ``_LOCKSTEP_DEGREE`` (4), ``_loop_list_sum`` does this loop by loop and
+    word by word; from it on, ``_lockstep_sum`` does the same operations as
+    stacked array operations, with the same bits.  Degree 0 is the empty
     product, 1.0."""
     import numpy as np
 
@@ -404,12 +414,26 @@ def mixed_trace_moment(
         raise ValueError("pattern size must be twice the number of matrices")
     if n == 0:
         return 1.0
-    factors = _slot_factors([np.array(_real_rows(m, params.d, "factor")) for m in ms])
+    mats = [np.array(_real_rows(m, params.d, "factor")) for m in ms]
     g_pairs = _partners(g.images)
     _, shape = _side(params, inverse)
     x = params.sigma_inv if inverse else params.sigma
-    weights = {rho: float(w) for rho, w in _point_table(n, "gamma" if inverse else "beta", shape).items()}
-    words, loops = _word_table(n)
+    weights = _point_table(n, "gamma" if inverse else "beta", shape).floats
+    engine = _lockstep_sum if n >= _LOCKSTEP_DEGREE else _loop_list_sum
+    return engine(mats, x, g_pairs, weights)
+
+
+# the degree from which ``mixed_trace_moment`` sums in lockstep; at n = 1, 2
+# the array set-up costs more than the loops it replaces (ROADMAP item 12)
+_LOCKSTEP_DEGREE = 4
+
+
+def _loop_list_sum(mats: list, x: np.ndarray, g_pairs: list[int], weights: dict[Partition, float]) -> float:
+    """The sum of ``mixed_trace_moment`` over the n = len(mats) pairs, loop
+    by loop and word by word, from the loop list of ``_word_table(n)``:
+    g_pairs is g's partner array and weights the coset weights by type."""
+    factors = _slot_factors(mats)
+    words, loops = _word_table(len(mats))
     closed = []  # (loop word) @ x per loop
     for parent, s in loops:
         closed.append((factors[s] if parent < 0 else closed[parent] @ factors[s]) @ x)
@@ -421,6 +445,106 @@ def mixed_trace_moment(
             term *= traces[i]
         total += weights[_pairing_type(partner, g_pairs)] * term
     return total
+
+
+def _lockstep_sum(mats: list, x: np.ndarray, g_pairs: list[int], weights: dict[Partition, float]) -> float:
+    """``_loop_list_sum`` as stacked array operations over the arrays of
+    ``_lockstep_table(n)``: stacks of its 2-D products, traces and float
+    products, each in its order, so with its bits.
+
+    The slot factors go into one (2n+1, d, d) stack, m_k.T copied
+    contiguous.  Each depth of the loop forest is one stacked product
+    (closed[parents] @ F[slots]) @ x, and the traces are one ``np.trace``.
+    Each word's term is its loop values multiplied column by column from
+    the first, the padding reading 1.0.  The type of g^-1 m comes, for all
+    words m at once, from the permutation pi = g_pairs[partner] of the
+    slots: a loop of L pairs of m against g's pairs is two pi-cycles of
+    length L.  So the number of slots that pi^t fixes, t = 1..n, gives by
+    Moebius inversion the slots on cycles of each length L, 2L per loop.
+    The terms are added in word order by a cumulative sum (``np.sum``
+    would add them pairwise)."""
+    import numpy as np
+
+    n, d = len(mats), len(x)
+    levels, ids, partners, flat, mobius, loop_slots, radix, type_index = _lockstep_table(n)
+    stack = np.empty((2 * n + 1, d, d))  # entry 0 is never read
+    stack[1::2] = mats
+    stack[2::2] = np.transpose(mats, (0, 2, 1))
+    closed = np.empty((levels[-1][1], d, d))
+    for lo, hi, parents, slots in levels:
+        word = stack[slots] if parents is None else closed[parents] @ stack[slots]
+        np.matmul(word, x, out=closed[lo:hi])
+    values = np.append(np.trace(closed, axis1=1, axis2=2), 1.0)
+    term = values[ids[:, 0]]
+    for col in ids.T[1:]:
+        term = term * values[col]
+    # pi as positions in the flattened (K, 2n) array of the words' slots
+    pi = ((np.array(g_pairs[1:]) - 1)[partners] + flat[:, :1]).ravel()
+    at = flat
+    fixed = np.empty((n, len(at)), dtype=np.intp)
+    for t in range(n):
+        at = pi[at]
+        fixed[t] = np.count_nonzero(at == flat, axis=1)
+    counts = mobius @ fixed // loop_slots
+    w = np.array(list(weights.values()))[type_index[radix @ counts]]
+    # the loop's sum starts from 0.0, which turns a sum of -0.0 terms into 0.0
+    return 0.0 + np.cumsum(w * term)[-1]
+
+
+@lru_cache(maxsize=MAX_LISTED_DEGREE)
+def _lockstep_table(n: int) -> tuple:
+    """(levels, ids, partners, flat, mobius, loop_slots, radix, type_index),
+    the arrays of ``_lockstep_sum`` at n pairs, from ``_word_table(n)``,
+    which checks n first, so the cache holds at most MAX_LISTED_DEGREE
+    degrees.  With K words:
+
+    - ``levels``: the loops renumbered by depth (their number of pairs), in
+      list order within a depth, and per depth (lo, hi, parents, slots): the
+      loops of the depth are numbers lo..hi-1, their parents' numbers (None
+      at depth 1) and their entry slots;
+    - ``ids``: the (K, n) loop numbers of each word, in order, padded with
+      the number of loops, the index of the 1.0 appended to their values;
+    - ``partners``: the (K, 2n) partner arrays of the slots 0..2n-1, and
+      ``flat`` the positions of those slots in the flattened array;
+    - ``mobius`` @ (slots that pi^t fixes, t = 1..n) is the slots on cycles
+      of length L = 1..n, ``loop_slots`` 2L of them per loop;
+    - the type with c_L loops of L pairs has the code ``radix`` @ c, in
+      mixed radix n // L + 1, and ``type_index[code]`` is its index in
+      ``partitions_of(n)``."""
+    import numpy as np
+
+    words, loops = _word_table(n)
+    depth: list[int] = []
+    for parent, _ in loops:
+        depth.append(1 if parent < 0 else depth[parent] + 1)
+    order = sorted(range(len(loops)), key=depth.__getitem__)
+    number = {old: new for new, old in enumerate(order)}
+    levels, lo = [], 0
+    for level in range(1, max(depth) + 1):
+        hi = lo + depth.count(level)
+        olds = order[lo:hi]
+        parents = None if level == 1 else np.array([number[loops[i][0]] for i in olds])
+        levels.append((lo, hi, parents, np.array([loops[i][1] for i in olds])))
+        lo = hi
+    ids = np.full((len(words), n), len(loops))
+    for k, (_, _, _, word_ids) in enumerate(words):
+        ids[k, : len(word_ids)] = [number[i] for i in word_ids]
+    partners = np.array([partner[1:] for _, partner, _, _ in words]) - 1
+    lengths = range(1, n + 1)
+    # pi^L fixes the slots on cycles of the lengths k dividing L
+    mobius = np.eye(n, dtype=np.intp)
+    for length in lengths:
+        for k in range(1, length):
+            if length % k == 0:
+                mobius[length - 1] -= mobius[k - 1]
+    radix = [1]
+    for length in lengths[:-1]:
+        radix.append(radix[-1] * (n // length + 1))
+    type_index = np.full(radix[-1] * 2, -1)
+    for k, rho in enumerate(partitions_of(n)):
+        type_index[sum(radix[length - 1] for length in rho)] = k
+    flat = np.arange(partners.size).reshape(partners.shape)
+    return levels, ids, partners, flat, mobius, 2 * np.array(lengths)[:, None], np.array(radix), type_index
 
 
 def _power_sums(x: list[list[float]], n: int) -> dict[int, float]:

@@ -738,6 +738,7 @@ def test_mixed_trace_equals_termwise_oracle(n, inverse):
     rng = np.random.default_rng(100 + n)
     params = WishartParams(d=3, beta=Fraction(15, 2), sigma=rand_pd(rng, 3))
     matchgroup._word_table.cache_clear()
+    wishart._lockstep_table.cache_clear()
     for _ in range(2):
         g = Perm(rng.permutation(2 * n) + 1)
         ms = [rng.normal(size=(3, 3)) for _ in range(n)]
@@ -759,6 +760,118 @@ def test_mixed_trace_equals_termwise_oracle_in_the_continuation(n, d):
         for inverse in (False, True):
             want = mixed_trace_moment_termwise(params, g, ms, inverse)
             assert mixed_trace_moment(params, g, ms, inverse) == want
+
+
+def _outcome(call):
+    """A call's value as float.hex, or its exception's class, message and,
+    for a PoleError, shapes."""
+    try:
+        return float(call()).hex()
+    except (PoleError, DomainError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "shapes", None)
+
+
+def _factor_forms(rng, d, n):
+    """n random d x d factors as C-ordered arrays, as lists of rows, as
+    Fortran-ordered arrays and as integer arrays."""
+    ms = [rng.normal(size=(d, d)) for _ in range(n)]
+    ints = [rng.integers(-3, 4, size=(d, d)) for _ in range(n)]
+    return ms, [m.tolist() for m in ms], [np.asfortranarray(m) for m in ms], ints
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("n", [4, 5])
+def test_lockstep_is_bit_identical_to_the_loop_list(monkeypatch, n, d):
+    # each call once in lockstep (n >= _LOCKSTEP_DEGREE) and once with every
+    # degree on the loop list: the same bits, or the same exception with the
+    # same message and PoleError shapes, on both sides and in both gamma
+    # regimes, poles and gamma <= 0 included
+    assert wishart._LOCKSTEP_DEGREE <= n
+    rng = np.random.default_rng(1000 * n + d)
+    gammas = [Fraction(1, 3), Fraction(3, 2), Fraction(5, 2), Fraction(n - 1), Fraction(2 * n + 1, 2), Fraction(-1, 2), 0]
+    regimes, outcomes = set(), []
+    for gamma in gammas:
+        params = WishartParams(d=d, beta=gamma + Fraction(d + 1, 2), sigma=rand_pd(rng, d))
+        if gamma > 0:
+            regimes.add(gamma_regime(gamma, n))
+        g = Perm(rng.permutation(2 * n) + 1)
+        for ms in _factor_forms(rng, d, n):
+            for inverse in (False, True):
+                call = lambda: mixed_trace_moment(params, g, ms, inverse)
+                lockstep = _outcome(call)
+                with monkeypatch.context() as m:
+                    m.setattr(wishart, "_LOCKSTEP_DEGREE", MAX_LISTED_DEGREE + 1)
+                    assert _outcome(call) == lockstep
+                outcomes.append(lockstep)
+    assert regimes == {"standard", "analytic-continuation"}
+    kinds = {o[0] if isinstance(o, tuple) else str for o in outcomes}
+    assert kinds == {str, PoleError, DomainError}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lockstep_sum_is_the_loop_list_sum_at_every_listed_degree(n):
+    # the two engines called directly, below the switch too, on the
+    # arguments mixed_trace_moment gives them, and on zero factors against
+    # all-negative weights, where every term is -0.0 and the loop's sum 0.0
+    rng = np.random.default_rng(n)
+    for d in (1, 3, 8):
+        params = WishartParams(d=d, beta=Fraction(d + 2 * n + 2, 2), sigma=rand_pd(rng, d))
+        g = Perm(rng.permutation(2 * n) + 1)
+        for x, weights in (
+            (params.sigma, weingarten._point_table(n, "beta", params.beta).floats),
+            (params.sigma_inv, weingarten._point_table(n, "gamma", params.gamma).floats),
+        ):
+            for ms in _factor_forms(rng, d, n):
+                mats = [np.array(wishart._real_rows(m, d, "factor")) for m in ms]
+                args = (mats, x, matchgroup._partners(g.images), weights)
+                assert float(wishart._lockstep_sum(*args)).hex() == float(wishart._loop_list_sum(*args)).hex()
+        negative = {rho: -1.0 - k for k, rho in enumerate(partitions_of(n))}
+        args = ([np.zeros((d, d))] * n, np.eye(d), matchgroup._partners(g.images), negative)
+        assert float(wishart._lockstep_sum(*args)).hex() == float(wishart._loop_list_sum(*args)).hex() == "0x0.0p+0"
+
+
+def test_lockstep_tables_hold_at_most_the_listed_degrees():
+    # below the switch no lockstep table is built; a refused degree builds
+    # neither a word table nor a lockstep table
+    rng = np.random.default_rng(3)
+    params = WishartParams(d=2, beta=Fraction(15, 2), sigma=rand_pd(rng, 2))
+    wishart._lockstep_table.cache_clear()
+    matchgroup._word_table.cache_clear()
+    with pytest.raises(SizeLimitError):
+        mixed_trace_moment(params, Perm.identity(12), [np.eye(2)] * 6)
+    assert wishart._lockstep_table.cache_info().currsize == matchgroup._word_table.cache_info().currsize == 0
+    for n in range(1, MAX_LISTED_DEGREE + 1):
+        mixed_trace_moment(params, Perm.identity(2 * n), [np.eye(2)] * n, inverse=True)
+        built = max(0, n - wishart._LOCKSTEP_DEGREE + 1)
+        assert wishart._lockstep_table.cache_info().currsize == built
+    for n in range(1, MAX_LISTED_DEGREE + 1):
+        wishart._lockstep_table(n)
+    assert wishart._lockstep_table.cache_info().currsize == MAX_LISTED_DEGREE
+    with pytest.raises(SizeLimitError):
+        wishart._lockstep_table(MAX_LISTED_DEGREE + 1)
+    assert wishart._lockstep_table.cache_info().currsize == MAX_LISTED_DEGREE
+
+
+def test_the_float_view_is_kept_in_the_point_tables_own_entry():
+    # inverse moment and mixed_trace_moment weigh by the float view of the
+    # stored table: made once per entry, in its order, beside a Fraction
+    # table that does not change, and in no second store
+    weingarten._point_cache.cache_clear()
+    table = weingarten._point_table(4, "gamma", Fraction(7, 3))
+    assert weingarten._point_cache.cache_info().currsize == 1
+    view = table.floats
+    assert view == {rho: float(w) for rho, w in table.items()} and list(view) == list(partitions_of(4))
+    assert all(type(w) is Fraction for w in table.values())
+    assert weingarten._point_table(4, "gamma", Fraction(14, 6)).floats is view
+    info = weingarten._point_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert type(weingarten.weingarten_values(4, gamma=Fraction(7, 3))) is dict
+    # a value past the float range raises where float() of it does, and the
+    # exact table stays readable
+    huge = weingarten._point_table(2, "beta", 10**200)
+    with pytest.raises(OverflowError):
+        huge.floats
+    assert huge[(1, 1)] == 10**400
 
 
 def test_mixed_trace_degree_cap(params3):
