@@ -788,7 +788,7 @@ def test_lockstep_is_bit_identical_to_the_loop_list(monkeypatch, n, d):
     # regimes, poles and gamma <= 0 included
     assert wishart._LOCKSTEP_DEGREE <= n
     rng = np.random.default_rng(1000 * n + d)
-    gammas = [Fraction(1, 3), Fraction(3, 2), Fraction(5, 2), Fraction(n - 1), Fraction(2 * n + 1, 2), Fraction(-1, 2), 0]
+    gammas = [Fraction(1, 3), Fraction(3, 2), Fraction(5, 2), n - 1, Fraction(2 * n + 1, 2), Fraction(-1, 2), 0]
     regimes, outcomes = set(), []
     for gamma in gammas:
         params = WishartParams(d=d, beta=gamma + Fraction(d + 1, 2), sigma=rand_pd(rng, d))
