@@ -14,10 +14,7 @@ the type, and the loop type of any two pairings, off their partner arrays.
 Relabelled by g, the type of g^-1 m is the loop type of m's pairs against
 g's image pairs, so ``_word_table`` keeps each degree's matching words with
 their partner arrays, and the routes that list words build no relabelled
-word per matching.  It keeps their loops as ids into one list of the
-degree's distinct loops, each a prefix loop plus one entry slot, so that a
-trace word common to several matchings, or the prefix of a longer one, is
-formed once.
+word per matching.
 """
 
 from __future__ import annotations
@@ -152,45 +149,25 @@ def _loop_type(pairing: Sequence[int]) -> Partition:
     return _pairing_type(_partners(pairing), _partners(range(1, len(pairing) + 1)))
 
 
-# a row of ``_word_table``: (word, partner array, coset type, loop ids)
-_WordRow = tuple[tuple[int, ...], tuple[int, ...], Partition, tuple[int, ...]]
+# a row of ``_word_table``: (word, partner array, coset type)
+_WordRow = tuple[tuple[int, ...], tuple[int, ...], Partition]
 
 
 @lru_cache(maxsize=MAX_LISTED_DEGREE)
-def _word_table(n: int) -> tuple[tuple[_WordRow, ...], tuple[tuple[int, int], ...]]:
-    """(words, loops) for n pairs.  ``words`` holds every
-    ``label_matchings((0,) * 2n)`` word, in that order, as (word, partner
-    array, coset type, loop ids), the ids those of the loops of
-    ``pair_loops(word)``, in its order, in ``loops``.
-
-    ``loops`` lists the degree's distinct loops, each as (parent, s): the loop
-    with entry slots s_1..s_L is its prefix s_1..s_(L-1), the entry at index
-    parent (-1 when L = 1), followed by s = s_L.  A prefix of a loop is itself
-    the loop of some word, so the list holds every prefix, parents first:
-    sum over k of C(n, k) (k-1)! 2^(k-1) entries, 729 at n = 5.
+def _word_table(n: int) -> tuple[_WordRow, ...]:
+    """Every ``label_matchings((0,) * 2n)`` word for n pairs, in that order,
+    as (word, partner array, coset type).
 
     These depend on n alone, so they are built once per degree and process;
     the check comes first, so the cache holds at most MAX_LISTED_DEGREE
     degrees (945 words at n = 5)."""
     check_listed_degree(n)
     base = _partners(range(1, 2 * n + 1))
-    ids: dict[tuple[int, ...], int] = {}
-    loops = []
-    words = []
+    rows = []
     for word in label_matchings((0,) * (2 * n)):
         partner = _partners(word)
-        word_loops = []
-        for slots in pair_loops(word):
-            parent = -1
-            for size in range(1, len(slots) + 1):
-                prefix = tuple(slots[:size])
-                if prefix not in ids:
-                    ids[prefix] = len(loops)
-                    loops.append((parent, slots[size - 1]))
-                parent = ids[prefix]
-            word_loops.append(parent)
-        words.append((word, tuple(partner), _pairing_type(partner, base), tuple(word_loops)))
-    return tuple(words), tuple(loops)
+        rows.append((word, tuple(partner), _pairing_type(partner, base)))
+    return tuple(rows)
 
 
 @cache

@@ -359,7 +359,7 @@ def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Parti
             raise SizeLimitError("full-group convolution supports n <= 3")
         typed, weight = [(h, _loop_type(h)) for h in permutations(range(1, 2 * n + 1))], 1
     else:
-        table, weight = _word_table(n)[0], 2**n * factorial(n)
+        table, weight = _word_table(n), 2**n * factorial(n)
     out = {}
     for rho in partitions_of(n):
         g = coset_representative(rho)
@@ -367,7 +367,7 @@ def _convolution_kernel(n: int, full: bool) -> dict[Partition, tuple[tuple[Parti
             keys = ((_loop_type([g.images[s - 1] for s in h]), t2) for h, t2 in typed)
         else:
             g_pairs = _partners(g.inverse().images)
-            keys = ((_pairing_type(partner, g_pairs), t2) for _, partner, t2, _ in table)
+            keys = ((_pairing_type(partner, g_pairs), t2) for _, partner, t2 in table)
         out[rho] = tuple((t1, t2, w * weight) for (t1, t2), w in sorted(Counter(keys).items()))
     return out
 

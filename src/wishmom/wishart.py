@@ -20,10 +20,9 @@ take the forward weight as a factor per loop or cycle, which needs no coset
 types.  The moments that weigh in floats (inverse entrywise and mixed
 trace moments) read the float view the store keeps beside each table.
 ``mixed_trace_moment`` forms each distinct loop's trace word once per call,
-from the loop list of ``matchgroup._word_table``: below degree 4 loop by
-loop and word by word, from it on in lockstep, with one stacked numpy
-product per loop depth and one vectorised walk for the types of all words,
-over arrays built once per degree (``_lockstep_table``), and the same bits.
+in lockstep at every degree: one stacked numpy product per depth of the
+loop forest and one vectorised walk for the types of all words, over arrays
+built once per degree from ``matchgroup._word_table`` (``_lockstep_table``).
 
 Two engines give every exact coefficient: sums over matchings per coset type
 (``matching_type_sums``: entrywise and Haar moments) and the lambda-sum
@@ -47,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import exp, isfinite, lgamma, log, pi, sqrt
 from numbers import Real
 from operator import mul
@@ -55,7 +54,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .matchgroup import (
     MAX_LISTED_DEGREE,
-    _pairing_type,
     _partners,
     _word_table,
     check_listed_degree,
@@ -390,21 +388,18 @@ def mixed_trace_moment(
     """E[T_g(W^{+-1}; m_1..m_n)] as a sum over the matching words m of the
     paired contractions of sigma^{+-1}, each weighted by the coset weight of
     the type of g^-1 m, added in word order.  Relabelled by g, that type is
-    the loop type of m's pairs against g's image pairs, read off the partner
-    arrays of ``_word_table``.  The weights are the float view of the
-    stored table of the point.
+    the loop type of m's pairs against g's image pairs.  The weights are the
+    float view of the stored table of the point.
 
-    Each contraction is a product of loop traces, and the table lists the
-    degree's distinct loops parents first, so each loop's trace word is
-    formed once per call, from its parent's: word = (parent word @ x) @ f_s
-    (f_s alone with no parent), and the loop's value is (word @ x).trace().
-    These are the operations of ``_loop_contraction`` in its order, and each
-    word's loop values are multiplied left to right from 1.0, so every value
-    is the one a loop-by-loop contraction gives.  Below degree
-    ``_LOCKSTEP_DEGREE`` (4), ``_loop_list_sum`` does this loop by loop and
-    word by word; from it on, ``_lockstep_sum`` does the same operations as
-    stacked array operations, with the same bits.  Degree 0 is the empty
-    product, 1.0."""
+    Each contraction is a product of loop traces, and ``_lockstep_table``
+    lists the degree's distinct loops parents first, so each loop's trace
+    word is formed once per call, from its parent's: word = (parent word @
+    x) @ f_s (f_s alone with no parent), and the loop's value is
+    (word @ x).trace().  These are the operations of ``_loop_contraction``
+    in its order, and each word's loop values are multiplied left to right
+    from 1.0, so every value is the one a loop-by-loop contraction gives;
+    ``_lockstep_sum`` does them as stacked array operations at every
+    degree.  Degree 0 is the empty product, 1.0."""
     import numpy as np
 
     n = len(ms)
@@ -419,38 +414,15 @@ def mixed_trace_moment(
     _, shape = _side(params, inverse)
     x = params.sigma_inv if inverse else params.sigma
     weights = _point_table(n, "gamma" if inverse else "beta", shape).floats
-    engine = _lockstep_sum if n >= _LOCKSTEP_DEGREE else _loop_list_sum
-    return engine(mats, x, g_pairs, weights)
-
-
-# the degree from which ``mixed_trace_moment`` sums in lockstep; at n = 1, 2
-# the array set-up costs more than the loops it replaces (ROADMAP item 12)
-_LOCKSTEP_DEGREE = 4
-
-
-def _loop_list_sum(mats: list, x: np.ndarray, g_pairs: list[int], weights: dict[Partition, float]) -> float:
-    """The sum of ``mixed_trace_moment`` over the n = len(mats) pairs, loop
-    by loop and word by word, from the loop list of ``_word_table(n)``:
-    g_pairs is g's partner array and weights the coset weights by type."""
-    factors = _slot_factors(mats)
-    words, loops = _word_table(len(mats))
-    closed = []  # (loop word) @ x per loop
-    for parent, s in loops:
-        closed.append((factors[s] if parent < 0 else closed[parent] @ factors[s]) @ x)
-    traces = [c.trace() for c in closed]
-    total = 0.0
-    for _, partner, _, ids in words:
-        term = 1.0
-        for i in ids:
-            term *= traces[i]
-        total += weights[_pairing_type(partner, g_pairs)] * term
-    return total
+    return _lockstep_sum(mats, x, g_pairs, weights)
 
 
 def _lockstep_sum(mats: list, x: np.ndarray, g_pairs: list[int], weights: dict[Partition, float]) -> float:
-    """``_loop_list_sum`` as stacked array operations over the arrays of
-    ``_lockstep_table(n)``: stacks of its 2-D products, traces and float
-    products, each in its order, so with its bits.
+    """The sum of ``mixed_trace_moment`` over the n = len(mats) pairs, as
+    stacked array operations over the arrays of ``_lockstep_table(n)``: g_pairs
+    is g's partner array and weights the coset weights by type.  Each
+    stacked product, trace and float product is the 2-D one of a
+    loop-by-loop contraction, in its order, so with its bits.
 
     The slot factors go into one (2n+1, d, d) stack, m_k.T copied
     contiguous.  Each depth of the loop forest is one stacked product
@@ -498,10 +470,14 @@ def _lockstep_table(n: int) -> tuple:
     which checks n first, so the cache holds at most MAX_LISTED_DEGREE
     degrees.  With K words:
 
-    - ``levels``: the loops renumbered by depth (their number of pairs), in
-      list order within a depth, and per depth (lo, hi, parents, slots): the
-      loops of the depth are numbers lo..hi-1, their parents' numbers (None
-      at depth 1) and their entry slots;
+    - ``levels``: the loop forest.  Every prefix s_1..s_L of the entry slots
+      of a loop of ``pair_loops(word)`` is itself the loop of some word, so
+      the degree's distinct loops, sum over k of C(n, k) (k-1)! 2^(k-1) of
+      them (729 at n = 5), are numbered by depth L (their number of pairs),
+      in order of first sight within a depth.  Per depth (lo, hi, parents,
+      slots): the loops of the depth are numbers lo..hi-1, their parents'
+      numbers, those of their prefixes s_1..s_(L-1) (None at depth 1), and
+      their last entry slots s_L;
     - ``ids``: the (K, n) loop numbers of each word, in order, padded with
       the number of loops, the index of the 1.0 appended to their values;
     - ``partners``: the (K, 2n) partner arrays of the slots 0..2n-1, and
@@ -513,23 +489,24 @@ def _lockstep_table(n: int) -> tuple:
       ``partitions_of(n)``."""
     import numpy as np
 
-    words, loops = _word_table(n)
-    depth: list[int] = []
-    for parent, _ in loops:
-        depth.append(1 if parent < 0 else depth[parent] + 1)
-    order = sorted(range(len(loops)), key=depth.__getitem__)
-    number = {old: new for new, old in enumerate(order)}
-    levels, lo = [], 0
-    for level in range(1, max(depth) + 1):
-        hi = lo + depth.count(level)
-        olds = order[lo:hi]
-        parents = None if level == 1 else np.array([number[loops[i][0]] for i in olds])
-        levels.append((lo, hi, parents, np.array([loops[i][1] for i in olds])))
-        lo = hi
-    ids = np.full((len(words), n), len(loops))
-    for k, (_, _, _, word_ids) in enumerate(words):
-        ids[k, : len(word_ids)] = [number[i] for i in word_ids]
-    partners = np.array([partner[1:] for _, partner, _, _ in words]) - 1
+    rows = _word_table(n)
+    depths: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]  # prefix -> number within its depth
+    word_loops = []
+    for word, _, _ in rows:
+        loops = [tuple(slots) for slots in pair_loops(word)]
+        for loop in loops:
+            for size in range(1, len(loop) + 1):
+                depths[size - 1].setdefault(loop[:size], len(depths[size - 1]))
+        word_loops.append(loops)
+    offsets = list(accumulate(map(len, depths), initial=0))
+    levels = []
+    for level, prefixes in enumerate(depths):
+        parents = None if level == 0 else np.array([offsets[level - 1] + depths[level - 1][p[:-1]] for p in prefixes])
+        levels.append((offsets[level], offsets[level + 1], parents, np.array([p[-1] for p in prefixes])))
+    ids = np.full((len(rows), n), offsets[-1])
+    for k, loops in enumerate(word_loops):
+        ids[k, : len(loops)] = [offsets[len(loop) - 1] + depths[len(loop) - 1][loop] for loop in loops]
+    partners = np.array([partner[1:] for _, partner, _ in rows]) - 1
     lengths = range(1, n + 1)
     # pi^L fixes the slots on cycles of the lengths k dividing L
     mobius = np.eye(n, dtype=np.intp)

@@ -168,7 +168,7 @@ def check_type_walk(g, table):
     # against g's image pairs {g(2k-1), g(2k)}
     g_pairs = matchgroup._partners(g.images)
     g_inv = g.inverse()
-    for word, partner, _, _ in table[0]:
+    for word, partner, _ in table:
         assert matchgroup._pairing_type(partner, g_pairs) == coset_type_union_find(g_inv * Perm(word))
 
 
@@ -188,55 +188,20 @@ def test_type_walk_of_two_pairings_at_random_g(n):
         check_type_walk(Perm(images), matchgroup._word_table(n))
 
 
-def loop_slots(loops, i):
-    """The entry slots of loop i of a word table's loop list, read back along
-    its parent chain."""
-    slots = []
-    while i >= 0:
-        i, s = loops[i]
-        slots.append(s)
-    return tuple(reversed(slots))
-
-
 def test_word_table_holds_each_listed_degree_in_label_matchings_order():
     table = matchgroup._word_table
     assert table.cache_info().maxsize == MAX_LISTED_DEGREE
     for n in range(1, MAX_LISTED_DEGREE + 1):
-        rows, loops = entry = table(n)
+        rows = table(n)
         assert [word for word, *_ in rows] == all_words(n)
-        for word, partner, rho, ids in rows:
+        for word, partner, rho in rows:
             assert [partner[s] for s in word] == [word[i ^ 1] for i in range(2 * n)]
-            assert tuple(loop_slots(loops, i) for i in ids) == tuple(map(tuple, pair_loops(word)))
             assert rho == coset_type_union_find(Perm(word))
-        assert table(n) is entry
+        assert table(n) is rows
     for n in (0, MAX_LISTED_DEGREE + 1):
         with pytest.raises(SizeLimitError, match="routes that list words"):
             table(n)
     assert table.cache_info().currsize <= MAX_LISTED_DEGREE
-
-
-def test_loop_list_counts_each_distinct_loop_once():
-    # a loop on k of the n pairs starts at the lowest, visits the other k - 1
-    # in any order and enters each at either slot
-    assert [len(matchgroup._word_table(n)[1]) for n in range(1, 6)] == [1, 4, 17, 96, 729]
-    for n in range(1, 6):
-        want = sum(comb(n, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(1, n + 1))
-        loops = matchgroup._word_table(n)[1]
-        assert len(loops) == want
-        assert len({loop_slots(loops, i) for i in range(len(loops))}) == want
-
-
-@pytest.mark.parametrize("n", range(1, MAX_LISTED_DEGREE + 1))
-def test_loop_list_has_parents_first_and_every_loop_is_a_word_loop(n):
-    words, loops = matchgroup._word_table(n)
-    for i, (parent, s) in enumerate(loops):
-        assert -1 <= parent < i
-        assert 1 <= s <= 2 * n
-        # a loop starts at the row slot 2 k0 - 1 of its lowest pair
-        if parent < 0:
-            assert s % 2 == 1
-    # every entry is the whole loop of some word, not only a prefix
-    assert {i for *_, ids in words for i in ids} == set(range(len(loops)))
 
 
 def test_word_table_cache_holds_at_most_the_listed_degrees():

@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
 import numpy as np
@@ -24,6 +24,7 @@ from wishmom.matchgroup import (
     label_matchings,
     matching_type_count,
     matching_type_sums,
+    pair_loops,
     paired_perm,
 )
 from wishmom.symcomb import Perm, content_product, partitions_of
@@ -772,84 +773,137 @@ def _outcome(call):
 
 
 def _factor_forms(rng, d, n):
-    """n random d x d factors as C-ordered arrays, as lists of rows, as
-    Fortran-ordered arrays and as integer arrays."""
-    ms = [rng.normal(size=(d, d)) for _ in range(n)]
+    """The same n random integer d x d factors as C-ordered float arrays, as
+    lists of rows, as Fortran-ordered arrays and as integer arrays."""
     ints = [rng.integers(-3, 4, size=(d, d)) for _ in range(n)]
+    ms = [m.astype(float) for m in ints]
     return ms, [m.tolist() for m in ms], [np.asfortranarray(m) for m in ms], ints
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
-@pytest.mark.parametrize("n", [4, 5])
-def test_lockstep_is_bit_identical_to_the_loop_list(monkeypatch, n, d):
-    # each call once in lockstep (n >= _LOCKSTEP_DEGREE) and once with every
-    # degree on the loop list: the same bits, or the same exception with the
-    # same message and PoleError shapes, on both sides and in both gamma
-    # regimes, poles and gamma <= 0 included
-    assert wishart._LOCKSTEP_DEGREE <= n
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mixed_trace_is_the_termwise_oracle_bit_for_bit(n, d):
+    # every factor form gives the oracle's bits, forward and on the inverse
+    # side in both gamma regimes, and the oracle's refusal of gamma <= 0;
+    # at a pole the inverse side raises the table's PoleError, with the same
+    # message and shapes.  The oracle runs once per (gamma, side).
     rng = np.random.default_rng(1000 * n + d)
-    gammas = [Fraction(1, 3), Fraction(3, 2), Fraction(5, 2), n - 1, Fraction(2 * n + 1, 2), Fraction(-1, 2), 0]
+    g = Perm(rng.permutation(2 * n) + 1)
+    forms = _factor_forms(rng, d, n)
+    cases = [(Fraction(2 * n + 1, 2), False), (Fraction(2 * n + 1, 2), True), (Fraction(1, 3), True)]
+    cases += [(Fraction(-1, 2), True), (0, True)] + [(n - 1, True)] * (n > 1)
     regimes, outcomes = set(), []
-    for gamma in gammas:
+    for gamma, inverse in cases:
         params = WishartParams(d=d, beta=gamma + Fraction(d + 1, 2), sigma=rand_pd(rng, d))
         if gamma > 0:
             regimes.add(gamma_regime(gamma, n))
-        g = Perm(rng.permutation(2 * n) + 1)
-        for ms in _factor_forms(rng, d, n):
-            for inverse in (False, True):
-                call = lambda: mixed_trace_moment(params, g, ms, inverse)
-                lockstep = _outcome(call)
-                with monkeypatch.context() as m:
-                    m.setattr(wishart, "_LOCKSTEP_DEGREE", MAX_LISTED_DEGREE + 1)
-                    assert _outcome(call) == lockstep
-                outcomes.append(lockstep)
-    assert regimes == {"standard", "analytic-continuation"}
+        if gamma == n - 1 > 0:
+            want = _outcome(lambda: inv_wishart_weingarten((n,), gamma))
+        else:
+            want = _outcome(lambda: mixed_trace_moment_termwise(params, g, forms[0], inverse))
+        for ms in forms:
+            assert _outcome(lambda: mixed_trace_moment(params, g, ms, inverse)) == want
+        outcomes.append(want)
+    assert regimes == {"standard"} | ({"analytic-continuation"} if n > 1 else set())
     kinds = {o[0] if isinstance(o, tuple) else str for o in outcomes}
-    assert kinds == {str, PoleError, DomainError}
+    assert kinds == {str, DomainError} | ({PoleError} if n > 1 else set())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_lockstep_sum_is_the_loop_list_sum_at_every_listed_degree(n):
-    # the two engines called directly, below the switch too, on the
-    # arguments mixed_trace_moment gives them, and on zero factors against
-    # all-negative weights, where every term is -0.0 and the loop's sum 0.0
+def test_lockstep_sum_of_zero_factors_against_negative_weights_is_zero(n):
+    # every term is -0.0; the sum starts from 0.0, as a loop's would, so it
+    # is 0.0, not the -0.0 a cumulative sum of the terms alone gives
     rng = np.random.default_rng(n)
+    negative = {rho: -1.0 - k for k, rho in enumerate(partitions_of(n))}
     for d in (1, 3, 8):
-        params = WishartParams(d=d, beta=Fraction(d + 2 * n + 2, 2), sigma=rand_pd(rng, d))
         g = Perm(rng.permutation(2 * n) + 1)
-        for x, weights in (
-            (params.sigma, weingarten._point_table(n, "beta", params.beta).floats),
-            (params.sigma_inv, weingarten._point_table(n, "gamma", params.gamma).floats),
-        ):
-            for ms in _factor_forms(rng, d, n):
-                mats = [np.array(wishart._real_rows(m, d, "factor")) for m in ms]
-                args = (mats, x, matchgroup._partners(g.images), weights)
-                assert float(wishart._lockstep_sum(*args)).hex() == float(wishart._loop_list_sum(*args)).hex()
-        negative = {rho: -1.0 - k for k, rho in enumerate(partitions_of(n))}
         args = ([np.zeros((d, d))] * n, np.eye(d), matchgroup._partners(g.images), negative)
-        assert float(wishart._lockstep_sum(*args)).hex() == float(wishart._loop_list_sum(*args)).hex() == "0x0.0p+0"
+        assert float(wishart._lockstep_sum(*args)).hex() == "0x0.0p+0"
 
 
 def test_lockstep_tables_hold_at_most_the_listed_degrees():
-    # below the switch no lockstep table is built; a refused degree builds
-    # neither a word table nor a lockstep table
+    # each refusal of mixed_trace_moment comes before the word table and the
+    # lockstep table are built; each listed degree builds one of each
     rng = np.random.default_rng(3)
     params = WishartParams(d=2, beta=Fraction(15, 2), sigma=rand_pd(rng, 2))
+    at_zero = WishartParams(d=2, beta=Fraction(3, 2), sigma=rand_pd(rng, 2))  # gamma = 0
+    at_pole = WishartParams(d=2, beta=Fraction(5, 2), sigma=rand_pd(rng, 2))  # gamma = 1, a pole at n = 2
+    two, pattern = [np.eye(2)] * 2, Perm.identity(4)
+    refusals = [
+        (SizeLimitError, params, Perm.identity(12), [np.eye(2)] * 6, False),
+        (ValueError, params, Perm.identity(6), two, False),
+        (ValueError, params, pattern, [np.eye(2), np.eye(3)], False),
+        (ValueError, params, pattern, [np.eye(2), np.eye(2, dtype=bool)], False),
+        (ValueError, params, pattern, [np.eye(2), np.eye(2) + 0j], False),
+        (ValueError, params, pattern, [np.eye(2), [[1.0, np.nan], [0.0, 1.0]]], False),
+        (DomainError, at_zero, pattern, two, True),
+        (PoleError, at_pole, pattern, two, True),
+    ]
     wishart._lockstep_table.cache_clear()
     matchgroup._word_table.cache_clear()
-    with pytest.raises(SizeLimitError):
-        mixed_trace_moment(params, Perm.identity(12), [np.eye(2)] * 6)
-    assert wishart._lockstep_table.cache_info().currsize == matchgroup._word_table.cache_info().currsize == 0
+    for kind, p, g, ms, inverse in refusals:
+        with pytest.raises(kind) as refused:
+            mixed_trace_moment(p, g, ms, inverse)
+        assert type(refused.value) is kind
+        assert wishart._lockstep_table.cache_info().currsize == matchgroup._word_table.cache_info().currsize == 0
     for n in range(1, MAX_LISTED_DEGREE + 1):
         mixed_trace_moment(params, Perm.identity(2 * n), [np.eye(2)] * n, inverse=True)
-        built = max(0, n - wishart._LOCKSTEP_DEGREE + 1)
-        assert wishart._lockstep_table.cache_info().currsize == built
+        assert wishart._lockstep_table.cache_info().currsize == matchgroup._word_table.cache_info().currsize == n
     for n in range(1, MAX_LISTED_DEGREE + 1):
         wishart._lockstep_table(n)
     assert wishart._lockstep_table.cache_info().currsize == MAX_LISTED_DEGREE
     with pytest.raises(SizeLimitError):
         wishart._lockstep_table(MAX_LISTED_DEGREE + 1)
     assert wishart._lockstep_table.cache_info().currsize == MAX_LISTED_DEGREE
+
+
+def forest_slots(levels, i):
+    """The entry slots of loop i of a lockstep table's loop forest, read back
+    along its parent chain, from the deepest depth up."""
+    slots = []
+    for lo, hi, parents, last in reversed(levels):
+        if lo <= i < hi:
+            slots.append(int(last[i - lo]))
+            i = -1 if parents is None else int(parents[i - lo])
+    return tuple(reversed(slots))
+
+
+def test_lockstep_forest_counts_each_distinct_loop_once():
+    # a loop on k of the n pairs starts at the lowest, visits the other k - 1
+    # in any order and enters each at either slot
+    sizes = [wishart._lockstep_table(n)[0][-1][1] for n in range(1, MAX_LISTED_DEGREE + 1)]
+    assert sizes == [1, 4, 17, 96, 729]
+    for n, size in enumerate(sizes, 1):
+        assert size == sum(comb(n, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(1, n + 1))
+        levels = wishart._lockstep_table(n)[0]
+        assert len({forest_slots(levels, i) for i in range(size)}) == size
+
+
+@pytest.mark.parametrize("n", range(1, MAX_LISTED_DEGREE + 1))
+def test_lockstep_forest_has_parents_in_the_depth_above_and_every_loop_is_a_word_loop(n):
+    levels, ids = wishart._lockstep_table(n)[:2]
+    assert len(levels) == n
+    size = 0
+    for depth, (lo, hi, parents, slots) in enumerate(levels, 1):
+        assert lo == size < hi and len(slots) == hi - lo
+        assert all(1 <= s <= 2 * n for s in slots)
+        if depth == 1:
+            # a loop starts at the row slot 2 k0 - 1 of its lowest pair
+            assert parents is None and all(s % 2 == 1 for s in slots)
+        else:
+            above = levels[depth - 2]
+            assert len(parents) == hi - lo and all(above[0] <= p < above[1] for p in parents)
+        size = hi
+    # each word's loop numbers, read back along the parent chain, give its
+    # loops, padded with the number of loops; every entry is the whole loop
+    # of some word, not only a prefix
+    whole = set()
+    for (word, _, _), row in zip(matchgroup._word_table(n), ids.tolist(), strict=True):
+        loops = [tuple(slots) for slots in pair_loops(word)]
+        assert [forest_slots(levels, i) for i in row[: len(loops)]] == loops
+        assert row[len(loops) :] == [size] * (n - len(loops))
+        whole.update(row[: len(loops)])
+    assert whole == set(range(size))
 
 
 def test_the_float_view_is_kept_in_the_point_tables_own_entry():
