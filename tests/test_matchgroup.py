@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wishmom import matchgroup
+from wishmom import matchgroup, wishart
 from wishmom.matchgroup import (
     MAX_LISTED_DEGREE,
     MAX_SUM_DEGREE,
@@ -186,6 +186,56 @@ def test_type_walk_of_two_pairings_at_random_g(n):
         images = list(range(1, 2 * n + 1))
         rnd.shuffle(images)
         check_type_walk(Perm(images), matchgroup._word_table(n))
+
+
+def forest_slots(levels, i):
+    """The entry slots of loop i of a lockstep table's loop forest, read back
+    along its parent chain, from the deepest depth up."""
+    slots = []
+    for lo, hi, parents, last in reversed(levels):
+        if lo <= i < hi:
+            slots.append(int(last[i - lo]))
+            i = -1 if parents is None else int(parents[i - lo])
+    return tuple(reversed(slots))
+
+
+def test_loop_list_counts_each_distinct_loop_once():
+    # a loop on k of the n pairs starts at the lowest, visits the other k - 1
+    # in any order and enters each at either slot
+    sizes = [wishart._lockstep_table(n)[0][-1][1] for n in range(1, MAX_LISTED_DEGREE + 1)]
+    assert sizes == [1, 4, 17, 96, 729]
+    for n, size in enumerate(sizes, 1):
+        assert size == sum(comb(n, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(1, n + 1))
+        levels = wishart._lockstep_table(n)[0]
+        assert len({forest_slots(levels, i) for i in range(size)}) == size
+
+
+@pytest.mark.parametrize("n", range(1, MAX_LISTED_DEGREE + 1))
+def test_loop_list_has_parents_first_and_every_loop_is_a_word_loop(n):
+    levels, ids = wishart._lockstep_table(n)[:2]
+    assert len(levels) == n
+    size = 0
+    for depth, (lo, hi, parents, slots) in enumerate(levels, 1):
+        assert lo == size < hi and len(slots) == hi - lo
+        assert all(1 <= s <= 2 * n for s in slots)
+        if depth == 1:
+            # a loop starts at the row slot 2 k0 - 1 of its lowest pair
+            assert parents is None and all(s % 2 == 1 for s in slots)
+        else:
+            # each parent lies in the depth above, so it is numbered first
+            above = levels[depth - 2]
+            assert len(parents) == hi - lo and all(above[0] <= p < above[1] <= lo for p in parents)
+        size = hi
+    # each word's loop numbers, read back along the parent chain, give its
+    # loops, padded with the number of loops; every entry is the whole loop
+    # of some word, not only a prefix
+    whole = set()
+    for (word, _, _), row in zip(matchgroup._word_table(n), ids.tolist(), strict=True):
+        loops = [tuple(slots) for slots in pair_loops(word)]
+        assert [forest_slots(levels, i) for i in row[: len(loops)]] == loops
+        assert row[len(loops) :] == [size] * (n - len(loops))
+        whole.update(row[: len(loops)])
+    assert whole == set(range(size))
 
 
 def test_word_table_holds_each_listed_degree_in_label_matchings_order():
